@@ -344,7 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", help="JSON file with explicit points")
         p.add_argument("--output", "-o", default=None)
         if signs:
-            p.add_argument("--signs", help="per-point sign pairs, e.g. '++,+-' or all-positive")
+            p.add_argument(
+                "--signs",
+                help="per-point sign pairs, e.g. '++,+-' or all-positive; "
+                "write a list starting with '-' as --signs=-+,...",
+            )
             p.add_argument("--sign-t", default="+", help="sign of the deformation parameter")
 
     p = sub.add_parser("enumerate", help="list matched curves as JSON")

@@ -17,7 +17,6 @@ rational solve plus geometric acceptance checks.
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,9 +30,9 @@ from .incidence import (
     ConstraintOnVertex,
     match_marked_edges,
 )
-from .oracles import lattice_path_oracle  # re-exported oracle entry point
 from .tropical import (
     Degree,
+    NonGenericCrossing,
     Point,
     TropicalCurve,
     TropicalGraph,
@@ -43,6 +42,7 @@ from .tropical import (
     expected_dimension,
     moduli_dimension,
 )
+from .welschinger import crossing_count
 
 __all__ = [
     "CombinatorialType",
@@ -51,7 +51,6 @@ __all__ = [
     "UnsupportedGenus",
     "enumerate_curves",
     "enumerate_types",
-    "lattice_path_oracle",
     "solve_positions",
     "trivalent_tree_count",
 ]
@@ -895,67 +894,31 @@ def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
     for p in config.points:
         if p in set(positions):
             raise GenericityFailure("a constraint point hits a vertex; reseed the points")
-    from .welschinger import NonGenericCrossing, crossing_count
-
     try:
         crossing_count(curve)
     except NonGenericCrossing as exc:
         raise GenericityFailure(str(exc))
     # overlapping parallel edges would break the finite-fiber clause
-    strokes = []
-    for i, eid in enumerate(curve.graph.bounded_ids()):
-        tail, head = curve.graph.bounded_edges[i]
-        strokes.append((curve.positions[tail], curve.positions[head], None))
-    for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
-        strokes.append((curve.positions[vertex], None, direction))
-    for a, b in itertools.combinations(strokes, 2):
-        if _strokes_overlap(a, b):
+    for e1, e2 in itertools.combinations(curve.graph.edge_ids(), 2):
+        if _edges_overlap(curve, e1, e2):
             raise GenericityFailure("two edges overlap; reseed the points")
 
 
-def _strokes_overlap(s1, s2) -> bool:
-    a1, b1, d1 = s1
-    a2, b2, d2 = s2
-    v1 = (b1[0] - a1[0], b1[1] - a1[1]) if b1 is not None else d1
-    v2 = (b2[0] - a2[0], b2[1] - a2[1]) if b2 is not None else d2
-    if v1[0] * v2[1] - v1[1] * v2[0] != 0:
-        return False
-    diff = (a2[0] - a1[0], a2[1] - a1[1])
-    if diff[0] * v1[1] - diff[1] * v1[0] != 0:
-        return False
-    # same supporting line: compare parameter intervals
-    dd = Fraction(v1[0] * v1[0] + v1[1] * v1[1])
+def _edges_overlap(curve: TropicalCurve, e1: str, e2: str) -> bool:
+    """Whether two edge images share a piece of positive length.
 
-    def param(p):
-        return (Fraction(p[0] - a1[0]) * v1[0] + Fraction(p[1] - a1[1]) * v1[1]) / dd
-
-    iv1 = (Fraction(0), param(b1) if b1 is not None else None)
-    start2 = param(a2)
-    if b2 is not None:
-        end2 = param(b2)
-        iv2 = (min(start2, end2), max(start2, end2))
-    else:
-        forward = Fraction(d2[0]) * v1[0] + Fraction(d2[1]) * v1[1] > 0
-        iv2 = (start2, None) if forward else (None, start2)
-    lo = iv1[0] if iv2[0] is None else (iv2[0] if iv1[0] is None else max(iv1[0], iv2[0]))
-    his = [x for x in (iv1[1], iv2[1]) if x is not None]
-    hi = min(his) if his else None
-    if lo is None or hi is None:
-        return True
-    return lo < hi
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("TROPCOUNT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError("TROPCOUNT_THREADS must be a positive integer")
-    if value < 1:
-        raise ValueError("TROPCOUNT_THREADS must be a positive integer")
-    return value
+    The shared part of two edges is convex, and when it is more than a
+    point it contains two distinct points among the origin of each edge and
+    the point at parameter 1 (the head of a bounded edge, one step along a
+    ray).
+    """
+    shared = set()
+    for eid in (e1, e2):
+        origin, vector, _ = curve.edge_segment(eid)
+        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
+            if curve.edge_param(e1, p) is not None and curve.edge_param(e2, p) is not None:
+                shared.add(p)
+    return len(shared) > 1
 
 
 def enumerate_curves(
@@ -995,14 +958,11 @@ def enumerate_curves(
                 (TropicalCurve(graph=curve.graph, positions=positions, n=curve.n), marks)
             )
         return out
-    types = enumerate_types(genus, degree)
-    threads = _thread_count()
-
     int_points = [(int(p[0]), int(p[1])) for p in config.points]
-
-    def solve_type(ctype: CombinatorialType):
+    results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
+    for ctype in enumerate_types(genus, degree):
         if ctype.has_flat_vertex:
-            return []
+            continue
         system = _TypeSystem(ctype)
         pins = [
             [
@@ -1011,24 +971,11 @@ def enumerate_curves(
             ]
             for p in int_points
         ]
-        found = []
         for assignment in _search_assignments(system, pins, int_points):
             plan = {j: assignment[j] for j in range(len(assignment))}
             solved = solve_positions(ctype, config, plan)
             if solved is not None:
-                found.append(solved)
-        return found
-
-    results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(solve_type, types):
-                results.extend(chunk)
-    else:
-        for ctype in types:
-            results.extend(solve_type(ctype))
+                results.append(solved)
 
     constraints = config.constraints()
     seen_signatures = set()
@@ -1065,8 +1012,11 @@ def enumerate_curves(
             ),
             marks,
         )
+        # Isomorphic types are deduped in enumerate_types, and a non-flat
+        # type has no automorphism (swapping two subtrees would need two
+        # parallel edge vectors), so no curve can come out twice.
         if signature in seen_signatures:
-            continue
+            raise AssertionError("enumeration produced the same curve twice")
         seen_signatures.add(signature)
         accepted.append((curve, marks))
     return accepted

@@ -167,33 +167,6 @@ def check_generality_dims(genus: int, degree, constraints: Sequence[AffineConstr
     return rational_rank(rows) == n
 
 
-def _edge_param_on(curve: TropicalCurve, eid: EdgeId, point: Point):
-    """Parameter of a constraint point along an edge, or None if off the edge.
-
-    Returns (t, limit) with 0 <= t <= limit (limit None for unbounded edges).
-    """
-    kind, idx = eid[0], int(eid[1:])
-    if kind == "b":
-        tail, head = curve.graph.bounded_edges[idx]
-        a = curve.positions[tail]
-        d = tuple(y - x for x, y in zip(a, curve.positions[head]))
-        limit = Fraction(1)
-    else:
-        vertex, direction = curve.graph.unbounded_edges[idx]
-        a = curve.positions[vertex]
-        d = tuple(Fraction(x) for x in direction)
-        limit = None
-    r = tuple(p - x for x, p in zip(a, point))
-    cross = d[0] * r[1] - d[1] * r[0]
-    if cross != 0:
-        return None
-    dd = d[0] * d[0] + d[1] * d[1]
-    t = (d[0] * r[0] + d[1] * r[1]) / dd
-    if t < 0 or (limit is not None and t > limit):
-        return None
-    return t, limit
-
-
 def _constraint_meets_edge(curve: TropicalCurve, eid: EdgeId, constraint: AffineConstraint):
     """Whether the edge image meets the constraint, in any ambient dimension.
 
@@ -201,18 +174,8 @@ def _constraint_meets_edge(curve: TropicalCurve, eid: EdgeId, constraint: Affine
     parameter, the parameter must lie in the edge's range.
     """
     if constraint.directions.cols == 0:
-        return _edge_param_on(curve, eid, constraint.base) is not None
-    kind, idx = eid[0], int(eid[1:])
-    if kind == "b":
-        tail, head = curve.graph.bounded_edges[idx]
-        a = curve.positions[tail]
-        e = tuple(y - x for x, y in zip(a, curve.positions[head]))
-        limit = Fraction(1)
-    else:
-        vertex, direction = curve.graph.unbounded_edges[idx]
-        a = curve.positions[vertex]
-        e = tuple(Fraction(x) for x in direction)
-        limit = None
+        return curve.edge_param(eid, constraint.base) is not None
+    a, e, bounded = curve.edge_segment(eid)
     # a + t e == base + L s: columns (t, s_1, ..., s_k)
     k = constraint.directions.cols
     rows = []
@@ -228,7 +191,7 @@ def _constraint_meets_edge(curve: TropicalCurve, eid: EdgeId, constraint: Affine
         return False
     if t is None:
         return True  # edge direction lies in the constraint span: a range meets
-    return t >= 0 and (limit is None or t <= limit)
+    return t >= 0 and (not bounded or t <= 1)
 
 
 def _pinned_first_unknown(rows, rhs):
@@ -309,13 +272,10 @@ def _vertex_on_constraint(position: Point, constraint: AffineConstraint) -> bool
 
 def _oriented_endpoints(curve: TropicalCurve, eid: EdgeId) -> Tuple[str, Optional[str]]:
     """(tail, head) with the tail at the lexicographically smaller position."""
-    kind, idx = eid[0], int(eid[1:])
-    if kind == "u":
-        return curve.graph.unbounded_edges[idx][0], None
-    a, b = curve.graph.bounded_edges[idx]
-    if curve.positions[a] <= curve.positions[b]:
-        return a, b
-    return b, a
+    tail, head, _ = curve.graph.edge(eid)
+    if head is not None and curve.positions[head] < curve.positions[tail]:
+        return head, tail
+    return tail, head
 
 
 def marked_direction(curve: TropicalCurve, eid: EdgeId) -> Tuple[str, Vec]:

@@ -179,55 +179,25 @@ def _curve_strokes(curve: TropicalCurve):
     return strokes
 
 
-def _point_on_segment(p: Point, a: Point, b: Point) -> bool:
-    d = tuple(y - x for x, y in zip(a, b))
-    r = tuple(y - x for x, y in zip(a, p))
-    cross = d[0] * r[1] - d[1] * r[0]
-    if cross != 0:
-        return False
-    dot = d[0] * r[0] + d[1] * r[1]
-    return 0 <= dot <= d[0] * d[0] + d[1] * d[1]
-
-
-def _point_on_ray(p: Point, a: Point, direction: Vec) -> bool:
-    r = tuple(y - x for x, y in zip(a, p))
-    cross = direction[0] * r[1] - direction[1] * r[0]
-    if cross != 0:
-        return False
-    dot = direction[0] * r[0] + direction[1] * r[1]
-    return dot >= 0
-
-
 def curve_constraint_intersections(curve: TropicalCurve, constraint) -> List[Point]:
     """Intersection points of the curve image with an affine constraint (n=2)."""
     base = _constraint_base(constraint)
     dirs = _constraint_direction_columns(constraint)
-    points = []
     if not dirs:
-        for kind, a, extra in _curve_strokes(curve):
-            hit = (
-                _point_on_segment(base, a, extra)
-                if kind == "segment"
-                else _point_on_ray(base, a, extra)
-            )
-            if hit and base not in points:
-                points.append(base)
-        return points
+        hit = any(curve.edge_param(eid, base) is not None for eid in curve.graph.edge_ids())
+        return [base] if hit else []
     if len(dirs) != 1:
         return []
     d = dirs[0]
-    for kind, a, extra in _curve_strokes(curve):
-        e = (
-            tuple(y - x for x, y in zip(a, extra))
-            if kind == "segment"
-            else tuple(Fraction(x) for x in extra)
-        )
+    points = []
+    for eid in curve.graph.edge_ids():
+        a, e, bounded = curve.edge_segment(eid)
         denom = e[0] * d[1] - e[1] * d[0]
         rhs = tuple(bx - ax for ax, bx in zip(a, base))
         if denom == 0:
             continue
         t = Fraction(rhs[0] * d[1] - rhs[1] * d[0], denom)
-        if t < 0 or (kind == "segment" and t > 1):
+        if t < 0 or (bounded and t > 1):
             continue
         p = tuple(ax + t * ex for ax, ex in zip(a, e))
         if p not in points:

@@ -18,10 +18,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import exact_lattice
 from .counting import count_complex, count_real, real_index
-from .enumeration import PointConfiguration, enumerate_curves, lattice_path_oracle
+from .enumeration import PointConfiguration, enumerate_curves
 from .exact_lattice import IntMatrix, f2_rank
 from .incidence import RealPointConfig, build_T_h
-from .oracles import kontsevich_number
+from .oracles import kontsevich_number, lattice_path_oracle
 from .polyhedral import (
     build_decomposition_2d,
     rescale_for_goodness,

@@ -11,8 +11,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .polyhedral import _AngleKey
-from .tropical import TropicalCurve, Vec
-from .welschinger import _edge_intersection_params
+from .tropical import TropicalCurve, Vec, plane_crossings
 
 
 def _fmt(x: Fraction, scale: Fraction, offset: Fraction) -> str:
@@ -149,22 +148,13 @@ def dual_subdivision_cells(curve: TropicalCurve):
     cells are glued by walking the image graph and translated so the lowest
     corner sits at the origin.
     """
-    # nodes: curve vertices and crossing points
-    eids = curve.graph.edge_ids()
-    crossings: Dict[Tuple, Tuple] = {}
-    for i in range(len(eids)):
-        for j in range(i + 1, len(eids)):
-            e1, e2 = eids[i], eids[j]
-            if _share_vertex(curve, e1, e2):
-                continue
-            hit = _edge_intersection_params(curve, e1, e2)
-            if hit is None:
-                continue
-            t1, t2, lim1, lim2 = hit
-            if t1 in (0, lim1) or t2 in (0, lim2):
-                raise ValueError("edge through a vertex; no dual subdivision")
-            point = _point_along(curve, e1, t1)
-            crossings[(e1, e2)] = point
+    # nodes: curve vertices and crossings, keyed by edge pair with the
+    # crossing's parameter on each edge
+    crossings = {(e1, e2): (t1, t2) for e1, e2, t1, t2 in plane_crossings(curve)}
+    weighted = {}
+    for eid in curve.graph.edge_ids():
+        w, u = curve.weight(eid), curve.edge_direction(eid)
+        weighted[eid] = (w * u[0], w * u[1])
 
     def rot(v):
         return (v[1], -v[0])
@@ -177,7 +167,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
             u = curve.edge_direction(eid, at_vertex=v)
             w = curve.weight(eid)
             dirs.append(((w * u[0], w * u[1]), eid))
-        dirs.sort(key=lambda t: _angle_key(t[0]))
+        dirs.sort(key=lambda t: _AngleKey(t[0]))
         corners = [(0, 0)]
         sides = {}
         for vec, eid in dirs:
@@ -187,10 +177,9 @@ def dual_subdivision_cells(curve: TropicalCurve):
             sides[eid] = (start, corners[-1])
         corners.pop()
         cells[("v", v)] = {"corners": corners, "sides": sides}
-    for (e1, e2), point in crossings.items():
-        v1 = _weighted_direction(curve, e1)
-        v2 = _weighted_direction(curve, e2)
-        seq = sorted([v1, (-v1[0], -v1[1]), v2, (-v2[0], -v2[1])], key=_angle_key)
+    for e1, e2 in crossings:
+        v1, v2 = weighted[e1], weighted[e2]
+        seq = sorted([v1, (-v1[0], -v1[1]), v2, (-v2[0], -v2[1])], key=_AngleKey)
         corners = [(0, 0)]
         sides = {}
         for vec in seq:
@@ -204,7 +193,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
     # glue along image pieces with a BFS from an arbitrary cell
     if not cells:
         return []
-    adjacency = _image_adjacency(curve, crossings)
+    adjacency = _image_adjacency(curve, crossings, weighted)
     offsets = {}
     start_key = next(iter(sorted(cells)))
     offsets[start_key] = (0, 0)
@@ -240,42 +229,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
     ]
 
 
-def _share_vertex(curve, e1, e2):
-    def endpoints(eid):
-        kind, idx = eid[0], int(eid[1:])
-        if kind == "b":
-            return set(curve.graph.bounded_edges[idx])
-        return {curve.graph.unbounded_edges[idx][0]}
-
-    return bool(endpoints(e1) & endpoints(e2))
-
-
-def _point_along(curve, eid, t):
-    kind, idx = eid[0], int(eid[1:])
-    if kind == "b":
-        tail, head = curve.graph.bounded_edges[idx]
-        a, b = curve.positions[tail], curve.positions[head]
-        return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-    vertex, direction = curve.graph.unbounded_edges[idx]
-    a = curve.positions[vertex]
-    return (a[0] + t * direction[0], a[1] + t * direction[1])
-
-
-def _weighted_direction(curve, eid):
-    kind, idx = eid[0], int(eid[1:])
-    w = curve.weight(eid)
-    if kind == "u":
-        u = curve.graph.unbounded_edges[idx][1]
-    else:
-        u = curve.edge_direction(eid)
-    return (w * u[0], w * u[1])
-
-
-def _angle_key(v):
-    return _AngleKey(v)
-
-
-def _image_adjacency(curve, crossings):
+def _image_adjacency(curve, crossings, weighted):
     """Neighbouring dual cells along each image piece, with the weighted
     direction of the piece as seen from the first cell."""
     adjacency: Dict[Tuple, List] = {}
@@ -284,33 +238,17 @@ def _image_adjacency(curve, crossings):
         adjacency.setdefault(a, []).append((b, vec))
         adjacency.setdefault(b, []).append((a, (-vec[0], -vec[1])))
 
-    for i, (tail, head) in enumerate(curve.graph.bounded_edges):
-        eid = "b%d" % i
-        vec = _weighted_direction(curve, eid)
+    for eid in curve.graph.edge_ids():
+        tail, head, _ = curve.graph.edge(eid)
         stops = [(Fraction(0), ("v", tail))]
-        for (e1, e2), point in crossings.items():
+        for (e1, e2), (t1, t2) in crossings.items():
             if eid in (e1, e2):
-                hit = _edge_intersection_params(curve, eid, e2 if eid == e1 else e1)
-                if hit is None:
-                    continue
-                stops.append((hit[0], ("x", e1, e2)))
-        stops.append((Fraction(1), ("v", head)))
+                stops.append((t1 if eid == e1 else t2, ("x", e1, e2)))
+        if head is not None:
+            stops.append((Fraction(1), ("v", head)))
         stops.sort(key=lambda s: s[0])
         for (_, a), (_, b) in zip(stops, stops[1:]):
-            add(a, b, vec)
-    for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
-        eid = "u%d" % i
-        vec = _weighted_direction(curve, eid)
-        stops = [(Fraction(0), ("v", vertex))]
-        for (e1, e2), point in crossings.items():
-            if eid in (e1, e2):
-                hit = _edge_intersection_params(curve, eid, e2 if eid == e1 else e1)
-                if hit is None:
-                    continue
-                stops.append((hit[0], ("x", e1, e2)))
-        stops.sort(key=lambda s: s[0])
-        for (_, a), (_, b) in zip(stops, stops[1:]):
-            add(a, b, vec)
+            add(a, b, weighted[eid])
     return adjacency
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exact_lattice import primitive_vector, rational_rank, vector_gcd
 
@@ -26,6 +26,10 @@ class DegenerateEdge(ValueError):
 
 class NonTrivalent(ValueError):
     """Vertex multiplicity requested at a vertex that is not trivalent."""
+
+
+class NonGenericCrossing(ValueError):
+    """An edge image passes through a vertex image; crossings are ill-defined."""
 
 
 def as_point(coords: Sequence) -> Point:
@@ -96,6 +100,19 @@ class TropicalGraph:
     def unbounded_ids(self) -> Tuple[EdgeId, ...]:
         return tuple("u%d" % i for i in range(len(self.unbounded_edges)))
 
+    def edge(self, eid: EdgeId) -> Tuple[str, Optional[str], Optional[Vec]]:
+        """Tail, head and fixed direction of an edge.
+
+        A bounded edge gives (tail, head, None); its direction depends on the
+        positions.  An unbounded edge gives (vertex, None, direction).
+        """
+        idx = int(eid[1:])
+        if eid[0] == "b":
+            tail, head = self.bounded_edges[idx]
+            return tail, head, None
+        vertex, direction = self.unbounded_edges[idx]
+        return vertex, None, direction
+
     def edges_at(self, vertex: str) -> Tuple[EdgeId, ...]:
         out = []
         for i, (tail, head) in enumerate(self.bounded_edges):
@@ -142,12 +159,11 @@ class TropicalCurve:
         For a bounded edge the direction is recomputed from the endpoint
         positions; a zero displacement raises DegenerateEdge.
         """
-        kind, idx = eid[0], int(eid[1:])
-        if kind == "u":
-            vertex, direction = self.graph.unbounded_edges[idx]
+        tail, head, direction = self.graph.edge(eid)
+        if head is None:
             return tuple(direction)
-        tail, head = self.graph.bounded_edges[idx]
-        disp = self.bounded_vector(idx)
+        pt, ph = self.positions[tail], self.positions[head]
+        disp = tuple(a - b for a, b in zip(ph, pt))
         if all(x == 0 for x in disp):
             raise DegenerateEdge("bounded edge %s has equal endpoints" % eid)
         scaled = _rational_primitive(disp)
@@ -156,6 +172,31 @@ class TropicalCurve:
         if at_vertex == head:
             return tuple(-x for x in scaled)
         raise ValueError("vertex %s is not an endpoint of %s" % (at_vertex, eid))
+
+    def edge_segment(self, eid: EdgeId) -> Tuple[Point, Sequence, bool]:
+        """(origin, vector, bounded): the edge image is origin + t * vector,
+        with t in [0, 1] for a bounded edge and t >= 0 for a ray."""
+        tail, head, direction = self.graph.edge(eid)
+        origin = self.positions[tail]
+        if head is None:
+            return origin, direction, False
+        return origin, tuple(b - a for a, b in zip(origin, self.positions[head])), True
+
+    def edge_param(self, eid: EdgeId, point: Sequence) -> Optional[Fraction]:
+        """Parameter t of a point on the edge image (see ``edge_segment``),
+        or None when the point is off the closed edge in any coordinate."""
+        origin, vector, bounded = self.edge_segment(eid)
+        for o, v, p in zip(origin, vector, point):
+            if v != 0:
+                t = Fraction(p - o) / v
+                break
+        else:
+            raise DegenerateEdge("edge %s has equal endpoints" % eid)
+        if t < 0 or (bounded and t > 1):
+            return None
+        if any(o + t * v != p for o, v, p in zip(origin, vector, point)):
+            return None
+        return t
 
     def lattice_length(self, i: int) -> Fraction:
         """Integral affine length of bounded edge i: the factor k with
@@ -282,18 +323,44 @@ def check_balancing(curve: TropicalCurve) -> list:
         for eid in curve.graph.edges_at(v):
             u = curve.edge_direction(eid, at_vertex=v)
             w = curve.weight(eid)
-            # A bounded loop edge contributes both of its flags.
-            kind, idx = eid[0], int(eid[1:])
-            flags = 1
-            if kind == "b":
-                tail, head = curve.graph.bounded_edges[idx]
-                if tail == head == v:
-                    flags = 0  # both directions cancel
-            if flags:
-                total = [t + w * x for t, x in zip(total, u)]
+            total = [t + w * x for t, x in zip(total, u)]
         if any(t != 0 for t in total):
             violations.append((v, tuple(total)))
     return violations
+
+
+def plane_crossings(
+    curve: TropicalCurve,
+) -> Iterator[Tuple[EdgeId, EdgeId, Fraction, Fraction]]:
+    """Transversal crossings of the images of non-adjacent edges.
+
+    Yields (e1, e2, t1, t2), e1 before e2 in ``edge_ids`` order, with t1 and
+    t2 the crossing's parameters on ``edge_segment`` of each edge.  Parallel
+    edges never cross.  A crossing at an end of either edge means an edge
+    image passes through a vertex image and raises NonGenericCrossing.
+    """
+    if curve.n != 2:
+        raise ValueError("crossings are defined for plane curves")
+    edges = []
+    for eid in curve.graph.edge_ids():
+        tail, head, _ = curve.graph.edge(eid)
+        ends = {tail} if head is None else {tail, head}
+        edges.append((eid, ends, curve.edge_segment(eid)))
+    for i, (e1, ends1, (a1, v1, bounded1)) in enumerate(edges):
+        for e2, ends2, (a2, v2, bounded2) in edges[i + 1 :]:
+            if ends1 & ends2:
+                continue
+            det = v1[0] * v2[1] - v1[1] * v2[0]
+            if det == 0:
+                continue
+            rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+            t1 = Fraction(rx * v2[1] - ry * v2[0]) / det
+            t2 = Fraction(rx * v1[1] - ry * v1[0]) / det
+            if t1 < 0 or (bounded1 and t1 > 1) or t2 < 0 or (bounded2 and t2 > 1):
+                continue
+            if t1 == 0 or t2 == 0 or (bounded1 and t1 == 1) or (bounded2 and t2 == 1):
+                raise NonGenericCrossing("edge %s meets a vertex of edge %s" % (e2, e1))
+            yield e1, e2, t1, t2
 
 
 def degree_of(curve: TropicalCurve) -> Degree:

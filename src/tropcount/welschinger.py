@@ -15,24 +15,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence
 
 from .polyhedral import rescale_for_goodness
 from .tropical import (
     EdgeId,
+    NonGenericCrossing,
     TropicalCurve,
     curve_welschinger_mult,
+    plane_crossings,
     vertex_multiplicities,
 )
 
 
 class InvalidZeta(ValueError):
     """An odd-weight edge admits only the trivial real root of unity."""
-
-
-class NonGenericCrossing(ValueError):
-    """An edge image passes through a vertex image; crossings are ill-defined."""
 
 
 @dataclass(frozen=True)
@@ -81,81 +78,13 @@ def edge_census(mu: int, zeta: int, sign_t_pow: int) -> NodeCensus:
     return NodeCensus(elliptic=0, hyperbolic=1, imaginary_pairs=(mu - 2) // 2)
 
 
-def _edge_geometry(curve: TropicalCurve, eid: EdgeId):
-    kind, idx = eid[0], int(eid[1:])
-    if kind == "b":
-        tail, head = curve.graph.bounded_edges[idx]
-        return curve.positions[tail], curve.positions[head], None
-    vertex, direction = curve.graph.unbounded_edges[idx]
-    return curve.positions[vertex], None, direction
-
-
-def _edges_adjacent(curve: TropicalCurve, e1: EdgeId, e2: EdgeId) -> bool:
-    def endpoints(eid):
-        kind, idx = eid[0], int(eid[1:])
-        if kind == "b":
-            return set(curve.graph.bounded_edges[idx])
-        return {curve.graph.unbounded_edges[idx][0]}
-
-    return bool(endpoints(e1) & endpoints(e2))
-
-
-def _edge_intersection_params(curve, e1, e2):
-    """Intersection parameters (t1, t2) of two edge images, if transversal."""
-    a1, b1, d1 = _edge_geometry(curve, e1)
-    a2, b2, d2 = _edge_geometry(curve, e2)
-    v1 = (
-        tuple(y - x for x, y in zip(a1, b1))
-        if b1 is not None
-        else tuple(Fraction(x) for x in d1)
-    )
-    v2 = (
-        tuple(y - x for x, y in zip(a2, b2))
-        if b2 is not None
-        else tuple(Fraction(x) for x in d2)
-    )
-    det = v1[0] * v2[1] - v1[1] * v2[0]
-    if det == 0:
-        return None
-    rhs = (a2[0] - a1[0], a2[1] - a1[1])
-    t1 = (rhs[0] * v2[1] - rhs[1] * v2[0]) / det
-    t2 = (rhs[0] * v1[1] - rhs[1] * v1[0]) / det
-    lim1 = Fraction(1) if b1 is not None else None
-    lim2 = Fraction(1) if b2 is not None else None
-    if t1 < 0 or (lim1 is not None and t1 > lim1):
-        return None
-    if t2 < 0 or (lim2 is not None and t2 > lim2):
-        return None
-    return t1, t2, lim1, lim2
-
-
 def crossing_count(curve: TropicalCurve) -> int:
     """Transverse crossings between images of non-adjacent edges.
 
     Each crossing is a hyperbolic node of the image curve.  An edge image
     passing through a vertex image raises NonGenericCrossing.
     """
-    if curve.n != 2:
-        raise ValueError("crossings are defined for plane curves")
-    eids = curve.graph.edge_ids()
-    count = 0
-    for i in range(len(eids)):
-        for j in range(i + 1, len(eids)):
-            e1, e2 = eids[i], eids[j]
-            if _edges_adjacent(curve, e1, e2):
-                continue
-            hit = _edge_intersection_params(curve, e1, e2)
-            if hit is None:
-                continue
-            t1, t2, lim1, lim2 = hit
-            on_end_1 = t1 == 0 or (lim1 is not None and t1 == lim1)
-            on_end_2 = t2 == 0 or (lim2 is not None and t2 == lim2)
-            if on_end_1 or on_end_2:
-                raise NonGenericCrossing(
-                    "edge %s meets a vertex of edge %s" % (e2, e1)
-                )
-            count += 1
-    return count
+    return sum(1 for _ in plane_crossings(curve))
 
 
 def lift_sign(curve: TropicalCurve, lift: LiftAssignment, sign_t: int) -> int:

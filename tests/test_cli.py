@@ -156,17 +156,6 @@ def test_unsupported_genus_exit(capsys):
     assert code == 2
 
 
-def test_threads_env_validated(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TROPCOUNT_THREADS", "not-a-number")
-    code, _, err = run_cli(["enumerate", "--degree", "1"], capsys)
-    assert code == 2
-    monkeypatch.setenv("TROPCOUNT_THREADS", "2")
-    out = tmp_path / "c.json"
-    code, _, _ = run_cli(["enumerate", "--degree", "1", "-o", str(out)], capsys)
-    assert code == 0
-    assert len(json.loads(out.read_text())["curves"]) == 1
-
-
 def test_genericity_failure_exit_code(monkeypatch, capsys):
     import tropcount.cli as cli
     from tropcount.enumeration import GenericityFailure

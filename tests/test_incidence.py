@@ -416,6 +416,14 @@ def test_spatial_line_constraint_matching_and_T_h():
     assert qb0.projection.apply((0, 1, 0)) in ((1,), (-1,))
 
 
+def test_spatial_point_constraint_checks_every_coordinate():
+    curve = spatial_line()
+    assert match_marked_edges(curve, [AffineConstraint.point((-5, 0, 0))]) == ("u0",)
+    # over the ray u0 in the first two coordinates, off it in the third
+    with pytest.raises(ConstraintMissed):
+        match_marked_edges(curve, [AffineConstraint.point((-5, 0, 7))])
+
+
 def test_sigma_invariance_along_constraint_directions_3d():
     curve = spatial_line()
     constraints = [

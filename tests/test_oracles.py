@@ -1,4 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
+
+import tropcount
 
 from tropcount.enumeration import PointConfiguration
 from tropcount.oracles import kontsevich_number, lattice_path_oracle, path_problem
@@ -38,3 +43,27 @@ def test_path_problem_endpoints_are_lambda_extremes():
     pts = [(i, j) for i in range(4) for j in range(4 - i)]
     assert lam(problem.start) == min(lam(p) for p in pts)
     assert lam(problem.end) == max(lam(p) for p in pts)
+
+
+PIPELINE = (
+    "exact_lattice", "tropical", "polyhedral", "incidence", "counting",
+    "welschinger", "enumeration",
+)
+
+
+def test_pipeline_does_not_import_oracles():
+    # the oracles cross-check the normative pipeline, so it must not use them
+    package = Path(tropcount.__file__).parent
+    for name in PIPELINE:
+        tree = ast.parse((package / (name + ".py")).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                imported = [base] + [base + "." + alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(
+                part == "oracles" for mod in imported for part in mod.split(".")
+            ), "%s imports oracles" % name
