@@ -23,7 +23,6 @@ from .counting import (
 from .enumeration import (
     GenericityFailure,
     PointConfiguration,
-    UnsupportedGenus,
     enumerate_curves,
 )
 from .incidence import RealPointConfig
@@ -176,8 +175,6 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
 
 
 def _enumerate_from_args(args):
-    if args.genus != 0:
-        raise UnsupportedGenus("genus >= 1 enumeration is gated off")
     degree = Degree.projective(args.degree)
     ell = degree.total() - 1
     config = _config_from_args(args, ell)
@@ -339,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, signs=False):
         p.add_argument("--degree", "-d", type=int, required=True)
-        p.add_argument("--genus", "-g", type=int, default=0)
         p.add_argument("--mikhalkin-seed", type=int, default=None)
         p.add_argument("--points", help="JSON file with explicit points")
         p.add_argument("--output", "-o", default=None)
@@ -386,9 +382,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.fn(args)
     except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except UnsupportedGenus as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

@@ -24,8 +24,12 @@ from .incidence import (
 from .tropical import TropicalCurve, vertex_multiplicities
 
 
-class InfiniteCokernel(ValueError):
-    """The lattice map is not of finite index (zero determinant)."""
+class InfiniteCokernel(AssertionError):
+    """The lattice map is not of finite index (zero determinant).
+
+    Every matched curve through generic points has a finite-index map, so
+    this is an internal fault, not an input error.
+    """
 
 
 class CrossCheckError(AssertionError):

@@ -39,8 +39,6 @@ from .tropical import (
     Vec,
     as_point,
     check_balancing,
-    expected_dimension,
-    moduli_dimension,
 )
 from .welschinger import crossing_count
 
@@ -991,8 +989,6 @@ def enumerate_curves(
             raise AssertionError("solver accepted a curve missing its point: %s" % exc)
         if rematched != marks:
             raise GenericityFailure("marked edges are not unique; reseed the points")
-        if moduli_dimension(curve) != expected_dimension(2, genus, degree.total()):
-            raise AssertionError("enumerated curve is superabundant")
         _genericity_checks(curve, config)
         signature = (
             tuple(sorted(curve.positions.values())),

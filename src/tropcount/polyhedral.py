@@ -1,22 +1,19 @@
-"""Integral polyhedral decompositions of Q^n.
+"""Integral polyhedral decompositions of the plane.
 
-Cones over cells, asymptotic fans, validation of decompositions that are
-good for a set of matched curves, minimal rescaling, and a planar
-constructor that overlays curve images and constraint points and completes
-the overlay to a decomposition with convex cells.  All coordinates are
-exact rationals.
+Validation of decompositions that are good for a set of matched curves,
+minimal rescaling, and a planar constructor that overlays curve images and
+constraint points.  All coordinates are exact rationals.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact_lattice import primitive_vector, rational_rank
-from .tropical import Point, TropicalCurve, Vec, as_point
+from .exact_lattice import primitive_vector
+from .tropical import Point, TropicalCurve, Vec, angle_key, as_point, check_balancing
 
 
 class NonGenericInput(ValueError):
@@ -31,28 +28,6 @@ class Polyhedron:
     vertices: Tuple[Point, ...]
     rays: Tuple[Vec, ...]
     dim: int
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Rational polyhedral cone through the origin, by primitive generators."""
-
-    rays: Tuple[Vec, ...]
-    dim: int
-
-    @staticmethod
-    def from_generators(gens: Sequence[Sequence[int]]) -> "Cone":
-        prims = sorted({primitive_vector(g) for g in gens if any(g)})
-        dim = rational_rank([list(p) for p in prims]) if prims else 0
-        return Cone(rays=tuple(prims), dim=dim)
-
-
-@dataclass(frozen=True)
-class Fan:
-    cones: Tuple[Cone, ...]
-
-    def ray_directions(self) -> Tuple[Vec, ...]:
-        return tuple(sorted(c.rays[0] for c in self.cones if c.dim == 1 and len(c.rays) == 1))
 
 
 @dataclass(frozen=True)
@@ -88,52 +63,6 @@ class GoodnessReport:
         return not self.violations
 
 
-def cone_over(cell: Polyhedron) -> Cone:
-    """Closure of the cone over cell x {1}, with recession rays at height 0."""
-    gens: List[Tuple[int, ...]] = []
-    for v in cell.vertices:
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        gens.append(tuple(int(x * denom) for x in v) + (denom,))
-    for r in cell.rays:
-        gens.append(tuple(r) + (0,))
-    return Cone.from_generators(gens)
-
-
-def recession_cone(cell: Polyhedron) -> Cone:
-    return Cone.from_generators([tuple(r) for r in cell.rays])
-
-
-def asymptotic_fan(decomposition: PolyhedralDecomposition) -> Fan:
-    """Recession cones of all cells, collected with their faces."""
-    cones: Dict[Tuple, Cone] = {}
-
-    def add(cone: Cone):
-        cones.setdefault(cone.rays, cone)
-
-    add(Cone(rays=(), dim=0))
-    for cell in decomposition.cells:
-        cone = recession_cone(cell)
-        add(cone)
-        for r in cone.rays:
-            add(Cone(rays=(r,), dim=1))
-    return Fan(cones=tuple(cones[k] for k in sorted(cones)))
-
-
-def _constraint_base(constraint) -> Point:
-    if hasattr(constraint, "base"):
-        return as_point(constraint.base)
-    return as_point(constraint)
-
-
-def _constraint_direction_columns(constraint) -> List[Vec]:
-    directions = getattr(constraint, "directions", None)
-    if directions is None:
-        return []
-    return [directions.column(j) for j in range(directions.cols)]
-
-
 def scale_curve(curve: TropicalCurve, s: int) -> TropicalCurve:
     positions = {v: tuple(Fraction(s) * x for x in p) for v, p in curve.positions.items()}
     return TropicalCurve(graph=curve.graph, positions=positions, n=curve.n)
@@ -145,7 +74,7 @@ def scale_point(point: Sequence, s: int) -> Point:
 
 def rescale_for_goodness(curves: Sequence[TropicalCurve], constraints: Sequence) -> int:
     """Minimal positive integer s such that, after scaling by s, all vertex
-    positions and constraint base points are integral and every bounded edge
+    positions and constraint points are integral and every bounded edge
     image has lattice length divisible by its weight."""
     s = 1
 
@@ -163,8 +92,8 @@ def rescale_for_goodness(curves: Sequence[TropicalCurve], constraints: Sequence)
             num, den = length.numerator, length.denominator
             need = w * den // gcd(abs(num), w * den)
             s = lcm(s, need)
-    for constraint in constraints:
-        for x in _constraint_base(constraint):
+    for point in constraints:
+        for x in point:
             s = lcm(s, Fraction(x).denominator)
     return s
 
@@ -177,32 +106,6 @@ def _curve_strokes(curve: TropicalCurve):
     for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
         strokes.append(("ray", curve.positions[vertex], tuple(direction)))
     return strokes
-
-
-def curve_constraint_intersections(curve: TropicalCurve, constraint) -> List[Point]:
-    """Intersection points of the curve image with an affine constraint (n=2)."""
-    base = _constraint_base(constraint)
-    dirs = _constraint_direction_columns(constraint)
-    if not dirs:
-        hit = any(curve.edge_param(eid, base) is not None for eid in curve.graph.edge_ids())
-        return [base] if hit else []
-    if len(dirs) != 1:
-        return []
-    d = dirs[0]
-    points = []
-    for eid in curve.graph.edge_ids():
-        a, e, bounded = curve.edge_segment(eid)
-        denom = e[0] * d[1] - e[1] * d[0]
-        rhs = tuple(bx - ax for ax, bx in zip(a, base))
-        if denom == 0:
-            continue
-        t = Fraction(rhs[0] * d[1] - rhs[1] * d[0], denom)
-        if t < 0 or (bounded and t > 1):
-            continue
-        p = tuple(ax + t * ex for ax, ex in zip(a, e))
-        if p not in points:
-            points.append(p)
-    return points
 
 
 def validate_good(
@@ -235,14 +138,15 @@ def validate_good(
                     )
                 )
         for j, constraint in enumerate(constraints):
-            for p in curve_constraint_intersections(curve, constraint):
-                if p not in zero_cells:
-                    violations.append(
-                        GoodnessViolation(
-                            "ii",
-                            "curve %d meets constraint %d at %s, not a 0-cell" % (ci, j, p),
-                        )
+            p = as_point(constraint)
+            meets = any(curve.edge_param(eid, p) is not None for eid in curve.graph.edge_ids())
+            if meets and p not in zero_cells:
+                violations.append(
+                    GoodnessViolation(
+                        "ii",
+                        "curve %d meets constraint %d at %s, not a 0-cell" % (ci, j, p),
                     )
+                )
         for i, eid in enumerate(curve.graph.bounded_ids()):
             w = curve.weight(eid)
             length = curve.lattice_length(i)
@@ -379,23 +283,6 @@ def _line_point_at(key, t: Fraction) -> Point:
     return (p0[0] + f * d[0], p0[1] + f * d[1])
 
 
-def _angle_cmp(u, v) -> int:
-    """Counterclockwise order starting at the positive x-axis."""
-
-    def half(w):
-        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
-
-    hu, hv = half(u), half(v)
-    if hu != hv:
-        return -1 if hu < hv else 1
-    cross = u[0] * v[1] - u[1] * v[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    return 0
-
-
 _INF = "INF"
 
 
@@ -423,30 +310,21 @@ class _Arrangement:
         if hi is not None:
             entry["cuts"].add(hi)
 
-    def add_cut_point(self, p: Point) -> bool:
-        hit = False
+    def add_cut_point(self, p: Point):
         for key, entry in self.lines.items():
             if _on_line(key, p):
                 t = _line_param(key, p)
                 if _t_occupied(entry["intervals"], t):
                     entry["cuts"].add(t)
-                    hit = True
-        return hit
 
     def check_overlaps(self):
-        """Reject positive-length overlaps between curve strokes.
-
-        Completion walls may overlap anything; overlapping intervals are
-        merged later regardless.
-        """
+        """Reject positive-length overlaps between curve strokes."""
         for key, entry in self.lines.items():
             ivs = entry["intervals"]
             for i in range(len(ivs)):
                 for j in range(i + 1, len(ivs)):
                     lo1, hi1, s1 = ivs[i]
                     lo2, hi2, s2 = ivs[j]
-                    if s1.startswith("wall") or s2.startswith("wall"):
-                        continue
                     lo = max((x for x in (lo1, lo2) if x is not None), default=None)
                     hi = min((x for x in (hi1, hi2) if x is not None), default=None)
                     if lo is None or hi is None or lo < hi:
@@ -542,7 +420,6 @@ def _merge_intervals(intervals):
 class _Face:
     vertex_walk: List
     ray_dirs: List
-    reflex_corners: List  # (point, incoming primitive dir)
     edge_labels: List  # ("s", idx) / ("r", idx) of the boundary walk
 
 
@@ -590,11 +467,11 @@ def _extract_faces(vertices, segments, rays):
             for it in out[p]:
                 grouped.setdefault(inf_key(it)[0], []).append(it)
             ordered = []
-            for d in sorted(grouped, key=_AngleKey, reverse=True):
+            for d in sorted(grouped, key=angle_key, reverse=True):
                 ordered.extend(sorted(grouped[d], key=lambda it: inf_key(it)[1], reverse=True))
             out[p] = ordered
         else:
-            out[p] = sorted(out[p], key=lambda it: _AngleKey(it[1]))
+            out[p] = sorted(out[p], key=lambda it: angle_key(it[1]))
 
     position = {}
     for p, items in out.items():
@@ -623,8 +500,8 @@ def _extract_faces(vertices, segments, rays):
             used.add(h)
             walk.append(h)
             h = next_halfedge(h)
-        face = _Face(vertex_walk=[], ray_dirs=[], reflex_corners=[], edge_labels=[])
-        for i, h in enumerate(walk):
+        face = _Face(vertex_walk=[], ray_dirs=[], edge_labels=[])
+        for h in walk:
             u, v, d = halfedges[h]
             face.edge_labels.append(h[0])
             if u != _INF:
@@ -633,56 +510,27 @@ def _extract_faces(vertices, segments, rays):
                 face.ray_dirs.append(d)
             if u == _INF:
                 face.ray_dirs.append(tuple(-x for x in d))
-            # turn at the head vertex (if finite)
-            if v != _INF:
-                hn = walk[(i + 1) % len(walk)]
-                _, _, dn = halfedges[hn]
-                cross = d[0] * dn[1] - d[1] * dn[0]
-                if cross < 0:
-                    face.reflex_corners.append((v, d))
         faces.append(face)
     return faces
-
-
-@functools.total_ordering
-class _AngleKey:
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = tuple(v)
-
-    def _half(self):
-        x, y = self.v
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def __eq__(self, other):
-        c = _angle_cmp(self.v, other.v)
-        return c == 0
-
-    def __lt__(self, other):
-        return _angle_cmp(self.v, other.v) < 0
-
-
-def _completion_directions(curves) -> List[Vec]:
-    dirs = set()
-    for curve in curves:
-        for _, direction in curve.graph.unbounded_edges:
-            dirs.add(tuple(direction))
-    return sorted(dirs, key=_AngleKey)
 
 
 def build_decomposition_2d(
     curves: Sequence[TropicalCurve], constraints: Sequence = ()
 ) -> PolyhedralDecomposition:
-    """Overlay of all curve images and constraint points, completed to a
-    polyhedral decomposition of Q^2 with convex cells.
+    """Overlay of all curve images and constraint points as a polyhedral
+    decomposition of Q^2.
 
-    Completion rays use directions already present in the asymptotic data of
-    the input curves, so the asymptotic fan is not enlarged.
+    Every curve must be balanced.  A balanced plane curve is the corner
+    locus of a tropical polynomial, so each region of its complement is
+    convex, and so is each region of an overlay of such curves: the overlay
+    needs no completion to have convex cells.
     """
     for curve in curves:
         if curve.n != 2:
             raise ValueError("build_decomposition_2d is specified only for n == 2")
+        violations = check_balancing(curve)
+        if violations:
+            raise ValueError("curve is not balanced at %s" % (violations,))
     if not curves:
         plane = Polyhedron(
             vertices=(as_point((0, 0)),),
@@ -691,41 +539,17 @@ def build_decomposition_2d(
         )
         return PolyhedralDecomposition(cells=(plane,), incidence={0: ()})
 
-    extra_strokes: List = []
-    completion_dirs = _completion_directions(curves)
-    for _ in range(16):
-        arr = _Arrangement()
-        for ci, curve in enumerate(curves):
-            for kind, a, extra in _curve_strokes(curve):
-                arr.add_stroke(kind, a, extra, "curve%d" % ci)
-        for si, (kind, a, extra) in enumerate(extra_strokes):
-            arr.add_stroke(kind, a, extra, "wall%d" % si)
-        arr.check_overlaps()
-        arr.compute_crossings()
-        for j, constraint in enumerate(constraints):
-            for curve in curves:
-                for p in curve_constraint_intersections(curve, constraint):
-                    arr.add_cut_point(p)
-        vertices, segments, rays = arr.atomic_cells()
-        faces = _extract_faces(vertices, segments, rays)
-        reflex = []
-        for face in faces:
-            reflex.extend(face.reflex_corners)
-        if not reflex:
-            return _assemble_decomposition(vertices, segments, rays, faces)
-        progress = False
-        for point, _incoming in reflex:
-            # A full star of asymptotic directions at the corner leaves every
-            # angle below pi (a balanced degree spans positively, so its
-            # direction gaps are all below pi).
-            for d in completion_dirs:
-                new = ("ray", point, d)
-                if new not in extra_strokes:
-                    extra_strokes.append(new)
-                    progress = True
-        if not progress:
-            raise AssertionError("reflex corner persists after completion")
-    raise AssertionError("decomposition completion did not converge")
+    arr = _Arrangement()
+    for ci, curve in enumerate(curves):
+        for kind, a, extra in _curve_strokes(curve):
+            arr.add_stroke(kind, a, extra, "curve%d" % ci)
+    arr.check_overlaps()
+    arr.compute_crossings()
+    for point in constraints:
+        arr.add_cut_point(as_point(point))
+    vertices, segments, rays = arr.atomic_cells()
+    faces = _extract_faces(vertices, segments, rays)
+    return _assemble_decomposition(vertices, segments, rays, faces)
 
 
 def _assemble_decomposition(vertices, segments, rays, faces) -> PolyhedralDecomposition:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
-from . import exact_lattice
+from . import counting, exact_lattice
 from .counting import count_complex, count_real, real_index
 from .enumeration import PointConfiguration, enumerate_curves
 from .exact_lattice import IntMatrix, f2_rank
@@ -272,19 +272,23 @@ def _goodness_fixture() -> TropicalCurve:
 
 
 def criterion_goodness_pipeline(ctx: _Context) -> Tuple[bool, str]:
-    """A7: build + rescale yields a clean decomposition for the degree-1
-    fixture; a weight/length violation is detected on a bounded-edge fixture."""
-    config, curves = ctx.enumerated(1)
-    curve = curves[0][0]
-    s = rescale_for_goodness([curve], list(config.points))
-    scaled = scale_curve(curve, s)
-    scaled_points = [scale_point(p, s) for p in config.points]
-    decomposition = build_decomposition_2d([scaled], scaled_points)
-    report = validate_good(decomposition, [scaled], scaled_points)
-    if not report.ok:
-        return False, "degree-1 pipeline not clean: %s" % (report.violations,)
-    # the degree-1 curve has no bounded edges, so clause (iii) is exercised
-    # on a two-vertex fixture: weight 2 with lattice length 3 must be flagged
+    """A7: rescale + build yields a clean decomposition for every enumerated
+    curve with its constraint points; a weight/length violation is detected
+    on a bounded-edge fixture."""
+    checked = 0
+    for d in ctx.degrees:
+        config, curves = ctx.enumerated(d)
+        for i, (curve, _) in enumerate(curves):
+            s = rescale_for_goodness([curve], config.points)
+            scaled = scale_curve(curve, s)
+            scaled_points = [scale_point(p, s) for p in config.points]
+            decomposition = build_decomposition_2d([scaled], scaled_points)
+            report = validate_good(decomposition, [scaled], scaled_points)
+            if not report.ok:
+                return False, "d=%d curve %d not clean: %s" % (d, i, report.violations)
+            checked += 1
+    # negative control for clause (iii): weight 2 with lattice length 3 on a
+    # two-vertex fixture must be flagged
     fixture = _goodness_fixture()
     s2 = rescale_for_goodness([fixture], [])
     good = scale_curve(fixture, s2)
@@ -299,7 +303,7 @@ def criterion_goodness_pipeline(ctx: _Context) -> Tuple[bool, str]:
     bad = validate_good(build_decomposition_2d([mutated], []), [mutated], [])
     if not any(v.clause == "iii" for v in bad.violations):
         return False, "length/weight violation was not detected"
-    return True, "clean pipeline; mutated edge detected"
+    return True, "%d curves clean; mutated edge detected" % checked
 
 
 def criterion_vertex_product_identity(ctx: _Context) -> Tuple[bool, str]:
@@ -347,11 +351,15 @@ def _fault(fault: Optional[str]):
             rank=res.rank,
         )
 
-    exact_lattice.smith_normal_form = corrupted
+    # counting binds the name at import, so it is patched there too
+    modules = (exact_lattice, counting)
+    for module in modules:
+        module.smith_normal_form = corrupted
     try:
         yield
     finally:
-        exact_lattice.smith_normal_form = original
+        for module in modules:
+            module.smith_normal_form = original
 
 
 def run(

@@ -10,8 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .polyhedral import _AngleKey
-from .tropical import TropicalCurve, Vec, plane_crossings
+from .tropical import TropicalCurve, Vec, angle_key, plane_crossings
 
 
 def _fmt(x: Fraction, scale: Fraction, offset: Fraction) -> str:
@@ -167,7 +166,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
             u = curve.edge_direction(eid, at_vertex=v)
             w = curve.weight(eid)
             dirs.append(((w * u[0], w * u[1]), eid))
-        dirs.sort(key=lambda t: _AngleKey(t[0]))
+        dirs.sort(key=lambda t: angle_key(t[0]))
         corners = [(0, 0)]
         sides = {}
         for vec, eid in dirs:
@@ -179,7 +178,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
         cells[("v", v)] = {"corners": corners, "sides": sides}
     for e1, e2 in crossings:
         v1, v2 = weighted[e1], weighted[e2]
-        seq = sorted([v1, (-v1[0], -v1[1]), v2, (-v2[0], -v2[1])], key=_AngleKey)
+        seq = sorted([v1, (-v1[0], -v1[1]), v2, (-v2[0], -v2[1])], key=angle_key)
         corners = [(0, 0)]
         sides = {}
         for vec in seq:

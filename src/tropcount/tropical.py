@@ -1,19 +1,20 @@
 """Data model and local invariants of parameterized tropical curves.
 
 A curve is a weighted graph mapped to Q^n: balancing at every vertex,
-degree as the multiset of weighted unbounded directions, genus as the
-first Betti number, expected moduli dimension, and the dual-triangle
+degree as the multiset of weighted unbounded directions, expected moduli
+dimension, the angle order of plane vectors, and the dual-triangle
 multiplicities used by the counting and Welschinger modules.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
-from .exact_lattice import primitive_vector, rational_rank, vector_gcd
+from .exact_lattice import primitive_vector, vector_gcd
 
 Vec = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
@@ -373,93 +374,28 @@ def degree_of(curve: TropicalCurve) -> Degree:
     return Degree(entries)
 
 
-def genus_of(graph: TropicalGraph) -> int:
-    """First Betti number of a connected graph."""
-    return len(graph.bounded_edges) - len(graph.vertices) + 1
-
-
-def moduli_dimension(curve: TropicalCurve) -> int:
-    """Dimension of the deformation space of the curve's type.
-
-    n + #bounded minus the rank of the cycle-closing conditions; for a
-    non-superabundant type this equals (n-3)(1-g) + |Delta|.
-    """
-    graph = curve.graph
-    nb = len(graph.bounded_edges)
-    cycles = _fundamental_cycles(graph)
-    if not cycles:
-        return curve.n + nb
-    rows = []
-    for cycle in cycles:
-        for k in range(curve.n):
-            row = [0] * nb
-            for idx, sign in cycle:
-                u = curve.edge_direction("b%d" % idx)
-                row[idx] = sign * u[k]
-            rows.append(row)
-    return curve.n + nb - rational_rank(rows)
-
-
 def expected_dimension(n: int, genus: int, degree_total: int) -> int:
     return (n - 3) * (1 - genus) + degree_total
 
 
-def is_non_superabundant(curve: TropicalCurve, genus: int) -> bool:
-    return moduli_dimension(curve) == expected_dimension(
-        curve.n, genus, degree_of(curve).total()
-    )
+def _angle_cmp(u, v) -> int:
+    def half(w):
+        return 0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+
+    hu, hv = half(u), half(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    cross = u[0] * v[1] - u[1] * v[0]
+    if cross > 0:
+        return -1
+    if cross < 0:
+        return 1
+    return 0
 
 
-def _fundamental_cycles(graph: TropicalGraph):
-    """Cycles of the bounded graph as lists of (bounded edge index, sign)."""
-    parent = {v: None for v in graph.vertices}
-    parent_edge = {}
-    order = []
-    if not graph.vertices:
-        return []
-    root = graph.vertices[0]
-    seen = {root}
-    stack = [root]
-    tree_edges = set()
-    adjacency: Dict[str, list] = {v: [] for v in graph.vertices}
-    for i, (tail, head) in enumerate(graph.bounded_edges):
-        adjacency[tail].append((head, i, 1))
-        adjacency[head].append((tail, i, -1))
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w, i, sign in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                parent_edge[w] = (i, sign)
-                tree_edges.add(i)
-                stack.append(w)
-    cycles = []
-    for i, (tail, head) in enumerate(graph.bounded_edges):
-        if i in tree_edges or tail == head:
-            if tail == head and i not in tree_edges:
-                cycles.append([(i, 1)])
-            continue
-        # path head -> root and tail -> root; cycle = edge + tail path - head path
-        def path_to_root(v):
-            out = []
-            while parent[v] is not None:
-                idx, sign = parent_edge[v]
-                out.append((idx, sign))
-                v = parent[v]
-            return out
-        cycle = [(i, 1)]
-        for idx, sign in path_to_root(head):
-            cycle.append((idx, sign))
-        for idx, sign in path_to_root(tail):
-            cycle.append((idx, -sign))
-        # cancel edges appearing twice with opposite signs (common tail of paths)
-        combined: Dict[int, int] = {}
-        for idx, sign in cycle:
-            combined[idx] = combined.get(idx, 0) + sign
-        cycles.append([(idx, s) for idx, s in combined.items() if s != 0])
-    return cycles
+# Sort key for nonzero plane vectors: counterclockwise order starting at the
+# positive x-axis; parallel vectors compare equal.
+angle_key = functools.cmp_to_key(_angle_cmp)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,28 @@ def test_negative_control_snf_fault():
     assert not kernel.ok
 
 
+def test_snf_fault_reaches_counting():
+    # the stored generic set has a weight-2 edge whose lattice map has
+    # invariant factor 2, so the corrupted SNF must trip the index check
+    import json
+    from fractions import Fraction
+    from pathlib import Path
+
+    from tropcount.cli import curve_from_json
+    from tropcount.counting import CrossCheckError, count_complex
+    from tropcount.enumeration import PointConfiguration
+    from tropcount.selftest import _fault
+
+    path = Path(__file__).parent.parent / "bench" / "data" / "d3-generic-1.json"
+    doc = json.loads(path.read_text())
+    curves = [curve_from_json(c) for c in doc["curves"]]
+    config = PointConfiguration.explicit([[Fraction(x) for x in p] for p in doc["points"]])
+    count_complex(curves, config.constraints())
+    with _fault("snf-drop-even-factor"):
+        with pytest.raises(CrossCheckError, match=r"product 1 != \|det\| 2"):
+            count_complex(curves, config.constraints())
+
+
 def test_selftest_deterministic():
     from tropcount.selftest import run
 

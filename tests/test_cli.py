@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tropcount.cli import main
 
 
@@ -12,7 +14,7 @@ def run_cli(args, capsys):
 def test_enumerate_degree_one(tmp_path, capsys):
     out = tmp_path / "curves.json"
     code, _, _ = run_cli(
-        ["enumerate", "--degree", "1", "--genus", "0", "--mikhalkin-seed", "7", "-o", str(out)],
+        ["enumerate", "--degree", "1", "--mikhalkin-seed", "7", "-o", str(out)],
         capsys,
     )
     assert code == 0
@@ -151,11 +153,6 @@ def test_json_roundtrip_exact(tmp_path, capsys):
     assert direct_report.rows == report.rows
 
 
-def test_unsupported_genus_exit(capsys):
-    code, _, err = run_cli(["enumerate", "--degree", "1", "--genus", "1"], capsys)
-    assert code == 2
-
-
 def test_genericity_failure_exit_code(monkeypatch, capsys):
     import tropcount.cli as cli
     from tropcount.enumeration import GenericityFailure
@@ -179,3 +176,16 @@ def test_crosscheck_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "count_complex", boom)
     code, _, err = run_cli(["count", "--degree", "1", "--complex"], capsys)
     assert code == 4
+
+
+def test_infinite_cokernel_is_not_an_input_error(monkeypatch, capsys):
+    import tropcount.cli as cli
+    from tropcount.counting import InfiniteCokernel
+
+    def boom(*args, **kwargs):
+        raise InfiniteCokernel("synthetic")
+
+    monkeypatch.setattr(cli, "count_complex", boom)
+    with pytest.raises(InfiniteCokernel):
+        main(["count", "--degree", "1", "--complex"])
+    assert "input error" not in capsys.readouterr().err

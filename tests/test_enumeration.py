@@ -22,7 +22,6 @@ from tropcount.tropical import (
     curve_mikhalkin_mults,
     curve_welschinger_mult,
     expected_dimension,
-    moduli_dimension,
 )
 
 
@@ -87,7 +86,8 @@ def test_enumerate_curves_degree_two_totals():
     w_total = sum(curve_welschinger_mult(c) for c, _ in curves)
     assert (total, w_total) == (1, 1)
     for curve, _ in curves:
-        assert moduli_dimension(curve) == expected_dimension(2, 0, 6)
+        # a tree moves by the position of one vertex and its edge lengths
+        assert 2 + len(curve.graph.bounded_edges) == expected_dimension(2, 0, 6)
 
 
 def test_enumerate_curves_seed_invariance_degree_two():

@@ -67,3 +67,16 @@ def test_pipeline_does_not_import_oracles():
             assert not any(
                 part == "oracles" for mod in imported for part in mod.split(".")
             ), "%s imports oracles" % name
+
+
+def test_no_private_imports_between_modules():
+    # a name with a leading underscore is internal to its module
+    package = Path(tropcount.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("tropcount"):
+                continue
+            private = [alias.name for alias in node.names if alias.name.startswith("_")]
+            assert not private, "%s imports %s from %s" % (path.name, private, node.module)

@@ -4,11 +4,7 @@ import pytest
 
 from tropcount.polyhedral import (
     NonGenericInput,
-    Polyhedron,
-    PolyhedralDecomposition,
-    asymptotic_fan,
     build_decomposition_2d,
-    cone_over,
     rescale_for_goodness,
     scale_curve,
     scale_point,
@@ -27,8 +23,8 @@ def standard_line(vertex=(0, 0)):
     return TropicalCurve(graph=graph, positions={"v0": as_point(vertex)}, n=2)
 
 
-def bent_curve():
-    """Balanced curve whose complement has a reflex region."""
+def conic():
+    """Balanced curve of bidegree (1, 1): a conic in P^1 x P^1."""
     graph = TropicalGraph(
         vertices=("v0", "v1"),
         bounded_edges=(("v0", "v1"),),
@@ -66,45 +62,11 @@ def weighted_two_vertex(weight=2, length=1):
     )
 
 
-def test_cone_over_point():
-    cell = Polyhedron(vertices=(as_point((2, 3)),), rays=(), dim=0)
-    cone = cone_over(cell)
-    assert cone.rays == ((2, 3, 1),)
-    assert cone.dim == 1
-
-
-def test_cone_over_segment():
-    cell = Polyhedron(vertices=(as_point((0, 0)), as_point((1, 0))), rays=(), dim=1)
-    cone = cone_over(cell)
-    assert set(cone.rays) == {(0, 0, 1), (1, 0, 1)}
-    assert cone.dim == 2
-
-
-def test_cone_over_ray_includes_recession():
-    cell = Polyhedron(vertices=(as_point((0, 0)),), rays=((1, 0),), dim=1)
-    cone = cone_over(cell)
-    assert set(cone.rays) == {(0, 0, 1), (1, 0, 0)}
-
-
-def test_asymptotic_fan_one_dimensional():
-    cells = (
-        Polyhedron(vertices=(as_point((0,)),), rays=(), dim=0),
-        Polyhedron(vertices=(as_point((0,)),), rays=((1,),), dim=1),
-        Polyhedron(vertices=(as_point((0,)),), rays=((-1,),), dim=1),
-    )
-    decomp = PolyhedralDecomposition(cells=cells, incidence={0: (), 1: (0,), 2: (0,)})
-    fan = asymptotic_fan(decomp)
-    assert fan.ray_directions() == ((-1,), (1,))
-    assert any(c.dim == 0 for c in fan.cones)
-
-
 def test_build_line_decomposition_shape():
     decomp = build_decomposition_2d([standard_line()])
     assert len(decomp.cells_of_dim(0)) == 1
     assert len(decomp.cells_of_dim(1)) == 3
     assert len(decomp.cells_of_dim(2)) == 3
-    fan = asymptotic_fan(decomp)
-    assert fan.ray_directions() == ((-1, 0), (0, -1), (1, 1))
 
 
 def test_build_empty_is_trivial():
@@ -121,16 +83,49 @@ def test_build_line_with_constraint_point_splits_ray():
     assert len(decomp.cells_of_dim(1)) == 4  # split ray becomes segment + ray
 
 
-def test_build_reflex_completion_converges():
-    decomp = build_decomposition_2d([bent_curve()])
-    fan = asymptotic_fan(decomp)
-    # completion may only use asymptotic directions already present
-    assert set(fan.ray_directions()) <= {(-1, 0), (0, -1), (0, 1), (1, 0)}
+def _sides(decomp, edge_idx):
+    """Side of the line through a 1-cell on which each adjacent 2-cell lies:
+    1 or -1, or 0 when the 2-cell has points on both sides."""
+    edge = decomp.cells[edge_idx]
+    p = edge.vertices[0]
+    d = edge.rays[0] if edge.rays else tuple(q - r for q, r in zip(edge.vertices[1], p))
+    sides = []
+    for idx, bounds in decomp.incidence.items():
+        cell = decomp.cells[idx]
+        if cell.dim != 2 or edge_idx not in bounds:
+            continue
+        offsets = [tuple(x - y for x, y in zip(v, p)) for v in cell.vertices] + list(cell.rays)
+        crosses = [d[0] * w[1] - d[1] * w[0] for w in offsets]
+        sides.append((min(crosses) >= 0) - (max(crosses) <= 0))
+    return sorted(sides)
+
+
+def test_build_conic_cells_are_convex():
+    # A 2-cell is stored as the convex hull of its corners and rays, which is
+    # its face only when the face is convex; then the two faces at every
+    # 1-cell lie on opposite sides of it.
+    decomp = build_decomposition_2d([conic()])
+    assert len(decomp.cells_of_dim(2)) == 4
+    for idx, cell in enumerate(decomp.cells):
+        if cell.dim == 1:
+            assert _sides(decomp, idx) == [-1, 1]
     # Euler characteristic of the compactified plane
     v = len(decomp.cells_of_dim(0)) + 1
     e = len(decomp.cells_of_dim(1))
     f = len(decomp.cells_of_dim(2))
     assert v - e + f == 2
+
+
+def test_build_rejects_unbalanced_curve():
+    graph = TropicalGraph(
+        vertices=("v0",),
+        bounded_edges=(),
+        unbounded_edges=(("v0", (-1, 0)), ("v0", (0, -1)), ("v0", (1, 0))),
+        weights={"u0": 1, "u1": 1, "u2": 1},
+    )
+    curve = TropicalCurve(graph=graph, positions={"v0": as_point((0, 0))}, n=2)
+    with pytest.raises(ValueError, match="not balanced"):
+        build_decomposition_2d([curve])
 
 
 def test_build_rejects_overlapping_curves():

@@ -14,10 +14,6 @@ from tropcount.tropical import (
     curve_welschinger_mult,
     degree_of,
     dual_triangle,
-    expected_dimension,
-    genus_of,
-    is_non_superabundant,
-    moduli_dimension,
     vertex_multiplicities,
 )
 
@@ -116,90 +112,6 @@ def test_degree_projective():
     d = Degree.projective(3)
     assert d.total() == 9
     assert d.is_balanced()
-
-
-def test_genus_tree_is_zero():
-    assert genus_of(standard_line().graph) == 0
-
-
-def test_genus_cycle_with_legs():
-    graph = TropicalGraph(
-        vertices=("a", "b", "c"),
-        bounded_edges=(("a", "b"), ("b", "c"), ("c", "a")),
-        unbounded_edges=(("a", (0, -1)), ("b", (1, 1)), ("c", (-1, 1))),
-        weights={"b0": 1, "b1": 1, "b2": 1, "u0": 1, "u1": 1, "u2": 1},
-    )
-    assert genus_of(graph) == 1
-
-
-def test_genus_theta():
-    graph = TropicalGraph(
-        vertices=("a", "b"),
-        bounded_edges=(("a", "b"), ("a", "b"), ("a", "b")),
-        unbounded_edges=(),
-        weights={"b0": 1, "b1": 1, "b2": 1},
-    )
-    assert genus_of(graph) == 2
-
-
-def test_moduli_dimension_line():
-    c = standard_line()
-    assert moduli_dimension(c) == 2 == expected_dimension(2, 0, 3)
-    assert is_non_superabundant(c, 0)
-
-
-def test_moduli_dimension_six_leaf_tree():
-    graph = TropicalGraph(
-        vertices=("v0", "v1", "v2", "v3"),
-        bounded_edges=(("v0", "v1"), ("v1", "v2"), ("v2", "v3")),
-        unbounded_edges=(
-            ("v0", (-1, 0)),
-            ("v0", (0, -1)),
-            ("v1", (0, 1)),
-            ("v2", (0, -1)),
-            ("v3", (1, 0)),
-            ("v3", (0, 1)),
-        ),
-        weights={("b%d" % i): 1 for i in range(3)} | {("u%d" % i): 1 for i in range(6)},
-    )
-    c = TropicalCurve(
-        graph=graph,
-        positions={
-            "v0": as_point((0, 0)),
-            "v1": as_point((1, 0)),
-            "v2": as_point((2, 0)),
-            "v3": as_point((3, 0)),
-        },
-        n=2,
-    )
-    assert moduli_dimension(c) == 5 == expected_dimension(2, 0, 6)
-
-
-def test_moduli_dimension_square_cycle():
-    graph = TropicalGraph(
-        vertices=("v0", "v1", "v2", "v3"),
-        bounded_edges=(("v0", "v1"), ("v1", "v2"), ("v2", "v3"), ("v3", "v0")),
-        unbounded_edges=(
-            ("v0", (-1, -1)),
-            ("v1", (1, -1)),
-            ("v2", (1, 1)),
-            ("v3", (-1, 1)),
-        ),
-        weights={("b%d" % i): 1 for i in range(4)} | {("u%d" % i): 1 for i in range(4)},
-    )
-    c = TropicalCurve(
-        graph=graph,
-        positions={
-            "v0": as_point((0, 0)),
-            "v1": as_point((1, 0)),
-            "v2": as_point((1, 1)),
-            "v3": as_point((0, 1)),
-        },
-        n=2,
-    )
-    assert check_balancing(c) == []
-    assert moduli_dimension(c) == 4 == expected_dimension(2, 1, 4)
-    assert is_non_superabundant(c, 1)
 
 
 def test_vertex_multiplicities_unit_triangle():
