@@ -381,9 +381,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

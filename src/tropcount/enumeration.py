@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_curves",
     "enumerate_types",
     "solve_positions",
-    "trivalent_tree_count",
 ]
 
 
@@ -126,14 +125,6 @@ class PointConfiguration:
         return [AffineConstraint.point(p) for p in self.points]
 
 
-def trivalent_tree_count(num_leaves: int) -> int:
-    """(2n-5)!! trees on n labeled leaves."""
-    total = 1
-    for k in range(3, num_leaves + 1):
-        total *= 2 * k - 5
-    return total
-
-
 def _trees(num_leaves: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
     """All trivalent trees on leaves 0..n-1; internal nodes are n, n+1, ...
 
@@ -168,7 +159,8 @@ def _type_from_tree(
     tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
 ) -> Optional[CombinatorialType]:
     """Forced bounded-edge data from the leaf directions, or None when some
-    bounded direction degenerates to zero."""
+    vertex is flat (all its directions parallel) or some bounded direction
+    is zero."""
     nodes = {a for e in tree_edges for a in e}
     internal = sorted(n for n in nodes if n >= num_leaves)
     vertex_index = {n: i for i, n in enumerate(internal)}
@@ -190,19 +182,18 @@ def _type_from_tree(
             if child != parent_of.get(node):
                 parent_of[child] = node
                 stack.append(child)
+    # A vertex's directions sum to zero, so its first two child sums are
+    # parallel exactly when the vertex is flat or its parent edge is zero.
     below: Dict[int, Vec] = {}
     for node in reversed(order):
         if node < num_leaves:
             below[node] = leaf_vecs[node]
             continue
-        sx = sy = 0
-        for child, _ in adjacency[node]:
-            if child == parent_of[node]:
-                continue
-            vx, vy = below[child]
-            sx += vx
-            sy += vy
-        below[node] = (sx, sy)
+        sums = [below[child] for child, _ in adjacency[node] if child != parent_of[node]]
+        (ax, ay), (bx, by) = sums[0], sums[1]
+        if ax * by - ay * bx == 0:
+            return None
+        below[node] = (sum(v[0] for v in sums), sum(v[1] for v in sums))
 
     edges: List[TypeEdge] = []
     for a, b in tree_edges:
@@ -224,8 +215,6 @@ def _type_from_tree(
             child = b if parent_of[b] == a else a
             tail, head = (a, b) if child == b else (b, a)
             vec = below[child]
-            if vec == (0, 0):
-                return None
             w = vector_gcd(vec)
             edges.append(
                 TypeEdge(
@@ -237,20 +226,8 @@ def _type_from_tree(
                 )
             )
 
-    # flat vertices: all incident directions parallel (zero complex mult)
-    incident: Dict[int, List[Vec]] = {}
-    for e in edges:
-        incident.setdefault(e.tail, []).append(e.vec)
-        if e.head is not None:
-            incident.setdefault(e.head, []).append(e.vec)
-    flat = False
-    for vecs in incident.values():
-        v0 = vecs[0]
-        if all(v0[0] * v[1] - v0[1] * v[0] == 0 for v in vecs[1:]):
-            flat = True
-            break
     return CombinatorialType(
-        genus=0, num_vertices=len(internal), edges=tuple(edges), has_flat_vertex=flat
+        genus=0, num_vertices=len(internal), edges=tuple(edges), has_flat_vertex=False
     )
 
 
@@ -370,39 +347,6 @@ class _TypeSystem:
             self.solve_pairs.append(pair)
 
         self.bounded_idx = ctype.bounded_indices()
-
-        # capacity data: leaves on each side of every bounded edge
-        self.capacity = self._capacity_data()
-
-    def _capacity_data(self):
-        edges = self.ctype.edges
-        adjacency: Dict[int, List[Tuple[int, int]]] = {}
-        for i, e in enumerate(edges):
-            adjacency.setdefault(e.tail, []).append(
-                (e.head if e.head is not None else -1, i)
-            )
-            if e.head is not None:
-                adjacency.setdefault(e.head, []).append((e.tail, i))
-        data = []
-        for i in self.ctype.bounded_indices():
-            e = edges[i]
-            head_side: Set[int] = set()
-            stack = [e.head]
-            seen_v = {e.tail, e.head}
-            while stack:
-                v = stack.pop()
-                for other, j in adjacency[v]:
-                    if j == i:
-                        continue
-                    head_side.add(j)
-                    if other != -1 and other not in seen_v:
-                        seen_v.add(other)
-                        stack.append(other)
-            tail_side = set(range(self.num_edges)) - head_side - {i}
-            leaves_head = sum(1 for j in head_side if edges[j].head is None)
-            leaves_tail = sum(1 for j in tail_side if edges[j].head is None)
-            data.append((frozenset(head_side), leaves_head, frozenset(tail_side), leaves_tail))
-        return data
 
 
 class _Solver:
@@ -700,7 +644,6 @@ def _search_assignments(
     assignment: List[int] = [-1] * num_points
     used: Set[int] = set()
     solver = _Solver(system)
-    side_counts = [[0, 0] for _ in system.capacity]
 
     def candidates(point: int) -> List[int]:
         row = pins[point]
@@ -713,19 +656,7 @@ def _search_assignments(
             cur = val[edge]
             if cur is not None and cur != pin:
                 continue
-            ok = True
-            for idx, (head_side, leaves_head, tail_side, leaves_tail) in enumerate(
-                system.capacity
-            ):
-                if edge in head_side:
-                    if side_counts[idx][0] + 1 > leaves_head:
-                        ok = False
-                        break
-                elif edge in tail_side:
-                    if side_counts[idx][1] + 1 > leaves_tail:
-                        ok = False
-                        break
-            if ok and solver.point_feasible(edge, points[point], pin):
+            if solver.point_feasible(edge, points[point], pin):
                 out.append(edge)
         return out
 
@@ -754,19 +685,9 @@ def _search_assignments(
                 ok = solver.propagate()
             if ok:
                 used.add(edge)
-                for idx, (head_side, _, tail_side, _) in enumerate(system.capacity):
-                    if edge in head_side:
-                        side_counts[idx][0] += 1
-                    elif edge in tail_side:
-                        side_counts[idx][1] += 1
                 assignment[best_point] = edge
                 yield from place(placed + 1)
                 assignment[best_point] = -1
-                for idx, (head_side, _, tail_side, _) in enumerate(system.capacity):
-                    if edge in head_side:
-                        side_counts[idx][0] -= 1
-                    elif edge in tail_side:
-                        side_counts[idx][1] -= 1
                 used.discard(edge)
             solver.rollback(mark)
 
@@ -959,8 +880,6 @@ def enumerate_curves(
     int_points = [(int(p[0]), int(p[1])) for p in config.points]
     results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
     for ctype in enumerate_types(genus, degree):
-        if ctype.has_flat_vertex:
-            continue
         system = _TypeSystem(ctype)
         pins = [
             [

@@ -80,12 +80,11 @@ class AffineConstraint:
 class RealPointConfig:
     """Per-constraint sign vectors of real points in the big torus.
 
-    Magnitudes are irrelevant for every formula here (the positive reals are
-    divisible); the optional field only documents a concrete point choice.
+    Magnitudes are irrelevant for every formula here: the positive reals are
+    divisible.
     """
 
     signs: Tuple[Tuple[int, ...], ...]
-    magnitudes: Optional[Tuple[Point, ...]] = None
 
     def __post_init__(self):
         for s in self.signs:
@@ -131,11 +130,8 @@ class LatticeMapTh:
 
     matrix: IntMatrix
     row_labels: Tuple[Tuple, ...]
-    col_labels: Tuple[Tuple, ...]
     quotient_bases: Mapping[Tuple, QuotientBasis]
     vertex_order: Tuple[str, ...]
-    edge_orientations: Mapping[EdgeId, Tuple[str, str]]
-    marked_tails: Tuple[str, ...]
     marked_directions: Tuple[Vec, ...]
 
     @property
@@ -294,17 +290,14 @@ def build_T_h(
     n = curve.n
     vertex_order = tuple(sorted(curve.graph.vertices))
     col_of_vertex = {v: i for i, v in enumerate(vertex_order)}
-    col_labels = tuple((v, k) for v in vertex_order for k in range(n))
-    ncols = len(col_labels)
+    ncols = len(vertex_order) * n
 
     rows: List[List[int]] = []
     row_labels: List[Tuple] = []
     bases: Dict[Tuple, QuotientBasis] = {}
-    orientations: Dict[EdgeId, Tuple[str, str]] = {}
 
     for i, eid in enumerate(curve.graph.bounded_ids()):
         tail, head = _oriented_endpoints(curve, eid)
-        orientations[eid] = (tail, head)
         u = curve.edge_direction(eid, at_vertex=tail)
         qb = quotient_basis(IntMatrix.from_columns([u], rows=n), n)
         bases[("edge", eid)] = qb
@@ -317,11 +310,9 @@ def build_T_h(
             rows.append(row)
             row_labels.append(("edge", eid, r))
 
-    marked_tails: List[str] = []
     marked_dirs: List[Vec] = []
     for j, (eid, constraint) in enumerate(zip(marks, constraints)):
         tail, u = marked_direction(curve, eid)
-        marked_tails.append(tail)
         marked_dirs.append(u)
         span_cols = [list(u)] + [
             list(constraint.directions.column(c)) for c in range(constraint.directions.cols)
@@ -339,11 +330,8 @@ def build_T_h(
     return LatticeMapTh(
         matrix=IntMatrix.from_rows(rows, cols=ncols),
         row_labels=tuple(row_labels),
-        col_labels=col_labels,
         quotient_bases=bases,
         vertex_order=vertex_order,
-        edge_orientations=orientations,
-        marked_tails=tuple(marked_tails),
         marked_directions=tuple(marked_dirs),
     )
 

@@ -12,8 +12,15 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .exact_lattice import primitive_vector
-from .tropical import Point, TropicalCurve, Vec, angle_key, as_point, check_balancing
+from .tropical import (
+    Point,
+    TropicalCurve,
+    Vec,
+    angle_key,
+    as_point,
+    check_balancing,
+    rational_primitive,
+)
 
 
 class NonGenericInput(ValueError):
@@ -366,7 +373,7 @@ class _Arrangement:
                 pts = [_line_point_at(key, t) for t in cuts]
                 for p in pts:
                     vertices.add(p)
-                d = _primitive_of_fraction_vec((Fraction(key[1]), Fraction(-key[0])))
+                d = rational_primitive((Fraction(key[1]), Fraction(-key[0])))
                 if lo is None:
                     rays.append((pts[0], tuple(-x for x in d)))
                 elif cuts[0] != lo:
@@ -378,13 +385,6 @@ class _Arrangement:
                 elif cuts[-1] != hi:
                     raise AssertionError("interval endpoint missing from cuts")
         return vertices, segments, rays
-
-
-def _primitive_of_fraction_vec(v) -> Vec:
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return primitive_vector([int(x * denom) for x in v])
 
 
 def _t_occupied(intervals, t) -> bool:
@@ -445,7 +445,7 @@ def _extract_faces(vertices, segments, rays):
 
     for idx, (pa, pb) in enumerate(segments):
         d = tuple(b - a for a, b in zip(pa, pb))
-        dprim = _primitive_of_fraction_vec(d)
+        dprim = rational_primitive(d)
         add_pair(pa, pb, dprim, tuple(-x for x in dprim), ("s", idx))
     for idx, (p, d) in enumerate(rays):
         add_pair(p, _INF, d, tuple(-x for x in d), ("r", idx))

@@ -124,9 +124,6 @@ class TropicalGraph:
                 out.append("u%d" % i)
         return tuple(out)
 
-    def is_trivalent(self) -> bool:
-        return all(len(self.edges_at(v)) == 3 for v in self.vertices)
-
 
 @dataclass(frozen=True)
 class TropicalCurve:
@@ -144,9 +141,6 @@ class TropicalCurve:
         for _, direction in self.graph.unbounded_edges:
             if len(direction) != self.n:
                 raise ValueError("unbounded direction has wrong dimension")
-
-    def position(self, v: str) -> Point:
-        return self.positions[v]
 
     def bounded_vector(self, i: int) -> Point:
         """head - tail displacement of bounded edge i."""
@@ -167,7 +161,7 @@ class TropicalCurve:
         disp = tuple(a - b for a, b in zip(ph, pt))
         if all(x == 0 for x in disp):
             raise DegenerateEdge("bounded edge %s has equal endpoints" % eid)
-        scaled = _rational_primitive(disp)
+        scaled = rational_primitive(disp)
         if at_vertex is None or at_vertex == tail:
             return scaled
         if at_vertex == head:
@@ -205,7 +199,7 @@ class TropicalCurve:
         disp = self.bounded_vector(i)
         if all(x == 0 for x in disp):
             raise DegenerateEdge("bounded edge b%d has equal endpoints" % i)
-        u = _rational_primitive(disp)
+        u = rational_primitive(disp)
         for a, b in zip(disp, u):
             if b != 0:
                 return Fraction(a) / b
@@ -215,7 +209,7 @@ class TropicalCurve:
         return self.graph.weights[eid]
 
 
-def _rational_primitive(disp: Sequence[Fraction]) -> Vec:
+def rational_primitive(disp: Sequence[Fraction]) -> Vec:
     """Primitive integer vector parallel to a rational displacement."""
     denom = 1
     for x in disp:

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +10,6 @@ from tropcount.enumeration import (
     enumerate_curves,
     enumerate_types,
     solve_positions,
-    trivalent_tree_count,
     _edges_overlap,
     _trees,
 )
@@ -25,11 +26,31 @@ from tropcount.tropical import (
 )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 def test_tree_counts():
-    assert trivalent_tree_count(3) == 1
-    assert trivalent_tree_count(6) == 105
-    assert trivalent_tree_count(9) == 135135
     assert sum(1 for _ in _trees(6)) == 105
+
+
+def test_enumerate_types_degree_three_matches_golden():
+    # Curve names come from each type's representative tree, so the d = 3
+    # types must keep their order and numbering, not only their count.
+    expected = json.loads((GOLDEN / "types-d3.json").read_text())
+    types = enumerate_types(0, Degree.projective(3))
+    assert [
+        {
+            "num_vertices": t.num_vertices,
+            "edges": [[e.tail, e.head, list(e.vec)] for e in t.edges],
+        }
+        for t in types
+    ] == expected
+    assert len(expected) == 80
+
+
+def test_enumerate_types_rejects_flat_vertices():
+    assert len(enumerate_types(0, Degree.projective(2))) == 4
+    assert enumerate_types(0, Degree({(1, 0): 2, (-1, 0): 2})) == []
 
 
 def test_enumerate_types_line():
