@@ -79,8 +79,11 @@ def _config_from_args(args, ell: int) -> PointConfiguration:
         if len(points) != ell:
             raise InputError("degree %d needs %d points, got %d" % (args.degree, ell, len(points)))
         return PointConfiguration.explicit(points)
-    seed = args.mikhalkin_seed if args.mikhalkin_seed is not None else 7
-    return PointConfiguration.mikhalkin(ell, seed)
+    return PointConfiguration.mikhalkin(ell, _mikhalkin_seed(args))
+
+
+def _mikhalkin_seed(args) -> int:
+    return 7 if args.mikhalkin_seed is None else args.mikhalkin_seed
 
 
 def _signs_from_args(args, ell: int) -> RealPointConfig:
@@ -319,7 +322,7 @@ def cmd_selftest(args) -> int:
     from .selftest import run
 
     degrees = tuple(range(1, args.max_degree + 1))
-    results = run(degrees=degrees, seed=args.mikhalkin_seed or 7)
+    results = run(degrees=degrees, seed=_mikhalkin_seed(args))
     failing = [r.ident for r in results if not r.ok]
     if failing:
         print("failing criteria: %s" % ", ".join(failing), file=sys.stderr)
@@ -385,7 +388,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except GenericityFailure as exc:
-        print("genericity failure: %s (reseed the points)" % exc, file=sys.stderr)
+        advice = "reseed the points"
+        if getattr(args, "points", None) is None and hasattr(args, "mikhalkin_seed"):
+            advice = "Mikhalkin seed %d; reseed the points with another --mikhalkin-seed" % (
+                _mikhalkin_seed(args)
+            )
+        print("genericity failure: %s (%s)" % (exc, advice), file=sys.stderr)
         return EXIT_GENERICITY
     except CrossCheckError as exc:
         print("cross-check mismatch: %s" % exc, file=sys.stderr)

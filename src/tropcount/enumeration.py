@@ -12,6 +12,17 @@ its edge's endpoints, bounded edges transfer bounds along their direction,
 pinned lines couple the x and y ranges), which prunes wrong assignments
 almost immediately for spread-out configurations.  Survivors get a full
 rational solve plus geometric acceptance checks.
+
+Propagation is a worklist over rules kept as data by ``_TypeSystem``: a
+value cascade per vertex, a line constraint per (edge, endpoint) and a
+bound transfer per bounded edge, each with the values and boxes it reads.
+A rule reruns only when one of those changed, in at most 12 sweeps in a
+fixed rule order.  Every rule writes only what it reads, as a function of
+what it reads, so a rule skipped this way would have changed nothing: the
+boxes, the contradictions and hence the search tree are those of rerunning
+every rule in every sweep.  A child node starts from its parent's state,
+with the rules its parent left pending, and keeps the parent's candidate
+edges, filtered.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exact_lattice import solve_unique_rational, vector_gcd
@@ -39,6 +51,7 @@ from .tropical import (
     Vec,
     as_point,
     check_balancing,
+    point_str,
 )
 from .welschinger import crossing_count
 
@@ -58,7 +71,11 @@ class UnsupportedGenus(ValueError):
 
 
 class GenericityFailure(RuntimeError):
-    """A solution violates the generality assumptions; reseed the points."""
+    """A solution violates the generality assumptions.
+
+    The message names what collided: vertices and their position, a point
+    and its coordinates, or edges.  The cure is other points.
+    """
 
 
 @dataclass(frozen=True)
@@ -108,8 +125,6 @@ class PointConfiguration:
         while True:
             f = 2 * rng.randrange(500, 1500) + 1
             g = 2 * rng.randrange(400, 1200) + 1
-            from math import gcd
-
             if gcd(f, g) == 1 and f > g:
                 break
         c = rng.randrange(1, 1000)
@@ -313,9 +328,20 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
 # forms are cleared of denominators.  Fractions appear only when a bound is
 # produced by division inside the interval propagation.
 
+# the most sweeps one propagate call runs; a capped call leaves rules pending
+_SWEEPS = 12
+
 
 class _TypeSystem:
-    """Per-type linear data for the transverse-coordinate search."""
+    """Per-type linear data for the transverse-coordinate search.
+
+    ``rules`` lists the propagation rules in sweep order: one value cascade
+    per vertex, one line constraint per (edge, endpoint), tail before head,
+    in edge order, and one bound transfer per bounded edge.  Bit r of
+    ``val_readers[i]`` (``box_readers[v]``) is set when rule r reads the
+    transverse value of edge i (the box of vertex v); ``vertex_edges[v]`` is
+    the bitmask of the edges at vertex v.
+    """
 
     def __init__(self, ctype: CombinatorialType):
         self.ctype = ctype
@@ -346,7 +372,45 @@ class _TypeSystem:
                     break
             self.solve_pairs.append(pair)
 
-        self.bounded_idx = ctype.bounded_indices()
+        # rule kinds: 0 value cascade, 1 line constraint, 2 transfer
+        self.rules: List[Tuple] = []
+        self.val_readers = [0] * self.num_edges
+        self.box_readers = [0] * ctype.num_vertices
+        self.vertex_edges = [0] * ctype.num_vertices
+        for terms in self.vertex_eqs:
+            for i, _ in terms:
+                self.val_readers[i] |= 1 << len(self.rules)
+            self.rules.append((0, terms))
+        for i, e in enumerate(edges):
+            m1, m2 = self.normals[i]
+            # y = (c - m1*x)/m2 falls as x grows iff m1, m2 share sign, which
+            # decides the y slot a lower x bound tightens (3 or 2) and the x
+            # slot a lower y bound tightens (1 or 0)
+            decreasing = (m1 > 0) == (m2 > 0)
+            for vertex in (e.tail, e.head):
+                if vertex is None:
+                    continue
+                self.val_readers[i] |= 1 << len(self.rules)
+                self.box_readers[vertex] |= 1 << len(self.rules)
+                self.vertex_edges[vertex] |= 1 << i
+                self.rules.append((1, i, vertex, m1, m2, 3 if decreasing else 2, int(decreasing)))
+        # a bounded edge's direction orders its endpoints coordinatewise:
+        # (source, target, slot) copies source's bound in slot to target
+        for i in ctype.bounded_indices():
+            ta, he = edges[i].tail, edges[i].head
+            table: List[Tuple[int, int, int]] = []
+            for k, uk in enumerate(edges[i].prim):
+                lo, hi = 2 * k, 2 * k + 1
+                if uk > 0:
+                    table += [(ta, he, lo), (he, ta, hi)]
+                elif uk < 0:
+                    table += [(he, ta, lo), (ta, he, hi)]
+                else:
+                    table += [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
+            self.box_readers[ta] |= 1 << len(self.rules)
+            self.box_readers[he] |= 1 << len(self.rules)
+            self.rules.append((2, tuple(table)))
+        self.all_rules = (1 << len(self.rules)) - 1
 
 
 class _Solver:
@@ -380,6 +444,23 @@ class _Solver:
                 val[idx] = old
             else:
                 box[idx][slot] = old
+
+    def readers_since(self, mark) -> int:
+        """The rules that read a value or box changed since the mark."""
+        system = self.system
+        readers = 0
+        for kind, idx, _, _ in self.trail[mark:]:
+            readers |= system.box_readers[idx] if kind else system.val_readers[idx]
+        return readers
+
+    def edges_moved_since(self, mark) -> int:
+        """The edges with an endpoint box changed since the mark."""
+        vertex_edges = self.system.vertex_edges
+        edges = 0
+        for kind, idx, _, _ in self.trail[mark:]:
+            if kind:
+                edges |= vertex_edges[idx]
+        return edges
 
     def set_val(self, idx, value) -> bool:
         cur = self.val[idx]
@@ -432,137 +513,116 @@ class _Solver:
                     return False
         return True
 
-    def propagate(self) -> bool:
+    def propagate(self, pending: int) -> Optional[int]:
+        """Run the rules in the ``pending`` bitmask, in sweeps, to a fixpoint.
+
+        A sweep runs the pending rules in rule order.  A rule that changes a
+        value or a box schedules the rules that read it: those after it in
+        this sweep, those at or before it (itself included) in the next.
+        After at most ``_SWEEPS`` sweeps this returns the rules still
+        pending, 0 at a fixpoint, or None on a contradiction.
+
+        The result is the one of running every rule in every sweep.  A rule
+        writes only what it reads, and its writes are a function of what it
+        reads, so a rule whose inputs are unchanged since a run that changed
+        nothing would change nothing again.  A caller that changes values or
+        boxes passes the rules left pending plus the readers of the changes.
+        """
         val = self.val
         box = self.box
+        tighten = self.tighten
         system = self.system
-        edges = system.ctype.edges
-        for _ in range(12):
-            changed = False
-            # transverse-value cascade through the trivalent equations
-            for terms in system.vertex_eqs:
-                unknown = None
-                many = False
-                total = 0
-                for i, s in terms:
-                    v = val[i]
-                    if v is None:
-                        if unknown is None:
-                            unknown = (i, s)
+        rules = system.rules
+        val_readers = system.val_readers
+        box_readers = system.box_readers
+        for _ in range(_SWEEPS):
+            if not pending:
+                return 0
+            now, pending = pending, 0
+            while now:
+                low = now & -now
+                now ^= low
+                rule = rules[low.bit_length() - 1]
+                touched = 0
+                if rule[0] == 0:
+                    # transverse-value cascade through a trivalent equation
+                    unknown = None
+                    many = False
+                    total = 0
+                    for i, s in rule[1]:
+                        v = val[i]
+                        if v is None:
+                            if unknown is None:
+                                unknown = (i, s)
+                            else:
+                                many = True
                         else:
-                            many = True
-                    else:
-                        total += v if s > 0 else -v
-                if unknown is None:
-                    if total != 0:
-                        return False
-                    continue
-                if not many:
+                            total += v if s > 0 else -v
+                    if unknown is None:
+                        if total != 0:
+                            return None
+                        continue
+                    if many:
+                        continue
                     i, s = unknown
-                    if not self.set_val(i, -total if s > 0 else total):
-                        return False
-                    changed = True
-            # line constraints of edges with known transverse value
-            for i, e in enumerate(edges):
-                c = val[i]
-                if c is None:
-                    continue
-                m1, m2 = system.normals[i]
-                for vertex in (e.tail, e.head):
-                    if vertex is None:
+                    self.set_val(i, -total if s > 0 else total)
+                    touched = val_readers[i]
+                elif rule[0] == 1:
+                    # m1*x + m2*y == c at an endpoint of an edge of known value
+                    _, i, vertex, m1, m2, x_slot, y_slot = rule
+                    c = val[i]
+                    if c is None:
                         continue
                     b = box[vertex]
-                    # m1*x + m2*y == c
-                    if m1 == 0:
-                        for slot, bound in ((2, _floor_div(c, m2)), (3, _ceil_div(c, m2))):
-                            res = self.tighten(vertex, slot, bound)
+                    if m1 == 0 or m2 == 0:
+                        m, lo = (m2, 2) if m1 == 0 else (m1, 0)
+                        for slot, bound in ((lo, _floor_div(c, m)), (lo + 1, _ceil_div(c, m))):
+                            res = tighten(vertex, slot, bound)
                             if res is False:
-                                return False
+                                return None
                             if res:
-                                changed = True
-                        continue
-                    if m2 == 0:
-                        for slot, bound in ((0, _floor_div(c, m1)), (1, _ceil_div(c, m1))):
-                            res = self.tighten(vertex, slot, bound)
-                            if res is False:
-                                return False
-                            if res:
-                                changed = True
-                        continue
-                    # y = (c - m1*x)/m2: decreasing in x iff m1, m2 share sign
-                    decreasing = (m1 > 0) == (m2 > 0)
-                    for xb, from_lower in ((b[0], True), (b[1], False)):
-                        if xb is None:
-                            continue
-                        num = c - m1 * xb
-                        slot = (3 if from_lower else 2) if decreasing else (2 if from_lower else 3)
-                        bound = _floor_div(num, m2) if slot % 2 == 0 else _ceil_div(num, m2)
-                        res = self.tighten(vertex, slot, bound)
-                        if res is False:
-                            return False
-                        if res:
-                            changed = True
-                    for yb, from_lower in ((b[2], True), (b[3], False)):
-                        if yb is None:
-                            continue
-                        num = c - m2 * yb
-                        slot = (1 if from_lower else 0) if decreasing else (0 if from_lower else 1)
-                        bound = _floor_div(num, m1) if slot % 2 == 0 else _ceil_div(num, m1)
-                        res = self.tighten(vertex, slot, bound)
-                        if res is False:
-                            return False
-                        if res:
-                            changed = True
-            # monotone transfer along bounded edges
-            for i in system.bounded_idx:
-                e = edges[i]
-                u = e.prim
-                ta, he = e.tail, e.head
-                ba, bh = box[ta], box[he]
-                for k in (0, 1):
-                    uk = u[k]
-                    lo_slot, hi_slot = 2 * k, 2 * k + 1
-                    if uk > 0:
-                        # head_k > tail_k
-                        if ba[lo_slot] is not None:
-                            res = self.tighten(he, lo_slot, ba[lo_slot])
-                            if res is False:
-                                return False
-                            if res:
-                                changed = True
-                        if bh[hi_slot] is not None:
-                            res = self.tighten(ta, hi_slot, bh[hi_slot])
-                            if res is False:
-                                return False
-                            if res:
-                                changed = True
-                    elif uk < 0:
-                        if bh[lo_slot] is not None:
-                            res = self.tighten(ta, lo_slot, bh[lo_slot])
-                            if res is False:
-                                return False
-                            if res:
-                                changed = True
-                        if ba[hi_slot] is not None:
-                            res = self.tighten(he, hi_slot, ba[hi_slot])
-                            if res is False:
-                                return False
-                            if res:
-                                changed = True
+                                touched = box_readers[vertex]
                     else:
-                        for slot in (lo_slot, hi_slot):
-                            for va, vb in ((ta, he), (he, ta)):
-                                bound = box[va][slot]
-                                if bound is None:
-                                    continue
-                                res = self.tighten(vb, slot, bound)
-                                if res is False:
-                                    return False
-                                if res:
-                                    changed = True
-            if not changed:
-                return True
-        return True
+                        for xb, slot in ((b[0], x_slot), (b[1], 5 - x_slot)):
+                            if xb is None:
+                                continue
+                            num = c - m1 * xb
+                            bound = _floor_div(num, m2) if slot == 2 else _ceil_div(num, m2)
+                            res = tighten(vertex, slot, bound)
+                            if res is False:
+                                return None
+                            if res:
+                                touched = box_readers[vertex]
+                        for yb, slot in ((b[2], y_slot), (b[3], 1 - y_slot)):
+                            if yb is None:
+                                continue
+                            num = c - m2 * yb
+                            bound = _floor_div(num, m1) if slot == 0 else _ceil_div(num, m1)
+                            res = tighten(vertex, slot, bound)
+                            if res is False:
+                                return None
+                            if res:
+                                touched = box_readers[vertex]
+                else:
+                    # monotone transfer along a bounded edge
+                    for source, target, slot in rule[1]:
+                        bound = box[source][slot]
+                        if bound is None:
+                            continue
+                        # a bound that would not tighten, skipped without a call
+                        cur = box[target][slot]
+                        if cur is not None and (cur <= bound if slot & 1 else cur >= bound):
+                            continue
+                        res = tighten(target, slot, bound)
+                        if res is False:
+                            return None
+                        if res:
+                            touched |= box_readers[target]
+                if touched:
+                    later = touched & -(low << 1)
+                    now |= later
+                    pending |= touched ^ later
+        return pending
 
     def point_feasible(self, edge: int, point: Tuple[int, int], pin: int) -> bool:
         """Quick test that a point can sit on the edge given current boxes."""
@@ -637,61 +697,75 @@ def _search_assignments(
 
     ``pins[j][e]`` is the transverse value pinned when point j sits on edge
     e.  The next point to place is always one with the fewest admissible
-    edges.
+    edges, the first such point on a tie.  A child's admissible edges for a
+    point are its parent's, filtered: boxes only shrink and values are only
+    set deeper in the tree, so an edge ruled out stays ruled out, and the
+    box test is redone only for edges whose endpoint boxes moved.
     """
     num_points = len(pins)
-    num_edges = system.num_edges
     assignment: List[int] = [-1] * num_points
     used: Set[int] = set()
     solver = _Solver(system)
+    val = solver.val
 
-    def candidates(point: int) -> List[int]:
-        row = pins[point]
-        out = []
-        val = solver.val
-        for edge in range(num_edges):
-            if edge in used:
-                continue
-            pin = row[edge]
-            cur = val[edge]
-            if cur is not None and cur != pin:
-                continue
-            if solver.point_feasible(edge, points[point], pin):
-                out.append(edge)
-        return out
-
-    def place(placed: int) -> Iterator[Tuple[int, ...]]:
-        if placed == num_points:
-            yield tuple(assignment)
-            return
-        best_point = None
-        best_cands: List[int] = []
+    def narrowed(cands: List[List[int]], moved: int) -> Optional[List[List[int]]]:
+        """Each unplaced point's admissible edges among ``cands``, with the
+        box test redone for the edges in the bitmask ``moved``; None as soon
+        as a point has none."""
+        out: List[List[int]] = [[] for _ in range(num_points)]
         for j in range(num_points):
             if assignment[j] != -1:
                 continue
-            cands = candidates(j)
-            if best_point is None or len(cands) < len(best_cands):
+            row = pins[j]
+            point = points[j]
+            keep = out[j]
+            for edge in cands[j]:
+                if edge in used:
+                    continue
+                pin = row[edge]
+                cur = val[edge]
+                if cur is not None and cur != pin:
+                    continue
+                if moved >> edge & 1 and not solver.point_feasible(edge, point, pin):
+                    continue
+                keep.append(edge)
+            if not keep:
+                return None
+        return out
+
+    def place(placed: int, cands: List[List[int]], pending: int) -> Iterator[Tuple[int, ...]]:
+        if placed == num_points:
+            yield tuple(assignment)
+            return
+        best_point = -1
+        for j in range(num_points):
+            if assignment[j] == -1 and (
+                best_point == -1 or len(cands[j]) < len(cands[best_point])
+            ):
                 best_point = j
-                best_cands = cands
-                if not cands:
-                    return
-        for edge in best_cands:
+        for edge in cands[best_point]:
             pin = pins[best_point][edge]
             mark = solver.snapshot()
             ok = solver.set_val(edge, pin)
             if ok:
                 ok = solver.apply_point_on_edge(edge, points[best_point])
             if ok:
-                ok = solver.propagate()
+                rest = solver.propagate(pending | solver.readers_since(mark))
+                ok = rest is not None
             if ok:
                 used.add(edge)
                 assignment[best_point] = edge
-                yield from place(placed + 1)
+                child = narrowed(cands, solver.edges_moved_since(mark))
+                if child is not None:
+                    yield from place(placed + 1, child, rest)
                 assignment[best_point] = -1
                 used.discard(edge)
             solver.rollback(mark)
 
-    yield from place(0)
+    every_edge = list(range(system.num_edges))
+    root = narrowed([every_edge] * num_points, (1 << system.num_edges) - 1)
+    if root is not None:
+        yield from place(0, root, system.all_rules)
 
 
 def solve_positions(
@@ -707,7 +781,13 @@ def solve_positions(
     """
     if ctype.has_flat_vertex:
         return None
-    system = _TypeSystem(ctype)
+    return _solve(_TypeSystem(ctype), config, mark_plan)
+
+
+def _solve(
+    system: _TypeSystem, config: PointConfiguration, mark_plan: Mapping[int, int]
+) -> Optional[Tuple[TropicalCurve, Tuple[str, ...]]]:
+    """``solve_positions`` with the type's system already built."""
     rows: List[List[int]] = []
     rhs: List[Fraction] = []
     for v, terms in enumerate(system.vertex_eqs):
@@ -727,10 +807,11 @@ def solve_positions(
     solution = solve_unique_rational(rows, rhs)
     if solution is None:
         return None
-    return _reconstruct(ctype, system, config, mark_plan, solution)
+    return _reconstruct(system, config, mark_plan, solution)
 
 
-def _reconstruct(ctype, system, config, mark_plan, cvals):
+def _reconstruct(system, config, mark_plan, cvals):
+    ctype = system.ctype
     positions: List[Optional[Tuple[Fraction, Fraction]]] = [None] * ctype.num_vertices
     for v in range(ctype.num_vertices):
         pair = system.solve_pairs[v]
@@ -807,12 +888,18 @@ def _reconstruct(ctype, system, config, mark_plan, cvals):
 
 
 def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
-    positions = list(curve.positions.values())
-    if len(set(positions)) != len(positions):
-        raise GenericityFailure("two vertices share a position; reseed the points")
-    for p in config.points:
-        if p in set(positions):
-            raise GenericityFailure("a constraint point hits a vertex; reseed the points")
+    vertex_at: Dict[Point, str] = {}
+    for v, p in curve.positions.items():
+        if p in vertex_at:
+            raise GenericityFailure(
+                "vertices %s and %s share the position %s" % (vertex_at[p], v, point_str(p))
+            )
+        vertex_at[p] = v
+    for j, p in enumerate(config.points):
+        if p in vertex_at:
+            raise GenericityFailure(
+                "point %d %s is vertex %s" % (j, point_str(p), vertex_at[p])
+            )
     try:
         crossing_count(curve)
     except NonGenericCrossing as exc:
@@ -820,7 +907,7 @@ def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
     # overlapping parallel edges would break the finite-fiber clause
     for e1, e2 in itertools.combinations(curve.graph.edge_ids(), 2):
         if _edges_overlap(curve, e1, e2):
-            raise GenericityFailure("two edges overlap; reseed the points")
+            raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
 
 
 def _edges_overlap(curve: TropicalCurve, e1: str, e2: str) -> bool:
@@ -859,8 +946,6 @@ def enumerate_curves(
     denom = 1
     for p in config.points:
         for x in p:
-            from math import gcd
-
             denom = denom * x.denominator // gcd(denom, x.denominator)
     if denom > 1:
         # solve through the scaled integral configuration, then scale back
@@ -890,7 +975,7 @@ def enumerate_curves(
         ]
         for assignment in _search_assignments(system, pins, int_points):
             plan = {j: assignment[j] for j in range(len(assignment))}
-            solved = solve_positions(ctype, config, plan)
+            solved = _solve(system, config, plan)
             if solved is not None:
                 results.append(solved)
 
@@ -906,8 +991,12 @@ def enumerate_curves(
             raise GenericityFailure(str(exc))
         except ConstraintMissed as exc:
             raise AssertionError("solver accepted a curve missing its point: %s" % exc)
-        if rematched != marks:
-            raise GenericityFailure("marked edges are not unique; reseed the points")
+        for j, (mark, edge) in enumerate(zip(marks, rematched)):
+            if mark != edge:
+                raise GenericityFailure(
+                    "point %d %s is marked on edge %s but meets edge %s"
+                    % (j, point_str(config.points[j]), mark, edge)
+                )
         _genericity_checks(curve, config)
         signature = (
             tuple(sorted(curve.positions.values())),

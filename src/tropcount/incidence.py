@@ -21,7 +21,7 @@ from .exact_lattice import (
     saturate,
     solve_unique_rational,
 )
-from .tropical import EdgeId, Point, TropicalCurve, Vec, as_point
+from .tropical import EdgeId, Point, TropicalCurve, Vec, as_point, point_str
 
 
 class ConstraintMissed(ValueError):
@@ -240,19 +240,26 @@ def match_marked_edges(
         for v in curve.graph.vertices:
             if _vertex_on_constraint(curve.positions[v], constraint):
                 raise ConstraintOnVertex(
-                    "constraint %d passes through vertex %s" % (j, v)
+                    "%s meets vertex %s at %s"
+                    % (_describe(j, constraint), v, point_str(curve.positions[v]))
                 )
         hits = [
             eid for eid in curve.graph.edge_ids() if _constraint_meets_edge(curve, eid, constraint)
         ]
         if not hits:
-            raise ConstraintMissed("constraint %d meets no edge" % j)
+            raise ConstraintMissed("%s meets no edge" % _describe(j, constraint))
         if len(hits) > 1:
             raise AmbiguousConstraint(
-                "constraint %d meets edges %s" % (j, ", ".join(hits))
+                "%s meets edges %s" % (_describe(j, constraint), ", ".join(hits))
             )
         marks.append(hits[0])
     return tuple(marks)
+
+
+def _describe(j: int, constraint: AffineConstraint) -> str:
+    if constraint.codim == constraint.n:
+        return "point %d %s" % (j, point_str(constraint.base))
+    return "constraint %d through %s" % (j, point_str(constraint.base))
 
 
 def _vertex_on_constraint(position: Point, constraint: AffineConstraint) -> bool:

@@ -37,6 +37,11 @@ def as_point(coords: Sequence) -> Point:
     return tuple(Fraction(c) for c in coords)
 
 
+def point_str(p: Sequence) -> str:
+    """A point as ``(x, y)`` with exact rational coordinates, for messages."""
+    return "(%s)" % ", ".join(str(x) for x in p)
+
+
 @dataclass(frozen=True)
 class TropicalGraph:
     """Weighted graph with marked edges, combinatorial part of a curve."""

@@ -164,6 +164,38 @@ def test_genericity_failure_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(["enumerate", "--degree", "1"], capsys)
     assert code == 3
     assert "reseed" in err
+    assert err.count("reseed") == 1
+    assert "Mikhalkin seed 7" in err
+
+
+def test_genericity_failure_names_the_point(tmp_path, monkeypatch, capsys, d3_types):
+    from tropcount import enumeration
+
+    monkeypatch.setattr(enumeration, "enumerate_types", lambda genus, degree: d3_types)
+    # integer points in [-30, 30]^2: point 3 lies on two ends of one curve
+    points = [(7, 27), (28, -17), (2, -22), (-12, -22), (18, -24), (9, 21), (-14, 28), (4, 15)]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[str(x), str(y)] for x, y in points]}))
+    code, out, err = run_cli(["enumerate", "--degree", "3", "--points", str(path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert "point 3 (-12, -22) meets edges" in err
+    assert err.count("reseed") == 1
+    assert "Mikhalkin" not in err
+
+
+def test_selftest_passes_seed_zero(monkeypatch):
+    from tropcount import selftest
+
+    seen = {}
+
+    def run(degrees, seed):
+        seen["seed"] = seed
+        return []
+
+    monkeypatch.setattr(selftest, "run", run)
+    assert main(["selftest", "--max-degree", "1", "--mikhalkin-seed", "0"]) == 0
+    assert seen["seed"] == 0
 
 
 def test_crosscheck_failure_exit_code(monkeypatch, capsys):
