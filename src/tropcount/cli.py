@@ -58,6 +58,16 @@ def _parse_rat(s) -> Fraction:
         raise InputError("not a rational number: %r" % (s,))
 
 
+def _parse_points(raw) -> list:
+    """Plane points from a JSON list of [x, y] pairs of rationals."""
+    if not isinstance(raw, list):
+        raise InputError("'points' must be a list of [x, y] pairs, got %r" % (raw,))
+    for p in raw:
+        if not isinstance(p, list) or len(p) != 2:
+            raise InputError("a point must be a pair [x, y], got %r" % (p,))
+    return [tuple(_parse_rat(c) for c in p) for p in raw]
+
+
 def _load_points_file(path: str):
     try:
         with open(path) as fh:
@@ -68,7 +78,7 @@ def _load_points_file(path: str):
         raise InputError("malformed JSON in %s: %s" % (path, exc))
     if not isinstance(data, dict) or "points" not in data:
         raise InputError("points file needs a top-level 'points' array")
-    points = [tuple(_parse_rat(c) for c in p) for p in data["points"]]
+    points = _parse_points(data["points"])
     signs = data.get("signs")
     return points, signs
 
@@ -310,7 +320,7 @@ def cmd_render(args) -> int:
     if data.get("kind") != "curve-set":
         raise InputError("render expects a curve-set document")
     curves = [curve_from_json(c)[0] for c in data.get("curves", [])]
-    points = [tuple(_parse_rat(x) for x in p) for p in data.get("points", [])]
+    points = _parse_points(data.get("points", []))
     from .svg import render_curves
 
     text = render_curves(curves, points, dual=args.dual)

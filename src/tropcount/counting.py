@@ -147,7 +147,6 @@ def constraint_indices(
 def count_complex(
     curves_with_marks: Sequence[Tuple[TropicalCurve, Tuple[str, ...]]],
     constraints: Sequence[AffineConstraint],
-    check_vertex_product: bool = True,
 ) -> CountReport:
     """Complex tropical count: weights times lattice index times the
     per-constraint inclusion indices, summed over matched curves.
@@ -167,9 +166,7 @@ def count_complex(
         for b in a_bundles:
             a_product *= b.complex_index
         contribution = weight * bundle.complex_index * a_product
-        if check_vertex_product and curve.n == 2 and all(
-            c.codim == 2 for c in constraints
-        ):
+        if curve.n == 2 and all(c.codim == 2 for c in constraints):
             vertex_product = 1
             for v in curve.graph.vertices:
                 vertex_product *= vertex_multiplicities(curve, v).mult

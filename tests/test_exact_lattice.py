@@ -14,7 +14,6 @@ from tropcount.exact_lattice import (
     saturate,
     smith_normal_form,
     solve_unique_rational,
-    unimodular_inverse,
 )
 
 
@@ -157,6 +156,26 @@ def test_saturate_idempotent():
         assert s1.entries == s2.entries and s1.cols == s2.cols
 
 
+def test_saturate_is_the_saturation():
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        k = rng.randint(0, n)
+        sub = random_matrix(rng, n, k, -6, 6)
+        sat = saturate(sub, n)
+        assert sat.cols == rational_rank(sub.to_rows())
+        quotient_basis(sat, n)  # raises NotSaturated unless saturated
+        sat_rows = sat.to_rows()
+        for j in range(sub.cols):
+            coords = solve_unique_rational(sat_rows, sub.column(j))
+            assert coords is not None
+            assert all(c.denominator == 1 for c in coords)
+        order = list(range(k))
+        rng.shuffle(order)
+        permuted = IntMatrix.from_columns([sub.column(j) for j in order], rows=n)
+        assert saturate(permuted, n).entries == sat.entries
+
+
 def test_quotient_basis_kernel_property():
     qb = quotient_basis(IntMatrix.from_columns([(-1, 0)]), 2)
     assert qb.quotient_rank == 1
@@ -222,17 +241,6 @@ def test_f2_rank_examples():
     assert f2_rank(IntMatrix.from_rows([[2, 0], [0, 3]])) == 1
     assert f2_rank(IntMatrix.identity(4)) == 4
     assert f2_rank(IntMatrix.from_rows([[2, 4], [6, 8]])) == 0
-
-
-def test_unimodular_inverse_roundtrip():
-    rng = random.Random(31)
-    for _ in range(50):
-        n = rng.randint(1, 5)
-        a = random_matrix(rng, n, n)
-        res = smith_normal_form(a)
-        u = res.left_transform
-        uinv = unimodular_inverse(u)
-        assert (u @ uinv).entries == IntMatrix.identity(n).entries
 
 
 def test_solve_unique_rational():

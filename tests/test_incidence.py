@@ -90,6 +90,39 @@ def test_match_marked_edges_line_constraint_ambiguous():
         match_marked_edges(curve, [AffineConstraint.through((-1, 0), [(1, -1)])])
 
 
+def test_match_marked_edges_line_constraint_ranges():
+    curve = line_through([(-3, 0), (0, -5)])  # vertex (0,0)
+    # y = 3: parallel to u0 (no meeting), behind the ray u1 (t < 0), on u2
+    assert match_marked_edges(curve, [AffineConstraint.through((5, 3), [(1, 0)])]) == ("u2",)
+
+
+def tropical_line_in_space():
+    """The tropical line in Q^3: four rays from the origin."""
+    graph = TropicalGraph(
+        vertices=("v0",),
+        bounded_edges=(),
+        unbounded_edges=(
+            ("v0", (-1, 0, 0)),
+            ("v0", (0, -1, 0)),
+            ("v0", (0, 0, -1)),
+            ("v0", (1, 1, 1)),
+        ),
+        weights={"u0": 1, "u1": 1, "u2": 1, "u3": 1},
+    )
+    return TropicalCurve(graph=graph, positions={"v0": as_point((0, 0, 0))}, n=3)
+
+
+def test_match_marked_edges_line_constraint_in_space():
+    curve = tropical_line_in_space()
+    # x = 1, z = 5 is inconsistent with every ray
+    with pytest.raises(ConstraintMissed):
+        match_marked_edges(curve, [AffineConstraint.through((1, 0, 5), [(0, 1, 0)])])
+    # x = z = 2 meets only the ray (1, 1, 1), at t = 2
+    assert match_marked_edges(
+        curve, [AffineConstraint.through((2, 0, 2), [(0, 1, 0)])]
+    ) == ("u3",)
+
+
 def test_build_T_h_line_unimodular():
     curve = line_through([(-3, 0), (0, -5)])
     constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
