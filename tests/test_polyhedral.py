@@ -1,6 +1,10 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+from tropcount.cli import curve_from_json
 
 from tropcount.polyhedral import (
     NonGenericInput,
@@ -10,7 +14,7 @@ from tropcount.polyhedral import (
     scale_point,
     validate_good,
 )
-from tropcount.tropical import TropicalCurve, TropicalGraph, as_point
+from tropcount.tropical import TropicalCurve, TropicalGraph, as_point, point_str
 
 
 def standard_line(vertex=(0, 0)):
@@ -217,3 +221,59 @@ def test_goodness_pipeline_after_rescale():
     decomp = build_decomposition_2d([scaled])
     report = validate_good(decomp, [scaled], [])
     assert report.ok, report.violations
+
+
+GOLDEN = Path(__file__).parent / "golden" / "decompositions-d3.json"
+DATA = Path(__file__).parent.parent / "bench" / "data"
+
+
+def canonical(decomp):
+    """The decomposition in a form that does not depend on the order in which
+    the cells were built: per dimension, the cells as sorted vertices and
+    rays, sorted; the faces of a cell as positions in the sorted list one
+    dimension lower."""
+
+    def content(cell):
+        return json.dumps(
+            [sorted(point_str(p) for p in cell.vertices), sorted(list(r) for r in cell.rays)]
+        )
+
+    out = {}
+    position = {}
+    for dim in range(3):
+        cells = sorted(
+            (content(cell), [content(decomp.cells[j]) for j in decomp.incidence[i]])
+            for i, cell in enumerate(decomp.cells)
+            if cell.dim == dim
+        )
+        out[str(dim)] = [
+            dict(zip(("vertices", "rays"), json.loads(c)), faces=sorted(position[f] for f in faces))
+            for c, faces in cells
+        ]
+        position = {c: k for k, (c, _) in enumerate(cells)}
+    return out
+
+
+def golden_cases():
+    """Name -> (curves, constraints): every curve of the stored generic d = 3
+    set, rescaled with its points as the goodness check does, and the
+    overlay of its first curve with the first curve of the second generic
+    set (two curves through one point set share rays) and its first point."""
+    docs = [json.loads((DATA / name).read_text()) for name in ("d3-generic-1.json", "d3-generic-2.json")]
+    curves = [curve_from_json(c)[0] for c in docs[0]["curves"]]
+    points = [as_point(p) for p in docs[0]["points"]]
+    cases = {}
+    for i, curve in enumerate(curves):
+        s = rescale_for_goodness([curve], points)
+        cases["curve %d" % i] = ([scale_curve(curve, s)], [scale_point(p, s) for p in points])
+    other = curve_from_json(docs[1]["curves"][0])[0]
+    cases["overlay with d3-generic-2 curve 0"] = ([curves[0], other], points[:1])
+    return cases
+
+
+def test_decompositions_match_golden():
+    expected = json.loads(GOLDEN.read_text())
+    cases = golden_cases()
+    assert sorted(cases) == sorted(expected)
+    for name, (curves, constraints) in cases.items():
+        assert canonical(build_decomposition_2d(curves, constraints)) == expected[name], name
