@@ -80,6 +80,10 @@ def _load_points_file(path: str):
         raise InputError("points file needs a top-level 'points' array")
     points = _parse_points(data["points"])
     signs = data.get("signs")
+    if signs is not None and not (
+        isinstance(signs, list) and all(isinstance(x, str) for x in signs)
+    ):
+        raise InputError("'signs' must be a list of strings, got %r" % (signs,))
     return points, signs
 
 

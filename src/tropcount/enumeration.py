@@ -52,6 +52,8 @@ from .tropical import (
     as_point,
     check_balancing,
     point_str,
+    segment_param,
+    segments_overlap,
 )
 from .welschinger import crossing_count
 
@@ -828,27 +830,16 @@ def _reconstruct(system, config, mark_plan, cvals):
     lengths: Dict[int, Fraction] = {}
     for i in ctype.bounded_indices():
         e = ctype.edges[i]
-        a, b = positions[e.tail], positions[e.head]
-        disp = (b[0] - a[0], b[1] - a[1])
-        u = e.prim
-        if disp[0] * u[1] - disp[1] * u[0] != 0:
-            return None
-        t = (disp[0] * u[0] + disp[1] * u[1]) / Fraction(u[0] * u[0] + u[1] * u[1])
-        if t <= 0:
+        t = segment_param((positions[e.tail], e.prim, False), positions[e.head])
+        if t is None or t <= 0:
             return None
         lengths[i] = t
 
     # marked points strictly inside their edges
     for j, edge in mark_plan.items():
         e = ctype.edges[edge]
-        a = positions[e.tail]
-        u = e.prim
-        p = config.points[j]
-        disp = (p[0] - a[0], p[1] - a[1])
-        if disp[0] * u[1] - disp[1] * u[0] != 0:
-            return None
-        t = (disp[0] * u[0] + disp[1] * u[1]) / Fraction(u[0] * u[0] + u[1] * u[1])
-        if t <= 0:
+        t = segment_param((positions[e.tail], e.prim, False), config.points[j])
+        if t is None or t <= 0:
             return None
         if e.head is not None and t >= lengths[edge]:
             return None
@@ -906,25 +897,8 @@ def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
         raise GenericityFailure(str(exc))
     # overlapping parallel edges would break the finite-fiber clause
     for e1, e2 in itertools.combinations(curve.graph.edge_ids(), 2):
-        if _edges_overlap(curve, e1, e2):
+        if segments_overlap(curve.edge_segment(e1), curve.edge_segment(e2)):
             raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
-
-
-def _edges_overlap(curve: TropicalCurve, e1: str, e2: str) -> bool:
-    """Whether two edge images share a piece of positive length.
-
-    The shared part of two edges is convex, and when it is more than a
-    point it contains two distinct points among the origin of each edge and
-    the point at parameter 1 (the head of a bounded edge, one step along a
-    ray).
-    """
-    shared = set()
-    for eid in (e1, e2):
-        origin, vector, _ = curve.edge_segment(eid)
-        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
-            if curve.edge_param(e1, p) is not None and curve.edge_param(e2, p) is not None:
-                shared.add(p)
-    return len(shared) > 1
 
 
 def enumerate_curves(
@@ -943,23 +917,9 @@ def enumerate_curves(
         raise ValueError(
             "degree %d needs %d points, got %d" % (degree.total(), ell, len(config.points))
         )
+    # the box search needs integers; solving and acceptance use the points
     denom = lcm(*(x.denominator for p in config.points for x in p))
-    if denom > 1:
-        # solve through the scaled integral configuration, then scale back
-        scaled = PointConfiguration.explicit(
-            [tuple(x * denom for x in p) for p in config.points]
-        )
-        results = enumerate_curves(genus, degree, scaled)
-        out = []
-        for curve, marks in results:
-            positions = {
-                v: tuple(x / denom for x in p) for v, p in curve.positions.items()
-            }
-            out.append(
-                (TropicalCurve(graph=curve.graph, positions=positions, n=curve.n), marks)
-            )
-        return out
-    int_points = [(int(p[0]), int(p[1])) for p in config.points]
+    int_points = [(int(p[0] * denom), int(p[1] * denom)) for p in config.points]
     results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
     for ctype in enumerate_types(genus, degree):
         system = _TypeSystem(ctype)

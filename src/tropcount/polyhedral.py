@@ -1,12 +1,18 @@
 """Integral polyhedral decompositions of the plane.
 
-Validation of decompositions that are good for a set of matched curves,
-minimal rescaling, and a planar constructor that overlays curve images and
-constraint points.  All coordinates are exact rationals.
+A decomposition is good for a set of curves when curve vertices sit at
+0-cells, curve edges lie in the 1-skeleton, constraint points on the curves
+are 0-cells, and bounded-edge weights divide lattice lengths.  This module
+checks those clauses, finds the minimal rescaling that makes them
+satisfiable, and builds the overlay of curve images and constraint points:
+each edge image is cut at its crossings with the others and at the points
+on it, using the segment kernel of ``tropical``, and the faces are traced
+from the pieces.  All coordinates are exact rationals.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,12 +20,16 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .tropical import (
     Point,
+    Segment,
     TropicalCurve,
     Vec,
     angle_key,
     as_point,
     check_balancing,
     rational_primitive,
+    segment_crossing,
+    segment_param,
+    segments_overlap,
 )
 
 
@@ -95,14 +105,26 @@ def rescale_for_goodness(curves: Sequence[TropicalCurve], constraints: Sequence)
     return s
 
 
-def _curve_strokes(curve: TropicalCurve):
-    """Segments and rays of the curve image, as (kind, data) tuples."""
-    strokes = []
-    for i, (tail, head) in enumerate(curve.graph.bounded_edges):
-        strokes.append(("segment", curve.positions[tail], curve.positions[head]))
-    for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
-        strokes.append(("ray", curve.positions[vertex], tuple(direction)))
-    return strokes
+def _cuts(segment: Segment, points, ts=()) -> List[Fraction]:
+    """Sorted parameters on a segment of its ends (its origin for a ray), of
+    ``ts`` and of the points that lie on it."""
+    cuts = {Fraction(0), Fraction(int(segment[2]))}
+    cuts.update(ts)
+    cuts.update(t for t in (segment_param(segment, p) for p in points) if t is not None)
+    return sorted(cuts)
+
+
+def _point_at(segment: Segment, t) -> Point:
+    origin, vector, _ = segment
+    return tuple(o + t * v for o, v in zip(origin, vector))
+
+
+def _cell_segment(cell: Polyhedron) -> Segment:
+    """A 1-cell as a segment or a ray."""
+    p = cell.vertices[0]
+    if cell.rays:
+        return p, cell.rays[0], False
+    return p, tuple(b - a for a, b in zip(p, cell.vertices[1])), True
 
 
 def validate_good(
@@ -112,14 +134,19 @@ def validate_good(
 ) -> GoodnessReport:
     """Check the three goodness clauses for every curve.
 
-    (i) curve vertices at 0-cells and edges inside the 1-skeleton,
+    (i) curve vertices at 0-cells and edges inside the 1-skeleton: each edge
+    is split at the 0-cells on it that end 1-cells parallel to it, and each
+    piece must have two interior points on one of those 1-cells,
     (ii) curve/constraint intersections at 0-cells,
     (iii) bounded-edge weights divide the lattice lengths of their images.
     Violations are returned as data, never raised.
     """
     violations: List[GoodnessViolation] = []
     zero_cells = decomposition.zero_cell_points()
-    one_cells = decomposition.cells_of_dim(1)
+    one_cells = []
+    for cell in decomposition.cells_of_dim(1):
+        segment = _cell_segment(cell)
+        one_cells.append((segment, cell.vertices, rational_primitive(segment[1])))
 
     for ci, curve in enumerate(curves):
         for v in curve.graph.vertices:
@@ -127,13 +154,25 @@ def validate_good(
                 violations.append(
                     GoodnessViolation("i", "curve %d vertex %s not a 0-cell" % (ci, v))
                 )
-        for kind, a, extra in _curve_strokes(curve):
-            if not _stroke_in_skeleton(kind, a, extra, one_cells):
-                violations.append(
-                    GoodnessViolation(
-                        "i", "curve %d edge at %s not in the 1-skeleton" % (ci, a)
+        for eid in curve.graph.edge_ids():
+            segment = curve.edge_segment(eid)
+            u = curve.edge_direction(eid)
+            directions = (u, tuple(-x for x in u))
+            parallel = [(c, ends) for c, ends, w in one_cells if w in directions]
+            ts = _cuts(segment, {p for _, ends in parallel for p in ends})
+            if not segment[2]:
+                ts.append(ts[-1] + 3)  # a piece of the ray past its last cut
+            for ta, tb in zip(ts, ts[1:]):
+                inner = [_point_at(segment, ta + k * (tb - ta) / 3) for k in (1, 2)]
+                if not any(
+                    all(segment_param(c, q) is not None for q in inner) for c, _ in parallel
+                ):
+                    violations.append(
+                        GoodnessViolation(
+                            "i", "curve %d edge %s not in the 1-skeleton" % (ci, eid)
+                        )
                     )
-                )
+                    break
         for j, constraint in enumerate(constraints):
             p = as_point(constraint)
             meets = any(curve.edge_param(eid, p) is not None for eid in curve.graph.edge_ids())
@@ -158,252 +197,7 @@ def validate_good(
     return GoodnessReport(violations=tuple(violations))
 
 
-def _stroke_in_skeleton(kind, a, extra, one_cells) -> bool:
-    """Is the stroke covered by the decomposition's 1-cells?"""
-    if kind == "segment":
-        key = _line_key_through(a, extra)
-        ta, tb = _line_param(key, a), _line_param(key, extra)
-        lo, hi = min(ta, tb), max(ta, tb)
-    else:
-        direction = extra
-        b = tuple(x + d for x, d in zip(a, direction))
-        key = _line_key_through(a, b)
-        ta = _line_param(key, a)
-        forward = _line_param(key, b) > ta
-        lo, hi = (ta, None) if forward else (None, ta)
-    intervals = []
-    for cell in one_cells:
-        cl, ch = _one_cell_interval_on_line(cell, key)
-        if cl is False:
-            continue
-        intervals.append((cl, ch))
-    return _interval_covered(lo, hi, intervals)
-
-
-def _one_cell_interval_on_line(cell: Polyhedron, key):
-    """Interval of a 1-cell on the line with this key, or (False, False)."""
-    pts = list(cell.vertices)
-    if not pts:
-        return False, False
-    for p in pts:
-        if not _on_line(key, p):
-            return False, False
-    params = [_line_param(key, p) for p in pts]
-    if cell.rays:
-        if len(cell.rays) == 1 and len(pts) == 1:
-            d = cell.rays[0]
-            q = tuple(x + dd for x, dd in zip(pts[0], d))
-            if not _on_line(key, q):
-                return False, False
-            if _line_param(key, q) > params[0]:
-                return params[0], None
-            return None, params[0]
-        return False, False
-    return min(params), max(params)
-
-
-def _interval_covered(lo, hi, intervals) -> bool:
-    """Is [lo, hi] (None = unbounded side) covered by the union of the
-    closed intervals?"""
-    if not intervals:
-        return False
-    if lo is None:
-        reach = None
-        for cl, ch in intervals:
-            if cl is None:
-                if ch is None:
-                    return True
-                if reach is None or ch > reach:
-                    reach = ch
-        if reach is None:
-            return False
-        cursor = reach
-    else:
-        cursor = lo
-    while True:
-        if hi is not None and cursor >= hi:
-            return True
-        reach = None
-        unbounded = False
-        for cl, ch in intervals:
-            if cl is None or cl <= cursor:
-                if ch is None:
-                    unbounded = True
-                    break
-                if reach is None or ch > reach:
-                    reach = ch
-        if unbounded:
-            return True
-        if reach is None or reach <= cursor:
-            return False
-        cursor = reach
-
-
-def _line_key_through(p: Point, q: Point):
-    """Normalized (a, b, c) with a*x + b*y == c through two points."""
-    dx, dy = q[0] - p[0], q[1] - p[1]
-    if dx == 0 and dy == 0:
-        raise ValueError("coincident points do not define a line")
-    # normal (a, b) = rot90 of direction, cleared to primitive integers
-    denom = lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * denom), int(dy * denom)
-    a, b = -iy, ix
-    g = gcd(abs(a), abs(b))
-    a, b = a // g, b // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    c = a * p[0] + b * p[1]
-    return (a, b, c)
-
-
-def _on_line(key, p: Point) -> bool:
-    a, b, c = key
-    return a * p[0] + b * p[1] == c
-
-
-def _line_param(key, p: Point) -> Fraction:
-    a, b, _ = key
-    d = (b, -a)
-    return d[0] * p[0] + d[1] * p[1]
-
-
-def _line_point_at(key, t: Fraction) -> Point:
-    a, b, c = key
-    if b != 0:
-        p0 = (Fraction(0), Fraction(c, 1) / b)
-    else:
-        p0 = (Fraction(c, 1) / a, Fraction(0))
-    d = (Fraction(b), Fraction(-a))
-    t0 = d[0] * p0[0] + d[1] * p0[1]
-    norm = d[0] * d[0] + d[1] * d[1]
-    f = (t - t0) / norm
-    return (p0[0] + f * d[0], p0[1] + f * d[1])
-
-
 _INF = "INF"
-
-
-class _Arrangement:
-    """Planar arrangement of segments and rays with exact coordinates."""
-
-    def __init__(self):
-        # line key -> {"intervals": [(lo, hi, src)], "cuts": set of t}
-        self.lines: Dict[tuple, dict] = {}
-
-    def add_stroke(self, kind, a, extra, src):
-        if kind == "segment":
-            key = _line_key_through(a, extra)
-            ta, tb = _line_param(key, a), _line_param(key, extra)
-            lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-        else:
-            b = tuple(x + d for x, d in zip(a, extra))
-            key = _line_key_through(a, b)
-            ta = _line_param(key, a)
-            lo, hi = (ta, None) if _line_param(key, b) > ta else (None, ta)
-        entry = self.lines.setdefault(key, {"intervals": [], "cuts": set()})
-        entry["intervals"].append((lo, hi, src))
-        if lo is not None:
-            entry["cuts"].add(lo)
-        if hi is not None:
-            entry["cuts"].add(hi)
-
-    def add_cut_point(self, p: Point):
-        for key, entry in self.lines.items():
-            if _on_line(key, p):
-                t = _line_param(key, p)
-                if _t_occupied(entry["intervals"], t):
-                    entry["cuts"].add(t)
-
-    def check_overlaps(self):
-        """Reject positive-length overlaps between curve strokes."""
-        for key, entry in self.lines.items():
-            ivs = entry["intervals"]
-            for i in range(len(ivs)):
-                for j in range(i + 1, len(ivs)):
-                    lo1, hi1, s1 = ivs[i]
-                    lo2, hi2, s2 = ivs[j]
-                    lo = max((x for x in (lo1, lo2) if x is not None), default=None)
-                    hi = min((x for x in (hi1, hi2) if x is not None), default=None)
-                    if lo is None or hi is None or lo < hi:
-                        raise NonGenericInput(
-                            "strokes from inputs %s and %s overlap on line %s" % (s1, s2, key)
-                        )
-
-    def compute_crossings(self):
-        keys = list(self.lines)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                k1, k2 = keys[i], keys[j]
-                a1, b1, c1 = k1
-                a2, b2, c2 = k2
-                det = a1 * b2 - a2 * b1
-                if det == 0:
-                    continue
-                x = Fraction(c1 * b2 - c2 * b1, 1) / det
-                y = Fraction(a1 * c2 - a2 * c1, 1) / det
-                p = (x, y)
-                t1, t2 = _line_param(k1, p), _line_param(k2, p)
-                if _t_occupied(self.lines[k1]["intervals"], t1) and _t_occupied(
-                    self.lines[k2]["intervals"], t2
-                ):
-                    self.lines[k1]["cuts"].add(t1)
-                    self.lines[k2]["cuts"].add(t2)
-
-    def atomic_cells(self):
-        """Vertices, finite segments, and rays after cutting."""
-        vertices = set()
-        segments = []
-        rays = []
-        for key, entry in self.lines.items():
-            merged = _merge_intervals(entry["intervals"])
-            for lo, hi in merged:
-                cuts = sorted(t for t in entry["cuts"] if _t_in(lo, hi, t))
-                if not cuts:
-                    raise AssertionError("occupied interval with no anchor point")
-                pts = [_line_point_at(key, t) for t in cuts]
-                for p in pts:
-                    vertices.add(p)
-                d = rational_primitive((Fraction(key[1]), Fraction(-key[0])))
-                if lo is None:
-                    rays.append((pts[0], tuple(-x for x in d)))
-                elif cuts[0] != lo:
-                    raise AssertionError("interval endpoint missing from cuts")
-                for pa, pb in zip(pts, pts[1:]):
-                    segments.append((pa, pb))
-                if hi is None:
-                    rays.append((pts[-1], d))
-                elif cuts[-1] != hi:
-                    raise AssertionError("interval endpoint missing from cuts")
-        return vertices, segments, rays
-
-
-def _t_occupied(intervals, t) -> bool:
-    for lo, hi, _ in intervals:
-        if (lo is None or lo <= t) and (hi is None or t <= hi):
-            return True
-    return False
-
-
-def _t_in(lo, hi, t) -> bool:
-    return (lo is None or lo <= t) and (hi is None or t <= hi)
-
-
-def _merge_intervals(intervals):
-    ivs = sorted(
-        ((lo, hi) for lo, hi, _ in intervals),
-        key=lambda iv: (iv[0] is not None, iv[0] if iv[0] is not None else 0),
-    )
-    merged = []
-    for lo, hi in ivs:
-        if merged:
-            plo, phi = merged[-1]
-            touches = (lo is None) or (phi is None) or (lo <= phi)
-            if touches:
-                if phi is not None and (hi is None or hi > phi):
-                    merged[-1] = (plo, hi)
-                continue
-        merged.append((lo, hi))
-    return merged
 
 
 @dataclass
@@ -510,7 +304,9 @@ def build_decomposition_2d(
     """Overlay of all curve images and constraint points as a polyhedral
     decomposition of Q^2.
 
-    Every curve must be balanced.  A balanced plane curve is the corner
+    Each edge image is cut at its crossings with the other edge images and
+    at the constraint points on it; two edge images that share a piece of
+    positive length raise NonGenericInput.  Every curve must be balanced.  A balanced plane curve is the corner
     locus of a tropical polynomial, so each region of its complement is
     convex, and so is each region of an overlay of such curves: the overlay
     needs no completion to have convex cells.
@@ -529,15 +325,31 @@ def build_decomposition_2d(
         )
         return PolyhedralDecomposition(cells=(plane,), incidence={0: ()})
 
-    arr = _Arrangement()
-    for ci, curve in enumerate(curves):
-        for kind, a, extra in _curve_strokes(curve):
-            arr.add_stroke(kind, a, extra, "curve%d" % ci)
-    arr.check_overlaps()
-    arr.compute_crossings()
-    for point in constraints:
-        arr.add_cut_point(as_point(point))
-    vertices, segments, rays = arr.atomic_cells()
+    strokes = [
+        (ci, eid, curve.edge_segment(eid))
+        for ci, curve in enumerate(curves)
+        for eid in curve.graph.edge_ids()
+    ]
+    crossings = [[] for _ in strokes]
+    for (i, (c1, e1, s1)), (j, (c2, e2, s2)) in itertools.combinations(enumerate(strokes), 2):
+        if segments_overlap(s1, s2):
+            raise NonGenericInput(
+                "edge %s of curve %d and edge %s of curve %d overlap" % (e1, c1, e2, c2)
+            )
+        crossing = segment_crossing(s1, s2)
+        if crossing is not None:
+            crossings[i].append(crossing[0])
+            crossings[j].append(crossing[1])
+    points = [as_point(p) for p in constraints]
+    vertices = set()
+    segments = []
+    rays = []
+    for (_, _, stroke), ts in zip(strokes, crossings):
+        pts = [_point_at(stroke, t) for t in _cuts(stroke, points, ts)]
+        vertices.update(pts)
+        segments.extend(zip(pts, pts[1:]))
+        if not stroke[2]:
+            rays.append((pts[-1], tuple(stroke[1])))
     faces = _extract_faces(vertices, segments, rays)
     return _assemble_decomposition(vertices, segments, rays, faces)
 

@@ -19,6 +19,9 @@ from .exact_lattice import primitive_vector, vector_gcd
 Vec = Tuple[int, ...]
 Point = Tuple[Fraction, ...]
 EdgeId = str  # "b<i>" for bounded edges, "u<i>" for unbounded ones
+# (origin, vector, bounded): the points origin + t * vector, t in [0, 1] when
+# bounded and t >= 0 otherwise
+Segment = Tuple[Point, Sequence, bool]
 
 
 class DegenerateEdge(ValueError):
@@ -153,27 +156,42 @@ class TropicalCurve:
         pt, ph = self.positions[tail], self.positions[head]
         return tuple(a - b for a, b in zip(ph, pt))
 
+    @functools.cached_property
+    def _bounded_geometry(self) -> Dict[EdgeId, Optional[Tuple[Vec, Fraction]]]:
+        """Bounded edge id -> (primitive direction from tail to head, lattice
+        length), or None when the edge's endpoints coincide."""
+        table = {}
+        for i, eid in enumerate(self.graph.bounded_ids()):
+            disp = self.bounded_vector(i)
+            if all(x == 0 for x in disp):
+                table[eid] = None
+                continue
+            u = rational_primitive(disp)
+            table[eid] = u, next(Fraction(a) / b for a, b in zip(disp, u) if b != 0)
+        return table
+
+    def _geometry(self, eid: EdgeId) -> Tuple[Vec, Fraction]:
+        geometry = self._bounded_geometry[eid]
+        if geometry is None:
+            raise DegenerateEdge("bounded edge %s has equal endpoints" % eid)
+        return geometry
+
     def edge_direction(self, eid: EdgeId, at_vertex: Optional[str] = None) -> Vec:
         """Primitive direction of an edge, outgoing from ``at_vertex``.
 
-        For a bounded edge the direction is recomputed from the endpoint
-        positions; a zero displacement raises DegenerateEdge.
+        A bounded edge whose endpoints coincide raises DegenerateEdge.
         """
         tail, head, direction = self.graph.edge(eid)
         if head is None:
             return tuple(direction)
-        pt, ph = self.positions[tail], self.positions[head]
-        disp = tuple(a - b for a, b in zip(ph, pt))
-        if all(x == 0 for x in disp):
-            raise DegenerateEdge("bounded edge %s has equal endpoints" % eid)
-        scaled = rational_primitive(disp)
+        u = self._geometry(eid)[0]
         if at_vertex is None or at_vertex == tail:
-            return scaled
+            return u
         if at_vertex == head:
-            return tuple(-x for x in scaled)
+            return tuple(-x for x in u)
         raise ValueError("vertex %s is not an endpoint of %s" % (at_vertex, eid))
 
-    def edge_segment(self, eid: EdgeId) -> Tuple[Point, Sequence, bool]:
+    def edge_segment(self, eid: EdgeId) -> Segment:
         """(origin, vector, bounded): the edge image is origin + t * vector,
         with t in [0, 1] for a bounded edge and t >= 0 for a ray."""
         tail, head, direction = self.graph.edge(eid)
@@ -183,35 +201,67 @@ class TropicalCurve:
         return origin, tuple(b - a for a, b in zip(origin, self.positions[head])), True
 
     def edge_param(self, eid: EdgeId, point: Sequence) -> Optional[Fraction]:
-        """Parameter t of a point on the edge image (see ``edge_segment``),
-        or None when the point is off the closed edge in any coordinate."""
-        origin, vector, bounded = self.edge_segment(eid)
-        for o, v, p in zip(origin, vector, point):
-            if v != 0:
-                t = Fraction(p - o) / v
-                break
-        else:
-            raise DegenerateEdge("edge %s has equal endpoints" % eid)
-        if t < 0 or (bounded and t > 1):
-            return None
-        if any(o + t * v != p for o, v, p in zip(origin, vector, point)):
-            return None
-        return t
+        """``segment_param`` on the edge's image."""
+        return segment_param(self.edge_segment(eid), point)
 
     def lattice_length(self, i: int) -> Fraction:
         """Integral affine length of bounded edge i: the factor k with
         head - tail == k * primitive_direction."""
-        disp = self.bounded_vector(i)
-        if all(x == 0 for x in disp):
-            raise DegenerateEdge("bounded edge b%d has equal endpoints" % i)
-        u = rational_primitive(disp)
-        for a, b in zip(disp, u):
-            if b != 0:
-                return Fraction(a) / b
-        raise AssertionError("unreachable")
+        return self._geometry("b%d" % i)[1]
 
     def weight(self, eid: EdgeId) -> int:
         return self.graph.weights[eid]
+
+
+def segment_param(segment: Segment, point: Sequence) -> Optional[Fraction]:
+    """Parameter t of a point on a segment (see ``TropicalCurve.edge_segment``),
+    or None when the point is off the closed segment in any coordinate."""
+    origin, vector, bounded = segment
+    for o, v, p in zip(origin, vector, point):
+        if v != 0:
+            t = Fraction(p - o) / v
+            break
+    else:
+        raise DegenerateEdge("segment from %s has a zero vector" % point_str(origin))
+    if t < 0 or (bounded and t > 1):
+        return None
+    if any(o + t * v != p for o, v, p in zip(origin, vector, point)):
+        return None
+    return t
+
+
+def segment_crossing(s1: Segment, s2: Segment) -> Optional[Tuple[Fraction, Fraction]]:
+    """Parameters (t1, t2) of the point where two non-parallel plane segments
+    meet, ends included; None for parallel segments or when they miss."""
+    (a1, v1, bounded1), (a2, v2, bounded2) = s1, s2
+    det = v1[0] * v2[1] - v1[1] * v2[0]
+    if det == 0:
+        return None
+    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+    t1 = Fraction(rx * v2[1] - ry * v2[0]) / det
+    t2 = Fraction(rx * v1[1] - ry * v1[0]) / det
+    if t1 < 0 or (bounded1 and t1 > 1) or t2 < 0 or (bounded2 and t2 > 1):
+        return None
+    return t1, t2
+
+
+def segments_overlap(s1: Segment, s2: Segment) -> bool:
+    """Whether two segments share a piece of positive length.
+
+    Non-parallel plane segments share at most a point.  Otherwise the shared
+    part is convex, and when it is more than a point it contains two
+    distinct points among the origin of each segment and its point at
+    parameter 1.
+    """
+    v1, v2 = s1[1], s2[1]
+    if len(v1) == 2 and v1[0] * v2[1] != v1[1] * v2[0]:
+        return False
+    shared = set()
+    for origin, vector, _ in (s1, s2):
+        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
+            if segment_param(s1, p) is not None and segment_param(s2, p) is not None:
+                shared.add(p)
+    return len(shared) > 1
 
 
 def rational_primitive(disp: Sequence[Fraction]) -> Vec:
@@ -344,19 +394,15 @@ def plane_crossings(
         tail, head, _ = curve.graph.edge(eid)
         ends = {tail} if head is None else {tail, head}
         edges.append((eid, ends, curve.edge_segment(eid)))
-    for i, (e1, ends1, (a1, v1, bounded1)) in enumerate(edges):
-        for e2, ends2, (a2, v2, bounded2) in edges[i + 1 :]:
+    for i, (e1, ends1, s1) in enumerate(edges):
+        for e2, ends2, s2 in edges[i + 1 :]:
             if ends1 & ends2:
                 continue
-            det = v1[0] * v2[1] - v1[1] * v2[0]
-            if det == 0:
+            crossing = segment_crossing(s1, s2)
+            if crossing is None:
                 continue
-            rx, ry = a2[0] - a1[0], a2[1] - a1[1]
-            t1 = Fraction(rx * v2[1] - ry * v2[0]) / det
-            t2 = Fraction(rx * v1[1] - ry * v1[0]) / det
-            if t1 < 0 or (bounded1 and t1 > 1) or t2 < 0 or (bounded2 and t2 > 1):
-                continue
-            if t1 == 0 or t2 == 0 or (bounded1 and t1 == 1) or (bounded2 and t2 == 1):
+            t1, t2 = crossing
+            if 0 in crossing or (s1[2] and t1 == 1) or (s2[2] and t2 == 1):
                 raise NonGenericCrossing("edge %s meets a vertex of edge %s" % (e2, e1))
             yield e1, e2, t1, t2
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -80,8 +81,10 @@ def test_welschinger_degree_one(capsys):
         json.dumps({"points": [[-3, 0, 9], [0, -5, 4]]}),
         json.dumps({"points": [1, 2]}),
         json.dumps({"points": None}),
+        json.dumps({"points": [["-3", "0"], ["0", "-5"]], "signs": 5}),
+        json.dumps({"points": [["-3", "0"], ["0", "-5"]], "signs": [1, 2]}),
     ],
-    ids=["not-json", "three-coordinates", "bare-numbers", "null"],
+    ids=["not-json", "three-coordinates", "bare-numbers", "null", "signs-number", "signs-ints"],
 )
 def test_malformed_points_file(tmp_path, capsys, text):
     bad = tmp_path / "pts.json"
@@ -177,18 +180,21 @@ def test_genericity_failure_exit_code(monkeypatch, capsys):
     assert "Mikhalkin seed 7" in err
 
 
-def test_genericity_failure_names_the_point(tmp_path, monkeypatch, capsys, d3_types):
+@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["integer", "halved"])
+def test_genericity_failure_names_the_point(tmp_path, monkeypatch, capsys, d3_types, scale):
     from tropcount import enumeration
 
     monkeypatch.setattr(enumeration, "enumerate_types", lambda genus, degree: d3_types)
-    # integer points in [-30, 30]^2: point 3 lies on two ends of one curve
+    # integer points in [-30, 30]^2: point 3 lies on two ends of one curve;
+    # halved, the message must still name the point as given
     points = [(7, 27), (28, -17), (2, -22), (-12, -22), (18, -24), (9, 21), (-14, 28), (4, 15)]
+    points = [(x * scale, y * scale) for x, y in points]
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"points": [[str(x), str(y)] for x, y in points]}))
     code, out, err = run_cli(["enumerate", "--degree", "3", "--points", str(path)], capsys)
     assert code == 3
     assert out == ""
-    assert "point 3 (-12, -22) meets edges" in err
+    assert "point 3 (%s, %s) meets edges" % points[3] in err
     assert err.count("reseed") == 1
     assert "Mikhalkin" not in err
 

@@ -10,15 +10,11 @@ from tropcount.enumeration import (
     enumerate_curves,
     enumerate_types,
     solve_positions,
-    _edges_overlap,
     _trees,
 )
 from tropcount.incidence import match_marked_edges
 from tropcount.tropical import (
     Degree,
-    TropicalCurve,
-    TropicalGraph,
-    as_point,
     check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
@@ -154,22 +150,3 @@ def test_enumerate_curves_rational_points():
     assert check_balancing(curve) == []
     assert curve.positions["v0"] == (Fraction(0), Fraction(0))
     assert match_marked_edges(curve, config.constraints()) == marks
-
-
-def test_edges_overlap():
-    # b0 runs from (0,0) to (2,0); u0, u1 leave (0,0) left and right, u2
-    # leaves (2,0) to the left and u3 upwards (balancing is not needed here)
-    graph = TropicalGraph(
-        vertices=("v0", "v1"),
-        bounded_edges=(("v0", "v1"),),
-        unbounded_edges=(("v0", (-1, 0)), ("v0", (1, 0)), ("v1", (-1, 0)), ("v1", (0, 1))),
-        weights={"b0": 1, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
-    )
-    curve = TropicalCurve(
-        graph=graph, positions={"v0": as_point((0, 0)), "v1": as_point((2, 0))}, n=2
-    )
-    overlapping = {("b0", "u1"), ("b0", "u2"), ("u0", "u2"), ("u1", "u2")}
-    eids = graph.edge_ids()
-    for i, e1 in enumerate(eids):
-        for e2 in eids[i + 1 :]:
-            assert _edges_overlap(curve, e1, e2) == ((e1, e2) in overlapping), (e1, e2)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,8 @@ from tropcount.tropical import (
     curve_welschinger_mult,
     degree_of,
     dual_triangle,
+    segment_crossing,
+    segments_overlap,
     vertex_multiplicities,
 )
 
@@ -94,6 +97,33 @@ def test_degenerate_edge_raises():
     )
     with pytest.raises(DegenerateEdge):
         check_balancing(c)
+
+
+def test_degenerate_edge_raises_only_for_that_edge():
+    graph = TropicalGraph(
+        vertices=("v0", "v1", "v2"),
+        bounded_edges=(("v0", "v1"), ("v1", "v2")),
+        unbounded_edges=(
+            ("v0", (-1, 0)),
+            ("v0", (0, -1)),
+            ("v1", (0, 1)),
+            ("v2", (1, 1)),
+            ("v2", (0, -1)),
+        ),
+        weights={"b0": 1, "b1": 1, "u0": 1, "u1": 1, "u2": 1, "u3": 1, "u4": 1},
+    )
+    c = TropicalCurve(
+        graph=graph,
+        positions={"v0": as_point((0, 0)), "v1": as_point((0, 0)), "v2": as_point((4, 2))},
+        n=2,
+    )
+    assert c.edge_direction("b1") == (2, 1)
+    assert c.edge_direction("b1", at_vertex="v2") == (-2, -1)
+    assert c.lattice_length(1) == 2
+    with pytest.raises(DegenerateEdge, match="b0"):
+        c.edge_direction("b0")
+    with pytest.raises(DegenerateEdge, match="b0"):
+        c.lattice_length(0)
 
 
 def test_degree_of_line():
@@ -287,3 +317,51 @@ def test_mult_r_vs_mult_m_sign_rule():
     # all weight-1 legs: strict equality
     line = star([((-1, 0), 1), ((0, -1), 1), ((1, 1), 1)])
     assert curve_welschinger_mult(line) == curve_mikhalkin_mults(line)[1]
+
+
+def test_segments_overlap():
+    # b0 runs from (0,0) to (2,0); u0, u1 leave (0,0) left and right, u2
+    # leaves (2,0) to the left and u3 upwards (balancing is not needed here)
+    graph = TropicalGraph(
+        vertices=("v0", "v1"),
+        bounded_edges=(("v0", "v1"),),
+        unbounded_edges=(("v0", (-1, 0)), ("v0", (1, 0)), ("v1", (-1, 0)), ("v1", (0, 1))),
+        weights={"b0": 1, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
+    )
+    curve = TropicalCurve(
+        graph=graph, positions={"v0": as_point((0, 0)), "v1": as_point((2, 0))}, n=2
+    )
+    overlapping = {("b0", "u1"), ("b0", "u2"), ("u0", "u2"), ("u1", "u2")}
+    eids = graph.edge_ids()
+    for i, e1 in enumerate(eids):
+        for e2 in eids[i + 1 :]:
+            overlap = segments_overlap(curve.edge_segment(e1), curve.edge_segment(e2))
+            assert overlap == ((e1, e2) in overlapping), (e1, e2)
+
+
+def segment(origin, vector, bounded=True):
+    return as_point(origin), vector, bounded
+
+
+@pytest.mark.parametrize(
+    "s1,s2,expected",
+    [
+        # parallel, on one line or not
+        (segment((0, 0), (2, 0)), segment((1, 0), (3, 0)), None),
+        (segment((0, 0), (2, 0)), segment((0, 1), (1, 0), False), None),
+        # an interior crossing
+        (segment((0, 0), (2, 2)), segment((0, 2), (2, -2)), (Fraction(1, 2), Fraction(1, 2))),
+        # meetings at an end of one segment or the other
+        (segment((0, 0), (2, 0)), segment((1, 0), (0, 1), False), (Fraction(1, 2), 0)),
+        (segment((0, 0), (2, 0)), segment((2, -1), (0, 2)), (1, Fraction(1, 2))),
+        # misses beyond the range of one segment: past the end, before the
+        # origin of a ray, and past a bounded segment's t = 1
+        (segment((0, 0), (2, 0)), segment((3, -1), (0, 2)), None),
+        (segment((0, 0), (2, 0)), segment((1, 1), (0, 1), False), None),
+        (segment((0, 0), (1, 0), False), segment((-1, -1), (0, 2)), None),
+    ],
+)
+def test_segment_crossing(s1, s2, expected):
+    assert segment_crossing(s1, s2) == expected
+    flipped = None if expected is None else expected[::-1]
+    assert segment_crossing(s2, s1) == flipped
