@@ -87,25 +87,24 @@ def _load_points_file(path: str):
     return points, signs
 
 
-def _config_from_args(args, ell: int) -> PointConfiguration:
+def _config_from_args(args, ell: int) -> Tuple[PointConfiguration, Optional[list]]:
+    """The point configuration, and its points file's signs or None."""
     if args.points is not None:
-        points, _ = _load_points_file(args.points)
+        points, signs = _load_points_file(args.points)
         if len(points) != ell:
             raise InputError("degree %d needs %d points, got %d" % (args.degree, ell, len(points)))
-        return PointConfiguration.explicit(points)
-    return PointConfiguration.mikhalkin(ell, _mikhalkin_seed(args))
+        return PointConfiguration.explicit(points), signs
+    return PointConfiguration.mikhalkin(ell, _mikhalkin_seed(args)), None
 
 
 def _mikhalkin_seed(args) -> int:
     return 7 if args.mikhalkin_seed is None else args.mikhalkin_seed
 
 
-def _signs_from_args(args, ell: int) -> RealPointConfig:
+def _signs_from_args(args, ell: int, file_signs: Optional[list]) -> RealPointConfig:
     raw = args.signs
-    if raw is None and args.points is not None:
-        _, signs = _load_points_file(args.points)
-        if signs is not None:
-            raw = ",".join(signs)
+    if raw is None and file_signs is not None:
+        raw = ",".join(file_signs)
     if raw is None:
         raise InputError("--real needs --signs (or a points file with signs)")
     if raw == "all-positive":
@@ -164,6 +163,9 @@ def curve_to_json(curve: TropicalCurve, marks: Sequence[str]) -> Dict:
 
 
 def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
+    vertices = data.get("vertices") if isinstance(data, dict) else None
+    if not isinstance(vertices, dict) or not vertices:
+        raise InputError("malformed curve record: needs a nonempty 'vertices' object")
     try:
         weights = {}
         bounded = []
@@ -176,14 +178,14 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
             weights[e["id"]] = int(e["weight"])
         marks = tuple(data.get("marks", ()))
         graph = TropicalGraph(
-            vertices=tuple(sorted(data["vertices"])),
+            vertices=tuple(sorted(vertices)),
             bounded_edges=tuple(bounded),
             unbounded_edges=tuple(unbounded),
             weights=weights,
             marked=marks,
         )
         positions = {
-            v: tuple(_parse_rat(c) for c in p) for v, p in data["vertices"].items()
+            v: tuple(_parse_rat(c) for c in p) for v, p in vertices.items()
         }
         curve = TropicalCurve(graph=graph, positions=positions, n=2)
     except (KeyError, TypeError, ValueError) as exc:
@@ -194,9 +196,9 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
 def _enumerate_from_args(args):
     degree = Degree.projective(args.degree)
     ell = degree.total() - 1
-    config = _config_from_args(args, ell)
+    config, file_signs = _config_from_args(args, ell)
     curves = enumerate_curves(0, degree, config)
-    return degree, config, curves
+    return degree, config, curves, file_signs
 
 
 def _curve_set_json(args, degree, config, curves) -> Dict:
@@ -223,20 +225,20 @@ def _write_output(text: str, path: Optional[str]):
 
 
 def cmd_enumerate(args) -> int:
-    degree, config, curves = _enumerate_from_args(args)
+    degree, config, curves, _ = _enumerate_from_args(args)
     payload = _curve_set_json(args, degree, config, curves)
     _write_output(json.dumps(payload, indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    degree, config, curves = _enumerate_from_args(args)
+    degree, config, curves, file_signs = _enumerate_from_args(args)
     constraints = config.constraints()
     want_complex = args.complex or not args.real
     complex_report = count_complex(curves, constraints) if want_complex else None
     real_report = None
     if args.real:
-        signs = _signs_from_args(args, len(config.points))
+        signs = _signs_from_args(args, len(config.points), file_signs)
         sign_t = _sign_t_from_args(args)
         real_report = count_real(curves, constraints, signs, sign_t)
     welsch = {
@@ -293,7 +295,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_welschinger(args) -> int:
-    degree, config, curves = _enumerate_from_args(args)
+    curves = _enumerate_from_args(args)[2]
     sign_t = _sign_t_from_args(args)
     total = welschinger_total([c for c, _ in curves])
     rows = census_report([c for c, _ in curves], sign_t)
@@ -323,7 +325,10 @@ def cmd_render(args) -> int:
         raise InputError("input is not a %s document" % SCHEMA)
     if data.get("kind") != "curve-set":
         raise InputError("render expects a curve-set document")
-    curves = [curve_from_json(c)[0] for c in data.get("curves", [])]
+    records = data.get("curves", [])
+    if not isinstance(records, list):
+        raise InputError("'curves' must be a list of curve records, got %r" % (records,))
+    curves = [curve_from_json(c)[0] for c in records]
     points = _parse_points(data.get("points", []))
     from .svg import render_curves
 

@@ -51,11 +51,11 @@ from .tropical import (
     Vec,
     as_point,
     check_balancing,
+    plane_crossings,
     point_str,
     segment_param,
     segments_overlap,
 )
-from .welschinger import crossing_count
 
 __all__ = [
     "CombinatorialType",
@@ -878,7 +878,7 @@ def _reconstruct(system, config, mark_plan, cvals):
     return curve, marks
 
 
-def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
+def _genericity_checks(curve: TropicalCurve):
     vertex_at: Dict[Point, str] = {}
     for v, p in curve.positions.items():
         if p in vertex_at:
@@ -886,13 +886,9 @@ def _genericity_checks(curve: TropicalCurve, config: PointConfiguration):
                 "vertices %s and %s share the position %s" % (vertex_at[p], v, point_str(p))
             )
         vertex_at[p] = v
-    for j, p in enumerate(config.points):
-        if p in vertex_at:
-            raise GenericityFailure(
-                "point %d %s is vertex %s" % (j, point_str(p), vertex_at[p])
-            )
     try:
-        crossing_count(curve)
+        for _ in plane_crossings(curve):
+            pass
     except NonGenericCrossing as exc:
         raise GenericityFailure(str(exc))
     # overlapping parallel edges would break the finite-fiber clause
@@ -954,7 +950,7 @@ def enumerate_curves(
                     "point %d %s is marked on edge %s but meets edge %s"
                     % (j, point_str(config.points[j]), mark, edge)
                 )
-        _genericity_checks(curve, config)
+        _genericity_checks(curve)
         signature = (
             tuple(sorted(curve.positions.values())),
             tuple(

@@ -1,13 +1,15 @@
-"""Integral polyhedral decompositions of the plane.
+"""Integral polyhedral decompositions of the plane, good for one curve.
 
-A decomposition is good for a set of curves when curve vertices sit at
-0-cells, curve edges lie in the 1-skeleton, constraint points on the curves
-are 0-cells, and bounded-edge weights divide lattice lengths.  This module
-checks those clauses, finds the minimal rescaling that makes them
-satisfiable, and builds the overlay of curve images and constraint points:
-each edge image is cut at its crossings with the others and at the points
-on it, using the segment kernel of ``tropical``, and the faces are traced
-from the pieces.  All coordinates are exact rationals.
+A decomposition is good for a curve when its vertices sit at 0-cells, its
+edges lie in the 1-skeleton, the constraint points on it are 0-cells, and
+its bounded-edge weights divide their lattice lengths.  This module checks
+those clauses, finds the minimal rescaling that makes them satisfiable (the
+curve's ``goodness_scale`` with the constraint denominators), and builds
+the decomposition cut out by the curve and the constraint points: each edge
+image is cut at its crossings with the others and at the points on it,
+using the segment kernel of ``tropical``, and the faces are traced from the
+pieces.  All coordinates are exact rationals.  Only the embedded acceptance
+suite uses it; the counts read the scale off the curve.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .tropical import (
@@ -34,7 +36,8 @@ from .tropical import (
 
 
 class NonGenericInput(ValueError):
-    """Two curves share a one-dimensional locus; the overlay is ill-posed."""
+    """Two edges of the curve share a one-dimensional locus; the
+    decomposition is ill-posed."""
 
 
 @dataclass(frozen=True)
@@ -89,20 +92,14 @@ def scale_point(point: Sequence, s: int) -> Point:
     return tuple(Fraction(s) * Fraction(x) for x in point)
 
 
-def rescale_for_goodness(curves: Sequence[TropicalCurve], constraints: Sequence) -> int:
-    """Minimal positive integer s such that, after scaling by s, all vertex
-    positions and constraint points are integral and every bounded edge
-    image has lattice length divisible by its weight."""
-    s = lcm(*(Fraction(x).denominator for point in constraints for x in point))
-    for curve in curves:
-        s = lcm(s, *(Fraction(x).denominator for p in curve.positions.values() for x in p))
-        for i, eid in enumerate(curve.graph.bounded_ids()):
-            w = curve.weight(eid)
-            length = curve.lattice_length(i)
-            # need s * length in w * Z
-            num, den = length.numerator, length.denominator
-            s = lcm(s, w * den // gcd(abs(num), w * den))
-    return s
+def rescale_for_goodness(curve: TropicalCurve, constraints: Sequence) -> int:
+    """Minimal positive integer s such that, after scaling by s, the curve's
+    vertex positions and the constraint points are integral and every
+    bounded edge image has lattice length divisible by its weight."""
+    return lcm(
+        curve.goodness_scale,
+        *(Fraction(x).denominator for point in constraints for x in point),
+    )
 
 
 def _cuts(segment: Segment, points, ts=()) -> List[Fraction]:
@@ -129,10 +126,10 @@ def _cell_segment(cell: Polyhedron) -> Segment:
 
 def validate_good(
     decomposition: PolyhedralDecomposition,
-    curves: Sequence[TropicalCurve],
+    curve: TropicalCurve,
     constraints: Sequence,
 ) -> GoodnessReport:
-    """Check the three goodness clauses for every curve.
+    """Check the three goodness clauses for a curve.
 
     (i) curve vertices at 0-cells and edges inside the 1-skeleton: each edge
     is split at the 0-cells on it that end 1-cells parallel to it, and each
@@ -148,52 +145,40 @@ def validate_good(
         segment = _cell_segment(cell)
         one_cells.append((segment, cell.vertices, rational_primitive(segment[1])))
 
-    for ci, curve in enumerate(curves):
-        for v in curve.graph.vertices:
-            if curve.positions[v] not in zero_cells:
-                violations.append(
-                    GoodnessViolation("i", "curve %d vertex %s not a 0-cell" % (ci, v))
+    for v in curve.graph.vertices:
+        if curve.positions[v] not in zero_cells:
+            violations.append(GoodnessViolation("i", "vertex %s not a 0-cell" % v))
+    for eid in curve.graph.edge_ids():
+        segment = curve.edge_segment(eid)
+        u = curve.edge_direction(eid)
+        directions = (u, tuple(-x for x in u))
+        parallel = [(c, ends) for c, ends, w in one_cells if w in directions]
+        ts = _cuts(segment, {p for _, ends in parallel for p in ends})
+        if not segment[2]:
+            ts.append(ts[-1] + 3)  # a piece of the ray past its last cut
+        for ta, tb in zip(ts, ts[1:]):
+            inner = [_point_at(segment, ta + k * (tb - ta) / 3) for k in (1, 2)]
+            if not any(
+                all(segment_param(c, q) is not None for q in inner) for c, _ in parallel
+            ):
+                violations.append(GoodnessViolation("i", "edge %s not in the 1-skeleton" % eid))
+                break
+    for j, constraint in enumerate(constraints):
+        p = as_point(constraint)
+        meets = any(curve.edge_param(eid, p) is not None for eid in curve.graph.edge_ids())
+        if meets and p not in zero_cells:
+            violations.append(
+                GoodnessViolation("ii", "curve meets constraint %d at %s, not a 0-cell" % (j, p))
+            )
+    for i, eid in enumerate(curve.graph.bounded_ids()):
+        w = curve.weight(eid)
+        length = curve.lattice_length(i)
+        if (length / w).denominator != 1:
+            violations.append(
+                GoodnessViolation(
+                    "iii", "edge %s: weight %d does not divide length %s" % (eid, w, length)
                 )
-        for eid in curve.graph.edge_ids():
-            segment = curve.edge_segment(eid)
-            u = curve.edge_direction(eid)
-            directions = (u, tuple(-x for x in u))
-            parallel = [(c, ends) for c, ends, w in one_cells if w in directions]
-            ts = _cuts(segment, {p for _, ends in parallel for p in ends})
-            if not segment[2]:
-                ts.append(ts[-1] + 3)  # a piece of the ray past its last cut
-            for ta, tb in zip(ts, ts[1:]):
-                inner = [_point_at(segment, ta + k * (tb - ta) / 3) for k in (1, 2)]
-                if not any(
-                    all(segment_param(c, q) is not None for q in inner) for c, _ in parallel
-                ):
-                    violations.append(
-                        GoodnessViolation(
-                            "i", "curve %d edge %s not in the 1-skeleton" % (ci, eid)
-                        )
-                    )
-                    break
-        for j, constraint in enumerate(constraints):
-            p = as_point(constraint)
-            meets = any(curve.edge_param(eid, p) is not None for eid in curve.graph.edge_ids())
-            if meets and p not in zero_cells:
-                violations.append(
-                    GoodnessViolation(
-                        "ii",
-                        "curve %d meets constraint %d at %s, not a 0-cell" % (ci, j, p),
-                    )
-                )
-        for i, eid in enumerate(curve.graph.bounded_ids()):
-            w = curve.weight(eid)
-            length = curve.lattice_length(i)
-            if (length / w).denominator != 1:
-                violations.append(
-                    GoodnessViolation(
-                        "iii",
-                        "curve %d edge %s: weight %d does not divide length %s"
-                        % (ci, eid, w, length),
-                    )
-                )
+            )
     return GoodnessReport(violations=tuple(violations))
 
 
@@ -299,43 +284,29 @@ def _extract_faces(vertices, segments, rays):
 
 
 def build_decomposition_2d(
-    curves: Sequence[TropicalCurve], constraints: Sequence = ()
+    curve: TropicalCurve, constraints: Sequence = ()
 ) -> PolyhedralDecomposition:
-    """Overlay of all curve images and constraint points as a polyhedral
+    """The curve image and the constraint points as a polyhedral
     decomposition of Q^2.
 
     Each edge image is cut at its crossings with the other edge images and
     at the constraint points on it; two edge images that share a piece of
-    positive length raise NonGenericInput.  Every curve must be balanced.  A balanced plane curve is the corner
-    locus of a tropical polynomial, so each region of its complement is
-    convex, and so is each region of an overlay of such curves: the overlay
-    needs no completion to have convex cells.
+    positive length raise NonGenericInput.  The curve must be balanced.  A
+    balanced plane curve is the corner locus of a tropical polynomial, so
+    each region of its complement is convex: the decomposition needs no
+    completion to have convex cells.
     """
-    for curve in curves:
-        if curve.n != 2:
-            raise ValueError("build_decomposition_2d is specified only for n == 2")
-        violations = check_balancing(curve)
-        if violations:
-            raise ValueError("curve is not balanced at %s" % (violations,))
-    if not curves:
-        plane = Polyhedron(
-            vertices=(as_point((0, 0)),),
-            rays=((1, 0), (-1, 0), (0, 1), (0, -1)),
-            dim=2,
-        )
-        return PolyhedralDecomposition(cells=(plane,), incidence={0: ()})
+    if curve.n != 2:
+        raise ValueError("build_decomposition_2d is specified only for n == 2")
+    violations = check_balancing(curve)
+    if violations:
+        raise ValueError("curve is not balanced at %s" % (violations,))
 
-    strokes = [
-        (ci, eid, curve.edge_segment(eid))
-        for ci, curve in enumerate(curves)
-        for eid in curve.graph.edge_ids()
-    ]
+    strokes = [(eid, curve.edge_segment(eid)) for eid in curve.graph.edge_ids()]
     crossings = [[] for _ in strokes]
-    for (i, (c1, e1, s1)), (j, (c2, e2, s2)) in itertools.combinations(enumerate(strokes), 2):
+    for (i, (e1, s1)), (j, (e2, s2)) in itertools.combinations(enumerate(strokes), 2):
         if segments_overlap(s1, s2):
-            raise NonGenericInput(
-                "edge %s of curve %d and edge %s of curve %d overlap" % (e1, c1, e2, c2)
-            )
+            raise NonGenericInput("edges %s and %s overlap" % (e1, e2))
         crossing = segment_crossing(s1, s2)
         if crossing is not None:
             crossings[i].append(crossing[0])
@@ -344,7 +315,7 @@ def build_decomposition_2d(
     vertices = set()
     segments = []
     rays = []
-    for (_, _, stroke), ts in zip(strokes, crossings):
+    for (_, stroke), ts in zip(strokes, crossings):
         pts = [_point_at(stroke, t) for t in _cuts(stroke, points, ts)]
         vertices.update(pts)
         segments.extend(zip(pts, pts[1:]))

@@ -279,28 +279,26 @@ def criterion_goodness_pipeline(ctx: _Context) -> Tuple[bool, str]:
     for d in ctx.degrees:
         config, curves = ctx.enumerated(d)
         for i, (curve, _) in enumerate(curves):
-            s = rescale_for_goodness([curve], config.points)
+            s = rescale_for_goodness(curve, config.points)
             scaled = scale_curve(curve, s)
             scaled_points = [scale_point(p, s) for p in config.points]
-            decomposition = build_decomposition_2d([scaled], scaled_points)
-            report = validate_good(decomposition, [scaled], scaled_points)
+            decomposition = build_decomposition_2d(scaled, scaled_points)
+            report = validate_good(decomposition, scaled, scaled_points)
             if not report.ok:
                 return False, "d=%d curve %d not clean: %s" % (d, i, report.violations)
             checked += 1
     # negative control for clause (iii): weight 2 with lattice length 3 on a
     # two-vertex fixture must be flagged
     fixture = _goodness_fixture()
-    s2 = rescale_for_goodness([fixture], [])
-    good = scale_curve(fixture, s2)
-    good_decomp = build_decomposition_2d([good], [])
-    if not validate_good(good_decomp, [good], []).ok:
+    good = scale_curve(fixture, fixture.goodness_scale)
+    if not validate_good(build_decomposition_2d(good), good, []).ok:
         return False, "bounded-edge fixture not clean after rescale"
     mutated = TropicalCurve(
         graph=good.graph,
         positions={"v0": good.positions["v0"], "v1": (good.positions["v1"][0] + 1, good.positions["v1"][1])},
         n=2,
     )
-    bad = validate_good(build_decomposition_2d([mutated], []), [mutated], [])
+    bad = validate_good(build_decomposition_2d(mutated), mutated, [])
     if not any(v.clause == "iii" for v in bad.violations):
         return False, "length/weight violation was not detected"
     return True, "%d curves clean; mutated edge detected" % checked

@@ -1,9 +1,11 @@
 """Data model and local invariants of parameterized tropical curves.
 
 A curve is a weighted graph mapped to Q^n: balancing at every vertex,
-degree as the multiset of weighted unbounded directions, expected moduli
-dimension, the angle order of plane vectors, and the dual-triangle
-multiplicities used by the counting and Welschinger modules.
+degree as the multiset of weighted unbounded directions, the least scale
+that makes a curve's positions integral and its weights divide its edge
+lengths, expected moduli dimension, the angle order of plane vectors, and
+the dual-triangle multiplicities used by the counting and Welschinger
+modules.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 from .exact_lattice import primitive_vector, vector_gcd
@@ -169,6 +171,19 @@ class TropicalCurve:
             u = rational_primitive(disp)
             table[eid] = u, next(Fraction(a) / b for a, b in zip(disp, u) if b != 0)
         return table
+
+    @functools.cached_property
+    def goodness_scale(self) -> int:
+        """Least s > 0 such that s times every position is integral and every
+        bounded edge's weight divides its lattice length after scaling by s."""
+        s = lcm(*(Fraction(x).denominator for p in self.positions.values() for x in p))
+        for i, eid in enumerate(self.graph.bounded_ids()):
+            w = self.weight(eid)
+            length = self.lattice_length(i)
+            # need s * length in w * Z
+            num, den = length.numerator, length.denominator
+            s = lcm(s, w * den // gcd(abs(num), w * den))
+        return s
 
     def _geometry(self, eid: EdgeId) -> Tuple[Vec, Fraction]:
         geometry = self._bounded_geometry[eid]

@@ -17,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
-from .polyhedral import rescale_for_goodness
 from .tropical import (
     EdgeId,
     NonGenericCrossing,
@@ -94,7 +93,7 @@ def lift_sign(curve: TropicalCurve, lift: LiftAssignment, sign_t: int) -> int:
     contribute their count's parity, each bounded edge contributes its
     census under the lift's root of unity, crossings are hyperbolic and
     contribute nothing.  Edge lengths enter only through the parity of
-    e/mu, computed after the minimal goodness rescaling.
+    e/mu, computed after rescaling by the curve's ``goodness_scale``.
     """
     if sign_t not in (1, -1):
         raise ValueError("sign_t must be +-1")
@@ -110,7 +109,7 @@ def lift_sign(curve: TropicalCurve, lift: LiftAssignment, sign_t: int) -> int:
                 raise InvalidZeta("edge %s has odd weight, zeta must be 1" % eid)
         if even_edges - set(lift.zeta):
             raise ValueError("lift must fix zeta for every even bounded edge")
-    s = rescale_for_goodness([curve], [])
+    s = curve.goodness_scale
     elliptic = 0
     for v in curve.graph.vertices:
         elliptic += vertex_multiplicities(curve, v).triangle.interior_points

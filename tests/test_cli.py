@@ -133,6 +133,36 @@ def test_render_rejects_wrong_schema(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "curves, message",
+    [
+        (5, "'curves' must be a list"),
+        ([{"vertices": [], "bounded_edges": [], "unbounded_edges": []}], "malformed curve record"),
+        ([{"vertices": {}, "bounded_edges": [], "unbounded_edges": []}], "malformed curve record"),
+    ],
+    ids=["curves-number", "vertices-list", "vertices-empty"],
+)
+def test_render_rejects_malformed_curves(tmp_path, capsys, curves, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"schema": "tropcount/1", "kind": "curve-set", "curves": curves}))
+    code, _, err = run_cli(["render", str(doc)], capsys)
+    assert code == 2
+    assert "input error: " + message in err
+
+
+def test_points_file_is_read_once(tmp_path, capsys, monkeypatch):
+    from tropcount import cli
+
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [["-3", "0"], ["0", "-5"]], "signs": ["++", "++"]}))
+    reads = []
+    load = cli._load_points_file
+    monkeypatch.setattr(cli, "_load_points_file", lambda path: reads.append(path) or load(path))
+    code, _, _ = run_cli(["count", "--degree", "1", "--points", str(pts), "--real"], capsys)
+    assert code == 0
+    assert reads == [str(pts)]
+
+
 def test_json_roundtrip_exact(tmp_path, capsys):
     """Re-ingesting emitted curves reproduces the same count report."""
     curves_path = tmp_path / "curves.json"

@@ -391,7 +391,7 @@ def test_evaluate_T_h_edge_block_vanishes_on_true_positions():
     config = PointConfiguration.mikhalkin(5, 7)
     curves = enumerate_curves(0, Degree.projective(2), config)
     for curve, marks in curves:
-        s = rescale_for_goodness([curve], config.points)
+        s = rescale_for_goodness(curve, config.points)
         scaled = scale_curve(curve, s)
         constraints = [
             AffineConstraint.point(scale_point(p, s)) for p in config.points

@@ -51,22 +51,37 @@ PIPELINE = (
 )
 
 
+def _imported_parts(name):
+    """Every dotted part of every name a package module imports, at any
+    depth of the module."""
+    tree = ast.parse((Path(tropcount.__file__).parent / (name + ".py")).read_text())
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            imported = [base] + [base + "." + alias.name for alias in node.names]
+        else:
+            continue
+        parts.update(part for mod in imported for part in mod.split("."))
+    return parts
+
+
 def test_pipeline_does_not_import_oracles():
     # the oracles cross-check the normative pipeline, so it must not use them
-    package = Path(tropcount.__file__).parent
     for name in PIPELINE:
-        tree = ast.parse((package / (name + ".py")).read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                imported = [base] + [base + "." + alias.name for alias in node.names]
-            else:
-                continue
-            assert not any(
-                part == "oracles" for mod in imported for part in mod.split(".")
-            ), "%s imports oracles" % name
+        assert "oracles" not in _imported_parts(name), "%s imports oracles" % name
+
+
+def test_only_selftest_imports_polyhedral():
+    # the counts read the goodness scale off the curve; the decomposition is
+    # built only to check goodness, and enumeration counts no nodes
+    package = Path(tropcount.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "selftest":
+            assert "polyhedral" not in _imported_parts(path.stem), "%s imports polyhedral" % path.name
+    assert "welschinger" not in _imported_parts("enumeration")
 
 
 def test_no_private_imports_between_modules():
