@@ -3,7 +3,8 @@
 Subcommands: enumerate, count, welschinger, render, selftest.  All JSON
 carries a "schema": "tropcount/1" field; coordinates are exact rational
 strings, so emitted files re-ingest without loss.  Exit codes: 0 ok,
-2 input error, 3 genericity failure, 4 internal cross-check mismatch.
+1 a selftest criterion failed, 2 input error, 3 genericity failure,
+4 internal cross-check mismatch.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .tropical import (
     Degree,
     TropicalCurve,
     TropicalGraph,
+    check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
 )
@@ -56,6 +58,13 @@ def _parse_rat(s) -> Fraction:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError):
         raise InputError("not a rational number: %r" % (s,))
+
+
+def _parse_int(x) -> int:
+    """A JSON integer; bools, floats and strings are not integers."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError("not an integer: %r" % (x,))
+    return x
 
 
 def _parse_points(raw) -> list:
@@ -171,11 +180,11 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
         bounded = []
         for e in data["bounded_edges"]:
             bounded.append((e["tail"], e["head"]))
-            weights[e["id"]] = int(e["weight"])
+            weights[e["id"]] = _parse_int(e["weight"])
         unbounded = []
         for e in data["unbounded_edges"]:
-            unbounded.append((e["vertex"], tuple(int(x) for x in e["direction"])))
-            weights[e["id"]] = int(e["weight"])
+            unbounded.append((e["vertex"], tuple(_parse_int(x) for x in e["direction"])))
+            weights[e["id"]] = _parse_int(e["weight"])
         marks = tuple(data.get("marks", ()))
         graph = TropicalGraph(
             vertices=tuple(sorted(vertices)),
@@ -329,6 +338,11 @@ def cmd_render(args) -> int:
     if not isinstance(records, list):
         raise InputError("'curves' must be a list of curve records, got %r" % (records,))
     curves = [curve_from_json(c)[0] for c in records]
+    for i, curve in enumerate(curves):
+        violations = check_balancing(curve)
+        if violations:
+            v, total = violations[0]
+            raise InputError("curve %d is not balanced at vertex %s (sum %s)" % (i, v, total))
     points = _parse_points(data.get("points", []))
     from .svg import render_curves
 

@@ -384,6 +384,30 @@ def path_problem(d: int, points=None) -> _PathProblem:
     return _make_problem(d, direction)
 
 
+def lattice_path_subdivisions(
+    d: int, points=None
+) -> Iterator[Tuple[Tuple[Cell, ...], int, int]]:
+    """(cells, complex multiplicity, Welschinger multiplicity) of every dual
+    subdivision of a lambda-increasing lattice path with nonzero complex
+    multiplicity.
+
+    With the point configuration passed, in Mikhalkin position these are
+    the subdivisions dual to the curves through the points, one per curve
+    (Mikhalkin, JAMS 2005, Theorem 2).
+    """
+    problem = path_problem(d, points)
+    memo: Dict = {}
+    for path in _paths(problem):
+        left = _subdivisions(problem, path, 1, memo)
+        right = _subdivisions(problem, path, -1, memo)
+        for sub_l in left:
+            for sub_r in right:
+                cells = sub_l + sub_r
+                cm, wm = _subdivision_multiplicities(d, cells)
+                if cm:
+                    yield cells, cm, wm
+
+
 def lattice_path_oracle(d: int, points=None) -> Tuple[int, int]:
     """(complex total, Welschinger total) for degree-d plane curves via
     lambda-increasing lattice paths and their dual subdivisions.
@@ -392,16 +416,9 @@ def lattice_path_oracle(d: int, points=None) -> Tuple[int, int]:
     passing the point configuration fixes the functional that makes the
     per-path data match the curves through those points.
     """
-    problem = path_problem(d, points)
-    memo: Dict = {}
     complex_total = 0
     welschinger_total = 0
-    for path in _paths(problem):
-        left = _subdivisions(problem, path, 1, memo)
-        right = _subdivisions(problem, path, -1, memo)
-        for sub_l in left:
-            for sub_r in right:
-                cm, wm = _subdivision_multiplicities(d, sub_l + sub_r)
-                complex_total += cm
-                welschinger_total += wm
+    for _, cm, wm in lattice_path_subdivisions(d, points):
+        complex_total += cm
+        welschinger_total += wm
     return complex_total, welschinger_total

@@ -6,9 +6,12 @@ inside the criteria themselves (5s for the kernel sweep, 30s for the Pick
 sweep, 10 minutes overall for the degree-3 run).
 """
 
+from math import lcm
+
 import pytest
 
 from tropcount.selftest import CRITERIA
+from tropcount.tropical import TropicalCurve
 
 
 def _result(acceptance_results, ident):
@@ -37,6 +40,29 @@ def test_negative_control_snf_fault():
     results = run(degrees=(1,), fault="snf-drop-even-factor", echo=lambda s: None)
     kernel = next(r for r in results if r.ident == "A1")
     assert not kernel.ok
+
+
+_goodness_scale = TropicalCurve.goodness_scale.func
+
+
+def _positions_only_scale(curve):
+    return lcm(*(x.denominator for p in curve.positions.values() for x in p))
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_positions_only_scale, lambda curve: 2 * _goodness_scale(curve)],
+    ids=["weight-clause-dropped", "doubled"],
+)
+def test_negative_control_goodness_scale(monkeypatch, fault):
+    from tropcount.selftest import _Context, criterion_goodness_scale
+
+    ok, detail = criterion_goodness_scale(_Context(degrees=(1, 2), seed=7))
+    assert ok, detail
+    # a property on the class shadows any value cached on an instance
+    monkeypatch.setattr(TropicalCurve, "goodness_scale", property(fault))
+    ok, detail = criterion_goodness_scale(_Context(degrees=(1, 2), seed=7))
+    assert not ok
 
 
 def test_snf_fault_reaches_counting():

@@ -133,14 +133,38 @@ def test_render_rejects_wrong_schema(tmp_path, capsys):
     assert code == 2
 
 
+def _star(directions, weight=1):
+    """A one-vertex curve record with the given ray directions."""
+    return {
+        "vertices": {"v0": ["0", "0"]},
+        "bounded_edges": [],
+        "unbounded_edges": [
+            {"id": "u%d" % i, "vertex": "v0", "direction": list(u), "weight": weight}
+            for i, u in enumerate(directions)
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "curves, message",
     [
         (5, "'curves' must be a list"),
         ([{"vertices": [], "bounded_edges": [], "unbounded_edges": []}], "malformed curve record"),
         ([{"vertices": {}, "bounded_edges": [], "unbounded_edges": []}], "malformed curve record"),
+        ([_star([(-1, 0), (0, -1), (1, 0)])], "curve 0 is not balanced at vertex v0"),
+        ([_star([(-1, 0), (0, -1), (1, 1)], weight=1.7)], "malformed curve record: not an integer: 1.7"),
+        ([_star([(-1, 0), (0, -1), (1, 1)], weight=True)], "malformed curve record: not an integer: True"),
+        ([_star([(-1, 0), (0, -1), (1.0, 1)])], "malformed curve record: not an integer: 1.0"),
     ],
-    ids=["curves-number", "vertices-list", "vertices-empty"],
+    ids=[
+        "curves-number",
+        "vertices-list",
+        "vertices-empty",
+        "unbalanced",
+        "weight-float",
+        "weight-bool",
+        "direction-float",
+    ],
 )
 def test_render_rejects_malformed_curves(tmp_path, capsys, curves, message):
     doc = tmp_path / "doc.json"

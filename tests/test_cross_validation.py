@@ -7,6 +7,13 @@ must reproduce the expected counts.  This ties the two independently coded
 routes together curve by curve, not just at the level of totals.
 """
 
+import json
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     CombinatorialType,
     PointConfiguration,
@@ -21,8 +28,13 @@ from tropcount.oracles import (
     _paths,
     _subdivision_multiplicities,
     _subdivisions,
+    lattice_path_subdivisions,
     path_problem,
 )
+from tropcount.svg import dual_subdivision_cells
+from tropcount.tropical import as_point, curve_mikhalkin_mults, curve_welschinger_mult
+
+DATA = Path(__file__).parent.parent / "bench" / "data"
 
 
 def _tri_ccw_sides(cell):
@@ -151,3 +163,38 @@ def test_oracle_configurations_match_enumeration_d2():
     assert (cm, wm) == (1, 1)
     ctype, plan = dual_type_and_plan(d, cells, steps)
     assert solve_positions(ctype, config, plan) is not None
+
+
+def pipeline_subdivisions(d, curves):
+    """Per curve, its dual cells as sorted corner tuples in the oracle's
+    triangle, (x, y) -> (d - x, d - y), with its complex and Welschinger
+    multiplicities."""
+    return Counter(
+        (
+            tuple(sorted(tuple(sorted((d - x, d - y) for x, y in cell)) for cell in dual_subdivision_cells(c))),
+            curve_mikhalkin_mults(c)[0],
+            curve_welschinger_mult(c),
+        )
+        for c in curves
+    )
+
+
+def oracle_subdivisions(d, points):
+    return Counter(
+        (tuple(sorted(tuple(sorted(corners)) for _, corners in cells)), cm, wm)
+        for cells, cm, wm in lattice_path_subdivisions(d, points)
+    )
+
+
+@pytest.mark.parametrize("name", ["d3-mikhalkin-7", "d3-mikhalkin-3"])
+def test_stored_curves_match_oracle_subdivisions(name):
+    doc = json.loads((DATA / (name + ".json")).read_text())
+    curves = [curve_from_json(c)[0] for c in doc["curves"]]
+    expected = oracle_subdivisions(3, [as_point(p) for p in doc["points"]])
+    assert pipeline_subdivisions(3, curves) == expected
+    # faults: a curve dropped, and a curve swapped for a copy of another
+    # with the same multiplicities, which leaves both totals unchanged
+    assert pipeline_subdivisions(3, curves[1:]) != expected
+    mults = [(curve_mikhalkin_mults(c)[0], curve_welschinger_mult(c)) for c in curves]
+    i, j = next((i, j) for j in range(len(curves)) for i in range(j) if mults[i] == mults[j])
+    assert pipeline_subdivisions(3, curves[:i] + [curves[j]] + curves[i + 1 :]) != expected

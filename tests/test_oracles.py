@@ -75,13 +75,17 @@ def test_pipeline_does_not_import_oracles():
 
 
 def test_only_selftest_imports_polyhedral():
-    # the counts read the goodness scale off the curve; the decomposition is
-    # built only to check goodness, and enumeration counts no nodes
+    # the counts read the goodness scale off the curve; only the acceptance
+    # suite checks it against its definition, and enumeration counts no
+    # nodes.  polyhedral stays a leaf over tropical.
     package = Path(tropcount.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        if path.stem != "selftest":
-            assert "polyhedral" not in _imported_parts(path.stem), "%s imports polyhedral" % path.name
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    for name in modules:
+        if name != "selftest":
+            assert "polyhedral" not in _imported_parts(name), "%s imports polyhedral" % name
     assert "welschinger" not in _imported_parts("enumeration")
+    imported = _imported_parts("polyhedral") & set(modules)
+    assert imported <= {"tropical"}, "polyhedral imports %s" % sorted(imported)
 
 
 def test_no_private_imports_between_modules():

@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from tropcount.cli import curve_from_json
+from tropcount.polyhedral import is_good_scale
 from tropcount.tropical import (
     DegenerateEdge,
     Degree,
@@ -21,7 +25,7 @@ from tropcount.tropical import (
 )
 
 
-def standard_line(marks=()):
+def standard_line(marks=(), vertex=(0, 0)):
     graph = TropicalGraph(
         vertices=("v0",),
         bounded_edges=(),
@@ -29,7 +33,7 @@ def standard_line(marks=()):
         weights={"u0": 1, "u1": 1, "u2": 1},
         marked=tuple(marks),
     )
-    return TropicalCurve(graph=graph, positions={"v0": as_point((0, 0))}, n=2)
+    return TropicalCurve(graph=graph, positions={"v0": as_point(vertex)}, n=2)
 
 
 def weighted_star(rays):
@@ -43,8 +47,9 @@ def weighted_star(rays):
     return TropicalCurve(graph=graph, positions={"v0": as_point((0, 0))}, n=2)
 
 
-def two_vertex_even_edge():
-    """Weight-2 bounded edge between two trivalent vertices."""
+def two_vertex(weight=2, length=1):
+    """Bounded edge of the given weight and lattice length between two
+    trivalent vertices."""
     graph = TropicalGraph(
         vertices=("v0", "v1"),
         bounded_edges=(("v0", "v1"),),
@@ -54,11 +59,31 @@ def two_vertex_even_edge():
             ("v1", (1, 1)),
             ("v1", (1, -1)),
         ),
-        weights={"b0": 2, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
+        weights={"b0": weight, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
     )
     return TropicalCurve(
         graph=graph,
-        positions={"v0": as_point((0, 0)), "v1": as_point((1, 0))},
+        positions={"v0": as_point((0, 0)), "v1": as_point((length, 0))},
+        n=2,
+    )
+
+
+def conic():
+    """Balanced curve of bidegree (1, 1): a conic in P^1 x P^1."""
+    graph = TropicalGraph(
+        vertices=("v0", "v1"),
+        bounded_edges=(("v0", "v1"),),
+        unbounded_edges=(
+            ("v0", (-1, 0)),
+            ("v0", (0, -1)),
+            ("v1", (0, 1)),
+            ("v1", (1, 0)),
+        ),
+        weights={"b0": 1, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
+    )
+    return TropicalCurve(
+        graph=graph,
+        positions={"v0": as_point((0, 0)), "v1": as_point((1, 1))},
         n=2,
     )
 
@@ -186,7 +211,7 @@ def test_vertex_multiplicities_requires_trivalent():
 
 
 def test_curve_welschinger_mult_even_edge_is_zero():
-    assert curve_welschinger_mult(two_vertex_even_edge()) == 0
+    assert curve_welschinger_mult(two_vertex()) == 0
 
 
 def test_curve_welschinger_mult_line():
@@ -195,7 +220,7 @@ def test_curve_welschinger_mult_line():
 
 def test_curve_mikhalkin_mults():
     assert curve_mikhalkin_mults(standard_line()) == (1, 1)
-    complex_mult, real_m = curve_mikhalkin_mults(two_vertex_even_edge())
+    complex_mult, real_m = curve_mikhalkin_mults(two_vertex())
     assert complex_mult == 4  # two vertices of multiplicity 2
     assert real_m == 0
 
@@ -259,7 +284,7 @@ def test_nonprimitive_direction_rejected():
 
 
 def test_degree_translation_invariance():
-    c = two_vertex_even_edge()
+    c = two_vertex()
     shifted = TropicalCurve(
         graph=c.graph,
         positions={v: tuple(x + 7 for x in p) for v, p in c.positions.items()},
@@ -365,3 +390,23 @@ def test_segment_crossing(s1, s2, expected):
     assert segment_crossing(s1, s2) == expected
     flipped = None if expected is None else expected[::-1]
     assert segment_crossing(s2, s1) == flipped
+
+
+DATA = Path(__file__).parent.parent / "bench" / "data"
+
+
+def test_goodness_scale_is_the_least_good_scale():
+    curves = [standard_line(), standard_line(vertex=(Fraction(1, 2), 0)), conic()] + [
+        two_vertex(weight=w, length=length)
+        for w in (1, 2, 3)
+        for length in (1, 3, Fraction(2, 3))
+    ]
+    for path in sorted(DATA.glob("d3-*.json")):
+        curves += [curve_from_json(c)[0] for c in json.loads(path.read_text())["curves"]]
+    assert len(curves) > 30
+    for curve in curves:
+        s = curve.goodness_scale
+        assert is_good_scale(curve, s)
+        for p in range(2, s + 1):
+            if s % p == 0:
+                assert not is_good_scale(curve, s // p), (s, p)
