@@ -23,6 +23,12 @@ boxes, the contradictions and hence the search tree are those of rerunning
 every rule in every sweep.  A child node starts from its parent's state,
 with the rules its parent left pending, and keeps the parent's candidate
 edges, filtered.
+
+A node, each type's root included, whose unplaced points cannot be
+matched to distinct candidate edges (Hall's condition, tested afresh by
+augmenting paths) has no injective completion and is dropped.  The test
+neither filters candidates nor changes the branching, so the yielded
+sequence is the same, with fewer nodes.  Types are built once per degree.
 """
 
 from __future__ import annotations
@@ -297,9 +303,17 @@ def _canonical_key(ctype: CombinatorialType):
     return min(canon(root, -2) for root in centers)
 
 
+# enumerate_types' results, keyed by the leaf-vector tuple
+_TYPES: Dict[Tuple[Vec, ...], Tuple[CombinatorialType, ...]] = {}
+
+
 def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     """All trivalent genus-zero types with the given degree, deduplicated
-    under direction-respecting isomorphism."""
+    under direction-respecting isomorphism.
+
+    Built once per degree; each call returns a fresh list of the same
+    (immutable) types.
+    """
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
     if not degree.is_balanced():
@@ -309,6 +323,9 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
         leaf_vecs.extend([tuple(v)] * count)
     if len(leaf_vecs) < 3:
         return []
+    leaves = tuple(leaf_vecs)
+    if leaves in _TYPES:
+        return list(_TYPES[leaves])
     seen: Set = set()
     out: List[CombinatorialType] = []
     for tree_edges in _trees(len(leaf_vecs)):
@@ -320,6 +337,7 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
             continue
         seen.add(key)
         out.append(ctype)
+    _TYPES[leaves] = tuple(out)
     return out
 
 
@@ -692,6 +710,28 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _has_matching(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether every row can be given a distinct one of its entries.
+
+    Kuhn's augmenting paths: each row in turn takes a free entry, or one
+    whose row can move to another entry, recursively.
+    """
+    owner: Dict[int, int] = {}
+
+    def augment(r: int, seen: Set[int]) -> bool:
+        for entry in rows[r]:
+            if entry in seen:
+                continue
+            seen.add(entry)
+            other = owner.get(entry)
+            if other is None or augment(other, seen):
+                owner[entry] = r
+                return True
+        return False
+
+    return all(augment(r, set()) for r in range(len(rows)))
+
+
 def _search_assignments(
     system: _TypeSystem, pins: List[List[int]], points: List[Tuple[int, int]]
 ) -> Iterator[Tuple[int, ...]]:
@@ -713,8 +753,9 @@ def _search_assignments(
     def narrowed(cands: List[List[int]], moved: int) -> Optional[List[List[int]]]:
         """Each unplaced point's admissible edges among ``cands``, with the
         box test redone for the edges in the bitmask ``moved``; None as soon
-        as a point has none."""
+        as a point has none, or when the unplaced points have no matching."""
         out: List[List[int]] = [[] for _ in range(num_points)]
+        unplaced: List[List[int]] = []
         for j in range(num_points):
             if assignment[j] != -1:
                 continue
@@ -733,6 +774,9 @@ def _search_assignments(
                 keep.append(edge)
             if not keep:
                 return None
+            unplaced.append(keep)
+        if not _has_matching(unplaced):
+            return None
         return out
 
     def place(placed: int, cands: List[List[int]], pending: int) -> Iterator[Tuple[int, ...]]:

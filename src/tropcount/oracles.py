@@ -386,14 +386,15 @@ def path_problem(d: int, points=None) -> _PathProblem:
 
 def lattice_path_subdivisions(
     d: int, points=None
-) -> Iterator[Tuple[Tuple[Cell, ...], int, int]]:
-    """(cells, complex multiplicity, Welschinger multiplicity) of every dual
-    subdivision of a lambda-increasing lattice path with nonzero complex
-    multiplicity.
+) -> Iterator[Tuple[Tuple[Cell, ...], Tuple[Tuple[int, int], ...], int, int]]:
+    """(cells, path, complex multiplicity, Welschinger multiplicity) of
+    every dual subdivision of a lambda-increasing lattice path with nonzero
+    complex multiplicity.  The path is its lattice points in order.
 
     With the point configuration passed, in Mikhalkin position these are
     the subdivisions dual to the curves through the points, one per curve
-    (Mikhalkin, JAMS 2005, Theorem 2).
+    (Mikhalkin, JAMS 2005, Theorem 2), and the i-th step of the path is
+    dual to the edge through the i-th point.
     """
     problem = path_problem(d, points)
     memo: Dict = {}
@@ -405,7 +406,7 @@ def lattice_path_subdivisions(
                 cells = sub_l + sub_r
                 cm, wm = _subdivision_multiplicities(d, cells)
                 if cm:
-                    yield cells, cm, wm
+                    yield cells, path, cm, wm
 
 
 def lattice_path_oracle(d: int, points=None) -> Tuple[int, int]:
@@ -418,7 +419,7 @@ def lattice_path_oracle(d: int, points=None) -> Tuple[int, int]:
     """
     complex_total = 0
     welschinger_total = 0
-    for _, cm, wm in lattice_path_subdivisions(d, points):
+    for _, _, cm, wm in lattice_path_subdivisions(d, points):
         complex_total += cm
         welschinger_total += wm
     return complex_total, welschinger_total

@@ -56,6 +56,14 @@ def test_count_real_requires_signs(capsys):
     assert "signs" in err
 
 
+def test_count_signs_starting_with_minus_joined_with_equals(capsys):
+    # "--signs -+,++" reads as an option to the argument parser (exit 2);
+    # the help text and the README say to join such a value with "="
+    code, out, _ = run_cli(["count", "--degree", "1", "--real", "--signs=-+,++"], capsys)
+    assert code == 0
+    assert json.loads(out)["totals"]["real"] == 1
+
+
 def test_count_parity_field(capsys):
     code, out, _ = run_cli(
         ["count", "--degree", "2", "--complex", "--real", "--signs", "all-positive"],

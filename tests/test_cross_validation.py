@@ -25,11 +25,7 @@ from tropcount.oracles import (
     _cell_edges,
     _edge_on_triangle_boundary,
     _lattice_length,
-    _paths,
-    _subdivision_multiplicities,
-    _subdivisions,
     lattice_path_subdivisions,
-    path_problem,
 )
 from tropcount.svg import dual_subdivision_cells
 from tropcount.tropical import as_point, curve_mikhalkin_mults, curve_welschinger_mult
@@ -50,9 +46,9 @@ def _tri_ccw_sides(cell):
     ]
 
 
-def dual_type_and_plan(d, cells, steps):
+def dual_type_and_plan(d, cells, path):
     """Curve type dual to a subdivision, plus the point-to-edge plan read
-    off the path steps.  Returns None for malformed chain structure."""
+    off the path's steps.  Returns None for malformed chain structure."""
     tris = [c for c in cells if c[0] == "t"]
     tri_index = {c: i for i, c in enumerate(tris)}
     links = {}
@@ -119,21 +115,9 @@ def dual_type_and_plan(d, cells, steps):
     ctype = CombinatorialType(
         genus=0, num_vertices=len(tris), edges=tuple(edges), has_flat_vertex=False
     )
+    steps = [tuple(sorted(step)) for step in zip(path, path[1:])]
     plan = {j: chain_edge_idx[chain_of[s]] for j, s in enumerate(steps)}
     return ctype, plan
-
-
-def oracle_configurations(d, points):
-    problem = path_problem(d, points)
-    memo = {}
-    for path in _paths(problem):
-        steps = [tuple(sorted(p)) for p in zip(path, path[1:])]
-        for sub_l in _subdivisions(problem, path, 1, memo):
-            for sub_r in _subdivisions(problem, path, -1, memo):
-                cells = sub_l + sub_r
-                cm, wm = _subdivision_multiplicities(d, cells)
-                if cm:
-                    yield cells, steps, cm, wm
 
 
 def test_every_oracle_configuration_is_realizable_d3():
@@ -141,8 +125,8 @@ def test_every_oracle_configuration_is_realizable_d3():
     config = PointConfiguration.mikhalkin(3 * d - 1, 11)
     total_c = total_w = 0
     count = 0
-    for cells, steps, cm, wm in oracle_configurations(d, config.points):
-        built = dual_type_and_plan(d, cells, steps)
+    for cells, path, cm, wm in lattice_path_subdivisions(d, config.points):
+        built = dual_type_and_plan(d, cells, path)
         assert built is not None
         ctype, plan = built
         solved = solve_positions(ctype, config, plan)
@@ -157,11 +141,11 @@ def test_every_oracle_configuration_is_realizable_d3():
 def test_oracle_configurations_match_enumeration_d2():
     d = 2
     config = PointConfiguration.mikhalkin(3 * d - 1, 11)
-    configs = list(oracle_configurations(d, config.points))
+    configs = list(lattice_path_subdivisions(d, config.points))
     assert len(configs) == 1
-    cells, steps, cm, wm = configs[0]
+    cells, path, cm, wm = configs[0]
     assert (cm, wm) == (1, 1)
-    ctype, plan = dual_type_and_plan(d, cells, steps)
+    ctype, plan = dual_type_and_plan(d, cells, path)
     assert solve_positions(ctype, config, plan) is not None
 
 
@@ -182,7 +166,7 @@ def pipeline_subdivisions(d, curves):
 def oracle_subdivisions(d, points):
     return Counter(
         (tuple(sorted(tuple(sorted(corners)) for _, corners in cells)), cm, wm)
-        for cells, cm, wm in lattice_path_subdivisions(d, points)
+        for cells, _, cm, wm in lattice_path_subdivisions(d, points)
     )
 
 

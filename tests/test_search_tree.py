@@ -4,8 +4,10 @@ For each configuration the file holds the (type index, assignment) pairs
 that ``_search_assignments`` yields, in order, together with the number of
 ``_Solver.propagate`` calls and how many of them found a contradiction.  A
 change to the search that keeps these keeps the nodes it visits and the
-candidates it prunes, not only the curves it finally accepts.  The stored
-file was written before the propagation became a worklist.
+candidates it prunes, not only the curves it finally accepts.  The yielded
+sequences were written before the propagation became a worklist; the
+counts were rewritten when nodes with no one-to-one completion (no
+matching of unplaced points to candidate edges) began to be dropped.
 """
 
 import json
@@ -13,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from tropcount import enumeration
 from tropcount.enumeration import (
     PointConfiguration,
+    _has_matching,
     _search_assignments,
     _Solver,
     _TypeSystem,
@@ -91,3 +95,25 @@ def test_search_tree_matches_golden(name, expected, types_by_degree, monkeypatch
 @pytest.mark.slow
 def test_search_tree_matches_golden_d3_mikhalkin(expected, types_by_degree, monkeypatch):
     check(SLOW, expected, types_by_degree, monkeypatch)
+
+
+def test_matching_finds_hall_violations():
+    # two points whose only candidate is the same edge
+    assert not _has_matching([[3], [3]])
+    assert not _has_matching([[1, 2], [3], [3]])
+    # the first row must give up its first choice for the second
+    assert _has_matching([[3, 1], [3]])
+    assert _has_matching([[0, 1, 2], [1], [0, 1]])
+    assert _has_matching([])
+
+
+@pytest.mark.parametrize("name", FAST)
+def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch):
+    """Without the matching test the search yields the same sequence, so
+    the test drops only nodes with no completion, and it tries strictly
+    more children."""
+    monkeypatch.setattr(enumeration, "_has_matching", lambda rows: True)
+    degree, points = configurations()[name]
+    unpruned = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert unpruned["yielded"] == expected[name]["yielded"]
+    assert unpruned["propagate_calls"] > expected[name]["propagate_calls"]
