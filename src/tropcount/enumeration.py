@@ -28,7 +28,7 @@ A node, each type's root included, whose unplaced points cannot be
 matched to distinct candidate edges (Hall's condition, tested afresh by
 augmenting paths) has no injective completion and is dropped.  The test
 neither filters candidates nor changes the branching, so the yielded
-sequence is the same, with fewer nodes.  Types are built once per degree.
+sequence is the same, with fewer nodes.
 """
 
 from __future__ import annotations
@@ -303,17 +303,9 @@ def _canonical_key(ctype: CombinatorialType):
     return min(canon(root, -2) for root in centers)
 
 
-# enumerate_types' results, keyed by the leaf-vector tuple
-_TYPES: Dict[Tuple[Vec, ...], Tuple[CombinatorialType, ...]] = {}
-
-
 def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     """All trivalent genus-zero types with the given degree, deduplicated
-    under direction-respecting isomorphism.
-
-    Built once per degree; each call returns a fresh list of the same
-    (immutable) types.
-    """
+    under direction-respecting isomorphism."""
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
     if not degree.is_balanced():
@@ -323,9 +315,6 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
         leaf_vecs.extend([tuple(v)] * count)
     if len(leaf_vecs) < 3:
         return []
-    leaves = tuple(leaf_vecs)
-    if leaves in _TYPES:
-        return list(_TYPES[leaves])
     seen: Set = set()
     out: List[CombinatorialType] = []
     for tree_edges in _trees(len(leaf_vecs)):
@@ -337,7 +326,6 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
             continue
         seen.add(key)
         out.append(ctype)
-    _TYPES[leaves] = tuple(out)
     return out
 
 

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from tropcount import enumeration
 from tropcount.enumeration import (
     PointConfiguration,
     UnsupportedGenus,
@@ -64,22 +63,6 @@ def test_enumerate_types_two_leaves_empty():
 def test_enumerate_types_genus_gated():
     with pytest.raises(UnsupportedGenus):
         enumerate_types(1, Degree.projective(2))
-
-
-def test_enumerate_types_builds_each_degree_once(monkeypatch):
-    monkeypatch.setattr(enumeration, "_TYPES", {})
-    first = enumerate_types(0, Degree.projective(2))
-
-    def rebuilt(num_leaves):
-        raise AssertionError("types rebuilt for a degree seen before")
-
-    monkeypatch.setattr(enumeration, "_trees", rebuilt)
-    second = enumerate_types(0, Degree.projective(2))
-    assert second == first and second is not first
-    second.clear()
-    assert enumerate_types(0, Degree.projective(2)) == first
-    with pytest.raises(AssertionError, match="rebuilt"):
-        enumerate_types(0, Degree.projective(1))
 
 
 def test_solve_positions_line_fixture():
