@@ -229,8 +229,11 @@ def _write_output(text: str, path: Optional[str]):
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (path, exc))
 
 
 def cmd_enumerate(args) -> int:
@@ -278,7 +281,8 @@ def cmd_count(args) -> int:
                     )
                 )
             )
-        lines.append("totals\tN=%s\tN_R=%s\tW_R=%s" % (merged.n_trop, merged.n_real_trop, merged.w_real_trop))
+        totals = (("N", merged.n_trop), ("N_R", merged.n_real_trop), ("W_R", merged.w_real_trop))
+        lines.append("\t".join(["totals"] + ["%s=%s" % t for t in totals if t[1] is not None]))
         if parity_ok is not None:
             lines.append("parity\t%s" % ("ok" if parity_ok else "VIOLATED"))
         _write_output("\n".join(lines), args.output)
@@ -354,6 +358,8 @@ def cmd_render(args) -> int:
 def cmd_selftest(args) -> int:
     from .selftest import run
 
+    if not 1 <= args.max_degree <= 3:
+        raise InputError("--max-degree must be 1, 2 or 3, got %d" % args.max_degree)
     degrees = tuple(range(1, args.max_degree + 1))
     results = run(degrees=degrees, seed=_mikhalkin_seed(args))
     failing = [r.ident for r in results if not r.ok]

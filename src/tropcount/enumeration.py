@@ -20,9 +20,10 @@ A rule reruns only when one of those changed, in at most 12 sweeps in a
 fixed rule order.  Every rule writes only what it reads, as a function of
 what it reads, so a rule skipped this way would have changed nothing: the
 boxes, the contradictions and hence the search tree are those of rerunning
-every rule in every sweep.  A child node starts from its parent's state,
-with the rules its parent left pending, and keeps the parent's candidate
-edges, filtered.
+every rule in every sweep.  A line rule of an edge without a value does
+nothing, so it is never scheduled.  A child node starts from a copy of its
+parent's values and boxes, with the rules its parent left pending, and
+keeps the parent's candidate edges, filtered.
 
 A node, each type's root included, whose unplaced points cannot be
 matched to distinct candidate edges (Hall's condition, tested afresh by
@@ -343,12 +344,25 @@ _SWEEPS = 12
 class _TypeSystem:
     """Per-type linear data for the transverse-coordinate search.
 
+    Boxes live in one flat list, four slots per vertex v: ``4v`` and
+    ``4v + 1`` bound x from below and above, ``4v + 2`` and ``4v + 3`` bound
+    y; an even slot is a lower bound.
+
     ``rules`` lists the propagation rules in sweep order: one value cascade
     per vertex, one line constraint per (edge, endpoint), tail before head,
     in edge order, and one bound transfer per bounded edge.  Bit r of
     ``val_readers[i]`` (``box_readers[v]``) is set when rule r reads the
-    transverse value of edge i (the box of vertex v); ``vertex_edges[v]`` is
-    the bitmask of the edges at vertex v.
+    transverse value of edge i (the box of vertex v); ``line_rules[i]`` is
+    the bitmask of edge i's line constraints and ``vertex_edges[v]`` that of
+    the edges at vertex v.
+
+    ``rays[i]`` lists, per endpoint of edge i (tail first) and coordinate
+    k, the (k, slot to check, slot to set) entries of a point on the edge:
+    the tail lies behind the point along the edge and the head ahead of it,
+    so the point's coordinate k bounds the endpoint's slot to set, and
+    contradicts a bound in the slot to check.  ``forms[i]`` holds, per
+    endpoint and sign, the (coefficient, slot) terms of the least value of
+    sign times edge i's normal form over the endpoint's box.
     """
 
     def __init__(self, ctype: CombinatorialType):
@@ -385,40 +399,90 @@ class _TypeSystem:
         self.val_readers = [0] * self.num_edges
         self.box_readers = [0] * ctype.num_vertices
         self.vertex_edges = [0] * ctype.num_vertices
+        self.line_rules = [0] * self.num_edges
         for terms in self.vertex_eqs:
             for i, _ in terms:
                 self.val_readers[i] |= 1 << len(self.rules)
             self.rules.append((0, terms))
+        self.rays: List[Tuple[Tuple[int, int, int], ...]] = []
+        self.forms: List[Tuple] = []
         for i, e in enumerate(edges):
-            m1, m2 = self.normals[i]
-            # y = (c - m1*x)/m2 falls as x grows iff m1, m2 share sign, which
-            # decides the y slot a lower x bound tightens (3 or 2) and the x
-            # slot a lower y bound tightens (1 or 0)
-            decreasing = (m1 > 0) == (m2 > 0)
-            for vertex in (e.tail, e.head):
+            rays: List[Tuple[int, int, int]] = []
+            forms = []
+            for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
-                self.val_readers[i] |= 1 << len(self.rules)
-                self.box_readers[vertex] |= 1 << len(self.rules)
+                bit = 1 << len(self.rules)
+                self.val_readers[i] |= bit
+                self.box_readers[vertex] |= bit
+                self.line_rules[i] |= bit
                 self.vertex_edges[vertex] |= 1 << i
-                self.rules.append((1, i, vertex, m1, m2, 3 if decreasing else 2, int(decreasing)))
+                self.rules.append((1, i, _line_steps(self.normals[i], 4 * vertex), vertex))
+                for k in (0, 1):
+                    uk = e.prim[k] * sign
+                    lo, hi = 4 * vertex + 2 * k, 4 * vertex + 2 * k + 1
+                    if uk > 0:
+                        rays.append((k, lo, hi))
+                    elif uk < 0:
+                        rays.append((k, hi, lo))
+                    else:
+                        rays += [(k, hi, lo), (k, lo, hi)]
+                terms = [(m, 4 * vertex + lo) for m, lo in zip(self.normals[i], (0, 2)) if m]
+                for flip in (1, -1):
+                    forms.append((flip, tuple((flip * m, lo + (flip * m < 0)) for m, lo in terms)))
+            self.rays.append(tuple(rays))
+            self.forms.append(tuple(forms))
         # a bounded edge's direction orders its endpoints coordinatewise:
-        # (source, target, slot) copies source's bound in slot to target
+        # (source slot, target slot, target) copies a bound to the target
         for i in ctype.bounded_indices():
             ta, he = edges[i].tail, edges[i].head
             table: List[Tuple[int, int, int]] = []
             for k, uk in enumerate(edges[i].prim):
                 lo, hi = 2 * k, 2 * k + 1
                 if uk > 0:
-                    table += [(ta, he, lo), (he, ta, hi)]
+                    pairs = [(ta, he, lo), (he, ta, hi)]
                 elif uk < 0:
-                    table += [(he, ta, lo), (ta, he, hi)]
+                    pairs = [(he, ta, lo), (ta, he, hi)]
                 else:
-                    table += [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
+                    pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
+                table += [(4 * s + slot, 4 * t + slot, t) for s, t, slot in pairs]
             self.box_readers[ta] |= 1 << len(self.rules)
             self.box_readers[he] |= 1 << len(self.rules)
             self.rules.append((2, tuple(table)))
         self.all_rules = (1 << len(self.rules)) - 1
+        # a line rule of an edge without a value does nothing
+        self.valueless_live = self.all_rules & ~sum(self.line_rules)
+
+
+def _line_steps(normal: Vec, base: int) -> Tuple[Tuple[int, int, int, int], ...]:
+    """The (read slot, write slot, a, m) steps of m1*x + m2*y == c at the
+    vertex whose box starts at ``base``: each bounds the write slot by
+    (c - a * box[read]) / m, rounded outward; read slot -1 reads 0."""
+    m1, m2 = normal
+    if m1 == 0:
+        return ((-1, base + 2, 0, m2), (-1, base + 3, 0, m2))
+    if m2 == 0:
+        return ((-1, base, 0, m1), (-1, base + 1, 0, m1))
+    # y = (c - m1*x)/m2 falls as x grows iff m1, m2 share sign, which
+    # decides the y slot a lower x bound tightens (3 or 2) and the x slot a
+    # lower y bound tightens (1 or 0)
+    x_slot, y_slot = (3, 1) if (m1 > 0) == (m2 > 0) else (2, 0)
+    return (
+        (base, base + x_slot, m1, m2),
+        (base + 1, base + 5 - x_slot, m1, m2),
+        (base + 2, base + y_slot, m2, m1),
+        (base + 3, base + 1 - y_slot, m2, m1),
+    )
+
+
+def _union(mask: int, table: Sequence[int]) -> int:
+    """The union of ``table[v]`` over the bits v of ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= table[low.bit_length() - 1]
+    return out
 
 
 class _Solver:
@@ -429,273 +493,186 @@ class _Solver:
     direction, and a known transverse value couples the x and y ranges of
     its endpoint vertices.  All bounds are integers, rounded outward where
     a division occurs, which is a sound relaxation of the strict geometry.
+
+    ``live`` is the bitmask of the rules that can act: all but the line
+    rules of edges without a value.  ``moved`` collects the vertices whose
+    box ``apply_point_on_edge`` or ``propagate`` changed; the caller clears
+    it.
     """
 
     def __init__(self, system: _TypeSystem):
         self.system = system
-        n = system.num_edges
-        self.val: List[Optional[int]] = [None] * n
-        # vertex boxes: per vertex [xlo, xhi, ylo, yhi], None = unbounded
-        self.box: List[List] = [[None, None, None, None] for _ in range(system.ctype.num_vertices)]
-        self.trail: List[Tuple] = []
-
-    def snapshot(self):
-        return len(self.trail)
-
-    def rollback(self, mark):
-        trail = self.trail
-        val = self.val
-        box = self.box
-        while len(trail) > mark:
-            kind, idx, slot, old = trail.pop()
-            if kind == 0:
-                val[idx] = old
-            else:
-                box[idx][slot] = old
-
-    def readers_since(self, mark) -> int:
-        """The rules that read a value or box changed since the mark."""
-        system = self.system
-        readers = 0
-        for kind, idx, _, _ in self.trail[mark:]:
-            readers |= system.box_readers[idx] if kind else system.val_readers[idx]
-        return readers
-
-    def edges_moved_since(self, mark) -> int:
-        """The edges with an endpoint box changed since the mark."""
-        vertex_edges = self.system.vertex_edges
-        edges = 0
-        for kind, idx, _, _ in self.trail[mark:]:
-            if kind:
-                edges |= vertex_edges[idx]
-        return edges
-
-    def set_val(self, idx, value) -> bool:
-        cur = self.val[idx]
-        if cur is not None:
-            return cur == value
-        self.trail.append((0, idx, 0, None))
-        self.val[idx] = value
-        return True
-
-    def tighten(self, vertex: int, slot: int, bound) -> Optional[bool]:
-        """slot 0/2: lower bound on x/y; slot 1/3: upper bound."""
-        b = self.box[vertex]
-        cur = b[slot]
-        if slot % 2 == 0:
-            if cur is not None and cur >= bound:
-                return None
-            other = b[slot + 1]
-            if other is not None and bound > other:
-                return False
-        else:
-            if cur is not None and cur <= bound:
-                return None
-            other = b[slot - 1]
-            if other is not None and bound < other:
-                return False
-        self.trail.append((1, vertex, slot, cur))
-        b[slot] = bound
-        return True
+        self.val: List[Optional[int]] = [None] * system.num_edges
+        # per vertex [xlo, xhi, ylo, yhi], None = unbounded
+        self.box: List[Optional[int]] = [None] * (4 * system.ctype.num_vertices)
+        self.live = system.valueless_live
+        self.moved = 0
 
     def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> bool:
         """Box consequences of a point lying on the (relative interior of an)
-        edge: the tail sits on the backward ray, the head on the forward one."""
-        e = self.system.ctype.edges[edge]
-        u = e.prim
-        for vertex, sign in ((e.tail, 1), (e.head, -1)):
-            if vertex is None:
-                continue
-            for k in (0, 1):
-                uk = u[k] * sign
-                if uk > 0:
-                    res = self.tighten(vertex, 2 * k + 1, point[k])
-                elif uk < 0:
-                    res = self.tighten(vertex, 2 * k, point[k])
-                else:
-                    res = self.tighten(vertex, 2 * k, point[k])
-                    if res is False:
-                        return False
-                    res = self.tighten(vertex, 2 * k + 1, point[k])
-                if res is False:
+        edge: the tail sits on the backward ray, the head on the forward one.
+        False on a contradiction."""
+        box = self.box
+        moved = self.moved
+        for k, check, slot in self.system.rays[edge]:
+            p = point[k]
+            cur = box[slot]
+            other = box[check]
+            if slot & 1:
+                if cur is not None and cur <= p:
+                    continue
+                if other is not None and other > p:
                     return False
+            else:
+                if cur is not None and cur >= p:
+                    continue
+                if other is not None and other < p:
+                    return False
+            box[slot] = p
+            moved |= 1 << (slot >> 2)
+        self.moved = moved
         return True
 
     def propagate(self, pending: int) -> Optional[int]:
         """Run the rules in the ``pending`` bitmask, in sweeps, to a fixpoint.
 
         A sweep runs the pending rules in rule order.  A rule that changes a
-        value or a box schedules the rules that read it: those after it in
-        this sweep, those at or before it (itself included) in the next.
+        value or a box schedules the live rules that read it: those after it
+        in this sweep, those at or before it (itself included) in the next.
         After at most ``_SWEEPS`` sweeps this returns the rules still
         pending, 0 at a fixpoint, or None on a contradiction.
 
         The result is the one of running every rule in every sweep.  A rule
         writes only what it reads, and its writes are a function of what it
         reads, so a rule whose inputs are unchanged since a run that changed
-        nothing would change nothing again.  A caller that changes values or
-        boxes passes the rules left pending plus the readers of the changes.
+        nothing would change nothing again; a line rule of an edge without a
+        value changes nothing at all.  A caller that changes values or boxes
+        passes the rules left pending plus the readers of the changes.
         """
         val = self.val
         box = self.box
-        tighten = self.tighten
         system = self.system
         rules = system.rules
         val_readers = system.val_readers
         box_readers = system.box_readers
+        line_rules = system.line_rules
+        live = self.live
+        moved = self.moved
+        pending &= live
         for _ in range(_SWEEPS):
             if not pending:
-                return 0
+                break
             now, pending = pending, 0
             while now:
                 low = now & -now
                 now ^= low
                 rule = rules[low.bit_length() - 1]
-                touched = 0
-                if rule[0] == 0:
+                kind = rule[0]
+                if kind == 1:
+                    # m1*x + m2*y == c at an endpoint of an edge of known value
+                    c = val[rule[1]]
+                    changed = False
+                    for read, slot, a, m in rule[2]:
+                        if read < 0:
+                            num = c
+                        else:
+                            other = box[read]
+                            if other is None:
+                                continue
+                            num = c - a * other
+                        cur = box[slot]
+                        if slot & 1:
+                            bound = -(-num // m)
+                            if cur is not None and cur <= bound:
+                                continue
+                            other = box[slot - 1]
+                            if other is not None and bound < other:
+                                return None
+                        else:
+                            bound = num // m
+                            if cur is not None and cur >= bound:
+                                continue
+                            other = box[slot + 1]
+                            if other is not None and bound > other:
+                                return None
+                        box[slot] = bound
+                        changed = True
+                    if not changed:
+                        continue
+                    vertex = rule[3]
+                    moved |= 1 << vertex
+                    touched = box_readers[vertex]
+                elif kind == 2:
+                    # monotone transfer along a bounded edge
+                    touched = 0
+                    for source, slot, target in rule[1]:
+                        bound = box[source]
+                        if bound is None:
+                            continue
+                        cur = box[slot]
+                        if slot & 1:
+                            if cur is not None and cur <= bound:
+                                continue
+                            other = box[slot - 1]
+                            if other is not None and bound < other:
+                                return None
+                        else:
+                            if cur is not None and cur >= bound:
+                                continue
+                            other = box[slot + 1]
+                            if other is not None and bound > other:
+                                return None
+                        box[slot] = bound
+                        moved |= 1 << target
+                        touched |= box_readers[target]
+                    if not touched:
+                        continue
+                else:
                     # transverse-value cascade through a trivalent equation
-                    unknown = None
-                    many = False
+                    unknowns = 0
                     total = 0
                     for i, s in rule[1]:
                         v = val[i]
                         if v is None:
-                            if unknown is None:
-                                unknown = (i, s)
-                            else:
-                                many = True
+                            unknowns += 1
+                            unknown, sign = i, s
                         else:
                             total += v if s > 0 else -v
-                    if unknown is None:
-                        if total != 0:
+                    if unknowns != 1:
+                        if unknowns == 0 and total != 0:
                             return None
                         continue
-                    if many:
-                        continue
-                    i, s = unknown
-                    self.set_val(i, -total if s > 0 else total)
-                    touched = val_readers[i]
-                elif rule[0] == 1:
-                    # m1*x + m2*y == c at an endpoint of an edge of known value
-                    _, i, vertex, m1, m2, x_slot, y_slot = rule
-                    c = val[i]
-                    if c is None:
-                        continue
-                    b = box[vertex]
-                    if m1 == 0 or m2 == 0:
-                        m, lo = (m2, 2) if m1 == 0 else (m1, 0)
-                        for slot, bound in ((lo, _floor_div(c, m)), (lo + 1, _ceil_div(c, m))):
-                            res = tighten(vertex, slot, bound)
-                            if res is False:
-                                return None
-                            if res:
-                                touched = box_readers[vertex]
-                    else:
-                        for xb, slot in ((b[0], x_slot), (b[1], 5 - x_slot)):
-                            if xb is None:
-                                continue
-                            num = c - m1 * xb
-                            bound = _floor_div(num, m2) if slot == 2 else _ceil_div(num, m2)
-                            res = tighten(vertex, slot, bound)
-                            if res is False:
-                                return None
-                            if res:
-                                touched = box_readers[vertex]
-                        for yb, slot in ((b[2], y_slot), (b[3], 1 - y_slot)):
-                            if yb is None:
-                                continue
-                            num = c - m2 * yb
-                            bound = _floor_div(num, m1) if slot == 0 else _ceil_div(num, m1)
-                            res = tighten(vertex, slot, bound)
-                            if res is False:
-                                return None
-                            if res:
-                                touched = box_readers[vertex]
-                else:
-                    # monotone transfer along a bounded edge
-                    for source, target, slot in rule[1]:
-                        bound = box[source][slot]
-                        if bound is None:
-                            continue
-                        # a bound that would not tighten, skipped without a call
-                        cur = box[target][slot]
-                        if cur is not None and (cur <= bound if slot & 1 else cur >= bound):
-                            continue
-                        res = tighten(target, slot, bound)
-                        if res is False:
-                            return None
-                        if res:
-                            touched |= box_readers[target]
-                if touched:
-                    later = touched & -(low << 1)
-                    now |= later
-                    pending |= touched ^ later
+                    val[unknown] = -total if sign > 0 else total
+                    live |= line_rules[unknown]
+                    touched = val_readers[unknown]
+                touched &= live
+                later = touched & -(low << 1)
+                now |= later
+                pending |= touched ^ later
+        self.live = live
+        self.moved = moved
         return pending
 
     def point_feasible(self, edge: int, point: Tuple[int, int], pin: int) -> bool:
-        """Quick test that a point can sit on the edge given current boxes."""
-        system = self.system
-        e = system.ctype.edges[edge]
-        u = e.prim
-        for vertex, sign in ((e.tail, 1), (e.head, -1)):
-            if vertex is None:
-                continue
-            b = self.box[vertex]
-            for k in (0, 1):
-                uk = u[k] * sign
-                if uk > 0:
-                    if b[2 * k] is not None and b[2 * k] > point[k]:
-                        return False
-                elif uk < 0:
-                    if b[2 * k + 1] is not None and b[2 * k + 1] < point[k]:
-                        return False
-                else:
-                    if b[2 * k] is not None and b[2 * k] > point[k]:
-                        return False
-                    if b[2 * k + 1] is not None and b[2 * k + 1] < point[k]:
-                        return False
-            # the pinned line must cross the box
-            m1, m2 = system.normals[edge]
-            smin = 0
-            smax = 0
-            unbounded_min = unbounded_max = False
-            for coef, lo_slot in ((m1, 0), (m2, 2)):
-                if coef == 0:
-                    continue
-                blo, bhi = b[lo_slot], b[lo_slot + 1]
-                if coef > 0:
-                    if blo is None:
-                        unbounded_min = True
-                    else:
-                        smin += coef * blo
-                    if bhi is None:
-                        unbounded_max = True
-                    else:
-                        smax += coef * bhi
-                else:
-                    if bhi is None:
-                        unbounded_min = True
-                    else:
-                        smin += coef * bhi
-                    if blo is None:
-                        unbounded_max = True
-                    else:
-                        smax += coef * blo
-            if not unbounded_min and pin < smin:
+        """Quick test that a point can sit on the edge given current boxes:
+        no ray entry contradicts a bound, and at each endpoint the pinned
+        line crosses the box."""
+        box = self.box
+        for k, check, _ in self.system.rays[edge]:
+            bound = box[check]
+            if bound is not None and (bound < point[k] if check & 1 else bound > point[k]):
                 return False
-            if not unbounded_max and pin > smax:
-                return False
+        for sign, terms in self.system.forms[edge]:
+            least = 0
+            for coef, slot in terms:
+                bound = box[slot]
+                if bound is None:
+                    break
+                least += coef * bound
+            else:
+                if sign * pin < least:
+                    return False
         return True
-
-
-def _floor_div(a: int, b: int) -> int:
-    return a // b if b > 0 else (-a) // (-b)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    if b < 0:
-        a, b = -a, -b
-    return -((-a) // b)
 
 
 def _has_matching(rows: Sequence[Sequence[int]]) -> bool:
@@ -731,12 +708,22 @@ def _search_assignments(
     point are its parent's, filtered: boxes only shrink and values are only
     set deeper in the tree, so an edge ruled out stays ruled out, and the
     box test is redone only for edges whose endpoint boxes moved.
+
+    Each child starts from a copy of its parent's state: a node copies its
+    values, boxes and live rules once, and puts them back before each child
+    but the first.  The state a node leaves behind is its last child's,
+    which its own parent overwrites.
     """
     num_points = len(pins)
     assignment: List[int] = [-1] * num_points
     used: Set[int] = set()
     solver = _Solver(system)
     val = solver.val
+    box = solver.box
+    val_readers = system.val_readers
+    box_readers = system.box_readers
+    vertex_edges = system.vertex_edges
+    line_rules = system.line_rules
 
     def narrowed(cands: List[List[int]], moved: int) -> Optional[List[List[int]]]:
         """Each unplaced point's admissible edges among ``cands``, with the
@@ -777,24 +764,33 @@ def _search_assignments(
                 best_point == -1 or len(cands[j]) < len(cands[best_point])
             ):
                 best_point = j
-        for edge in cands[best_point]:
-            pin = pins[best_point][edge]
-            mark = solver.snapshot()
-            ok = solver.set_val(edge, pin)
-            if ok:
-                ok = solver.apply_point_on_edge(edge, points[best_point])
-            if ok:
-                rest = solver.propagate(pending | solver.readers_since(mark))
-                ok = rest is not None
-            if ok:
-                used.add(edge)
-                assignment[best_point] = edge
-                child = narrowed(cands, solver.edges_moved_since(mark))
-                if child is not None:
-                    yield from place(placed + 1, child, rest)
-                assignment[best_point] = -1
-                used.discard(edge)
-            solver.rollback(mark)
+        row = pins[best_point]
+        point = points[best_point]
+        edges = cands[best_point]
+        if len(edges) > 1:
+            saved = (val[:], box[:], solver.live)
+        for n, edge in enumerate(edges):
+            if n:
+                val[:], box[:], solver.live = saved
+            # a candidate's value is unset or already its pin
+            readers = 0
+            if val[edge] is None:
+                val[edge] = row[edge]
+                solver.live |= line_rules[edge]
+                readers = val_readers[edge]
+            solver.moved = 0
+            if not solver.apply_point_on_edge(edge, point):
+                continue
+            rest = solver.propagate(pending | readers | _union(solver.moved, box_readers))
+            if rest is None:
+                continue
+            used.add(edge)
+            assignment[best_point] = edge
+            child = narrowed(cands, _union(solver.moved, vertex_edges))
+            if child is not None:
+                yield from place(placed + 1, child, rest)
+            assignment[best_point] = -1
+            used.discard(edge)
 
     every_edge = list(range(system.num_edges))
     root = narrowed([every_edge] * num_points, (1 << system.num_edges) - 1)

@@ -50,6 +50,36 @@ def test_count_table_format(capsys):
     assert "N=1" in out
 
 
+def test_count_table_prints_only_computed_totals(capsys):
+    code, out, _ = run_cli(
+        ["count", "--degree", "2", "--real", "--signs=all-positive", "--format", "table"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "totals\tN_R=1\tW_R=1"
+
+
+def test_output_to_unwritable_path_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "curves.json"
+    code, out, err = run_cli(["enumerate", "--degree", "1", "--output", str(target)], capsys)
+    assert code == 2
+    assert "cannot write" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("max_degree", ["0", "-3", "4"])
+def test_selftest_rejects_max_degree_out_of_range(max_degree, monkeypatch, capsys):
+    from tropcount import selftest
+
+    def run(**kwargs):
+        raise AssertionError("selftest ran with --max-degree %s" % max_degree)
+
+    monkeypatch.setattr(selftest, "run", run)
+    code, _, err = run_cli(["selftest", "--max-degree=" + max_degree], capsys)
+    assert code == 2
+    assert "--max-degree" in err
+
+
 def test_count_real_requires_signs(capsys):
     code, _, err = run_cli(["count", "--degree", "1", "--real"], capsys)
     assert code == 2

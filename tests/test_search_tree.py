@@ -117,3 +117,20 @@ def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch):
     unpruned = fingerprint(types_by_degree[degree], points, monkeypatch)
     assert unpruned["yielded"] == expected[name]["yielded"]
     assert unpruned["propagate_calls"] > expected[name]["propagate_calls"]
+
+
+# without the box test d3-generic-1 takes seconds, so it runs under slow
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=pytest.mark.slow) if n.startswith("d3") else n for n in FAST]
+)
+def test_box_test_bites(name, expected, types_by_degree, monkeypatch):
+    """With every edge passing the box test the search yields the same
+    assignments, so the test drops only candidates with no completion, and
+    it tries strictly more children.  The order within a type may change:
+    longer candidate lists can change which point is placed first, and do
+    so on d3-generic-1."""
+    monkeypatch.setattr(_Solver, "point_feasible", lambda self, edge, point, pin: True)
+    degree, points = configurations()[name]
+    unboxed = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert sorted(unboxed["yielded"]) == sorted(expected[name]["yielded"])
+    assert unboxed["propagate_calls"] > expected[name]["propagate_calls"]
