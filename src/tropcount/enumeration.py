@@ -13,6 +13,13 @@ pinned lines couple the x and y ranges), which prunes wrong assignments
 almost immediately for spread-out configurations.  Survivors get a full
 rational solve plus geometric acceptance checks.
 
+Types come from the labelled trees of ``_trees``, in their order.  One pass
+per tree sums the leaf vectors below each node; it rejects a tree with a
+flat vertex or a zero bounded edge, and its sums label each neighbour of a
+vertex by its far-side leaf sum, which gives the tree's isomorphism key
+(AHU, rooted at the centres).  Only the first tree of each key is built
+into a type, so each type is built once.
+
 Propagation is a worklist over rules kept as data by ``_TypeSystem``: a
 value cascade per vertex, a line constraint per (edge, endpoint) and a
 bound transfer per bounded edge, each with the values and boxes it reads.
@@ -179,134 +186,105 @@ def _rot90(v: Vec) -> Vec:
     return (-v[1], v[0])
 
 
-def _type_from_tree(
+def _leaf_sums(
     tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
-) -> Optional[CombinatorialType]:
-    """Forced bounded-edge data from the leaf directions, or None when some
-    vertex is flat (all its directions parallel) or some bounded direction
-    is zero."""
-    nodes = {a for e in tree_edges for a in e}
-    internal = sorted(n for n in nodes if n >= num_leaves)
-    vertex_index = {n: i for i, n in enumerate(internal)}
+) -> Optional[Tuple[List[List[int]], List[int], List[int], List[Vec]]]:
+    """One pass over a labelled tree, rooted at its first internal node.
 
-    adjacency: Dict[int, List[Tuple[int, int]]] = {n: [] for n in nodes}
-    for i, (a, b) in enumerate(tree_edges):
-        adjacency[a].append((b, i))
-        adjacency[b].append((a, i))
-
-    # leaf-vector sum below every node, one iterative post-order pass
-    root = internal[0]
-    order = []
-    parent_of = {root: None}
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for child, _ in adjacency[node]:
-            if child != parent_of.get(node):
-                parent_of[child] = node
-                stack.append(child)
-    # A vertex's directions sum to zero, so its first two child sums are
+    Returns the adjacency lists, the parent of every node (-1 at the root),
+    the internal nodes breadth first, and the leaf-vector sum below every
+    node but the root; or None when some vertex is flat (all its directions
+    parallel) or some bounded direction is zero.
+    """
+    adjacency: List[List[int]] = [[] for _ in range(2 * num_leaves - 2)]
+    for a, b in tree_edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    parent = [-1] * len(adjacency)
+    order = [num_leaves]
+    for node in order:
+        for child in adjacency[node]:
+            if child != parent[node]:
+                parent[child] = node
+                if child >= num_leaves:
+                    order.append(child)
+    # A vertex's directions sum to zero, so two of its child sums are
     # parallel exactly when the vertex is flat or its parent edge is zero.
-    below: Dict[int, Vec] = {}
+    below: List[Vec] = list(leaf_vecs) + [(0, 0)] * (num_leaves - 2)
     for node in reversed(order):
-        if node < num_leaves:
-            below[node] = leaf_vecs[node]
-            continue
-        sums = [below[child] for child, _ in adjacency[node] if child != parent_of[node]]
-        (ax, ay), (bx, by) = sums[0], sums[1]
+        up = parent[node]
+        (ax, ay), (bx, by) = [below[c] for c in adjacency[node] if c != up][:2]
         if ax * by - ay * bx == 0:
             return None
-        below[node] = (sum(v[0] for v in sums), sum(v[1] for v in sums))
-
-    edges: List[TypeEdge] = []
-    for a, b in tree_edges:
-        if a < num_leaves or b < num_leaves:
-            leaf, vert = (a, b) if a < num_leaves else (b, a)
-            vec = leaf_vecs[leaf]
-            w = vector_gcd(vec)
-            edges.append(
-                TypeEdge(
-                    tail=vertex_index[vert],
-                    head=None,
-                    vec=vec,
-                    weight=w,
-                    prim=tuple(x // w for x in vec),
-                )
-            )
-        else:
-            # orient away from the root: vec = sum over the child side
-            child = b if parent_of[b] == a else a
-            tail, head = (a, b) if child == b else (b, a)
-            vec = below[child]
-            w = vector_gcd(vec)
-            edges.append(
-                TypeEdge(
-                    tail=vertex_index[tail],
-                    head=vertex_index[head],
-                    vec=vec,
-                    weight=w,
-                    prim=tuple(x // w for x in vec),
-                )
-            )
-
-    return CombinatorialType(
-        genus=0, num_vertices=len(internal), edges=tuple(edges), has_flat_vertex=False
-    )
+        below[node] = (ax + bx, ay + by)
+    return adjacency, parent, order, below
 
 
-def _canonical_key(ctype: CombinatorialType):
-    """AHU canonical form of the direction-labeled tree.
+def _class_key(
+    adjacency: List[List[int]],
+    parent: List[int],
+    order: List[int],
+    below: List[Vec],
+    num_leaves: int,
+):
+    """AHU canonical form of the direction-labelled tree.
 
-    Rooted at the (at most two) centers of the internal tree, so
-    isomorphic types get equal keys without minimizing over all roots.
+    Each neighbour of a vertex is labelled by the leaf-vector sum on its
+    far side: its own sum below when it is a child, else minus the
+    vertex's.  Rooted at the (at most two) centres of the internal tree, so
+    isomorphic trees get equal keys without minimizing over all roots.
     """
-    adjacency: Dict[int, List[Tuple[Vec, int, int]]] = {
-        v: [] for v in range(ctype.num_vertices)
-    }
-    internal_neighbors: Dict[int, List[int]] = {v: [] for v in range(ctype.num_vertices)}
-    for i, e in enumerate(ctype.edges):
-        if e.head is None:
-            adjacency[e.tail].append((e.vec, -1, i))
-        else:
-            adjacency[e.tail].append((e.vec, e.head, i))
-            adjacency[e.head].append((tuple(-x for x in e.vec), e.tail, i))
-            internal_neighbors[e.tail].append(e.head)
-            internal_neighbors[e.head].append(e.tail)
+    # The centres are the middle of a longest path.  Its first end is the
+    # last internal node of the walk from the root, its other end the last
+    # internal node of a walk from there.
+    back = {order[-1]: -1}
+    walk = [order[-1]]
+    for node in walk:
+        for w in adjacency[node]:
+            if w >= num_leaves and w not in back:
+                back[w] = node
+                walk.append(w)
+    path = [walk[-1]]
+    while back[path[-1]] >= 0:
+        path.append(back[path[-1]])
+    centres = {path[(len(path) - 1) // 2], path[len(path) // 2]}
 
-    # centers of the internal tree by repeated leaf stripping
-    remaining = set(range(ctype.num_vertices))
-    degree = {v: len(internal_neighbors[v]) for v in remaining}
-    layer = [v for v in remaining if degree[v] <= 1]
-    while len(remaining) > 2:
-        nxt = []
-        for v in layer:
-            remaining.discard(v)
-            for w in internal_neighbors[v]:
-                if w in remaining:
-                    degree[w] -= 1
-                    if degree[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    centers = sorted(remaining)
-
-    def canon(node: int, parent: int):
+    def canon(node: int, prev: int):
         parts = []
-        for vec, other, _ in adjacency[node]:
-            if other == parent:
-                continue
-            if other == -1:
-                parts.append((vec, ()))
-            else:
-                parts.append((vec, canon(other, node)))
+        for w in adjacency[node]:
+            if w != prev:
+                far = below[w] if parent[w] == node else (-below[node][0], -below[node][1])
+                parts.append((far, canon(w, node) if w >= num_leaves else ()))
         return tuple(sorted(parts))
 
-    return min(canon(root, -2) for root in centers)
+    return min(canon(c, -1) for c in centres)
+
+
+def _type_from_tree(
+    tree_edges: Tuple[Tuple[int, int], ...],
+    parent: List[int],
+    below: List[Vec],
+    num_leaves: int,
+) -> CombinatorialType:
+    """The type of a tree that passed ``_leaf_sums``: internal node
+    ``num_leaves + i`` is vertex i, and every edge points away from the
+    root, with the leaf-vector sum below its far end as its vector."""
+    edges: List[TypeEdge] = []
+    for a, b in tree_edges:
+        far, tail = (a, b) if parent[a] == b else (b, a)
+        head = None if far < num_leaves else far - num_leaves
+        vec = below[far]
+        w = vector_gcd(vec)
+        edges.append(TypeEdge(tail - num_leaves, head, vec, w, tuple(x // w for x in vec)))
+    return CombinatorialType(
+        genus=0, num_vertices=num_leaves - 2, edges=tuple(edges), has_flat_vertex=False
+    )
 
 
 def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     """All trivalent genus-zero types with the given degree, deduplicated
-    under direction-respecting isomorphism."""
+    under direction-respecting isomorphism.  Each is built once, from the
+    first labelled tree of its class in ``_trees`` order."""
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
     if not degree.is_balanced():
@@ -314,19 +292,21 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     leaf_vecs: List[Vec] = []
     for v, count in degree.items():
         leaf_vecs.extend([tuple(v)] * count)
-    if len(leaf_vecs) < 3:
+    n = len(leaf_vecs)
+    if n < 3:
         return []
     seen: Set = set()
     out: List[CombinatorialType] = []
-    for tree_edges in _trees(len(leaf_vecs)):
-        ctype = _type_from_tree(tree_edges, leaf_vecs, len(leaf_vecs))
-        if ctype is None:
+    for tree_edges in _trees(n):
+        sums = _leaf_sums(tree_edges, leaf_vecs, n)
+        if sums is None:
             continue
-        key = _canonical_key(ctype)
+        adjacency, parent, order, below = sums
+        key = _class_key(adjacency, parent, order, below, n)
         if key in seen:
             continue
         seen.add(key)
-        out.append(ctype)
+        out.append(_type_from_tree(tree_edges, parent, below, n))
     return out
 
 

@@ -1,17 +1,22 @@
+import functools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tropcount import enumeration
 from tropcount.enumeration import (
+    CombinatorialType,
     PointConfiguration,
+    TypeEdge,
     UnsupportedGenus,
     enumerate_curves,
     enumerate_types,
     solve_positions,
     _trees,
 )
+from tropcount.exact_lattice import vector_gcd
 from tropcount.incidence import match_marked_edges
 from tropcount.tropical import (
     Degree,
@@ -26,7 +31,168 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_tree_counts():
-    assert sum(1 for _ in _trees(6)) == 105
+    # (2n - 5)!! trivalent trees on n labelled leaves
+    double_factorial = 1
+    for num_leaves in range(3, 9):
+        assert sum(1 for _ in _trees(num_leaves)) == double_factorial
+        double_factorial *= 2 * num_leaves - 3
+
+
+# --- reference: build every non-flat tree, then key the built type ----------
+#
+# A type is built from every non-flat labelled tree and keyed by the AHU form
+# of the built type.  enumerate_types, which keys a tree before building it,
+# must give the same types in the same order with the same numbering.
+
+
+def _reference_type_from_tree(tree_edges, leaf_vecs, num_leaves):
+    nodes = {a for e in tree_edges for a in e}
+    internal = sorted(n for n in nodes if n >= num_leaves)
+    vertex_index = {n: i for i, n in enumerate(internal)}
+
+    adjacency = {n: [] for n in nodes}
+    for i, (a, b) in enumerate(tree_edges):
+        adjacency[a].append((b, i))
+        adjacency[b].append((a, i))
+
+    root = internal[0]
+    order = []
+    parent_of = {root: None}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for child, _ in adjacency[node]:
+            if child != parent_of.get(node):
+                parent_of[child] = node
+                stack.append(child)
+    below = {}
+    for node in reversed(order):
+        if node < num_leaves:
+            below[node] = leaf_vecs[node]
+            continue
+        sums = [below[child] for child, _ in adjacency[node] if child != parent_of[node]]
+        (ax, ay), (bx, by) = sums[0], sums[1]
+        if ax * by - ay * bx == 0:
+            return None
+        below[node] = (sum(v[0] for v in sums), sum(v[1] for v in sums))
+
+    edges = []
+    for a, b in tree_edges:
+        if a < num_leaves or b < num_leaves:
+            leaf, vert = (a, b) if a < num_leaves else (b, a)
+            tail, head, vec = vertex_index[vert], None, leaf_vecs[leaf]
+        else:
+            child = b if parent_of[b] == a else a
+            tail, head = (a, b) if child == b else (b, a)
+            tail, head, vec = vertex_index[tail], vertex_index[head], below[child]
+        w = vector_gcd(vec)
+        edges.append(TypeEdge(tail, head, vec, w, tuple(x // w for x in vec)))
+    return CombinatorialType(0, len(internal), tuple(edges), False)
+
+
+def _reference_key(ctype):
+    adjacency = {v: [] for v in range(ctype.num_vertices)}
+    internal_neighbors = {v: [] for v in range(ctype.num_vertices)}
+    for e in ctype.edges:
+        if e.head is None:
+            adjacency[e.tail].append((e.vec, -1))
+        else:
+            adjacency[e.tail].append((e.vec, e.head))
+            adjacency[e.head].append((tuple(-x for x in e.vec), e.tail))
+            internal_neighbors[e.tail].append(e.head)
+            internal_neighbors[e.head].append(e.tail)
+
+    remaining = set(range(ctype.num_vertices))
+    degree = {v: len(internal_neighbors[v]) for v in remaining}
+    layer = [v for v in remaining if degree[v] <= 1]
+    while len(remaining) > 2:
+        nxt = []
+        for v in layer:
+            remaining.discard(v)
+            for w in internal_neighbors[v]:
+                if w in remaining:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+
+    def canon(node, parent):
+        parts = []
+        for vec, other in adjacency[node]:
+            if other != parent:
+                parts.append((vec, () if other == -1 else canon(other, node)))
+        return tuple(sorted(parts))
+
+    return min(canon(root, -2) for root in sorted(remaining))
+
+
+def _bidegree(a, b):
+    return Degree({(-1, 0): a, (1, 0): a, (0, -1): b, (0, 1): b})
+
+
+# name -> (degree, number of types)
+EQUIVALENCE_DEGREES = {
+    "P2-d1": (Degree.projective(1), 1),
+    "P2-d2": (Degree.projective(2), 4),
+    "P1xP1-(1,1)": (_bidegree(1, 1), 2),
+    "P1xP1-(1,2)": (_bidegree(1, 2), 6),
+    "P1xP1-(2,2)": (_bidegree(2, 2), 98),
+    "cut-triangle": (Degree({(0, -1): 3, (-1, 0): 2, (0, 1): 1, (1, 1): 2}), 74),
+    "weight-2-end": (Degree({(-1, 0): 2, (0, -1): 2, (2, 2): 1}), 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_types(name):
+    degree, _ = EQUIVALENCE_DEGREES[name]
+    leaf_vecs = [tuple(v) for v, count in degree.items() for _ in range(count)]
+    seen = set()
+    out = []
+    for tree_edges in _trees(len(leaf_vecs)):
+        ctype = _reference_type_from_tree(tree_edges, leaf_vecs, len(leaf_vecs))
+        if ctype is None:
+            continue
+        key = _reference_key(ctype)
+        if key not in seen:
+            seen.add(key)
+            out.append(ctype)
+    return out
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_DEGREES)
+def test_enumerate_types_equals_building_every_tree(name):
+    # same types, order, representatives and numbering as building each
+    # non-flat tree and keying the built type
+    degree, count = EQUIVALENCE_DEGREES[name]
+    expected = _reference_types(name)
+    assert len(expected) == count
+    assert enumerate_types(0, degree) == expected
+
+
+def test_equivalence_fails_when_the_key_drops_its_labels(monkeypatch):
+    class_key = enumeration._class_key
+
+    def unlabelled(adjacency, parent, order, below, num_leaves):
+        return class_key(adjacency, parent, order, [(0, 0)] * len(below), num_leaves)
+
+    monkeypatch.setattr(enumeration, "_class_key", unlabelled)
+    # distinct classes of the same shape now merge
+    with pytest.raises(AssertionError):
+        test_enumerate_types_equals_building_every_tree("P1xP1-(2,2)")
+
+
+def test_enumerate_types_builds_each_type_once(monkeypatch):
+    calls = []
+    build = enumeration._type_from_tree
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(enumeration, "_type_from_tree", counted)
+    types = enumerate_types(0, _bidegree(2, 2))
+    assert len(calls) == len(types) == 98
 
 
 def test_enumerate_types_degree_three_matches_golden():
