@@ -13,12 +13,15 @@ pinned lines couple the x and y ranges), which prunes wrong assignments
 almost immediately for spread-out configurations.  Survivors get a full
 rational solve plus geometric acceptance checks.
 
-Types come from the labelled trees of ``_trees``, in their order.  One pass
-per tree sums the leaf vectors below each node; it rejects a tree with a
-flat vertex or a zero bounded edge, and its sums label each neighbour of a
-vertex by its far-side leaf sum, which gives the tree's isomorphism key
-(AHU, rooted at the centres).  Only the first tree of each key is built
-into a type, so each type is built once.
+Types come from one depth-first walk that inserts leaf k on each edge of
+a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
+``_tree_key`` (its AHU form, one character per leaf direction) it has seen.
+This is exact: restricting a tree to leaves 0..k commutes with relabelling
+same-direction leaves, and a tree's place in the walk extends its
+restriction's, so the first tree of a class is first at every level and is
+never skipped.  A whole tree is tested for a flat vertex or a zero bounded
+edge (``_leaf_sums``; flatness does not change within a class) before it is
+keyed, and each survivor is built into a type once.
 
 Propagation is a worklist over rules kept as data by ``_TypeSystem``: a
 value cascade per vertex, a line constraint per (edge, endpoint) and a
@@ -156,45 +159,18 @@ class PointConfiguration:
         return [AffineConstraint.point(p) for p in self.points]
 
 
-def _trees(num_leaves: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
-    """All trivalent trees on leaves 0..n-1; internal nodes are n, n+1, ...
-
-    Iterative leaf insertion: each tree on k leaves arises from a unique
-    (tree on k-1 leaves, edge) pair, so every tree is produced exactly once.
-    """
-    if num_leaves < 3:
-        raise ValueError("a trivalent tree needs at least three leaves")
-
-    def insert(edges: Tuple[Tuple[int, int], ...], leaf: int, internal: int) -> Iterator:
-        if leaf == num_leaves:
-            yield edges
-            return
-        for i, (a, b) in enumerate(edges):
-            new_edges = (
-                edges[:i]
-                + ((a, internal), (internal, b), (internal, leaf))
-                + edges[i + 1 :]
-            )
-            yield from insert(new_edges, leaf + 1, internal + 1)
-
-    first_internal = num_leaves
-    base = ((0, first_internal), (1, first_internal), (2, first_internal))
-    yield from insert(base, 3, first_internal + 1)
-
-
 def _rot90(v: Vec) -> Vec:
     return (-v[1], v[0])
 
 
 def _leaf_sums(
     tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
-) -> Optional[Tuple[List[List[int]], List[int], List[int], List[Vec]]]:
+) -> Optional[Tuple[List[int], List[Vec]]]:
     """One pass over a labelled tree, rooted at its first internal node.
 
-    Returns the adjacency lists, the parent of every node (-1 at the root),
-    the internal nodes breadth first, and the leaf-vector sum below every
-    node but the root; or None when some vertex is flat (all its directions
-    parallel) or some bounded direction is zero.
+    Returns the parent of every node (-1 at the root) and the leaf-vector
+    sum below every node but the root; or None when some vertex is flat (all
+    its directions parallel) or some bounded direction is zero.
     """
     adjacency: List[List[int]] = [[] for _ in range(2 * num_leaves - 2)]
     for a, b in tree_edges:
@@ -217,47 +193,53 @@ def _leaf_sums(
         if ax * by - ay * bx == 0:
             return None
         below[node] = (ax + bx, ay + by)
-    return adjacency, parent, order, below
+    return parent, below
 
 
-def _class_key(
-    adjacency: List[List[int]],
-    parent: List[int],
-    order: List[int],
-    below: List[Vec],
-    num_leaves: int,
-):
-    """AHU canonical form of the direction-labelled tree.
+def _tree_key(tree_edges: Tuple[Tuple[int, int], ...], leaf_chars: str) -> str:
+    """Canonical string of a labelled tree on leaves 0..k, the same for
+    trees that differ by a relabelling of same-direction leaves.
 
-    Each neighbour of a vertex is labelled by the leaf-vector sum on its
-    far side: its own sum below when it is a child, else minus the
-    vertex's.  Rooted at the (at most two) centres of the internal tree, so
-    isomorphic trees get equal keys without minimizing over all roots.
+    Leaf i is written ``leaf_chars[i]``, and nodes from ``len(leaf_chars)``
+    on are internal.  Rooted at the (at most two) centres of the internal
+    tree, so isomorphic trees get equal strings without trying every root.
     """
+    num_leaves = len(leaf_chars)
+    adjacency: Dict[int, List[int]] = {}
+    for a, b in tree_edges:
+        adjacency.setdefault(a, []).append(b)
+        adjacency.setdefault(b, []).append(a)
+
     # The centres are the middle of a longest path.  Its first end is the
-    # last internal node of the walk from the root, its other end the last
-    # internal node of a walk from there.
-    back = {order[-1]: -1}
-    walk = [order[-1]]
-    for node in walk:
-        for w in adjacency[node]:
-            if w >= num_leaves and w not in back:
-                back[w] = node
-                walk.append(w)
-    path = [walk[-1]]
+    # last internal node of a walk from node ``num_leaves``, its other end
+    # the last internal node of a walk from there.
+    def walk_from(start: int) -> Dict[int, int]:
+        back = {start: -1}
+        walk = [start]
+        for node in walk:
+            for w in adjacency[node]:
+                if w >= num_leaves and w not in back:
+                    back[w] = node
+                    walk.append(w)
+        return back
+
+    back = walk_from(next(reversed(walk_from(num_leaves))))
+    path = [next(reversed(back))]
     while back[path[-1]] >= 0:
         path.append(back[path[-1]])
-    centres = {path[(len(path) - 1) // 2], path[len(path) // 2]}
+    centres = path[(len(path) - 1) // 2], path[len(path) // 2]
+    return min(_ahu(adjacency, leaf_chars, c, -1) for c in centres)
 
-    def canon(node: int, prev: int):
-        parts = []
-        for w in adjacency[node]:
-            if w != prev:
-                far = below[w] if parent[w] == node else (-below[node][0], -below[node][1])
-                parts.append((far, canon(w, node) if w >= num_leaves else ()))
-        return tuple(sorted(parts))
 
-    return min(canon(c, -1) for c in centres)
+def _ahu(adjacency: Dict[int, List[int]], leaf_chars: str, node: int, prev: int) -> str:
+    """AHU string of the subtree at internal ``node`` away from ``prev``:
+    its neighbours' strings, sorted, in parentheses."""
+    parts = sorted(
+        leaf_chars[w] if w < len(leaf_chars) else _ahu(adjacency, leaf_chars, w, node)
+        for w in adjacency[node]
+        if w != prev
+    )
+    return "(" + "".join(parts) + ")"
 
 
 def _type_from_tree(
@@ -284,29 +266,43 @@ def _type_from_tree(
 def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     """All trivalent genus-zero types with the given degree, deduplicated
     under direction-respecting isomorphism.  Each is built once, from the
-    first labelled tree of its class in ``_trees`` order."""
+    first labelled tree of its class in the walk's order."""
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
     if not degree.is_balanced():
         raise ValueError("degree directions must sum to zero")
     leaf_vecs: List[Vec] = []
-    for v, count in degree.items():
+    leaf_chars = ""
+    for i, (v, count) in enumerate(degree.items()):
         leaf_vecs.extend([tuple(v)] * count)
+        leaf_chars += chr(ord("a") + i) * count
     n = len(leaf_vecs)
     if n < 3:
         return []
-    seen: Set = set()
+    # trees with different numbers of leaves never share a key
+    seen: Set[str] = set()
     out: List[CombinatorialType] = []
-    for tree_edges in _trees(n):
-        sums = _leaf_sums(tree_edges, leaf_vecs, n)
-        if sums is None:
-            continue
-        adjacency, parent, order, below = sums
-        key = _class_key(adjacency, parent, order, below, n)
+    # Depth first on a stack (a closure calling itself is a reference
+    # cycle); children are pushed last edge first, so they pop in edge order.
+    stack = [(((0, n), (1, n), (2, n)), 3)]
+    while stack:
+        tree_edges, leaves = stack.pop()
+        if leaves == n:
+            sums = _leaf_sums(tree_edges, leaf_vecs, n)
+            if sums is None:
+                continue
+        key = _tree_key(tree_edges, leaf_chars)
         if key in seen:
             continue
         seen.add(key)
-        out.append(_type_from_tree(tree_edges, parent, below, n))
+        if leaves == n:
+            out.append(_type_from_tree(tree_edges, *sums, n))
+            continue
+        internal = n + leaves - 2
+        for i in reversed(range(len(tree_edges))):
+            a, b = tree_edges[i]
+            child = tree_edges[:i] + ((a, internal), (internal, b), (internal, leaves))
+            stack.append((child + tree_edges[i + 1 :], leaves + 1))
     return out
 
 
@@ -658,23 +654,24 @@ class _Solver:
 def _has_matching(rows: Sequence[Sequence[int]]) -> bool:
     """Whether every row can be given a distinct one of its entries.
 
-    Kuhn's augmenting paths: each row in turn takes a free entry, or one
-    whose row can move to another entry, recursively.
+    Kuhn's augmenting paths (``_augment``): each row in turn takes a free
+    entry, or one whose row (``owner``) can move to another entry,
+    recursively.
     """
     owner: Dict[int, int] = {}
+    return all(_augment(rows, owner, r, set()) for r in range(len(rows)))
 
-    def augment(r: int, seen: Set[int]) -> bool:
-        for entry in rows[r]:
-            if entry in seen:
-                continue
-            seen.add(entry)
-            other = owner.get(entry)
-            if other is None or augment(other, seen):
-                owner[entry] = r
-                return True
-        return False
 
-    return all(augment(r, set()) for r in range(len(rows)))
+def _augment(rows: Sequence[Sequence[int]], owner: Dict[int, int], r: int, seen: Set[int]) -> bool:
+    for entry in rows[r]:
+        if entry in seen:
+            continue
+        seen.add(entry)
+        other = owner.get(entry)
+        if other is None or _augment(rows, owner, other, seen):
+            owner[entry] = r
+            return True
+    return False
 
 
 def _search_assignments(
@@ -776,6 +773,7 @@ def _search_assignments(
     root = narrowed([every_edge] * num_points, (1 << system.num_edges) - 1)
     if root is not None:
         yield from place(0, root, system.all_rules)
+    del place  # place reaches itself through this cell; break that cycle
 
 
 def solve_positions(

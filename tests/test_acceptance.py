@@ -42,6 +42,20 @@ def test_negative_control_snf_fault():
     assert not kernel.ok
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_negative_control_dropped_curve(monkeypatch, degree):
+    from tropcount import selftest
+    from tropcount.selftest import _Context, criterion_enumerative_numbers
+
+    ok, detail = criterion_enumerative_numbers(_Context(degrees=(degree,), seed=7))
+    assert ok, detail
+    enumerate_curves = selftest.enumerate_curves
+    monkeypatch.setattr(selftest, "enumerate_curves", lambda *args: enumerate_curves(*args)[:-1])
+    ok, detail = criterion_enumerative_numbers(_Context(degrees=(degree,), seed=7))
+    assert not ok
+    assert detail.startswith("d=%d got" % degree)
+
+
 _goodness_scale = TropicalCurve.goodness_scale.func
 
 

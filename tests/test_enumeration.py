@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,6 @@ from tropcount.enumeration import (
     enumerate_curves,
     enumerate_types,
     solve_positions,
-    _trees,
 )
 from tropcount.exact_lattice import vector_gcd
 from tropcount.incidence import match_marked_edges
@@ -28,6 +28,28 @@ from tropcount.tropical import (
 
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _trees(num_leaves):
+    """All trivalent trees on leaves 0..n-1; internal nodes are n, n+1, ...
+
+    Iterative leaf insertion: each tree on k leaves arises from a unique
+    (tree on k-1 leaves, edge) pair, so every tree is produced exactly once.
+    enumerate_types walks the same trees in the same order, pruned.
+    """
+
+    def insert(edges, leaf, internal):
+        if leaf == num_leaves:
+            yield edges
+            return
+        for i, (a, b) in enumerate(edges):
+            new_edges = (
+                edges[:i] + ((a, internal), (internal, b), (internal, leaf)) + edges[i + 1 :]
+            )
+            yield from insert(new_edges, leaf + 1, internal + 1)
+
+    base = ((0, num_leaves), (1, num_leaves), (2, num_leaves))
+    yield from insert(base, 3, num_leaves + 1)
 
 
 def test_tree_counts():
@@ -171,15 +193,38 @@ def test_enumerate_types_equals_building_every_tree(name):
 
 
 def test_equivalence_fails_when_the_key_drops_its_labels(monkeypatch):
-    class_key = enumeration._class_key
+    tree_key = enumeration._tree_key
 
-    def unlabelled(adjacency, parent, order, below, num_leaves):
-        return class_key(adjacency, parent, order, [(0, 0)] * len(below), num_leaves)
+    def unlabelled(tree_edges, leaf_chars):
+        return tree_key(tree_edges, "a" * len(leaf_chars))
 
-    monkeypatch.setattr(enumeration, "_class_key", unlabelled)
+    monkeypatch.setattr(enumeration, "_tree_key", unlabelled)
     # distinct classes of the same shape now merge
     with pytest.raises(AssertionError):
         test_enumerate_types_equals_building_every_tree("P1xP1-(2,2)")
+
+
+def test_orderly_prune_bites(monkeypatch):
+    tree_key = enumeration._tree_key
+    keyed = []
+
+    def counted(tree_edges, leaf_chars):
+        keyed.append(tree_edges)
+        return tree_key(tree_edges, leaf_chars)
+
+    monkeypatch.setattr(enumeration, "_tree_key", counted)
+    assert len(enumerate_types(0, Degree.projective(3))) == 80
+    # the walk keys a few partial trees, not all 13!! = 135,135 labelled trees
+    assert len(keyed) < 2_000
+
+    def never_prunes(tree_edges, leaf_chars):
+        if len(tree_edges) < 2 * len(leaf_chars) - 3:
+            return object()  # equal to no other key
+        return tree_key(tree_edges, leaf_chars)
+
+    # walking every labelled tree and keying only whole ones gives the same types
+    monkeypatch.setattr(enumeration, "_tree_key", never_prunes)
+    test_enumerate_types_degree_three_matches_golden()
 
 
 def test_enumerate_types_builds_each_type_once(monkeypatch):
@@ -208,6 +253,27 @@ def test_enumerate_types_degree_three_matches_golden():
         for t in types
     ] == expected
     assert len(expected) == 80
+
+
+def _flat_vertices(ctype):
+    directions = {v: [] for v in range(ctype.num_vertices)}
+    for e in ctype.edges:
+        directions[e.tail].append(e.vec)
+        if e.head is not None:
+            directions[e.head].append(tuple(-x for x in e.vec))
+    return [
+        v
+        for v, vecs in directions.items()
+        if all(a[0] * b[1] - a[1] * b[0] == 0 for a in vecs for b in vecs)
+    ]
+
+
+@pytest.mark.slow
+def test_enumerate_types_degree_four():
+    types = enumerate_types(0, Degree.projective(4))
+    assert len(types) == 2818
+    assert not any(_flat_vertices(t) for t in types)
+    assert len({_reference_key(t) for t in types}) == len(types)
 
 
 def test_enumerate_types_rejects_flat_vertices():
@@ -271,6 +337,26 @@ def test_enumerate_curves_degree_two_totals():
     for curve, _ in curves:
         # a tree moves by the position of one vertex and its edge lengths
         assert 2 + len(curve.graph.bounded_edges) == expected_dimension(2, 0, 6)
+
+
+def test_enumerate_curves_leaves_no_reference_cycles():
+    # A self-calling closure in the type walk or the search would leave its
+    # state for the cyclic collector after every call; count what it finds.
+    config = PointConfiguration.mikhalkin(5, 7)
+    enumerate_curves(0, Degree.projective(2), config)
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        enumerate_curves(0, Degree.projective(2), config)
+        found = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert found == 0
 
 
 def test_enumerate_curves_seed_invariance_degree_two():
