@@ -35,11 +35,11 @@ nothing, so it is never scheduled.  A child node starts from a copy of its
 parent's values and boxes, with the rules its parent left pending, and
 keeps the parent's candidate edges, filtered.
 
-A node, each type's root included, whose unplaced points cannot be
-matched to distinct candidate edges (Hall's condition, tested afresh by
-augmenting paths) has no injective completion and is dropped.  The test
-neither filters candidates nor changes the branching, so the yielded
-sequence is the same, with fewer nodes.
+A node, each type's root included, is dropped when its unplaced points
+cannot take distinct candidate edges with one point fewer than ends on
+each part of the type cut at the placed points (``_search_assignments``
+says why).  The test neither filters candidates nor changes the
+branching, so the yielded sequence is the same, with fewer nodes.
 """
 
 from __future__ import annotations
@@ -428,6 +428,19 @@ class _TypeSystem:
         self.all_rules = (1 << len(self.rules)) - 1
         # a line rule of an edge without a value does nothing
         self.valueless_live = self.all_rules & ~sum(self.line_rules)
+        # edge bitmasks of the ends, and of the parts a point on edge i
+        # leaves of the type: the two sides of a bounded edge, else the rest
+        self.ends = sum(1 << i for i in ctype.unbounded_indices())
+        self.cuts: List[Tuple[int, ...]] = []
+        for i, e in enumerate(edges):
+            rest = (1 << self.num_edges) - 1 ^ 1 << i
+            side, reached = 0, [e.head]
+            for v in reached:
+                for k, f in enumerate(edges):
+                    if v is not None and (self.vertex_edges[v] & rest & ~side) >> k & 1:
+                        side |= 1 << k
+                        reached.append((f.tail, f.head)[f.tail == v])
+            self.cuts.append((rest ^ side, side) if side else (rest,))
 
 
 def _line_steps(normal: Vec, base: int) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -651,25 +664,49 @@ class _Solver:
         return True
 
 
-def _has_matching(rows: Sequence[Sequence[int]]) -> bool:
-    """Whether every row can be given a distinct one of its entries.
+def _has_quota_matching(
+    rows: List[List[int]], parts: Sequence[int], ends: int, num_edges: int
+) -> bool:
+    """Whether every row can take a distinct one of its edges such that
+    each part (an edge bitmask; the parts hold every edge of every row)
+    has an end and takes at most one row fewer than it has ends (bits of
+    ``ends``): exactly that many when these quotas add up to the rows, as
+    in the search.  A flow by augmenting paths (``_reroute``)."""
+    spare = [(part & ends).bit_count() - 1 for part in parts]
+    if min(spare) < 0:
+        return False
+    owner = [-1] * num_edges
+    return all(_reroute(rows, parts, spare, owner, r, [0, 0]) for r in range(len(rows)))
 
-    Kuhn's augmenting paths (``_augment``): each row in turn takes a free
-    entry, or one whose row (``owner``) can move to another entry,
-    recursively.
-    """
-    owner: Dict[int, int] = {}
-    return all(_augment(rows, owner, r, set()) for r in range(len(rows)))
 
-
-def _augment(rows: Sequence[Sequence[int]], owner: Dict[int, int], r: int, seen: Set[int]) -> bool:
-    for entry in rows[r]:
-        if entry in seen:
+def _reroute(rows, parts, spare, owner, r, seen) -> bool:
+    """Kuhn's step for row r: take an unseen edge that is free in a part
+    with room to spare, or an owned one whose row moves on, or a free one
+    in a full part one of whose rows moves on.  ``seen`` holds the
+    bitmasks of the edges and the parts this path has visited."""
+    for edge in rows[r]:
+        if seen[0] >> edge & 1:
             continue
-        seen.add(entry)
-        other = owner.get(entry)
-        if other is None or _augment(rows, owner, other, seen):
-            owner[entry] = r
+        seen[0] |= 1 << edge
+        other = owner[edge]
+        if other < 0:
+            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
+            if spare[k]:
+                spare[k] -= 1
+                owner[edge] = r
+                return True
+            if seen[1] >> k & 1:
+                continue
+            seen[1] |= 1 << k
+            for moved in range(len(owner)):
+                if parts[k] >> moved & 1 and owner[moved] >= 0 and not seen[0] >> moved & 1:
+                    seen[0] |= 1 << moved
+                    if _reroute(rows, parts, spare, owner, owner[moved], seen):
+                        owner[moved] = -1
+                        owner[edge] = r
+                        return True
+        elif _reroute(rows, parts, spare, owner, other, seen):
+            owner[edge] = r
             return True
     return False
 
@@ -690,10 +727,16 @@ def _search_assignments(
     values, boxes and live rules once, and puts them back before each child
     but the first.  The state a node leaves behind is its last child's,
     which its own parent overwrites.
+
+    A node's ``parts`` are the edge bitmasks of the type cut at its placed
+    points.  A part with n ends and h cut half-edges has 2n + h - 3 unknown
+    values and n + h - 2 independent vertex equations, so n - 1 free ones:
+    ``_solve`` finds a unique solution only when every part takes n - 1 of
+    the unplaced points, since a part with fewer is singular, and one with
+    more leaves another with fewer (the quotas add up to the points).
     """
     num_points = len(pins)
     assignment: List[int] = [-1] * num_points
-    used: Set[int] = set()
     solver = _Solver(system)
     val = solver.val
     box = solver.box
@@ -701,13 +744,17 @@ def _search_assignments(
     box_readers = system.box_readers
     vertex_edges = system.vertex_edges
     line_rules = system.line_rules
+    cuts = system.cuts
 
-    def narrowed(cands: List[List[int]], moved: int) -> Optional[List[List[int]]]:
+    def narrowed(
+        cands: List[List[int]], moved: int, parts: Tuple[int, ...]
+    ) -> Optional[List[List[int]]]:
         """Each unplaced point's admissible edges among ``cands``, with the
         box test redone for the edges in the bitmask ``moved``; None as soon
-        as a point has none, or when the unplaced points have no matching."""
+        as a point has none, or when no matching meets the quotas of ``parts``."""
         out: List[List[int]] = [[] for _ in range(num_points)]
         unplaced: List[List[int]] = []
+        unused = sum(parts)
         for j in range(num_points):
             if assignment[j] != -1:
                 continue
@@ -715,7 +762,7 @@ def _search_assignments(
             point = points[j]
             keep = out[j]
             for edge in cands[j]:
-                if edge in used:
+                if not unused >> edge & 1:
                     continue
                 pin = row[edge]
                 cur = val[edge]
@@ -727,11 +774,13 @@ def _search_assignments(
             if not keep:
                 return None
             unplaced.append(keep)
-        if not _has_matching(unplaced):
+        if not _has_quota_matching(unplaced, parts, system.ends, system.num_edges):
             return None
         return out
 
-    def place(placed: int, cands: List[List[int]], pending: int) -> Iterator[Tuple[int, ...]]:
+    def place(
+        placed: int, cands: List[List[int]], pending: int, parts: Tuple[int, ...]
+    ) -> Iterator[Tuple[int, ...]]:
         if placed == num_points:
             yield tuple(assignment)
             return
@@ -761,18 +810,19 @@ def _search_assignments(
             rest = solver.propagate(pending | readers | _union(solver.moved, box_readers))
             if rest is None:
                 continue
-            used.add(edge)
             assignment[best_point] = edge
-            child = narrowed(cands, _union(solver.moved, vertex_edges))
+            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
+            split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
+            child = narrowed(cands, _union(solver.moved, vertex_edges), split)
             if child is not None:
-                yield from place(placed + 1, child, rest)
+                yield from place(placed + 1, child, rest, split)
             assignment[best_point] = -1
-            used.discard(edge)
 
     every_edge = list(range(system.num_edges))
-    root = narrowed([every_edge] * num_points, (1 << system.num_edges) - 1)
+    whole = ((1 << system.num_edges) - 1,)
+    root = narrowed([every_edge] * num_points, whole[0], whole)
     if root is not None:
-        yield from place(0, root, system.all_rules)
+        yield from place(0, root, system.all_rules, whole)
     del place  # place reaches itself through this cell; break that cycle
 
 

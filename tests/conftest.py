@@ -19,6 +19,22 @@ def acceptance_results():
     return results, lines
 
 
+@pytest.fixture
+def relax_quotas(monkeypatch):
+    """Call to give the search's matching test one part, every edge of it
+    an end.  The search leaves at least n - 2 more unused edges than
+    unplaced points (n ends), so no quota binds: a plain matching."""
+    from tropcount import enumeration
+
+    quota_matching = enumeration._has_quota_matching
+
+    def relaxed(rows, parts, ends, num_edges):
+        unused = sum(parts)
+        return quota_matching(rows, (unused,), unused, num_edges)
+
+    return lambda: monkeypatch.setattr(enumeration, "_has_quota_matching", relaxed)
+
+
 @pytest.fixture(scope="session")
 def d3_types():
     """The 80 non-flat d = 3 types, read back from their golden file

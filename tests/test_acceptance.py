@@ -79,6 +79,19 @@ def test_negative_control_goodness_scale(monkeypatch, fault):
     assert not ok
 
 
+def test_negative_control_negated_lift_sign(monkeypatch):
+    from tropcount import welschinger
+    from tropcount.selftest import _Context, criterion_census_identity
+
+    ok, detail = criterion_census_identity(_Context(degrees=(1, 2), seed=7))
+    assert ok, detail
+    lift_sign = welschinger.lift_sign
+    monkeypatch.setattr(welschinger, "lift_sign", lambda *args: -lift_sign(*args))
+    ok, detail = criterion_census_identity(_Context(degrees=(1, 2), seed=7))
+    assert not ok
+    assert detail.startswith("d=1 curve 0 sign_t=1: -1 != 1")
+
+
 def test_snf_fault_reaches_counting():
     # the stored generic set has a weight-2 edge whose lattice map has
     # invariant factor 2, so the corrupted SNF must trip the index check

@@ -1,5 +1,6 @@
 import functools
 import gc
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +372,84 @@ def test_enumerate_curves_seed_invariance_degree_two():
             )
         )
     assert totals[0] == totals[1]
+
+
+# The lattice maps that permute the ends of P^2 map the curves through some
+# points onto the curves through their images; a search or prune that
+# favoured one direction would miss some image.
+P2_ENDS = ((-1, 0), (0, -1), (1, 1))
+GENERIC_P2_POINTS = {
+    1: [(276, -476), (520, -265)],
+    2: [(629, 415), (931, 724), (516, 336), (889, 86), (-940, 722)],
+}
+
+
+def _apply(matrix, p):
+    return (matrix[0][0] * p[0] + matrix[0][1] * p[1], matrix[1][0] * p[0] + matrix[1][1] * p[1])
+
+
+def _shape(curve, marks, matrix=((1, 0), (0, 1))):
+    """Vertex positions, edges and the edge of each point, mapped by the
+    matrix, in a form that forgets vertex and edge names."""
+    pos = {v: _apply(matrix, p) for v, p in curve.positions.items()}
+    edges = {}
+    for i, (t, h) in enumerate(curve.graph.bounded_edges):
+        edges["b%d" % i] = (tuple(sorted((pos[t], pos[h]))), curve.weight("b%d" % i))
+    for i, (v, d) in enumerate(curve.graph.unbounded_edges):
+        edges["u%d" % i] = ((pos[v], _apply(matrix, d)), curve.weight("u%d" % i))
+    return sorted(pos.values()), sorted(edges.values()), [edges[e] for e in marks]
+
+
+@pytest.mark.parametrize("d", sorted(GENERIC_P2_POINTS))
+@pytest.mark.parametrize("ends", list(itertools.permutations(P2_ENDS)), ids=str)
+def test_enumerate_curves_commutes_with_permuting_the_ends(d, ends):
+    # the lattice map sending (-1, 0) to ends[0] and (0, -1) to ends[1]
+    # sends (1, 1), their negated sum, to ends[2]
+    (ax, ay), (bx, by), _ = ends
+    matrix = ((-ax, -bx), (-ay, -by))
+    points = GENERIC_P2_POINTS[d]
+    curves = enumerate_curves(0, Degree.projective(d), PointConfiguration.explicit(points))
+    images = enumerate_curves(
+        0, Degree.projective(d), PointConfiguration.explicit([_apply(matrix, p) for p in points])
+    )
+    for found in (curves, images):
+        assert sum(curve_mikhalkin_mults(c)[0] for c, _ in found) == 1
+        assert sum(curve_welschinger_mult(c) for c, _ in found) == 1
+    mapped = sorted(_shape(c, m, matrix) for c, m in curves)
+    assert mapped == sorted(_shape(c, m) for c, m in images)
+
+
+# generic integer points beyond P^2, and (N, number of curves) through them
+NO_DROP_POINTS = {
+    "P1xP1-(1,1)": ([(958, 768), (942, 739), (-884, -812)], 1, 1),
+    "P1xP1-(1,2)": ([(-826, -260), (712, -653), (508, 657), (372, 749), (-368, -484)], 1, 1),
+    "P1xP1-(2,2)": (
+        [(-926, 784), (-943, -254), (-47, 909), (-347, 860), (-221, -132), (827, 811), (77, -663)],
+        12,
+        9,
+    ),
+    "cut-triangle": (
+        [(241, -565), (243, -926), (191, 396), (-675, -117), (308, -194), (646, 481), (762, 43)],
+        12,
+        9,
+    ),
+    "weight-2-end": ([(945, -238), (115, 917), (-88, 29), (-450, 846)], 2, 1),
+}
+
+
+# (2, 2) takes longest, so it runs under slow
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param(n, marks=pytest.mark.slow) if n.endswith("(2,2)") else n for n in NO_DROP_POINTS],
+)
+def test_part_quotas_drop_no_curve(name, relax_quotas):
+    degree, _ = EQUIVALENCE_DEGREES[name]
+    points, total, count = NO_DROP_POINTS[name]
+    config = PointConfiguration.explicit(points)
+    curves = enumerate_curves(0, degree, config)
+    assert (sum(curve_mikhalkin_mults(c)[0] for c, _ in curves), len(curves)) == (total, count)
+    relax_quotas()
+    assert enumerate_curves(0, degree, config) == curves
 
 
 def test_enumerate_curves_wrong_point_count():

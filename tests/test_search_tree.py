@@ -7,7 +7,9 @@ change to the search that keeps these keeps the nodes it visits and the
 candidates it prunes, not only the curves it finally accepts.  The yielded
 sequences were written before the propagation became a worklist; the
 counts were rewritten when nodes with no one-to-one completion (no
-matching of unplaced points to candidate edges) began to be dropped.
+matching of unplaced points to candidate edges) began to be dropped, and
+again when that matching had to give each part of the type, cut at the
+placed points, one point fewer than it has ends.
 """
 
 import json
@@ -15,10 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from tropcount import enumeration
 from tropcount.enumeration import (
     PointConfiguration,
-    _has_matching,
+    _has_quota_matching,
     _search_assignments,
     _Solver,
     _TypeSystem,
@@ -97,26 +98,52 @@ def test_search_tree_matches_golden_d3_mikhalkin(expected, types_by_degree, monk
     check(SLOW, expected, types_by_degree, monkeypatch)
 
 
+def _plain_matching(rows):
+    # one part of edges 0..3 with an end more than the rows: no quota binds
+    return _has_quota_matching(rows, (0b1111,), (1 << len(rows) + 1) - 1, 4)
+
+
 def test_matching_finds_hall_violations():
     # two points whose only candidate is the same edge
-    assert not _has_matching([[3], [3]])
-    assert not _has_matching([[1, 2], [3], [3]])
+    assert not _plain_matching([[3], [3]])
+    assert not _plain_matching([[1, 2], [3], [3]])
     # the first row must give up its first choice for the second
-    assert _has_matching([[3, 1], [3]])
-    assert _has_matching([[0, 1, 2], [1], [0, 1]])
-    assert _has_matching([])
+    assert _plain_matching([[3, 1], [3]])
+    assert _plain_matching([[0, 1, 2], [1], [0, 1]])
+    assert _plain_matching([])
+
+
+# parts {0, 1, 2} and {3, 4, 5} with ends {0, 1} and {3, 4}: one row each
+TWO_PARTS = ((0b000111, 0b111000), 0b011011, 6)
+
+
+def test_matching_meets_part_quotas():
+    # distinct edges exist, but both rows would land in the first part
+    assert _plain_matching([[0, 1], [2, 0]])
+    assert not _has_quota_matching([[0, 1], [2, 0]], *TWO_PARTS)
+    assert _has_quota_matching([[0, 3], [3, 4]], *TWO_PARTS)
+    # the second row needs edge 0 in the full first part, whose row moves on
+    assert _has_quota_matching([[1, 3], [0]], *TWO_PARTS)
+    assert not _has_quota_matching([[1], [0]], *TWO_PARTS)
+
+
+def test_matching_rejects_a_part_without_an_end():
+    # edges {0, 1} hold no end; edges {2, 3, 4} hold three, room for two rows
+    parts, ends = (0b00011, 0b11100), 0b11100
+    assert not _has_quota_matching([[2], [3]], parts, ends, 5)
+    assert _has_quota_matching([[2], [3]], (0b11111,), ends, 5)
 
 
 @pytest.mark.parametrize("name", FAST)
-def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch):
-    """Without the matching test the search yields the same sequence, so
-    the test drops only nodes with no completion, and it tries strictly
-    more children."""
-    monkeypatch.setattr(enumeration, "_has_matching", lambda rows: True)
+def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch, relax_quotas):
+    """With the quotas relaxed, so that any part takes any number of
+    points, the search yields the same sequence, so the quotas drop only
+    nodes with no completion, and it tries strictly more children."""
+    relax_quotas()
     degree, points = configurations()[name]
-    unpruned = fingerprint(types_by_degree[degree], points, monkeypatch)
-    assert unpruned["yielded"] == expected[name]["yielded"]
-    assert unpruned["propagate_calls"] > expected[name]["propagate_calls"]
+    relaxed = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert relaxed["yielded"] == expected[name]["yielded"]
+    assert relaxed["propagate_calls"] > expected[name]["propagate_calls"]
 
 
 # without the box test d3-generic-1 takes seconds, so it runs under slow
