@@ -8,8 +8,9 @@ constraint data lies in the mod-2 image, and 0 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from math import prod
+from typing import Dict, Optional, Sequence, Tuple
 
 from .exact_lattice import IntMatrix, f2_solve, smith_normal_form
 from .incidence import (
@@ -78,9 +79,7 @@ def real_index(m: IntMatrix) -> IndexBundle:
     if det == 0:
         raise InfiniteCokernel("lattice map has zero determinant")
     snf = smith_normal_form(m)
-    complex_index = 1
-    for f in snf.invariant_factors:
-        complex_index *= f
+    complex_index = prod(snf.invariant_factors)
     if complex_index != abs(det):
         raise CrossCheckError(
             "invariant factor product %d != |det| %d" % (complex_index, abs(det))
@@ -94,54 +93,63 @@ def real_index(m: IntMatrix) -> IndexBundle:
     )
 
 
-def twisted_real_index(th: LatticeMapTh, sigma: SignClass) -> IndexBundle:
+def twisted_real_index(th: LatticeMapTh, base: IndexBundle, sigma: SignClass) -> IndexBundle:
     """Real index of the lattice map twisted by a sign class.
 
-    The twist is the real index when sigma lies in the mod-2 column space
-    of the map, else zero; solvability over F2 is exactly solvability of
-    the real gluing problem for the given sign data.
+    ``base`` is ``real_index(th.matrix)``.  The twist is the real index when
+    sigma lies in the mod-2 column space of the map, else zero; solvability
+    over F2 is exactly solvability of the real gluing problem for the given
+    sign data.
     """
-    base = real_index(th.matrix)
     if len(sigma.bits) != th.matrix.rows:
         raise ValueError("sign class length does not match the lattice map")
     solvable = f2_solve(th.matrix, sigma.bits) is not None
-    return IndexBundle(
-        complex_index=base.complex_index,
-        real_index=base.real_index,
-        twisted_real=base.real_index if solvable else 0,
-        factors=base.factors,
-    )
+    return replace(base, twisted_real=base.real_index if solvable else 0)
 
 
 def total_real_weight(curve: TropicalCurve) -> int:
     """Product of w^R over bounded edges times the marked-edge weights;
     w^R(E) is 2 for even weight and 1 for odd weight."""
-    total = 1
-    for eid in curve.graph.bounded_ids():
-        total *= 2 if curve.weight(eid) % 2 == 0 else 1
-    for eid in curve.graph.marked:
-        total *= curve.weight(eid)
-    return total
+    evens = sum(curve.weight(eid) % 2 == 0 for eid in curve.graph.bounded_ids())
+    return 2 ** evens * prod(curve.weight(eid) for eid in curve.graph.marked)
 
 
 def total_complex_weight(curve: TropicalCurve) -> int:
-    total = 1
-    for eid in curve.graph.bounded_ids():
-        total *= curve.weight(eid)
-    for eid in curve.graph.marked:
-        total *= curve.weight(eid)
-    return total
+    return prod(curve.weight(eid) for eid in curve.graph.bounded_ids() + curve.graph.marked)
 
 
 def constraint_indices(
     th: LatticeMapTh, constraints: Sequence[AffineConstraint]
-) -> List[IndexBundle]:
+) -> Tuple[IndexBundle, ...]:
     """Lattice indices of the per-constraint inclusions at the marked edges."""
-    out = []
-    for u, constraint in zip(th.marked_directions, constraints):
-        inclusion = build_constraint_inclusion(u, constraint)
-        out.append(real_index(inclusion))
-    return out
+    return tuple(
+        real_index(build_constraint_inclusion(u, c))
+        for u, c in zip(th.marked_directions, constraints)
+    )
+
+
+@dataclass(frozen=True)
+class CurveLattice:
+    """The sign-independent lattice data of a matched curve: its lattice
+    map, the map's indices, and the indices of the constraint inclusions."""
+
+    th: LatticeMapTh
+    index: IndexBundle
+    constraint_bundles: Tuple[IndexBundle, ...]
+
+
+def curve_lattice(
+    curve: TropicalCurve, constraints: Sequence[AffineConstraint], marks: Tuple[str, ...]
+) -> CurveLattice:
+    """The curve's lattice data, built once per (constraints, marks) and kept
+    on the curve; only the sign class and its F2 solve depend on the signs."""
+    key = (tuple(constraints), tuple(marks))
+    record = curve.lattice_records.get(key)
+    if record is None:
+        th = build_T_h(curve, constraints, marks)
+        record = CurveLattice(th, real_index(th.matrix), constraint_indices(th, constraints))
+        curve.lattice_records[key] = record
+    return record
 
 
 def count_complex(
@@ -158,18 +166,15 @@ def count_complex(
     rows = []
     total = 0
     for cid, (curve, marks) in enumerate(curves_with_marks):
-        th = build_T_h(curve, constraints, marks)
-        bundle = real_index(th.matrix)
+        lattice = curve_lattice(curve, constraints, marks)
+        bundle = lattice.index
         weight = total_complex_weight(curve)
-        a_bundles = constraint_indices(th, constraints)
-        a_product = 1
-        for b in a_bundles:
-            a_product *= b.complex_index
+        a_product = prod(b.complex_index for b in lattice.constraint_bundles)
         contribution = weight * bundle.complex_index * a_product
         if curve.n == 2 and all(c.codim == 2 for c in constraints):
-            vertex_product = 1
-            for v in curve.graph.vertices:
-                vertex_product *= vertex_multiplicities(curve, v).mult
+            vertex_product = prod(
+                vertex_multiplicities(curve, v).mult for v in curve.graph.vertices
+            )
             if contribution != vertex_product:
                 raise CrossCheckError(
                     "curve %d: lattice route %d != vertex route %d "
@@ -208,14 +213,11 @@ def count_real(
     rows = []
     total = 0
     for cid, (curve, marks) in enumerate(curves_with_marks):
-        th = build_T_h(curve, constraints, marks)
-        sigma = sigma_sign_class(curve, constraints, points, marks, sign_t, th=th)
-        bundle = twisted_real_index(th, sigma)
+        lattice = curve_lattice(curve, constraints, marks)
+        sigma = sigma_sign_class(curve, constraints, points, marks, sign_t, th=lattice.th)
+        bundle = twisted_real_index(lattice.th, lattice.index, sigma)
         weight = total_real_weight(curve)
-        a_bundles = constraint_indices(th, constraints)
-        a_product = 1
-        for b in a_bundles:
-            a_product *= b.real_index
+        a_product = prod(b.real_index for b in lattice.constraint_bundles)
         contribution = weight * bundle.twisted_real * a_product
         rows.append(
             CurveRow(

@@ -162,8 +162,6 @@ class QuotientBasis:
     under it.
     """
 
-    ambient_rank: int
-    sublattice_generators: IntMatrix
     projection: IntMatrix
     quotient_rank: int
 
@@ -369,12 +367,7 @@ def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> QuotientBasis:
         )
     proj_rows = [snf.left_transform.row(i) for i in range(r, ambient_rank)]
     projection = IntMatrix.from_rows(proj_rows, cols=ambient_rank)
-    return QuotientBasis(
-        ambient_rank=ambient_rank,
-        sublattice_generators=sublattice,
-        projection=projection,
-        quotient_rank=ambient_rank - r,
-    )
+    return QuotientBasis(projection=projection, quotient_rank=ambient_rank - r)
 
 
 def _f2_reduce(m: IntMatrix, rhs: Sequence[int]) -> tuple:

@@ -125,7 +125,8 @@ class LatticeMapTh:
 
     Rows come in blocks: (n-1) rows per bounded edge, then codim-1 rows per
     constraint.  ``quotient_bases`` records the projection used for each
-    block so sign classes can be expressed in matching coordinates.
+    constraint block so sign classes can be expressed in matching
+    coordinates; their edge blocks are zero.
     """
 
     matrix: IntMatrix
@@ -264,7 +265,6 @@ def build_T_h(
         tail, head = _oriented_endpoints(curve, eid)
         u = curve.edge_direction(eid, at_vertex=tail)
         qb = quotient_basis(IntMatrix.from_columns([u], rows=n), n)
-        bases[("edge", eid)] = qb
         for r in range(qb.quotient_rank):
             row = [0] * ncols
             for k in range(n):

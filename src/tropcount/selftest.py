@@ -221,6 +221,8 @@ def criterion_real_count_structure(ctx: _Context) -> Tuple[bool, str]:
             curves, constraints, RealPointConfig.all_positive(ell, 2), 1
         )
         for row, (curve, marks) in zip(plus_report.rows, curves):
+            # rebuilt, not read from the curve's lattice record, so that a
+            # faulty record cannot vouch for itself
             th = build_T_h(curve, constraints, marks)
             if row.twisted_index != real_index(th.matrix).real_index:
                 return False, "d=%d untwisted index mismatch" % d

@@ -185,6 +185,12 @@ class TropicalCurve:
             s = lcm(s, w * den // gcd(abs(num), w * den))
         return s
 
+    @functools.cached_property
+    def lattice_records(self) -> Dict[Tuple, object]:
+        """``counting.curve_lattice``'s records, keyed by (constraints, marks),
+        kept here so that they die with the curve."""
+        return {}
+
     def _geometry(self, eid: EdgeId) -> Tuple[Vec, Fraction]:
         geometry = self._bounded_geometry[eid]
         if geometry is None:

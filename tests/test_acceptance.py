@@ -92,6 +92,20 @@ def test_negative_control_negated_lift_sign(monkeypatch):
     assert detail.startswith("d=1 curve 0 sign_t=1: -1 != 1")
 
 
+def test_negative_control_f2_fault(monkeypatch):
+    # ROADMAP item 5's fault "make the F2 solve return a wrong vector", here
+    # no vector at all: every sign class reads unsolvable, so A5 goes red
+    from tropcount import counting
+    from tropcount.selftest import _Context, criterion_real_count_structure
+
+    ok, detail = criterion_real_count_structure(_Context(degrees=(1,), seed=7))
+    assert ok, detail
+    monkeypatch.setattr(counting, "f2_solve", lambda m, rhs: None)
+    ok, detail = criterion_real_count_structure(_Context(degrees=(1,), seed=7))
+    assert not ok
+    assert detail == "d=1 parity violated"
+
+
 def test_snf_fault_reaches_counting():
     # the stored generic set has a weight-2 edge whose lattice map has
     # invariant factor 2, so the corrupted SNF must trip the index check
@@ -106,9 +120,10 @@ def test_snf_fault_reaches_counting():
 
     path = Path(__file__).parent.parent / "bench" / "data" / "d3-generic-1.json"
     doc = json.loads(path.read_text())
-    curves = [curve_from_json(c) for c in doc["curves"]]
     config = PointConfiguration.explicit([[Fraction(x) for x in p] for p in doc["points"]])
-    count_complex(curves, config.constraints())
+    count_complex([curve_from_json(c) for c in doc["curves"]], config.constraints())
+    # fresh curves: the clean call's lattice records stay on its own curves
+    curves = [curve_from_json(c) for c in doc["curves"]]
     with _fault("snf-drop-even-factor"):
         with pytest.raises(CrossCheckError, match=r"product 1 != \|det\| 2"):
             count_complex(curves, config.constraints())

@@ -1,9 +1,19 @@
+import gc
+import json
 import random
+import weakref
+from fractions import Fraction
+from math import prod
+from pathlib import Path
 
 import pytest
 
+from tropcount import counting
+from tropcount.cli import curve_from_json
 from tropcount.counting import (
+    CurveRow,
     InfiniteCokernel,
+    constraint_indices,
     count_complex,
     count_real,
     merge_reports,
@@ -12,12 +22,13 @@ from tropcount.counting import (
     twisted_real_index,
 )
 from tropcount.enumeration import PointConfiguration, enumerate_curves
-from tropcount.exact_lattice import IntMatrix, f2_rank
+from tropcount.exact_lattice import IntMatrix, f2_rank, f2_solve
 from tropcount.incidence import (
     AffineConstraint,
     RealPointConfig,
     SignClass,
     build_T_h,
+    sigma_sign_class,
 )
 from tropcount.tropical import Degree, TropicalCurve, TropicalGraph, as_point
 
@@ -66,10 +77,11 @@ def test_kernel_lemma_at_scale():
 def test_twisted_real_index_toy():
     curve, marks, constraints = line_fixture()
     th = build_T_h(curve, constraints, marks)
-    bundle = twisted_real_index(th, SignClass(bits=(0, 0)))
+    base = real_index(th.matrix)
+    bundle = twisted_real_index(th, base, SignClass(bits=(0, 0)))
     assert bundle.twisted_real == bundle.real_index == 1
     # odd invariant factors: every sign class is solvable
-    bundle = twisted_real_index(th, SignClass(bits=(1, 1)))
+    bundle = twisted_real_index(th, base, SignClass(bits=(1, 1)))
     assert bundle.twisted_real == 1
 
 
@@ -201,14 +213,14 @@ def test_twisted_index_matches_sign_torus_bruteforce():
             )
             if image == target:
                 solutions += 1
-        bundle = twisted_real_index(FakeTh(m), SignClass(bits=sigma_bits))
+        bundle = twisted_real_index(FakeTh(m), real_index(m), SignClass(bits=sigma_bits))
         assert bundle.twisted_real == solutions
         checked += 1
 
 
-def test_count_pipeline_spatial_line_with_line_constraints():
-    # planar tropical line in Q^3 matched against three affine lines; the
-    # counting formulas are dimension generic even though enumeration is not
+def spatial_line_fixture(direction=(1, -1, 2)):
+    """A planar tropical line in Q^3 and three affine lines, the third one
+    with the given direction."""
     graph = TropicalGraph(
         vertices=("v0",),
         bounded_edges=(),
@@ -224,8 +236,15 @@ def test_count_pipeline_spatial_line_with_line_constraints():
     constraints = [
         AffineConstraint.through((-3, 0, 0), [(0, 1, 1)]),
         AffineConstraint.through((0, -5, 0), [(1, 0, 1)]),
-        AffineConstraint.through((2, 2, 0), [(1, -1, 2)]),
+        AffineConstraint.through((2, 2, 0), [direction]),
     ]
+    return curve, constraints
+
+
+def test_count_pipeline_spatial_line_with_line_constraints():
+    # planar tropical line in Q^3 matched against three affine lines; the
+    # counting formulas are dimension generic even though enumeration is not
+    curve, constraints = spatial_line_fixture()
     from tropcount.incidence import check_generality_dims, match_marked_edges
     from tropcount.tropical import Degree
 
@@ -241,3 +260,112 @@ def test_count_pipeline_spatial_line_with_line_constraints():
         real_report = count_real([(curve, marks)], constraints, signs, sign_t)
         assert real_report.n_real_trop % 2 == complex_report.n_trop % 2
         assert 0 <= real_report.n_real_trop <= complex_report.n_trop
+
+
+def generic_d3_set():
+    """The stored generic d=3 set: 9 curves, one of them with a weight-2
+    edge whose lattice map has invariant factor 2."""
+    path = Path(__file__).parent.parent / "bench" / "data" / "d3-generic-1.json"
+    doc = json.loads(path.read_text())
+    config = PointConfiguration.explicit([[Fraction(x) for x in p] for p in doc["points"]])
+    return [curve_from_json(c) for c in doc["curves"]], config.constraints()
+
+
+def test_sign_sweep_builds_each_lattice_map_once(monkeypatch):
+    curves, constraints = generic_d3_set()
+    reference = []
+    for curve, marks in curves:
+        th = build_T_h(curve, constraints, marks)
+        a_product = prod(b.real_index for b in constraint_indices(th, constraints))
+        reference.append((th, real_index(th.matrix).real_index, a_product))
+    built = []
+    monkeypatch.setattr(
+        counting, "build_T_h", lambda *args: built.append(args) or build_T_h(*args)
+    )
+    rng = random.Random(3)
+    sweep = [RealPointConfig.all_positive(len(constraints), 2)] + [
+        RealPointConfig(
+            signs=tuple(tuple(rng.choice((1, -1)) for _ in range(2)) for _ in constraints)
+        )
+        for _ in range(8)
+    ]
+    twisted = set()
+    for signs in sweep:
+        for sign_t in (1, -1):
+            expected = []
+            for cid, ((curve, marks), (th, index, a_product)) in enumerate(
+                zip(curves, reference)
+            ):
+                sigma = sigma_sign_class(curve, constraints, signs, marks, sign_t, th=th)
+                t = index if f2_solve(th.matrix, sigma.bits) is not None else 0
+                weight = total_real_weight(curve)
+                expected.append(
+                    CurveRow(
+                        curve_id=cid,
+                        total_weight_real=weight,
+                        twisted_index=t,
+                        constraint_real_product=a_product,
+                        contribution_real=weight * t * a_product,
+                    )
+                )
+                twisted.add(t)
+            report = count_real(curves, constraints, signs, sign_t)
+            assert report.rows == tuple(expected)
+    assert twisted >= {0, 2}
+    assert len(built) == len(curves)
+
+
+class CurveOnlyRecords(dict):
+    """A record store that ignores (constraints, marks): one record per curve."""
+
+    def get(self, key, default=None):
+        return super().get(None, default)
+
+    def __setitem__(self, key, value):
+        super().__setitem__(None, value)
+
+
+def shared_and_fresh_answers(records=None):
+    """Complex and real counts of one curve object against two sets of line
+    constraints, each beside the counts of a fresh curve."""
+    shared = spatial_line_fixture()[0]
+    if records is not None:
+        object.__setattr__(shared, "lattice_records", records)
+    signs = RealPointConfig(signs=((1, 1, -1), (-1, 1, 1), (1, -1, 1)))
+    out = []
+    for direction in ((1, -1, 2), (1, -3, 2)):
+        fresh, constraints = spatial_line_fixture(direction)
+        answers = []
+        for curve in (shared, fresh):
+            pair = [(curve, ("u0", "u1", "u2"))]
+            answers.append(
+                (count_complex(pair, constraints),)
+                + tuple(count_real(pair, constraints, signs, t) for t in (1, -1))
+            )
+        out.append(answers)
+    return out
+
+
+def test_lattice_records_are_keyed_by_constraints_and_marks():
+    (a_shared, a_fresh), (b_shared, b_fresh) = shared_and_fresh_answers()
+    assert a_fresh[0].n_trop != b_fresh[0].n_trop  # different lattice data
+    assert a_shared == a_fresh and b_shared == b_fresh
+    # negative control: a record keyed on the curve alone answers the second
+    # input with the first one's lattice data
+    (a_shared, a_fresh), (b_shared, b_fresh) = shared_and_fresh_answers(CurveOnlyRecords())
+    assert a_shared == a_fresh and b_shared != b_fresh
+
+
+def test_lattice_records_leave_no_cycle():
+    # the record lives on the curve and must not refer back to it, or every
+    # counted curve would wait for the cyclic collector
+    curve, constraints = spatial_line_fixture()
+    gc.disable()
+    try:
+        count_complex([(curve, ("u0", "u1", "u2"))], constraints)
+        assert len(curve.lattice_records) == 1
+        ref = weakref.ref(curve)
+        del curve
+        assert ref() is None
+    finally:
+        gc.enable()
