@@ -12,15 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .counting import (
-    CrossCheckError,
-    count_complex,
-    count_real,
-    merge_reports,
-)
+from .counting import CrossCheckError, count_complex, count_real
 from .enumeration import (
     GenericityFailure,
     PointConfiguration,
@@ -43,6 +39,20 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GENERICITY = 3
 EXIT_CROSSCHECK = 4
+
+# the count table's columns: header label, then the JSON row key it shows
+COUNT_COLUMNS = (
+    ("curve", "curve_id"),
+    ("w", "total_weight_complex"),
+    ("D", "complex_index"),
+    ("A", "constraint_complex_product"),
+    ("complex", "contribution_complex"),
+    ("w_R", "total_weight_real"),
+    ("D_R_tw", "twisted_index"),
+    ("A_R", "constraint_real_product"),
+    ("real", "contribution_real"),
+    ("mult_R", "welschinger_mult"),
+)
 
 
 class InputError(ValueError):
@@ -130,8 +140,8 @@ def _signs_from_args(args, ell: int, file_signs: Optional[list]) -> RealPointCon
 
 
 def _sign_t_from_args(args) -> int:
-    raw = getattr(args, "sign_t", "+") or "+"
-    if raw in ("+", "+1", "1"):
+    raw = args.sign_t
+    if raw in (None, "+", "+1", "1"):
         return 1
     if raw in ("-", "-1"):
         return -1
@@ -178,11 +188,13 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
     try:
         weights = {}
         bounded = []
-        for e in data["bounded_edges"]:
+        for i, e in enumerate(data["bounded_edges"]):
+            _check_edge_id(e, "b%d" % i)
             bounded.append((e["tail"], e["head"]))
             weights[e["id"]] = _parse_int(e["weight"])
         unbounded = []
-        for e in data["unbounded_edges"]:
+        for i, e in enumerate(data["unbounded_edges"]):
+            _check_edge_id(e, "u%d" % i)
             unbounded.append((e["vertex"], tuple(_parse_int(x) for x in e["direction"])))
             weights[e["id"]] = _parse_int(e["weight"])
         marks = tuple(data.get("marks", ()))
@@ -202,15 +214,22 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
     return curve, marks
 
 
+def _check_edge_id(edge, expected: str):
+    """An edge's id is its position in its list, as ``curve_to_json`` writes
+    it; the weights and marks are keyed by that id."""
+    if edge["id"] != expected:
+        raise InputError("edge %r is listed where %r belongs" % (edge["id"], expected))
+
+
 def _enumerate_from_args(args):
     degree = Degree.projective(args.degree)
     ell = degree.total() - 1
     config, file_signs = _config_from_args(args, ell)
     curves = enumerate_curves(0, degree, config)
-    return degree, config, curves, file_signs
+    return config, curves, file_signs
 
 
-def _curve_set_json(args, degree, config, curves) -> Dict:
+def _curve_set_json(args, config, curves) -> Dict:
     return {
         "schema": SCHEMA,
         "kind": "curve-set",
@@ -237,52 +256,46 @@ def _write_output(text: str, path: Optional[str]):
 
 
 def cmd_enumerate(args) -> int:
-    degree, config, curves, _ = _enumerate_from_args(args)
-    payload = _curve_set_json(args, degree, config, curves)
+    config, curves, _ = _enumerate_from_args(args)
+    payload = _curve_set_json(args, config, curves)
     _write_output(json.dumps(payload, indent=2, sort_keys=True), args.output)
     return EXIT_OK
 
 
 def cmd_count(args) -> int:
-    degree, config, curves, file_signs = _enumerate_from_args(args)
+    if not args.real and (args.signs is not None or args.sign_t is not None):
+        raise InputError("--signs and --sign-t need --real")
+    config, curves, file_signs = _enumerate_from_args(args)
     constraints = config.constraints()
-    want_complex = args.complex or not args.real
-    complex_report = count_complex(curves, constraints) if want_complex else None
-    real_report = None
+    complex_report = real_report = None
+    if args.complex or not args.real:
+        complex_report = count_complex(curves, constraints)
     if args.real:
         signs = _signs_from_args(args, len(config.points), file_signs)
-        sign_t = _sign_t_from_args(args)
-        real_report = count_real(curves, constraints, signs, sign_t)
-    welsch = {
-        "total": welschinger_total([c for c, _ in curves]),
-        "mults": {i: curve_welschinger_mult(c) for i, (c, _) in enumerate(curves)},
+        real_report = count_real(curves, constraints, signs, _sign_t_from_args(args))
+    reports = [r for r in (complex_report, real_report) if r is not None]
+    rows = []
+    for cid, (curve, _) in enumerate(curves):
+        row = {"curve_id": cid}
+        for report in reports:
+            row.update(asdict(report.rows[cid]))
+        row["welschinger_mult"] = curve_welschinger_mult(curve)
+        rows.append(row)
+    totals = {
+        "complex": complex_report.n_trop if complex_report else None,
+        "real": real_report.n_real_trop if real_report else None,
+        "welschinger": welschinger_total([c for c, _ in curves]),
     }
-    merged = merge_reports(complex_report, real_report, welsch)
     parity_ok = None
     if complex_report is not None and real_report is not None:
-        parity_ok = (complex_report.n_trop - real_report.n_real_trop) % 2 == 0
+        parity_ok = (totals["complex"] - totals["real"]) % 2 == 0
     if args.format == "table":
-        lines = ["curve\tw\tD\tA\tcomplex\tw_R\tD_R_tw\tA_R\treal\tmult_R"]
-        for row in merged.rows:
-            lines.append(
-                "\t".join(
-                    "" if v is None else str(v)
-                    for v in (
-                        row.curve_id,
-                        row.total_weight_complex,
-                        row.complex_index,
-                        row.constraint_complex_product,
-                        row.contribution_complex,
-                        row.total_weight_real,
-                        row.twisted_index,
-                        row.constraint_real_product,
-                        row.contribution_real,
-                        row.welschinger_mult,
-                    )
-                )
-            )
-        totals = (("N", merged.n_trop), ("N_R", merged.n_real_trop), ("W_R", merged.w_real_trop))
-        lines.append("\t".join(["totals"] + ["%s=%s" % t for t in totals if t[1] is not None]))
+        lines = ["\t".join(label for label, _ in COUNT_COLUMNS)]
+        for row in rows:
+            lines.append("\t".join(str(row.get(key, "")) for _, key in COUNT_COLUMNS))
+        labels = {"complex": "N", "real": "N_R", "welschinger": "W_R"}
+        shown = ["%s=%s" % (labels[k], v) for k, v in totals.items() if v is not None]
+        lines.append("\t".join(["totals"] + shown))
         if parity_ok is not None:
             lines.append("parity\t%s" % ("ok" if parity_ok else "VIOLATED"))
         _write_output("\n".join(lines), args.output)
@@ -292,15 +305,8 @@ def cmd_count(args) -> int:
             "kind": "count-report",
             "degree": args.degree,
             "points": [[_rat(x) for x in p] for p in config.points],
-            "rows": [
-                {k: v for k, v in row.__dict__.items() if v is not None}
-                for row in merged.rows
-            ],
-            "totals": {
-                "complex": merged.n_trop,
-                "real": merged.n_real_trop,
-                "welschinger": merged.w_real_trop,
-            },
+            "rows": rows,
+            "totals": totals,
             "parity_ok": parity_ok,
         }
         _write_output(json.dumps(payload, indent=2, sort_keys=True), args.output)
@@ -308,7 +314,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_welschinger(args) -> int:
-    curves = _enumerate_from_args(args)[2]
+    curves = _enumerate_from_args(args)[1]
     sign_t = _sign_t_from_args(args)
     total = welschinger_total([c for c, _ in curves])
     rows = census_report([c for c, _ in curves], sign_t)
@@ -376,32 +382,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, signs=False):
+    def common(p):
         p.add_argument("--degree", "-d", type=int, required=True)
         p.add_argument("--mikhalkin-seed", type=int, default=None)
         p.add_argument("--points", help="JSON file with explicit points")
         p.add_argument("--output", "-o", default=None)
-        if signs:
-            p.add_argument(
-                "--signs",
-                help="per-point sign pairs, e.g. '++,+-' or all-positive; "
-                "write a list starting with '-' as --signs=-+,...",
-            )
-            p.add_argument("--sign-t", default="+", help="sign of the deformation parameter")
 
     p = sub.add_parser("enumerate", help="list matched curves as JSON")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("count", help="complex and real counts")
-    common(p, signs=True)
+    common(p)
+    p.add_argument(
+        "--signs",
+        help="with --real: per-point sign pairs, e.g. '++,+-' or all-positive; "
+        "write a list starting with '-' as --signs=-+,...",
+    )
+    p.add_argument("--sign-t", help="with --real: sign of the deformation parameter (default +)")
     p.add_argument("--complex", action="store_true")
     p.add_argument("--real", action="store_true")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("welschinger", help="Welschinger total with census cross-check")
-    common(p, signs=True)
+    common(p)
+    p.add_argument("--sign-t", help="sign of the deformation parameter (default +)")
     p.set_defaults(fn=cmd_welschinger)
 
     p = sub.add_parser("render", help="deterministic SVG of a curve set")

@@ -3,14 +3,17 @@
 The complex count of a matched curve is the order of the cokernel of its
 lattice map; the real count replaces it by the twisted real index, which is
 2 to the number of even invariant factors when the sign class of the real
-constraint data lies in the mod-2 image, and 0 otherwise.
+constraint data lies in the mod-2 image, and 0 otherwise.  ``count_complex``
+and ``count_real`` each return one row per curve, in curve order, with
+every field set and named as its key in the CLI's count JSON, and their
+total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .exact_lattice import IntMatrix, f2_solve, smith_normal_form
 from .incidence import (
@@ -39,36 +42,48 @@ class CrossCheckError(AssertionError):
 
 @dataclass(frozen=True)
 class IndexBundle:
-    """Complex index, real index, and (optionally) the twisted real index."""
+    """Complex and real index of a finite-index lattice map, with its
+    invariant factors."""
 
     complex_index: int
     real_index: int
-    twisted_real: Optional[int]
     factors: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class CurveRow:
-    """Per-curve breakdown used in count reports."""
+class ComplexRow:
+    """One curve's complex contribution and its factors."""
 
-    curve_id: int
-    total_weight_real: Optional[int] = None
-    twisted_index: Optional[int] = None
-    constraint_real_product: Optional[int] = None
-    contribution_real: Optional[int] = None
-    total_weight_complex: Optional[int] = None
-    complex_index: Optional[int] = None
-    constraint_complex_product: Optional[int] = None
-    contribution_complex: Optional[int] = None
-    welschinger_mult: Optional[int] = None
+    total_weight_complex: int
+    complex_index: int
+    constraint_complex_product: int
+    contribution_complex: int
 
 
 @dataclass(frozen=True)
-class CountReport:
-    rows: Tuple[CurveRow, ...]
-    n_real_trop: Optional[int] = None
-    n_trop: Optional[int] = None
-    w_real_trop: Optional[int] = None
+class RealRow:
+    """One curve's real contribution and its factors."""
+
+    total_weight_real: int
+    twisted_index: int
+    constraint_real_product: int
+    contribution_real: int
+
+
+@dataclass(frozen=True)
+class ComplexReport:
+    """One row per curve, in curve order, and their total N^trop."""
+
+    rows: Tuple[ComplexRow, ...]
+    n_trop: int
+
+
+@dataclass(frozen=True)
+class RealReport:
+    """One row per curve, in curve order, and their total N^{R,trop}."""
+
+    rows: Tuple[RealRow, ...]
+    n_real_trop: int
 
 
 def real_index(m: IntMatrix) -> IndexBundle:
@@ -86,14 +101,11 @@ def real_index(m: IntMatrix) -> IndexBundle:
         )
     evens = sum(1 for f in snf.invariant_factors if f % 2 == 0)
     return IndexBundle(
-        complex_index=complex_index,
-        real_index=2 ** evens,
-        twisted_real=None,
-        factors=snf.invariant_factors,
+        complex_index=complex_index, real_index=2 ** evens, factors=snf.invariant_factors
     )
 
 
-def twisted_real_index(th: LatticeMapTh, base: IndexBundle, sigma: SignClass) -> IndexBundle:
+def twisted_real_index(th: LatticeMapTh, base: IndexBundle, sigma: SignClass) -> int:
     """Real index of the lattice map twisted by a sign class.
 
     ``base`` is ``real_index(th.matrix)``.  The twist is the real index when
@@ -103,8 +115,7 @@ def twisted_real_index(th: LatticeMapTh, base: IndexBundle, sigma: SignClass) ->
     """
     if len(sigma.bits) != th.matrix.rows:
         raise ValueError("sign class length does not match the lattice map")
-    solvable = f2_solve(th.matrix, sigma.bits) is not None
-    return replace(base, twisted_real=base.real_index if solvable else 0)
+    return base.real_index if f2_solve(th.matrix, sigma.bits) is not None else 0
 
 
 def total_real_weight(curve: TropicalCurve) -> int:
@@ -155,7 +166,7 @@ def curve_lattice(
 def count_complex(
     curves_with_marks: Sequence[Tuple[TropicalCurve, Tuple[str, ...]]],
     constraints: Sequence[AffineConstraint],
-) -> CountReport:
+) -> ComplexReport:
     """Complex tropical count: weights times lattice index times the
     per-constraint inclusion indices, summed over matched curves.
 
@@ -189,17 +200,9 @@ def count_complex(
                         bundle.factors,
                     )
                 )
-        rows.append(
-            CurveRow(
-                curve_id=cid,
-                total_weight_complex=weight,
-                complex_index=bundle.complex_index,
-                constraint_complex_product=a_product,
-                contribution_complex=contribution,
-            )
-        )
+        rows.append(ComplexRow(weight, bundle.complex_index, a_product, contribution))
         total += contribution
-    return CountReport(rows=tuple(rows), n_trop=total)
+    return ComplexReport(rows=tuple(rows), n_trop=total)
 
 
 def count_real(
@@ -207,55 +210,19 @@ def count_real(
     constraints: Sequence[AffineConstraint],
     points: RealPointConfig,
     sign_t: int,
-) -> CountReport:
+) -> RealReport:
     """Real tropical count: total real weight times the twisted real index
     times the real indices of the constraint inclusions."""
     rows = []
     total = 0
-    for cid, (curve, marks) in enumerate(curves_with_marks):
+    for curve, marks in curves_with_marks:
         lattice = curve_lattice(curve, constraints, marks)
-        sigma = sigma_sign_class(curve, constraints, points, marks, sign_t, th=lattice.th)
-        bundle = twisted_real_index(lattice.th, lattice.index, sigma)
+        sigma = sigma_sign_class(lattice.th, constraints, points, sign_t)
+        twisted = twisted_real_index(lattice.th, lattice.index, sigma)
         weight = total_real_weight(curve)
         a_product = prod(b.real_index for b in lattice.constraint_bundles)
-        contribution = weight * bundle.twisted_real * a_product
-        rows.append(
-            CurveRow(
-                curve_id=cid,
-                total_weight_real=weight,
-                twisted_index=bundle.twisted_real,
-                constraint_real_product=a_product,
-                contribution_real=contribution,
-            )
-        )
+        contribution = weight * twisted * a_product
+        rows.append(RealRow(weight, twisted, a_product, contribution))
         total += contribution
-    return CountReport(rows=tuple(rows), n_real_trop=total)
+    return RealReport(rows=tuple(rows), n_real_trop=total)
 
-
-def merge_reports(
-    complex_report: Optional[CountReport],
-    real_report: Optional[CountReport],
-    welschinger: Optional[Dict] = None,
-) -> CountReport:
-    """Combine per-curve rows from the complex/real/Welschinger routes."""
-    by_id: Dict[int, Dict] = {}
-    for report in (complex_report, real_report):
-        if report is None:
-            continue
-        for row in report.rows:
-            d = by_id.setdefault(row.curve_id, {})
-            for key, value in row.__dict__.items():
-                if key != "curve_id" and value is not None:
-                    d[key] = value
-    if welschinger:
-        for cid, mult in welschinger.get("mults", {}).items():
-            by_id.setdefault(cid, {})["welschinger_mult"] = mult
-    rows = tuple(
-        CurveRow(curve_id=cid, **fields) for cid, fields in sorted(by_id.items())
-    )
-    return CountReport(
-        rows=rows,
-        n_trop=complex_report.n_trop if complex_report else None,
-        n_real_trop=real_report.n_real_trop if real_report else None,
-        w_real_trop=welschinger.get("total") if welschinger else None,
-    )

@@ -152,20 +152,6 @@ class SnfResult:
         return IntMatrix.from_rows(d, cols=cols)
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
-    """Coordinates for the quotient of an ambient lattice by a saturated sublattice.
-
-    ``projection`` maps ambient coordinates onto Z^quotient_rank with kernel
-    exactly the Q-span of the sublattice intersected with the ambient lattice.
-    The choice of projection is non-canonical; consumers must be invariant
-    under it.
-    """
-
-    projection: IntMatrix
-    quotient_rank: int
-
-
 def _swap_rows(a, i, j):
     a[i], a[j] = a[j], a[i]
 
@@ -355,8 +341,13 @@ def saturate(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
     return hnf
 
 
-def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> QuotientBasis:
-    """Projection coordinates for Z^ambient_rank / (saturated sublattice)."""
+def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
+    """Projection of Z^ambient_rank onto its quotient by a saturated sublattice.
+
+    One row per quotient coordinate; the kernel is exactly the Q-span of the
+    sublattice in Z^ambient_rank.  The projection is non-canonical, so
+    consumers must be invariant under it.
+    """
     if sublattice.rows != ambient_rank:
         raise ValueError("sublattice columns must live in Z^ambient_rank")
     snf = smith_normal_form(sublattice)
@@ -366,8 +357,7 @@ def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> QuotientBasis:
             "sublattice is not saturated (invariant factors %s)" % (snf.invariant_factors,)
         )
     proj_rows = [snf.left_transform.row(i) for i in range(r, ambient_rank)]
-    projection = IntMatrix.from_rows(proj_rows, cols=ambient_rank)
-    return QuotientBasis(projection=projection, quotient_rank=ambient_rank - r)
+    return IntMatrix.from_rows(proj_rows, cols=ambient_rank)
 
 
 def _f2_reduce(m: IntMatrix, rhs: Sequence[int]) -> tuple:

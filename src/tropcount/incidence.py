@@ -2,20 +2,21 @@
 
 Builds the block matrix sending vertex positions to bounded-edge quotients
 and constraint quotients, the per-constraint lattice inclusions, and the
-sign classes of real constraint data.  Sign classes live in F2 because the
-positive factor of R^x is divisible and vanishes against finite cokernels;
-only the +-1 part of every real datum matters.
+sign classes of real constraint data.  The lattice map keeps its blocks as
+the number of edge rows and one quotient projection per constraint; a sign
+class is read in the coordinates of the map it is given.  Sign classes live
+in F2 because the positive factor of R^x is divisible and vanishes against
+finite cokernels; only the +-1 part of every real datum matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .exact_lattice import (
     IntMatrix,
-    QuotientBasis,
     quotient_basis,
     rational_rank,
     saturate,
@@ -123,21 +124,18 @@ class SignClass:
 class LatticeMapTh:
     """The lattice map from vertex positions to edge and constraint quotients.
 
-    Rows come in blocks: (n-1) rows per bounded edge, then codim-1 rows per
-    constraint.  ``quotient_bases`` records the projection used for each
-    constraint block so sign classes can be expressed in matching
-    coordinates; their edge blocks are zero.
+    Rows come in blocks: ``edge_rows`` rows, n-1 per bounded edge, then
+    codim-1 rows per constraint.  ``constraint_projections`` holds the
+    projection behind each constraint block, in constraint order, so sign
+    classes can be expressed in matching coordinates; their edge blocks are
+    zero.
     """
 
     matrix: IntMatrix
-    row_labels: Tuple[Tuple, ...]
-    quotient_bases: Mapping[Tuple, QuotientBasis]
+    edge_rows: int
+    constraint_projections: Tuple[IntMatrix, ...]
     vertex_order: Tuple[str, ...]
     marked_directions: Tuple[Vec, ...]
-
-    @property
-    def is_square(self) -> bool:
-        return self.matrix.rows == self.matrix.cols
 
 
 def check_generality_dims(genus: int, degree, constraints: Sequence[AffineConstraint]) -> bool:
@@ -159,8 +157,7 @@ def check_generality_dims(genus: int, degree, constraints: Sequence[AffineConstr
     # direction spaces;  a common nonzero direction breaks generality.
     rows: List[List[int]] = []
     for c in constraints:
-        qb = quotient_basis(c.directions, n)
-        rows.extend(qb.projection.to_rows())
+        rows.extend(quotient_basis(c.directions, n).to_rows())
     return rational_rank(rows) == n
 
 
@@ -258,43 +255,40 @@ def build_T_h(
     ncols = len(vertex_order) * n
 
     rows: List[List[int]] = []
-    row_labels: List[Tuple] = []
-    bases: Dict[Tuple, QuotientBasis] = {}
-
-    for i, eid in enumerate(curve.graph.bounded_ids()):
+    for eid in curve.graph.bounded_ids():
         tail, head = _oriented_endpoints(curve, eid)
         u = curve.edge_direction(eid, at_vertex=tail)
-        qb = quotient_basis(IntMatrix.from_columns([u], rows=n), n)
-        for r in range(qb.quotient_rank):
+        projection = quotient_basis(IntMatrix.from_columns([u], rows=n), n)
+        for r in range(projection.rows):
             row = [0] * ncols
             for k in range(n):
-                coeff = qb.projection.at(r, k)
+                coeff = projection.at(r, k)
                 row[col_of_vertex[head] * n + k] += coeff
                 row[col_of_vertex[tail] * n + k] -= coeff
             rows.append(row)
-            row_labels.append(("edge", eid, r))
+    edge_rows = len(rows)
 
+    projections: List[IntMatrix] = []
     marked_dirs: List[Vec] = []
-    for j, (eid, constraint) in enumerate(zip(marks, constraints)):
+    for eid, constraint in zip(marks, constraints):
         tail, u = marked_direction(curve, eid)
         marked_dirs.append(u)
         span_cols = [list(u)] + [
             list(constraint.directions.column(c)) for c in range(constraint.directions.cols)
         ]
         sat = saturate(IntMatrix.from_columns(span_cols, rows=n), n)
-        qb = quotient_basis(sat, n)
-        bases[("constraint", j)] = qb
-        for r in range(qb.quotient_rank):
+        projection = quotient_basis(sat, n)
+        projections.append(projection)
+        for r in range(projection.rows):
             row = [0] * ncols
             for k in range(n):
-                row[col_of_vertex[tail] * n + k] += qb.projection.at(r, k)
+                row[col_of_vertex[tail] * n + k] += projection.at(r, k)
             rows.append(row)
-            row_labels.append(("constraint", j, r))
 
     return LatticeMapTh(
         matrix=IntMatrix.from_rows(rows, cols=ncols),
-        row_labels=tuple(row_labels),
-        quotient_bases=bases,
+        edge_rows=edge_rows,
+        constraint_projections=tuple(projections),
         vertex_order=vertex_order,
         marked_directions=tuple(marked_dirs),
     )
@@ -339,14 +333,13 @@ def build_constraint_inclusion(u: Vec, constraint: AffineConstraint) -> IntMatri
 
 
 def sigma_sign_class(
-    curve: TropicalCurve,
+    th: LatticeMapTh,
     constraints: Sequence[AffineConstraint],
     points: RealPointConfig,
-    marks: Sequence[EdgeId],
     sign_t: int,
-    th: Optional[LatticeMapTh] = None,
 ) -> SignClass:
-    """Sign class of the twisted real gluing problem.
+    """Sign class of the twisted real gluing problem, in the coordinates of
+    the lattice map ``th`` built for these constraints.
 
     Edge blocks are zero; the block of constraint j is the mod-2 projection
     of the coordinatewise sign exponents of s_j * sign_t^(a_j), where a_j is
@@ -356,25 +349,18 @@ def sigma_sign_class(
         raise ValueError("sign_t must be +-1")
     if len(points.signs) != len(constraints):
         raise ValueError("one sign vector per constraint required")
-    if th is None:
-        th = build_T_h(curve, constraints, marks)
-    bits: List[int] = []
-    for label in th.row_labels:
-        kind = label[0]
-        if kind == "edge":
-            bits.append(0)
-    for j, constraint in enumerate(constraints):
-        base = constraint.base
+    bits = [0] * th.edge_rows
+    for j, (constraint, projection) in enumerate(
+        zip(constraints, th.constraint_projections, strict=True)
+    ):
         exponents = []
-        for k in range(curve.n):
-            a = Fraction(base[k])
+        for k, coord in enumerate(constraint.base):
+            a = Fraction(coord)
             if a.denominator != 1:
                 raise NonIntegralBase(
                     "constraint %d base point is not integral; rescale first" % j
                 )
             sign = points.signs[j][k] * (sign_t ** (int(a) % 2))
             exponents.append(0 if sign > 0 else 1)
-        qb = th.quotient_bases[("constraint", j)]
-        projected = qb.projection.apply(exponents)
-        bits.extend(x & 1 for x in projected)
+        bits.extend(x & 1 for x in projection.apply(exponents))
     return SignClass(bits=tuple(bits))

@@ -98,12 +98,9 @@ def _make_problem(d: int, direction: Tuple[int, int]) -> _PathProblem:
         ((d, 0), (0, d)): "hyp",
         ((0, d), (0, 0)): "x0",
     }
-    if d == 0:
-        raise ValueError("degree must be positive")
 
     def chain(sides_order) -> Tuple[str, ...]:
         # walk corners in the given cyclic order from start's corner to end's
-        idx = {c: i for i, c in enumerate(sides_order)}
         # start/end are corners of the triangle for a generic direction
         out = []
         pos = sides_order.index(start)
@@ -227,7 +224,6 @@ def _lattice_length(edge) -> int:
 
 
 def _triangle_interior_points(cell: Cell) -> int:
-    corners = cell[1]
     area2 = _twice_area(cell)
     boundary = sum(_lattice_length(e) for e in _cell_edges(cell))
     return (area2 - boundary + 2) // 2

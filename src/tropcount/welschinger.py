@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Sequence
 
 from .tropical import (
     EdgeId,
-    NonGenericCrossing,
     TropicalCurve,
     curve_welschinger_mult,
     plane_crossings,

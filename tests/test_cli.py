@@ -86,6 +86,14 @@ def test_count_real_requires_signs(capsys):
     assert "signs" in err
 
 
+@pytest.mark.parametrize("option", ["--signs=garbage", "--sign-t=x", "--sign-t=-"])
+def test_count_sign_options_need_real(option, capsys):
+    # without --real nothing reads them, so they are an input error
+    code, _, err = run_cli(["count", "--degree", "1", option], capsys)
+    assert code == 2
+    assert "need --real" in err
+
+
 def test_count_signs_starting_with_minus_joined_with_equals(capsys):
     # "--signs -+,++" reads as an option to the argument parser (exit 2);
     # the help text and the README say to join such a value with "="
@@ -110,6 +118,12 @@ def test_welschinger_degree_one(capsys):
     data = json.loads(out)
     assert data["w_real_trop"] == 1
     assert all(r["agrees"] for r in data["rows"])
+
+
+def test_welschinger_has_no_signs_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["welschinger", "--degree", "1", "--signs", "garbage"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -183,6 +197,29 @@ def _star(directions, weight=1):
     }
 
 
+def _reordered_rays():
+    """A line record whose rays are listed as u1, u0, u2, marked on u1."""
+    record = _star([(-1, 0), (0, -1), (1, 1)])
+    rays = record["unbounded_edges"]
+    record["unbounded_edges"] = [rays[1], rays[0], rays[2]]
+    record["marks"] = ["u1"]
+    return record
+
+
+def test_curve_from_json_rejects_edges_out_of_position():
+    # an edge's id is its position in its list; a record listing them in
+    # another order would move its weights and marks to other edges
+    from tropcount.cli import InputError, curve_from_json
+
+    with pytest.raises(InputError, match="'u1' is listed where 'u0' belongs"):
+        curve_from_json(_reordered_rays())
+    record = _star([(-1, 0), (0, -1), (1, 1)])
+    record["vertices"]["v1"] = ["1", "1"]
+    record["bounded_edges"] = [{"id": "b1", "tail": "v0", "head": "v1", "weight": 1}]
+    with pytest.raises(InputError, match="'b1' is listed where 'b0' belongs"):
+        curve_from_json(record)
+
+
 @pytest.mark.parametrize(
     "curves, message",
     [
@@ -193,6 +230,7 @@ def _star(directions, weight=1):
         ([_star([(-1, 0), (0, -1), (1, 1)], weight=1.7)], "malformed curve record: not an integer: 1.7"),
         ([_star([(-1, 0), (0, -1), (1, 1)], weight=True)], "malformed curve record: not an integer: True"),
         ([_star([(-1, 0), (0, -1), (1.0, 1)])], "malformed curve record: not an integer: 1.0"),
+        ([_reordered_rays()], "malformed curve record: edge 'u1' is listed where 'u0' belongs"),
     ],
     ids=[
         "curves-number",
@@ -202,6 +240,7 @@ def _star(directions, weight=1):
         "weight-float",
         "weight-bool",
         "direction-float",
+        "edge-out-of-position",
     ],
 )
 def test_render_rejects_malformed_curves(tmp_path, capsys, curves, message):

@@ -11,12 +11,11 @@ import pytest
 from tropcount import counting
 from tropcount.cli import curve_from_json
 from tropcount.counting import (
-    CurveRow,
     InfiniteCokernel,
+    RealRow,
     constraint_indices,
     count_complex,
     count_real,
-    merge_reports,
     real_index,
     total_real_weight,
     twisted_real_index,
@@ -78,11 +77,9 @@ def test_twisted_real_index_toy():
     curve, marks, constraints = line_fixture()
     th = build_T_h(curve, constraints, marks)
     base = real_index(th.matrix)
-    bundle = twisted_real_index(th, base, SignClass(bits=(0, 0)))
-    assert bundle.twisted_real == bundle.real_index == 1
+    assert twisted_real_index(th, base, SignClass(bits=(0, 0))) == base.real_index == 1
     # odd invariant factors: every sign class is solvable
-    bundle = twisted_real_index(th, base, SignClass(bits=(1, 1)))
-    assert bundle.twisted_real == 1
+    assert twisted_real_index(th, base, SignClass(bits=(1, 1))) == 1
 
 
 def test_total_real_weight():
@@ -157,8 +154,8 @@ def test_all_positive_untwisted():
     report = count_real(
         curves, constraints, RealPointConfig.all_positive(5, 2), 1
     )
-    for row in report.rows:
-        th = build_T_h(curves[row.curve_id][0], constraints, curves[row.curve_id][1])
+    for row, (curve, marks) in zip(report.rows, curves):
+        th = build_T_h(curve, constraints, marks)
         assert row.twisted_index == real_index(th.matrix).real_index
 
 
@@ -168,19 +165,6 @@ def test_vertex_product_identity_degree_two():
     # count_complex raises CrossCheckError if the identity fails
     report = count_complex(curves, config.constraints())
     assert report.n_trop == 1
-
-
-def test_merge_reports():
-    curve, marks, constraints = line_fixture()
-    complex_report = count_complex([(curve, marks)], constraints)
-    real_report = count_real(
-        [(curve, marks)], constraints, RealPointConfig.all_positive(2, 2), 1
-    )
-    merged = merge_reports(complex_report, real_report, {"total": 1, "mults": {0: 1}})
-    assert merged.n_trop == 1 and merged.n_real_trop == 1 and merged.w_real_trop == 1
-    assert merged.rows[0].contribution_complex == 1
-    assert merged.rows[0].contribution_real == 1
-    assert merged.rows[0].welschinger_mult == 1
 
 
 def test_twisted_index_matches_sign_torus_bruteforce():
@@ -213,8 +197,7 @@ def test_twisted_index_matches_sign_torus_bruteforce():
             )
             if image == target:
                 solutions += 1
-        bundle = twisted_real_index(FakeTh(m), real_index(m), SignClass(bits=sigma_bits))
-        assert bundle.twisted_real == solutions
+        assert twisted_real_index(FakeTh(m), real_index(m), SignClass(bits=sigma_bits)) == solutions
         checked += 1
 
 
@@ -293,21 +276,11 @@ def test_sign_sweep_builds_each_lattice_map_once(monkeypatch):
     for signs in sweep:
         for sign_t in (1, -1):
             expected = []
-            for cid, ((curve, marks), (th, index, a_product)) in enumerate(
-                zip(curves, reference)
-            ):
-                sigma = sigma_sign_class(curve, constraints, signs, marks, sign_t, th=th)
+            for (curve, _), (th, index, a_product) in zip(curves, reference):
+                sigma = sigma_sign_class(th, constraints, signs, sign_t)
                 t = index if f2_solve(th.matrix, sigma.bits) is not None else 0
                 weight = total_real_weight(curve)
-                expected.append(
-                    CurveRow(
-                        curve_id=cid,
-                        total_weight_real=weight,
-                        twisted_index=t,
-                        constraint_real_product=a_product,
-                        contribution_real=weight * t * a_product,
-                    )
-                )
+                expected.append(RealRow(weight, t, a_product, weight * t * a_product))
                 twisted.add(t)
             report = count_real(curves, constraints, signs, sign_t)
             assert report.rows == tuple(expected)

@@ -128,7 +128,7 @@ def test_build_T_h_line_unimodular():
     constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
     marks = match_marked_edges(curve, constraints)
     th = build_T_h(curve, constraints, marks)
-    assert th.is_square and th.matrix.rows == 2
+    assert th.matrix.rows == th.matrix.cols == 2
     assert abs(th.matrix.det()) == 1
 
 
@@ -139,14 +139,13 @@ def test_T_h_image_of_true_positions():
     th = build_T_h(curve, constraints, marks)
     image = evaluate_T_h(th, curve)
     # constraint-block classes equal the projected base points
-    offset = 0
-    for j, constraint in enumerate(constraints):
-        qb = th.quotient_bases[("constraint", j)]
+    offset = th.edge_rows
+    for constraint, projection in zip(constraints, th.constraint_projections):
         base = [int(x) for x in constraint.base]
-        expected = qb.projection.apply(base)
-        got = image[offset : offset + qb.quotient_rank]
+        expected = projection.apply(base)
+        got = image[offset : offset + projection.rows]
         assert tuple(got) == tuple(expected)
-        offset += qb.quotient_rank
+        offset += projection.rows
 
 
 def test_T_h_translation_invariance():
@@ -251,7 +250,8 @@ def test_sigma_all_positive_is_zero():
     curve = line_through([(-3, 0), (0, -5)])
     constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
     marks = match_marked_edges(curve, constraints)
-    sigma = sigma_sign_class(curve, constraints, RealPointConfig.all_positive(2, 2), marks, 1)
+    th = build_T_h(curve, constraints, marks)
+    sigma = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), 1)
     assert sigma.is_zero()
 
 
@@ -261,13 +261,10 @@ def test_sigma_projection_drops_along_edge_sign():
     curve = line_through([(-4, 0), (0, -6)])
     constraints = [AffineConstraint.point((-4, 0)), AffineConstraint.point((0, -6))]
     marks = match_marked_edges(curve, constraints)
-    sigma_x = sigma_sign_class(
-        curve, constraints, RealPointConfig.from_strings(["-+", "++"]), marks, 1
-    )
+    th = build_T_h(curve, constraints, marks)
+    sigma_x = sigma_sign_class(th, constraints, RealPointConfig.from_strings(["-+", "++"]), 1)
     assert sigma_x.bits[0] == 0
-    sigma_y = sigma_sign_class(
-        curve, constraints, RealPointConfig.from_strings(["+-", "++"]), marks, 1
-    )
+    sigma_y = sigma_sign_class(th, constraints, RealPointConfig.from_strings(["+-", "++"]), 1)
     assert sigma_y.bits[0] == 1
 
 
@@ -277,8 +274,9 @@ def test_sigma_twist_uses_base_point_parity():
     curve = line_through([(-3, 1), (0, -5)])
     constraints = [AffineConstraint.point((-3, 1)), AffineConstraint.point((0, -5))]
     marks = match_marked_edges(curve, constraints)
-    plus = sigma_sign_class(curve, constraints, RealPointConfig.all_positive(2, 2), marks, 1)
-    minus = sigma_sign_class(curve, constraints, RealPointConfig.all_positive(2, 2), marks, -1)
+    th = build_T_h(curve, constraints, marks)
+    plus = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), 1)
+    minus = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), -1)
     assert plus.is_zero()
     assert minus.bits[0] == 1 and minus.bits[1] == 0
 
@@ -290,8 +288,9 @@ def test_sigma_requires_integral_base():
         AffineConstraint.point((0, -5)),
     ]
     marks = match_marked_edges(curve, constraints)
+    th = build_T_h(curve, constraints, marks)
     with pytest.raises(NonIntegralBase):
-        sigma_sign_class(curve, constraints, RealPointConfig.all_positive(2, 2), marks, -1)
+        sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), -1)
 
 
 def test_sigma_invariant_under_quotiented_subtorus_signs():
@@ -302,11 +301,11 @@ def test_sigma_invariant_under_quotiented_subtorus_signs():
     marks = match_marked_edges(curve, constraints)
     th = build_T_h(curve, constraints, marks)
     base = RealPointConfig.from_strings(["+-", "-+"])
-    sigma0 = sigma_sign_class(curve, constraints, base, marks, 1, th=th)
+    sigma0 = sigma_sign_class(th, constraints, base, 1)
     # mark 0 is the (-1,0) ray: flipping the x-sign of P_0 acts by the
     # quotiented subtorus
     flipped = RealPointConfig.from_strings(["--", "-+"])
-    sigma1 = sigma_sign_class(curve, constraints, flipped, marks, 1, th=th)
+    sigma1 = sigma_sign_class(th, constraints, flipped, 1)
     assert sigma0.bits == sigma1.bits
 
 
@@ -325,19 +324,15 @@ def test_T_h_factors_invariant_under_unimodular_block_changes():
     base_factors = smith_normal_form(th.matrix).invariant_factors
 
     rows = th.matrix.to_rows()
-    start = 0
-    blocks = []
-    for label in th.row_labels:
-        blocks.append(label[:2])
-    # group consecutive rows by block label
+    # row blocks: n-1 rows per bounded edge, then one block per constraint
+    edge_blocks = len(c.graph.bounded_edges)
+    assert th.edge_rows == (c.n - 1) * edge_blocks
+    sizes = [c.n - 1] * edge_blocks + [p.rows for p in th.constraint_projections]
+    assert sum(sizes) == len(rows)
     for _ in range(10):
         new_rows = [list(r) for r in rows]
         i = 0
-        while i < len(blocks):
-            j = i
-            while j < len(blocks) and blocks[j] == blocks[i]:
-                j += 1
-            size = j - i
+        for size in sizes:
             u = _random_unimodular(rng, size)
             for r in range(size):
                 combined = [0] * len(new_rows[0])
@@ -346,7 +341,7 @@ def test_T_h_factors_invariant_under_unimodular_block_changes():
                     for col, x in enumerate(rows[i + k]):
                         combined[col] += coef * x
                 new_rows[i + r] = combined
-            i = j
+            i += size
         transformed = IntMatrix.from_rows(new_rows)
         assert smith_normal_form(transformed).invariant_factors == base_factors
 
@@ -398,20 +393,14 @@ def test_evaluate_T_h_edge_block_vanishes_on_true_positions():
         ]
         th = build_T_h(scaled, constraints, marks)
         image = evaluate_T_h(th, scaled)
-        offset = 0
-        for label in th.row_labels:
-            kind = label[0]
-            if kind == "edge":
-                assert image[offset] == 0
-            offset += 1
+        assert image[: th.edge_rows] == (0,) * th.edge_rows
         # constraint block rows carry the classes of the base points
-        offset = len([l for l in th.row_labels if l[0] == "edge"])
-        for j, constraint in enumerate(constraints):
-            qb = th.quotient_bases[("constraint", j)]
-            expected = qb.projection.apply([int(x) for x in constraint.base])
-            got = image[offset : offset + qb.quotient_rank]
+        offset = th.edge_rows
+        for constraint, projection in zip(constraints, th.constraint_projections):
+            expected = projection.apply([int(x) for x in constraint.base])
+            got = image[offset : offset + projection.rows]
             assert tuple(got) == tuple(expected)
-            offset += qb.quotient_rank
+            offset += projection.rows
 
 
 def spatial_line():
@@ -443,10 +432,10 @@ def test_spatial_line_constraint_matching_and_T_h():
     # codim 2 constraints with a common vertical direction: one row each
     assert th.matrix.rows == 2 and th.matrix.cols == 3
     # constraint block kills the marked direction and the constraint line
-    qb0 = th.quotient_bases[("constraint", 0)]
-    assert qb0.projection.apply((-1, 0, 0)) == (0,)
-    assert qb0.projection.apply((0, 0, 1)) == (0,)
-    assert qb0.projection.apply((0, 1, 0)) in ((1,), (-1,))
+    projection = th.constraint_projections[0]
+    assert projection.apply((-1, 0, 0)) == (0,)
+    assert projection.apply((0, 0, 1)) == (0,)
+    assert projection.apply((0, 1, 0)) in ((1,), (-1,))
 
 
 def test_spatial_point_constraint_checks_every_coordinate():
@@ -464,15 +453,16 @@ def test_sigma_invariance_along_constraint_directions_3d():
         AffineConstraint.through((0, -5, 0), [(0, 0, 1)]),
     ]
     marks = match_marked_edges(curve, constraints)
+    th = build_T_h(curve, constraints, marks)
     base = RealPointConfig(signs=((1, -1, 1), (-1, 1, 1)))
-    sigma0 = sigma_sign_class(curve, constraints, base, marks, 1)
+    sigma0 = sigma_sign_class(th, constraints, base, 1)
     # flipping the sign along the constraint's own direction (z) or along
     # the marked edge's direction is quotiented away
     flipped_z = RealPointConfig(signs=((1, -1, -1), (-1, 1, -1)))
-    assert sigma_sign_class(curve, constraints, flipped_z, marks, 1) == sigma0
+    assert sigma_sign_class(th, constraints, flipped_z, 1) == sigma0
     flipped_marked = RealPointConfig(signs=((-1, -1, 1), (-1, -1, 1)))
-    sigma2 = sigma_sign_class(curve, constraints, flipped_marked, marks, 1)
+    sigma2 = sigma_sign_class(th, constraints, flipped_marked, 1)
     assert sigma2.bits[0] == sigma0.bits[0]  # x-flip invisible for mark u0
     # a y-flip for the first constraint must show up
     flipped_y = RealPointConfig(signs=((1, 1, 1), (-1, 1, 1)))
-    assert sigma_sign_class(curve, constraints, flipped_y, marks, 1) != sigma0
+    assert sigma_sign_class(th, constraints, flipped_y, 1) != sigma0

@@ -99,3 +99,26 @@ def test_no_private_imports_between_modules():
                 continue
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, "%s imports %s from %s" % (path.name, private, node.module)
+
+
+def test_no_unused_imports():
+    # an imported name is read in its module or re-exported through __all__;
+    # no linter is installed, so this walk stands in for one
+    package = Path(tropcount.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        unused = sorted(imported - read)
+        assert not unused, "%s imports %s and never reads them" % (path.name, unused)

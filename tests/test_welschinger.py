@@ -2,12 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount.tropical import TropicalCurve, TropicalGraph, as_point, curve_welschinger_mult
+from tropcount.tropical import (
+    NonGenericCrossing,
+    TropicalCurve,
+    TropicalGraph,
+    as_point,
+    curve_welschinger_mult,
+)
 from tropcount.welschinger import (
     InvalidZeta,
     LiftAssignment,
     NodeCensus,
-    NonGenericCrossing,
     census_sum,
     crossing_count,
     edge_census,
