@@ -109,6 +109,8 @@ def _load_points_file(path: str):
 def _config_from_args(args, ell: int) -> Tuple[PointConfiguration, Optional[list]]:
     """The point configuration, and its points file's signs or None."""
     if args.points is not None:
+        if args.mikhalkin_seed is not None:
+            raise InputError("give --points or --mikhalkin-seed, not both")
         points, signs = _load_points_file(args.points)
         if len(points) != ell:
             raise InputError("degree %d needs %d points, got %d" % (args.degree, ell, len(points)))

@@ -38,13 +38,19 @@ keeps the parent's candidate edges, filtered.
 A node, each type's root included, is dropped when its unplaced points
 cannot take distinct candidate edges with one point fewer than ends on
 each part of the type cut at the placed points (``_search_assignments``
-says why).  The test neither filters candidates nor changes the
-branching, so the yielded sequence is the same, with fewer nodes.
+says why).  A child is skipped when its point cannot reach a placed point
+through the type: the tree path between two points runs along known
+directions, so their difference lies in the cone of those directions
+(``_TypeSystem.cones``, tested on bitmasks of ``_reach_masks``).  Neither
+test filters candidates or changes the branching, so the yielded sequence
+is the same, with fewer nodes and children.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -441,6 +447,80 @@ class _TypeSystem:
                         side |= 1 << k
                         reached.append((f.tail, f.head)[f.tail == v])
             self.cuts.append((rest ^ side, side) if side else (rest,))
+        # cones[e][f] holds the directions the tree path from a point on
+        # edge e to one on edge f runs along, as ``_direction_bit``s: the
+        # rest of e, every bounded edge between, and f up to its point
+        ahead = [_direction_bit(e.prim) for e in edges]
+        behind = [_direction_bit((-e.prim[0], -e.prim[1])) for e in edges]
+        self.cones: List[List[int]] = []
+        for i, e in enumerate(edges):
+            row = [0] * self.num_edges
+            walk = [(e.tail, i, behind[i])]
+            if e.head is not None:
+                walk.append((e.head, i, ahead[i]))
+            for v, came, dirs in walk:
+                for k, sign in self.vertex_eqs[v]:
+                    if k != came:
+                        if sign > 0:
+                            row[k] = dirs | ahead[k]
+                            far = edges[k].head
+                        else:
+                            row[k] = dirs | behind[k]
+                            far = edges[k].tail
+                        if far is not None:
+                            walk.append((far, k, row[k]))
+            self.cones.append(row)
+
+
+def _direction_bit(v: Vec) -> int:
+    """A bit of its own for each nonzero vector: bit n for the n-th pair
+    (x, y) of zigzagged coordinates (0, -1, 1, -2, ... -> 0, 1, 2, 3, ...)
+    in Cantor's order, which ``_dual_cone`` reads back."""
+    x, y = (2 * a if a >= 0 else -2 * a - 1 for a in v)
+    return 1 << (x + y) * (x + y + 1) // 2 + y
+
+
+@functools.lru_cache(maxsize=None)
+def _dual_cone(dirs: int) -> Tuple[Vec, ...]:
+    """The vectors among +-rot90(w) and w, for the directions w whose
+    ``_direction_bit`` is in ``dirs``, that are >= 0 on every such w,
+    sorted.  They generate the dual cone, so a vector lies in the cone
+    spanned by the directions exactly when each of them is >= 0 on it; none
+    are left when that cone is the whole plane."""
+    ws = []
+    while dirs:
+        n = dirs.bit_length() - 1
+        dirs ^= 1 << n
+        diagonal = (math.isqrt(8 * n + 1) - 1) // 2
+        y = n - diagonal * (diagonal + 1) // 2
+        ws.append(tuple(z // 2 if z % 2 == 0 else -(z + 1) // 2 for z in (diagonal - y, y)))
+    candidates = {c for w in ws for c in (_rot90(w), (w[1], -w[0]), w)}
+    return tuple(
+        sorted(c for c in candidates if all(c[0] * w[0] + c[1] * w[1] >= 0 for w in ws))
+    )
+
+
+def _reach_masks(dirs: int, points: Sequence[Tuple[int, int]], known: Dict) -> List[int]:
+    """Per point j, the bitmask of the points k that p_j reaches along the
+    directions in ``dirs``: those with phi . p_k >= phi . p_j for every
+    generator phi of the dual cone.
+
+    ``known`` keeps the masks found so far, by ``dirs`` and by generator:
+    a generator's are read off the points, and those of ``dirs`` are the
+    intersection of its generators'.
+    """
+    masks = known.get(dirs)
+    if masks is None:
+        masks = [(1 << len(points)) - 1] * len(points)
+        for a, b in _dual_cone(dirs):
+            above = known.get((a, b))
+            if above is None:
+                values = [a * x + b * y for x, y in points]
+                above = [sum(1 << k for k, v in enumerate(values) if v >= low) for low in values]
+                known[(a, b)] = above
+            masks = [m & n for m, n in zip(masks, above)]
+        known[dirs] = masks
+    return masks
 
 
 def _line_steps(normal: Vec, base: int) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -712,7 +792,10 @@ def _reroute(rows, parts, spare, owner, r, seen) -> bool:
 
 
 def _search_assignments(
-    system: _TypeSystem, pins: List[List[int]], points: List[Tuple[int, int]]
+    system: _TypeSystem,
+    pins: List[List[int]],
+    points: List[Tuple[int, int]],
+    cone_masks: Optional[Dict] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """DFS over injective point-to-edge assignments with box propagation.
 
@@ -734,7 +817,22 @@ def _search_assignments(
     ``_solve`` finds a unique solution only when every part takes n - 1 of
     the unplaced points, since a part with fewer is singular, and one with
     more leaves another with fewer (the quotas add up to the points).
+
+    A child that puts point k on edge f is skipped when some placed point
+    j, on edge e, fails the cone test: on a curve of the type p_k - p_j is
+    a sum of non-negative multiples of the directions ``system.cones[e][f]``
+    the tree path runs along, so phi . p_k >= phi . p_j for each generator
+    phi of their dual cone.  The test is closed, so a degenerate solution
+    still passes it.  ``cone_masks`` keeps the ``_reach_masks`` over
+    ``points``; pass one dict for every type of a problem to build each
+    once.
     """
+    if cone_masks is None:
+        cone_masks = {}
+    reach = [
+        [cone_masks.get(dirs) or _reach_masks(dirs, points, cone_masks) for dirs in row]
+        for row in system.cones
+    ]
     num_points = len(pins)
     assignment: List[int] = [-1] * num_points
     solver = _Solver(system)
@@ -785,14 +883,23 @@ def _search_assignments(
             yield tuple(assignment)
             return
         best_point = -1
+        placed_reach = []
         for j in range(num_points):
-            if assignment[j] == -1 and (
-                best_point == -1 or len(cands[j]) < len(cands[best_point])
-            ):
+            if assignment[j] != -1:
+                placed_reach.append((j, reach[assignment[j]]))
+            elif best_point == -1 or len(cands[j]) < len(cands[best_point]):
                 best_point = j
         row = pins[best_point]
         point = points[best_point]
-        edges = cands[best_point]
+        bit = 1 << best_point
+        # the children that pass the cone test against every placed point
+        edges = []
+        for edge in cands[best_point]:
+            for j, masks in placed_reach:
+                if not masks[edge][j] & bit:
+                    break
+            else:
+                edges.append(edge)
         if len(edges) > 1:
             saved = (val[:], box[:], solver.live)
         for n, edge in enumerate(edges):
@@ -973,6 +1080,7 @@ def enumerate_curves(
     denom = lcm(*(x.denominator for p in config.points for x in p))
     int_points = [(int(p[0] * denom), int(p[1] * denom)) for p in config.points]
     results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
+    cone_masks: Dict = {}
     for ctype in enumerate_types(genus, degree):
         system = _TypeSystem(ctype)
         pins = [
@@ -982,7 +1090,7 @@ def enumerate_curves(
             ]
             for p in int_points
         ]
-        for assignment in _search_assignments(system, pins, int_points):
+        for assignment in _search_assignments(system, pins, int_points, cone_masks):
             plan = {j: assignment[j] for j in range(len(assignment))}
             solved = _solve(system, config, plan)
             if solved is not None:

@@ -94,6 +94,20 @@ def test_count_sign_options_need_real(option, capsys):
     assert "need --real" in err
 
 
+@pytest.mark.parametrize("command", ["count", "enumerate"])
+def test_points_and_mikhalkin_seed_exclude_each_other(command, tmp_path, capsys):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [[0, 0], [3, 1]]}))
+    args = [command, "--degree", "1", "--points", str(points), "--mikhalkin-seed", "99"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "not both" in err
+    assert out == ""
+    # each alone is still accepted
+    assert run_cli(args[:-2], capsys)[0] == 0
+    assert run_cli(args[:3] + args[-2:], capsys)[0] == 0
+
+
 def test_count_signs_starting_with_minus_joined_with_equals(capsys):
     # "--signs -+,++" reads as an option to the argument parser (exit 2);
     # the help text and the README say to join such a value with "="

@@ -18,6 +18,7 @@ from tropcount.enumeration import (
     CombinatorialType,
     PointConfiguration,
     TypeEdge,
+    enumerate_curves,
     solve_positions,
 )
 from tropcount.exact_lattice import primitive_vector
@@ -28,7 +29,7 @@ from tropcount.oracles import (
     lattice_path_subdivisions,
 )
 from tropcount.svg import dual_subdivision_cells
-from tropcount.tropical import as_point, curve_mikhalkin_mults, curve_welschinger_mult
+from tropcount.tropical import Degree, as_point, curve_mikhalkin_mults, curve_welschinger_mult
 
 DATA = Path(__file__).parent.parent / "bench" / "data"
 
@@ -182,3 +183,15 @@ def test_stored_curves_match_oracle_subdivisions(name):
     mults = [(curve_mikhalkin_mults(c)[0], curve_welschinger_mult(c)) for c in curves]
     i, j = next((i, j) for j in range(len(curves)) for i in range(j) if mults[i] == mults[j])
     assert pipeline_subdivisions(3, curves[:i] + [curves[j]] + curves[i + 1 :]) != expected
+
+
+@pytest.mark.slow
+def test_pipeline_matches_oracle_subdivisions_d4():
+    """The normative pipeline at d = 4: 307 curves, N/W = 620/240, each
+    curve dual to one of the lattice-path oracle's subdivisions."""
+    config = PointConfiguration.mikhalkin(11, 7)
+    curves = [c for c, _ in enumerate_curves(0, Degree.projective(4), config)]
+    assert len(curves) == 307
+    assert sum(curve_mikhalkin_mults(c)[0] for c in curves) == 620
+    assert sum(curve_welschinger_mult(c) for c in curves) == 240
+    assert pipeline_subdivisions(4, curves) == oracle_subdivisions(4, config.points)

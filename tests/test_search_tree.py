@@ -9,7 +9,9 @@ sequences were written before the propagation became a worklist; the
 counts were rewritten when nodes with no one-to-one completion (no
 matching of unplaced points to candidate edges) began to be dropped, and
 again when that matching had to give each part of the type, cut at the
-placed points, one point fewer than it has ends.
+placed points, one point fewer than it has ends, and again when a child
+began to be skipped when its point fails the cone test against a placed
+point.
 """
 
 import json
@@ -17,15 +19,22 @@ from pathlib import Path
 
 import pytest
 
+from tropcount import enumeration
+from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     PointConfiguration,
+    _direction_bit,
+    _dual_cone,
     _has_quota_matching,
+    _reach_masks,
     _search_assignments,
     _Solver,
     _TypeSystem,
+    enumerate_curves,
     enumerate_types,
 )
-from tropcount.tropical import Degree
+from tropcount.exact_lattice import primitive_vector
+from tropcount.tropical import Degree, as_point
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent.parent / "bench" / "data"
@@ -161,3 +170,176 @@ def test_box_test_bites(name, expected, types_by_degree, monkeypatch):
     unboxed = fingerprint(types_by_degree[degree], points, monkeypatch)
     assert sorted(unboxed["yielded"]) == sorted(expected[name]["yielded"])
     assert unboxed["propagate_calls"] > expected[name]["propagate_calls"]
+
+
+def direction_bits(dirs):
+    return sum({_direction_bit(w) for w in dirs})
+
+
+def in_cone(generators, d):
+    return all(a * d[0] + b * d[1] >= 0 for a, b in generators)
+
+
+@pytest.mark.parametrize(
+    "dirs, generators",
+    [
+        # quadrant
+        ({(1, 0), (0, 1)}, ((0, 1), (1, 0))),
+        # a pointed cone with a direction inside it: (1, 1) is redundant
+        ({(1, 0), (1, 1)}, ((0, 1), (1, -1), (1, 0), (1, 1))),
+        # half-plane y >= 0
+        ({(1, 0), (-1, 0), (0, 1)}, ((0, 1),)),
+        # line
+        ({(1, 1), (-1, -1)}, ((-1, 1), (1, -1))),
+        # ray
+        ({(1, 2)}, ((-2, 1), (1, 2), (2, -1))),
+        # whole plane: no test
+        ({(1, 0), (0, 1), (-1, -1)}, ()),
+    ],
+)
+def test_dual_cone(dirs, generators):
+    assert _dual_cone(direction_bits(dirs)) == generators
+    for d in [(x, y) for x in range(-3, 4) for y in range(-3, 4)]:
+        assert in_cone(generators, d) == spans(dirs, d), d
+
+
+def spans(dirs, d):
+    """Whether d is a non-negative combination of at most two of ``dirs``,
+    which in the plane means of any of them (Caratheodory)."""
+    if d == (0, 0):
+        return True
+    for u in dirs:
+        if u[0] * d[1] == u[1] * d[0] and u[0] * d[0] + u[1] * d[1] > 0:
+            return True
+        for v in dirs:
+            det = u[0] * v[1] - u[1] * v[0]
+            # d = (d x v / det) u + (u x d / det) v
+            if det and (d[0] * v[1] - d[1] * v[0]) * det >= 0 <= (u[0] * d[1] - u[1] * d[0]) * det:
+                return True
+    return False
+
+
+def test_direction_bits_read_back():
+    vectors = [(x, y) for x in range(-6, 7) for y in range(-6, 7) if (x, y) != (0, 0)]
+    assert len({_direction_bit(v) for v in vectors}) == len(vectors)
+    for v in vectors:
+        # a ray's dual cone is the half-plane of rot90(v), -rot90(v) and v
+        assert _dual_cone(_direction_bit(v)) == tuple(sorted({(-v[1], v[0]), (v[1], -v[0]), v}))
+
+
+def test_reach_masks_keep_the_cone_boundary():
+    # the quadrant x >= 0, y >= 0 from point 0: point 1 on its boundary
+    # ray, point 2 inside, point 3 outside
+    points = [(0, 0), (5, 0), (2, 7), (-1, 3)]
+    masks = _reach_masks(direction_bits({(1, 0), (0, 1)}), points, {})
+    assert masks[0] == 0b0111
+    # no directions: no test
+    assert _reach_masks(0, points, {}) == [0b1111] * 4
+
+
+def test_search_keeps_a_point_on_the_cone_boundary(monkeypatch):
+    """A line through (0, 0) on its left end and (3, 0) on its lower end
+    has its vertex at (3, 0): the second point is degenerate, exactly on
+    the cone's boundary, and the search must still reach it."""
+    (ctype,) = enumerate_types(0, Degree.projective(1))
+    system = _TypeSystem(ctype)
+    left, down = ([e.prim for e in ctype.edges].index(d) for d in ((-1, 0), (0, -1)))
+    points = [(0, 0), (3, 0)]
+    assert min(a * 3 + b * 0 for a, b in _dual_cone(system.cones[left][down])) == 0
+    pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in points]
+    yielded = list(_search_assignments(system, pins, points))
+    assert (left, down) in yielded
+    monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
+    system = _TypeSystem(ctype)
+    assert list(_search_assignments(system, pins, points)) == yielded
+
+
+@pytest.mark.parametrize("name", FAST + [pytest.param(SLOW, marks=pytest.mark.slow)])
+def test_cone_test_bites(name, expected, types_by_degree, monkeypatch):
+    """With the cone test off (no generators, so every cone is the whole
+    plane) the search yields the same sequence, so the test skips only
+    children with no completion, and it tries strictly more children."""
+    monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
+    degree, points = configurations()[name]
+    coneless = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert coneless["yielded"] == expected[name]["yielded"]
+    assert coneless["propagate_calls"] > expected[name]["propagate_calls"]
+
+
+def test_faulted_cone_changes_the_yields(expected, types_by_degree, monkeypatch):
+    """A negative control: with one sign of each first generator flipped,
+    the cone test skips children that lead to curves."""
+
+    def faulted(dirs):
+        generators = _dual_cone(dirs)
+        if not generators:
+            return generators
+        (a, b), rest = generators[0], generators[1:]
+        return ((-a, b),) + rest
+
+    monkeypatch.setattr(enumeration, "_dual_cone", faulted)
+    changed = []
+    for name in FAST:
+        degree, points = configurations()[name]
+        found = fingerprint(types_by_degree[degree], points, monkeypatch)
+        changed += [name] if found["yielded"] != expected[name]["yielded"] else []
+    assert changed
+
+
+def path_directions(curve, e, f):
+    """The directions of the tree path from a point on edge e to one on
+    edge f of the curve, read off its graph and its vertex positions."""
+    graph, at = curve.graph, curve.positions
+    # per vertex: (edge, far vertex or None, direction away from the vertex)
+    away = {v: [] for v in graph.vertices}
+    for i, (tail, head) in enumerate(graph.bounded_edges):
+        step = [b - a for a, b in zip(at[tail], at[head])]
+        denom = step[0].denominator * step[1].denominator
+        u = primitive_vector([int(x * denom) for x in step])
+        away[tail].append(("b%d" % i, head, u))
+        away[head].append(("b%d" % i, tail, (-u[0], -u[1])))
+    for i, (vertex, u) in enumerate(graph.unbounded_edges):
+        away[vertex].append(("u%d" % i, None, tuple(u)))
+    # from the point on e to each of e's vertices: against e's direction away from it
+    walk = [(v, e, {(-u[0], -u[1])}) for v in graph.vertices for edge, _, u in away[v] if edge == e]
+    for v, came, dirs in walk:
+        for edge, far, u in away[v]:
+            if edge == came:
+                continue
+            if edge == f:
+                return dirs | {u}
+            if far is not None:
+                walk.append((far, edge, dirs | {u}))
+    raise AssertionError("no path from %s to %s" % (e, f))
+
+
+def stored_and_pinned_curves():
+    """(name, points, curves with their marks): the four curve sets in
+    bench/data and the curves through the pinned d = 2 configurations."""
+    out = []
+    for path in sorted(DATA.glob("*.json")):
+        doc = json.loads(path.read_text())
+        curves = [curve_from_json(c) for c in doc["curves"]]
+        out.append((path.stem, [as_point(p) for p in doc["points"]], curves))
+    for seed in range(10):
+        config = PointConfiguration.mikhalkin(5, seed)
+        curves = enumerate_curves(0, Degree.projective(2), config)
+        out.append(("d2-mikhalkin-%d" % seed, list(config.points), curves))
+    return out
+
+
+def test_every_curve_passes_the_cone_test():
+    """Soundness without the search: on each curve every ordered pair of
+    marked points passes the test, with the cone of the path between them."""
+    pairs = 0
+    for name, points, curves in stored_and_pinned_curves():
+        assert curves, name
+        known = {}
+        for curve, marks in curves:
+            for j, e in enumerate(marks):
+                for k, f in enumerate(marks):
+                    if j != k:
+                        dirs = direction_bits(path_directions(curve, e, f))
+                        assert _reach_masks(dirs, points, known)[j] >> k & 1, (name, j, k)
+                        pairs += 1
+    assert pairs > 2000
