@@ -38,12 +38,17 @@ keeps the parent's candidate edges, filtered.
 A node, each type's root included, is dropped when its unplaced points
 cannot take distinct candidate edges with one point fewer than ends on
 each part of the type cut at the placed points (``_search_assignments``
-says why).  A child is skipped when its point cannot reach a placed point
-through the type: the tree path between two points runs along known
-directions, so their difference lies in the cone of those directions
-(``_TypeSystem.cones``, tested on bitmasks of ``_reach_masks``).  Neither
-test filters candidates or changes the branching, so the yielded sequence
-is the same, with fewer nodes and children.
+says why).  The tree path between two points runs along known directions,
+so their difference lies in the cone of those directions
+(``_TypeSystem.cones``, tested on bitmasks of ``_reach_masks``).  Each
+unplaced point has a row, the bitmask of the edges it could still take:
+those that pass this cone test with every placed point and, after
+``_cone_consistency``, with some edge of every other unplaced point's row.
+The rows cost bit operations and come before the box test: a node with an
+empty row, or whose rows meet no quotas, dies there, and the children of a
+node are the edges of the placed point's row.  No test filters the
+candidate lists the branching reads, so the yielded sequence is the same,
+with fewer nodes and children.
 """
 
 from __future__ import annotations
@@ -791,6 +796,82 @@ def _reroute(rows, parts, spare, owner, r, seen) -> bool:
     return False
 
 
+class _Spread(dict):
+    """Point bitmask m -> the bitmask with bit b * width for each bit b of
+    m, computed when first read."""
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, mask: int) -> int:
+        bits = (b for b in range(mask.bit_length()) if mask >> b & 1)
+        out = self[mask] = sum(1 << b * self.width for b in bits)
+        return out
+
+
+class _Partners(dict):
+    """For point a: edge e -> per point b, at bit b * ``spread.width`` and
+    up, the bitmask of the edges f != e with point b reachable from point
+    a on edge e when b is on f, that is bit b of ``reach[e][f][a]``;
+    built when first read."""
+
+    def __init__(self, reach: Sequence[Sequence[Sequence[int]]], a: int, spread: _Spread):
+        super().__init__()
+        self.reach, self.a, self.spread = reach, a, spread
+
+    def __missing__(self, e: int) -> int:
+        a, spread = self.a, self.spread
+        out = 0
+        for f, masks in enumerate(self.reach[e]):
+            if f != e:
+                out |= spread[masks[a]] << f
+        self[e] = out
+        return out
+
+
+def _cone_consistency(
+    rows: int, unplaced: Sequence[int], partners: Sequence[_Partners], num_edges: int
+) -> Optional[int]:
+    """Drop edge e from point a's row while some other point b of
+    ``unplaced`` has no edge f in its row such that e is among point a's
+    edges in ``partners[b][f]``, to a fixpoint; None once a row is empty.
+
+    ``rows`` holds point b's edge bitmask at bit b * (num_edges + 1) and
+    up, as ``partners`` do, with a guard bit above it, so adding num_edges
+    ones to each row sets the guards of the nonempty ones.  The union of
+    ``partners[b][f]`` over the edges f of b's row holds each other
+    point's edges that pass the cone test with some edge of b's row, so a
+    pass intersects the rows with that union for each b in turn.  The test
+    reads the same from either point (``_search_assignments``), so this is
+    also the test read from a.
+    """
+    width = num_edges + 1
+    full = (1 << num_edges) - 1
+    ones = sum(full << b * width for b in unplaced)
+    guards = sum(1 << b * width + num_edges for b in unplaced)
+    while (rows + ones) & guards == guards:
+        before = rows
+        for b in unplaced:
+            table = partners[b]
+            row = rows >> b * width & full
+            # b's own row is not tested against itself
+            support = full << b * width
+            while row:
+                low = row & -row
+                row ^= low
+                support |= table[low.bit_length() - 1]
+            rows &= support
+        if rows == before:
+            return rows
+    return None
+
+
+def _edges(mask: int, order: Sequence[int]) -> List[int]:
+    """The edges of ``order`` whose bits are in ``mask``, in that order."""
+    return [edge for edge in order if mask >> edge & 1]
+
+
 def _search_assignments(
     system: _TypeSystem,
     pins: List[List[int]],
@@ -818,14 +899,30 @@ def _search_assignments(
     the unplaced points, since a part with fewer is singular, and one with
     more leaves another with fewer (the quotas add up to the points).
 
-    A child that puts point k on edge f is skipped when some placed point
-    j, on edge e, fails the cone test: on a curve of the type p_k - p_j is
-    a sum of non-negative multiples of the directions ``system.cones[e][f]``
-    the tree path runs along, so phi . p_k >= phi . p_j for each generator
-    phi of their dual cone.  The test is closed, so a degenerate solution
-    still passes it.  ``cone_masks`` keeps the ``_reach_masks`` over
-    ``points``; pass one dict for every type of a problem to build each
-    once.
+    The cone test: with point a on edge e and point b on edge f, on a curve
+    of the type p_b - p_a is a sum of non-negative multiples of the
+    directions ``system.cones[e][f]`` the tree path runs along, so
+    phi . p_b >= phi . p_a for each generator phi of their dual cone: bit
+    b of ``reach[e][f][a]``.  The test is closed, so a degenerate solution
+    still passes it, and it reads the same from b, since the cone of the
+    path back is the negated cone.
+
+    Besides its admissible edges each unplaced point has a row, the
+    bitmask of the edges it could still take.  A node first keeps in each
+    row the admissible edges that are unused, match the point's pin and
+    pass the cone test with every placed point, then drops those that
+    ``_cone_consistency`` finds some other unplaced point cannot pass it
+    with, and dies on an empty row or rows that meet no quotas, all before
+    a box test.  It then redoes the box test, as above, for the admissible
+    edges, keeps in each row only those that pass it, and tests the quotas
+    again if that took an edge from a row.  Its children are the admissible
+    edges of the point placed that are in its row, in the order of the
+    admissible edges.  Every assignment the search yields passes the test
+    on every pair, so a dropped (point, edge) pair is in no completion and
+    the yielded sequence is that of the box and quota tests alone.
+
+    ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
+    dict for every type of a problem to build each once.
     """
     if cone_masks is None:
         cone_masks = {}
@@ -834,6 +931,12 @@ def _search_assignments(
         for row in system.cones
     ]
     num_points = len(pins)
+    num_edges = system.num_edges
+    width = num_edges + 1
+    full = (1 << num_edges) - 1
+    spread = _Spread(width)
+    partners = [_Partners(reach, a, spread) for a in range(num_points)]
+
     assignment: List[int] = [-1] * num_points
     solver = _Solver(system)
     val = solver.val
@@ -843,63 +946,79 @@ def _search_assignments(
     vertex_edges = system.vertex_edges
     line_rules = system.line_rules
     cuts = system.cuts
+    ends = system.ends
 
     def narrowed(
         cands: List[List[int]], moved: int, parts: Tuple[int, ...]
-    ) -> Optional[List[List[int]]]:
+    ) -> Optional[Tuple[List[List[int]], int]]:
         """Each unplaced point's admissible edges among ``cands``, with the
-        box test redone for the edges in the bitmask ``moved``; None as soon
-        as a point has none, or when no matching meets the quotas of ``parts``."""
-        out: List[List[int]] = [[] for _ in range(num_points)]
-        unplaced: List[List[int]] = []
+        box test redone for the edges in the bitmask ``moved``, and the rows,
+        point j's at bit j * (num_edges + 1) and up; None when a row is empty
+        or no matching of the rows meets the quotas of ``parts``."""
         unused = sum(parts)
-        for j in range(num_points):
-            if assignment[j] != -1:
-                continue
-            row = pins[j]
+        unplaced = [j for j in range(num_points) if assignment[j] == -1]
+        # the unused edges of each point's candidates that match its pin
+        fits = 0
+        for j in unplaced:
+            pinned = pins[j]
+            mask = 0
+            for edge in cands[j]:
+                if unused >> edge & 1:
+                    cur = val[edge]
+                    if cur is None or cur == pinned[edge]:
+                        mask |= 1 << edge
+            fits |= mask << j * width
+        rows = fits
+        for i in range(num_points):
+            if assignment[i] != -1:
+                rows &= partners[i][assignment[i]]
+        rows = _cone_consistency(rows, unplaced, partners, num_edges)
+        if rows is None or not _has_quota_matching(
+            [_edges(rows >> j * width, cands[j]) for j in unplaced], parts, ends, num_edges
+        ):
+            return None
+        out: List[List[int]] = [[] for _ in range(num_points)]
+        boxed = 0
+        for j in unplaced:
+            pinned = pins[j]
             point = points[j]
             keep = out[j]
+            fit = fits >> j * width
+            mask = 0
             for edge in cands[j]:
-                if not unused >> edge & 1:
-                    continue
-                pin = row[edge]
-                cur = val[edge]
-                if cur is not None and cur != pin:
-                    continue
-                if moved >> edge & 1 and not solver.point_feasible(edge, point, pin):
+                if not fit >> edge & 1 or (
+                    moved >> edge & 1 and not solver.point_feasible(edge, point, pinned[edge])
+                ):
                     continue
                 keep.append(edge)
-            if not keep:
+                mask |= 1 << edge
+            if not rows >> j * width & mask:
                 return None
-            unplaced.append(keep)
-        if not _has_quota_matching(unplaced, parts, system.ends, system.num_edges):
-            return None
-        return out
+            boxed |= mask << j * width
+        # the quotas are met unless the box test took an edge from a row
+        if rows & boxed != rows:
+            rows &= boxed
+            if not _has_quota_matching(
+                [_edges(rows >> j * width, out[j]) for j in unplaced], parts, ends, num_edges
+            ):
+                return None
+        return out, rows
 
     def place(
-        placed: int, cands: List[List[int]], pending: int, parts: Tuple[int, ...]
+        placed: int, cands: List[List[int]], rows: int, pending: int, parts: Tuple[int, ...]
     ) -> Iterator[Tuple[int, ...]]:
         if placed == num_points:
             yield tuple(assignment)
             return
         best_point = -1
-        placed_reach = []
         for j in range(num_points):
-            if assignment[j] != -1:
-                placed_reach.append((j, reach[assignment[j]]))
-            elif best_point == -1 or len(cands[j]) < len(cands[best_point]):
+            if assignment[j] == -1 and (
+                best_point == -1 or len(cands[j]) < len(cands[best_point])
+            ):
                 best_point = j
         row = pins[best_point]
         point = points[best_point]
-        bit = 1 << best_point
-        # the children that pass the cone test against every placed point
-        edges = []
-        for edge in cands[best_point]:
-            for j, masks in placed_reach:
-                if not masks[edge][j] & bit:
-                    break
-            else:
-                edges.append(edge)
+        edges = _edges(rows >> best_point * width, cands[best_point])
         if len(edges) > 1:
             saved = (val[:], box[:], solver.live)
         for n, edge in enumerate(edges):
@@ -922,14 +1041,14 @@ def _search_assignments(
             split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
             child = narrowed(cands, _union(solver.moved, vertex_edges), split)
             if child is not None:
-                yield from place(placed + 1, child, rest, split)
+                yield from place(placed + 1, *child, rest, split)
             assignment[best_point] = -1
 
-    every_edge = list(range(system.num_edges))
-    whole = ((1 << system.num_edges) - 1,)
+    every_edge = list(range(num_edges))
+    whole = (full,)
     root = narrowed([every_edge] * num_points, whole[0], whole)
     if root is not None:
-        yield from place(0, root, system.all_rules, whole)
+        yield from place(0, *root, system.all_rules, whole)
     del place  # place reaches itself through this cell; break that cycle
 
 

@@ -21,6 +21,7 @@ from tropcount.exact_lattice import vector_gcd
 from tropcount.incidence import match_marked_edges
 from tropcount.tropical import (
     Degree,
+    as_point,
     check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
@@ -29,6 +30,7 @@ from tropcount.tropical import (
 
 
 GOLDEN = Path(__file__).parent / "golden"
+DATA = Path(__file__).parent.parent / "bench" / "data"
 
 
 def _trees(num_leaves):
@@ -419,6 +421,25 @@ def test_enumerate_curves_commutes_with_permuting_the_ends(d, ends):
     assert mapped == sorted(_shape(c, m) for c, m in images)
 
 
+@pytest.mark.slow
+def test_enumerate_curves_commutes_with_permuting_the_ends_d3():
+    """The same at d=3, on the stored generic points of
+    bench/data/d3-generic-1, whose curves have a weight-2 bounded edge:
+    each of the six images has N/W = 12/8 and the mapped curves."""
+    doc = json.loads((DATA / "d3-generic-1.json").read_text())
+    points = [as_point(p) for p in doc["points"]]
+    curves = enumerate_curves(0, Degree.projective(3), PointConfiguration.explicit(points))
+    for ends in itertools.permutations(P2_ENDS):
+        (ax, ay), (bx, by), _ = ends
+        matrix = ((-ax, -bx), (-ay, -by))
+        image = PointConfiguration.explicit([_apply(matrix, p) for p in points])
+        images = enumerate_curves(0, Degree.projective(3), image)
+        assert sum(curve_mikhalkin_mults(c)[0] for c, _ in images) == 12, ends
+        assert sum(curve_welschinger_mult(c) for c, _ in images) == 8, ends
+        mapped = sorted(_shape(c, m, matrix) for c, m in curves)
+        assert mapped == sorted(_shape(c, m) for c, m in images), ends
+
+
 # generic integer points beyond P^2, and (N, number of curves) through them
 NO_DROP_POINTS = {
     "P1xP1-(1,1)": ([(958, 768), (942, 739), (-884, -812)], 1, 1),
@@ -437,11 +458,7 @@ NO_DROP_POINTS = {
 }
 
 
-# (2, 2) takes longest, so it runs under slow
-@pytest.mark.parametrize(
-    "name",
-    [pytest.param(n, marks=pytest.mark.slow) if n.endswith("(2,2)") else n for n in NO_DROP_POINTS],
-)
+@pytest.mark.parametrize("name", list(NO_DROP_POINTS))
 def test_part_quotas_drop_no_curve(name, relax_quotas):
     degree, _ = EQUIVALENCE_DEGREES[name]
     points, total, count = NO_DROP_POINTS[name]

@@ -9,9 +9,12 @@ sequences were written before the propagation became a worklist; the
 counts were rewritten when nodes with no one-to-one completion (no
 matching of unplaced points to candidate edges) began to be dropped, and
 again when that matching had to give each part of the type, cut at the
-placed points, one point fewer than it has ends, and again when a child
+placed points, one point fewer than it has ends, again when a child
 began to be skipped when its point fails the cone test against a placed
-point.
+point, and again when each node began to drop the edges an unplaced point
+cannot take while some other unplaced point could not then pass the cone
+test with it (each d=2 case 86-89 -> 5 calls, ``d3-generic-1`` 5,138 ->
+1,395, ``d3-mikhalkin-7`` 7,539 -> 1,357).
 """
 
 import json
@@ -23,12 +26,15 @@ from tropcount import enumeration
 from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     PointConfiguration,
+    _cone_consistency,
     _direction_bit,
     _dual_cone,
     _has_quota_matching,
+    _Partners,
     _reach_masks,
     _search_assignments,
     _Solver,
+    _Spread,
     _TypeSystem,
     enumerate_curves,
     enumerate_types,
@@ -41,7 +47,8 @@ DATA = Path(__file__).parent.parent / "bench" / "data"
 
 
 def configurations():
-    """Name -> (degree, integer points); the last one is the slow case."""
+    """Name -> (degree, integer points); the last one is the case whose
+    bite tests run under slow."""
     out = {}
     for seed in range(10):
         points = PointConfiguration.mikhalkin(5, seed).points
@@ -102,7 +109,6 @@ def test_search_tree_matches_golden(name, expected, types_by_degree, monkeypatch
     check(name, expected, types_by_degree, monkeypatch)
 
 
-@pytest.mark.slow
 def test_search_tree_matches_golden_d3_mikhalkin(expected, types_by_degree, monkeypatch):
     check(SLOW, expected, types_by_degree, monkeypatch)
 
@@ -143,33 +149,62 @@ def test_matching_rejects_a_part_without_an_end():
     assert _has_quota_matching([[2], [3]], (0b11111,), ends, 5)
 
 
+def coneless(name, types_by_degree, monkeypatch):
+    """The fingerprint with the cone test off (no generators, so every
+    cone is the whole plane).  The box and quota tests are checked there:
+    with the cone test on, a d=2 search places each point once and leaves
+    them nothing to prune."""
+    monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
+    degree, points = configurations()[name]
+    return fingerprint(types_by_degree[degree], points, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def coneless_runs(types_by_degree):
+    """Name -> ``coneless`` fingerprint with every other check on, found
+    once for the tests that compare against it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                runs[name] = coneless(name, types_by_degree, monkeypatch)
+        return runs[name]
+
+    return run
+
+
 @pytest.mark.parametrize("name", FAST)
-def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch, relax_quotas):
+def test_matching_prune_bites(
+    name, expected, types_by_degree, monkeypatch, relax_quotas, coneless_runs
+):
     """With the quotas relaxed, so that any part takes any number of
     points, the search yields the same sequence, so the quotas drop only
-    nodes with no completion, and it tries strictly more children."""
+    nodes with no completion, and it tries strictly more children; both
+    with the cone test off."""
+    base = coneless_runs(name)
     relax_quotas()
-    degree, points = configurations()[name]
-    relaxed = fingerprint(types_by_degree[degree], points, monkeypatch)
-    assert relaxed["yielded"] == expected[name]["yielded"]
-    assert relaxed["propagate_calls"] > expected[name]["propagate_calls"]
+    relaxed = coneless(name, types_by_degree, monkeypatch)
+    assert base["yielded"] == relaxed["yielded"] == expected[name]["yielded"]
+    assert relaxed["propagate_calls"] > base["propagate_calls"]
 
 
 # without the box test d3-generic-1 takes seconds, so it runs under slow
 @pytest.mark.parametrize(
     "name", [pytest.param(n, marks=pytest.mark.slow) if n.startswith("d3") else n for n in FAST]
 )
-def test_box_test_bites(name, expected, types_by_degree, monkeypatch):
+def test_box_test_bites(name, expected, types_by_degree, monkeypatch, coneless_runs):
     """With every edge passing the box test the search yields the same
     assignments, so the test drops only candidates with no completion, and
-    it tries strictly more children.  The order within a type may change:
-    longer candidate lists can change which point is placed first, and do
-    so on d3-generic-1."""
+    it tries strictly more children; both with the cone test off.  The
+    order within a type may change: longer candidate lists can change
+    which point is placed first, and do so on d3-generic-1."""
+    base = coneless_runs(name)
     monkeypatch.setattr(_Solver, "point_feasible", lambda self, edge, point, pin: True)
-    degree, points = configurations()[name]
-    unboxed = fingerprint(types_by_degree[degree], points, monkeypatch)
+    unboxed = coneless(name, types_by_degree, monkeypatch)
+    assert base["yielded"] == expected[name]["yielded"]
     assert sorted(unboxed["yielded"]) == sorted(expected[name]["yielded"])
-    assert unboxed["propagate_calls"] > expected[name]["propagate_calls"]
+    assert unboxed["propagate_calls"] > base["propagate_calls"]
 
 
 def direction_bits(dirs):
@@ -255,15 +290,109 @@ def test_search_keeps_a_point_on_the_cone_boundary(monkeypatch):
 
 
 @pytest.mark.parametrize("name", FAST + [pytest.param(SLOW, marks=pytest.mark.slow)])
-def test_cone_test_bites(name, expected, types_by_degree, monkeypatch):
+def test_cone_test_bites(name, expected, coneless_runs):
     """With the cone test off (no generators, so every cone is the whole
-    plane) the search yields the same sequence, so the test skips only
-    children with no completion, and it tries strictly more children."""
-    monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
+    plane) the search yields the same sequence, so the test drops only
+    pairs with no completion, and it tries strictly more children."""
+    unconed = coneless_runs(name)
+    assert unconed["yielded"] == expected[name]["yielded"]
+    assert unconed["propagate_calls"] > expected[name]["propagate_calls"]
+
+
+@pytest.mark.parametrize("name", FAST + [pytest.param(SLOW, marks=pytest.mark.slow)])
+def test_cone_consistency_bites(name, expected, types_by_degree, monkeypatch):
+    """With the consistency step off, so that a row keeps every edge that
+    passes the cone test with the placed points, the search yields the same
+    sequence, so the step drops only pairs with no completion, and it tries
+    strictly more children."""
+    monkeypatch.setattr(
+        enumeration, "_cone_consistency", lambda rows, unplaced, partners, num_edges: rows
+    )
     degree, points = configurations()[name]
-    coneless = fingerprint(types_by_degree[degree], points, monkeypatch)
-    assert coneless["yielded"] == expected[name]["yielded"]
-    assert coneless["propagate_calls"] > expected[name]["propagate_calls"]
+    unchecked = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert unchecked["yielded"] == expected[name]["yielded"]
+    assert unchecked["propagate_calls"] > expected[name]["propagate_calls"]
+
+
+def test_faulted_consistency_changes_the_yields(expected, types_by_degree, monkeypatch):
+    """A negative control: a consistency step that reads the relation the
+    wrong way round, p_a reachable from p_b, drops pairs that lead to
+    curves."""
+    consistency = enumeration._cone_consistency
+    backwards = {}
+
+    def faulted(rows, unplaced, partners, num_edges):
+        # one faulted table per search, kept beside the search's own so
+        # that its id is not reused
+        if id(partners) not in backwards:
+            flipped = [
+                [[sum((m >> a & 1) << b for b, m in enumerate(masks)) for a in range(len(masks))]
+                 for masks in row]
+                for row in partners[0].reach
+            ]
+            backwards[id(partners)] = (
+                partners,
+                [_Partners(flipped, a, table.spread) for a, table in enumerate(partners)],
+            )
+        return consistency(rows, unplaced, backwards[id(partners)][1], num_edges)
+
+    monkeypatch.setattr(enumeration, "_cone_consistency", faulted)
+
+    def changes(name):
+        degree, points = configurations()[name]
+        found = fingerprint(types_by_degree[degree], points, monkeypatch)
+        return found["yielded"] != expected[name]["yielded"]
+
+    assert any(changes(name) for name in FAST)
+
+
+def pack(*rows):
+    """Edge bitmasks of points 0, 1, ... as ``_cone_consistency`` reads
+    them when there are two edges: point b's at bit 3b."""
+    return sum(row << 3 * b for b, row in enumerate(rows))
+
+
+def consistent(reach, rows, unplaced=(0, 1)):
+    spread = _Spread(3)
+    partners = [_Partners(reach, a, spread) for a in range(2)]
+    return _cone_consistency(pack(*rows), list(unplaced), partners, 2)
+
+
+def test_cone_consistency_on_a_hand_made_relation():
+    """Two points and two edges; ``reach[e][f][a]`` has bit b when point b
+    on edge f is reachable from point a on edge e."""
+    everywhere = [[[0b11, 0b11], [0b11, 0b11]] for _ in range(2)]
+    # an edge is never its own partner: point 0 on edge 0 needs point 1 on
+    # edge 1, though every pair is reachable
+    assert _Partners(everywhere, 0, _Spread(3))[0] == pack(0b10, 0b10)
+    assert consistent(everywhere, (0b01, 0b01)) is None
+    assert consistent(everywhere, (0b01, 0b11)) == pack(0b01, 0b10)
+    # a placed point, whose row is empty, is not tested
+    assert consistent(everywhere, (0b01, 0), unplaced=(0,)) == pack(0b01, 0)
+    # point 1 on edge 1 is out of reach of point 0 on edge 0, and so,
+    # read back, is point 0 on edge 0 from point 1 on edge 1
+    one_way = [[[0b11, 0b11], [0b01, 0b11]], [[0b11, 0b10], [0b11, 0b11]]]
+    assert consistent(one_way, (0b01, 0b10)) is None
+    assert consistent(one_way, (0b11, 0b11)) == pack(0b10, 0b01)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cones_are_antisymmetric(degree, d3_types):
+    """The path from edge f to edge e is the path from e to f run
+    backwards, so its dual cone is the negated one: the cone test reads the
+    same from either point, which makes a pair that the consistency step
+    drops one that no completion holds."""
+    types = d3_types if degree == 3 else enumerate_types(0, Degree.projective(degree))
+    pairs = 0
+    for ctype in types:
+        cones = _TypeSystem(ctype).cones
+        for e, row in enumerate(cones):
+            for f, dirs in enumerate(row):
+                if e != f:
+                    negated = tuple(sorted((-a, -b) for a, b in _dual_cone(dirs)))
+                    assert _dual_cone(cones[f][e]) == negated, (e, f)
+                    pairs += 1
+    assert pairs == {1: 6, 2: 288, 3: 16800}[degree]
 
 
 def test_faulted_cone_changes_the_yields(expected, types_by_degree, monkeypatch):
