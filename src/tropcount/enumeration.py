@@ -10,8 +10,9 @@ point pins the value of its edge.  The assignment search interleaves exact
 value propagation with interval boxes on vertex coordinates (a point bounds
 its edge's endpoints, bounded edges transfer bounds along their direction,
 pinned lines couple the x and y ranges), which prunes wrong assignments
-almost immediately for spread-out configurations.  Survivors get a full
-rational solve plus geometric acceptance checks.
+almost immediately for spread-out configurations.  Survivors get their
+values from the pins and the vertex equations, leaf inward
+(``_cascade_values``), then positions and geometric acceptance checks.
 
 Types come from one depth-first walk that inserts leaf k on each edge of
 a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
@@ -44,11 +45,14 @@ so their difference lies in the cone of those directions
 unplaced point has a row, the bitmask of the edges it could still take:
 those that pass this cone test with every placed point and, after
 ``_cone_consistency``, with some edge of every other unplaced point's row.
-The rows cost bit operations and come before the box test: a node with an
-empty row, or whose rows meet no quotas, dies there, and the children of a
-node are the edges of the placed point's row.  No test filters the
-candidate lists the branching reads, so the yielded sequence is the same,
-with fewer nodes and children.
+The rows cost bit operations, so a node tests each child's rows before it
+touches any state: the children of a node are the edges of the placed
+point's row, and one whose rows, with that placement, empty or meet no
+quotas is skipped with no propagation.  A child that passes is
+propagated, then keeps in its rows only the edges that still match their
+pins and pass the box test.  No test filters the candidate lists the
+branching reads, so the yielded sequence is the same, with fewer nodes
+and children.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .exact_lattice import solve_unique_rational, vector_gcd
+from .exact_lattice import vector_gcd
 from .incidence import (
     AffineConstraint,
     AmbiguousConstraint,
@@ -888,9 +892,10 @@ def _search_assignments(
     box test is redone only for edges whose endpoint boxes moved.
 
     Each child starts from a copy of its parent's state: a node copies its
-    values, boxes and live rules once, and puts them back before each child
-    but the first.  The state a node leaves behind is its last child's,
-    which its own parent overwrites.
+    values, boxes and live rules once, before the first child it
+    propagates when more edges follow, and puts them back before each
+    later one.  The state a node leaves behind is its last child's, which
+    its own parent overwrites.
 
     A node's ``parts`` are the edge bitmasks of the type cut at its placed
     points.  A part with n ends and h cut half-edges has 2n + h - 3 unknown
@@ -908,17 +913,22 @@ def _search_assignments(
     path back is the negated cone.
 
     Besides its admissible edges each unplaced point has a row, the
-    bitmask of the edges it could still take.  A node first keeps in each
-    row the admissible edges that are unused, match the point's pin and
-    pass the cone test with every placed point, then drops those that
-    ``_cone_consistency`` finds some other unplaced point cannot pass it
-    with, and dies on an empty row or rows that meet no quotas, all before
-    a box test.  It then redoes the box test, as above, for the admissible
-    edges, keeps in each row only those that pass it, and tests the quotas
-    again if that took an edge from a row.  Its children are the admissible
-    edges of the point placed that are in its row, in the order of the
-    admissible edges.  Every assignment the search yields passes the test
-    on every pair, so a dropped (point, edge) pair is in no completion and
+    bitmask of the edges it could still take: admissible, unused, and
+    passing the cone test with every placed point.  The children of a
+    node are the admissible edges of the point placed that are in its row,
+    in the order of the admissible edges.  Before a child touches the
+    state, its rows are the node's without the placed point's, less the
+    edges that fail the cone test with the new placement or are its edge;
+    ``_cone_consistency`` then drops the edges that some other unplaced
+    point cannot pass the test with, and the child is skipped, with no
+    restore and no ``propagate`` call, on an empty row or rows that meet
+    no quotas (``closed``).  A child that passes is propagated, redoes the
+    box test, as above, on the admissible edges that are unused and unset
+    or at their pin, keeps in each row only those, and tests the quotas
+    again if that took an edge from a row (``narrowed``).  The root runs
+    ``closed`` on full rows; its boxes are unbounded, so it redoes no box
+    test.  Every assignment the search yields passes the cone test on
+    every pair, so a dropped (point, edge) pair is in no completion and
     the yielded sequence is that of the box and quota tests alone.
 
     ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
@@ -948,54 +958,50 @@ def _search_assignments(
     cuts = system.cuts
     ends = system.ends
 
-    def narrowed(
-        cands: List[List[int]], moved: int, parts: Tuple[int, ...]
-    ) -> Optional[Tuple[List[List[int]], int]]:
-        """Each unplaced point's admissible edges among ``cands``, with the
-        box test redone for the edges in the bitmask ``moved``, and the rows,
-        point j's at bit j * (num_edges + 1) and up; None when a row is empty
-        or no matching of the rows meets the quotas of ``parts``."""
-        unused = sum(parts)
-        unplaced = [j for j in range(num_points) if assignment[j] == -1]
-        # the unused edges of each point's candidates that match its pin
-        fits = 0
-        for j in unplaced:
-            pinned = pins[j]
-            mask = 0
-            for edge in cands[j]:
-                if unused >> edge & 1:
-                    cur = val[edge]
-                    if cur is None or cur == pinned[edge]:
-                        mask |= 1 << edge
-            fits |= mask << j * width
-        rows = fits
-        for i in range(num_points):
-            if assignment[i] != -1:
-                rows &= partners[i][assignment[i]]
+    def closed(
+        rows: int, unplaced: List[int], cands: List[List[int]], parts: Tuple[int, ...]
+    ) -> Optional[int]:
+        """The rows after ``_cone_consistency``; None when a row empties or
+        no matching of the rows, in the order of ``cands``, meets the quotas
+        of ``parts``."""
         rows = _cone_consistency(rows, unplaced, partners, num_edges)
         if rows is None or not _has_quota_matching(
             [_edges(rows >> j * width, cands[j]) for j in unplaced], parts, ends, num_edges
         ):
             return None
+        return rows
+
+    def narrowed(
+        cands: List[List[int]], moved: int, parts: Tuple[int, ...], rows: int
+    ) -> Optional[Tuple[List[List[int]], int]]:
+        """Each unplaced point's admissible edges among ``cands``: unused,
+        unset or at its pin, and passing the box test, redone for the edges
+        in the bitmask ``moved``.  ``rows`` (point j's at bit
+        j * (num_edges + 1) and up) come back with those edges only; None
+        when a row empties or no longer meets the quotas of ``parts``."""
+        unused = sum(parts)
+        unplaced = [j for j in range(num_points) if assignment[j] == -1]
         out: List[List[int]] = [[] for _ in range(num_points)]
         boxed = 0
         for j in unplaced:
             pinned = pins[j]
             point = points[j]
             keep = out[j]
-            fit = fits >> j * width
             mask = 0
             for edge in cands[j]:
-                if not fit >> edge & 1 or (
-                    moved >> edge & 1 and not solver.point_feasible(edge, point, pinned[edge])
-                ):
+                if not unused >> edge & 1:
+                    continue
+                cur = val[edge]
+                if cur is not None and cur != pinned[edge]:
+                    continue
+                if moved >> edge & 1 and not solver.point_feasible(edge, point, pinned[edge]):
                     continue
                 keep.append(edge)
                 mask |= 1 << edge
             if not rows >> j * width & mask:
                 return None
             boxed |= mask << j * width
-        # the quotas are met unless the box test took an edge from a row
+        # the quotas are met unless this took an edge from a row
         if rows & boxed != rows:
             rows &= boxed
             if not _has_quota_matching(
@@ -1018,12 +1024,22 @@ def _search_assignments(
                 best_point = j
         row = pins[best_point]
         point = points[best_point]
+        others = [j for j in range(num_points) if assignment[j] == -1 and j != best_point]
+        # the other points' rows, which each child narrows by its own edge
+        others_rows = rows & ~(full << best_point * width)
+        table = partners[best_point]
         edges = _edges(rows >> best_point * width, cands[best_point])
-        if len(edges) > 1:
-            saved = (val[:], box[:], solver.live)
+        saved = None
         for n, edge in enumerate(edges):
-            if n:
+            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
+            split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
+            child_rows = closed(others_rows & table[edge], others, cands, split)
+            if child_rows is None:
+                continue
+            if saved is not None:
                 val[:], box[:], solver.live = saved
+            elif n + 1 < len(edges):
+                saved = (val[:], box[:], solver.live)
             # a candidate's value is unset or already its pin
             readers = 0
             if val[edge] is None:
@@ -1037,16 +1053,18 @@ def _search_assignments(
             if rest is None:
                 continue
             assignment[best_point] = edge
-            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
-            split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
-            child = narrowed(cands, _union(solver.moved, vertex_edges), split)
+            child = narrowed(cands, _union(solver.moved, vertex_edges), split, child_rows)
             if child is not None:
                 yield from place(placed + 1, *child, rest, split)
             assignment[best_point] = -1
 
     every_edge = list(range(num_edges))
     whole = (full,)
-    root = narrowed([every_edge] * num_points, whole[0], whole)
+    everyone = list(range(num_points))
+    cands = [every_edge] * num_points
+    rows = closed(sum(full << j * width for j in everyone), everyone, cands, whole)
+    # every box is unbounded at the root, so no box test is redone there
+    root = None if rows is None else narrowed(cands, 0, whole, rows)
     if root is not None:
         yield from place(0, *root, system.all_rules, whole)
     del place  # place reaches itself through this cell; break that cycle
@@ -1072,26 +1090,54 @@ def _solve(
     system: _TypeSystem, config: PointConfiguration, mark_plan: Mapping[int, int]
 ) -> Optional[Tuple[TropicalCurve, Tuple[str, ...]]]:
     """``solve_positions`` with the type's system already built."""
-    rows: List[List[int]] = []
-    rhs: List[Fraction] = []
-    for v, terms in enumerate(system.vertex_eqs):
-        row = [0] * system.num_edges
-        for i, s in terms:
-            row[i] = s
-        rows.append(row)
-        rhs.append(Fraction(0))
-    for j in sorted(mark_plan):
-        edge = mark_plan[j]
-        row = [0] * system.num_edges
-        row[edge] = 1
-        rows.append(row)
-        m = system.normals[edge]
-        p = config.points[j]
-        rhs.append(m[0] * p[0] + m[1] * p[1])
-    solution = solve_unique_rational(rows, rhs)
-    if solution is None:
+    values = _cascade_values(system, config, mark_plan)
+    if values is None:
         return None
-    return _reconstruct(system, config, mark_plan, solution)
+    return _reconstruct(system, config, mark_plan, values)
+
+
+def _cascade_values(
+    system: _TypeSystem, config: PointConfiguration, mark_plan: Mapping[int, int]
+) -> Optional[List]:
+    """The unique transverse values of the edges through the marked
+    points, or None when there are none or more than one.
+
+    A point pins its edge's value; a second, different pin on one edge
+    has no solution.  The vertex equations then give the rest leaf
+    inward: a vertex with one unknown value fixes it.  Cut at its pinned
+    edges the type is a forest, and a tree of k vertices has k equations
+    in its k - 1 inner edges and its unpinned ends, which a cascade from
+    its leaves solves exactly when it has at most one such end; with more
+    the solution is not unique, and the cascade stops short of an edge.
+    So the solution is unique exactly when the cascade reaches every
+    edge, and it exists when every equation then holds.
+    """
+    values: List = [None] * system.num_edges
+    for j, edge in mark_plan.items():
+        (m1, m2), (x, y) = system.normals[edge], config.points[j]
+        c = m1 * x + m2 * y
+        if values[edge] is None:
+            values[edge] = c
+        elif values[edge] != c:
+            return None
+    waiting = list(system.vertex_eqs)
+    while waiting:
+        stuck = []
+        for terms in waiting:
+            unknown = [(i, s) for i, s in terms if values[i] is None]
+            if len(unknown) > 1:
+                stuck.append(terms)
+                continue
+            total = sum(values[i] * s for i, s in terms if values[i] is not None)
+            if unknown:
+                i, s = unknown[0]
+                values[i] = -total * s
+            elif total != 0:
+                return None
+        if len(stuck) == len(waiting):
+            return None
+        waiting = stuck
+    return values
 
 
 def _reconstruct(system, config, mark_plan, cvals):
@@ -1174,7 +1220,10 @@ def _genericity_checks(curve: TropicalCurve):
     except NonGenericCrossing as exc:
         raise GenericityFailure(str(exc))
     # overlapping parallel edges would break the finite-fiber clause
-    for e1, e2 in itertools.combinations(curve.graph.edge_ids(), 2):
+    directions = {e: curve.edge_direction(e) for e in curve.graph.edge_ids()}
+    for (e1, u1), (e2, u2) in itertools.combinations(directions.items(), 2):
+        if u1[0] * u2[1] != u1[1] * u2[0]:
+            continue
         if segments_overlap(curve.edge_segment(e1), curve.edge_segment(e2)):
             raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
 

@@ -259,24 +259,33 @@ def segment_crossing(s1: Segment, s2: Segment) -> Optional[Tuple[Fraction, Fract
     if det == 0:
         return None
     rx, ry = a2[0] - a1[0], a2[1] - a1[1]
-    t1 = Fraction(rx * v2[1] - ry * v2[0]) / det
-    t2 = Fraction(rx * v1[1] - ry * v1[0]) / det
-    if t1 < 0 or (bounded1 and t1 > 1) or t2 < 0 or (bounded2 and t2 > 1):
+    # t1 = n1 / det and t2 = n2 / det, compared before dividing
+    n1 = rx * v2[1] - ry * v2[0]
+    n2 = rx * v1[1] - ry * v1[0]
+    if det < 0:
+        det, n1, n2 = -det, -n1, -n2
+    if n1 < 0 or (bounded1 and n1 > det) or n2 < 0 or (bounded2 and n2 > det):
         return None
-    return t1, t2
+    return Fraction(n1) / det, Fraction(n2) / det
 
 
 def segments_overlap(s1: Segment, s2: Segment) -> bool:
     """Whether two segments share a piece of positive length.
 
-    Non-parallel plane segments share at most a point.  Otherwise the shared
-    part is convex, and when it is more than a point it contains two
-    distinct points among the origin of each segment and its point at
-    parameter 1.
+    Non-parallel plane segments share at most a point, and parallel ones
+    on two lines share none.  Otherwise the shared part is convex, and
+    when it is more than a point it contains two distinct points among the
+    origin of each segment and its point at parameter 1.
     """
     v1, v2 = s1[1], s2[1]
-    if len(v1) == 2 and v1[0] * v2[1] != v1[1] * v2[0]:
-        return False
+    if len(v1) == 2:
+        if v1[0] * v2[1] != v1[1] * v2[0]:
+            return False
+        # parallel, and off one line when the origins' difference crosses
+        # both vectors; a zero vector crosses nothing and is left to raise
+        rx, ry = s2[0][0] - s1[0][0], s2[0][1] - s1[0][1]
+        if rx * v1[1] != ry * v1[0] and rx * v2[1] != ry * v2[0]:
+            return False
     shared = set()
     for origin, vector, _ in (s1, s2):
         for p in (origin, tuple(a + v for a, v in zip(origin, vector))):

@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from tropcount.enumeration import (
     enumerate_types,
     solve_positions,
 )
-from tropcount.exact_lattice import vector_gcd
+from tropcount.exact_lattice import solve_unique_rational, vector_gcd
 from tropcount.incidence import match_marked_edges
 from tropcount.tropical import (
     Degree,
@@ -320,6 +321,91 @@ def test_solve_positions_rejects_wrong_ray():
     # solver itself must reject the second point being off its line
     plan = {0: by_vec[(-1, 0)], 1: by_vec[(1, 1)]}
     assert solve_positions(types[0], config, plan) is None
+
+
+def quota_edges(rng, system, count):
+    """``count`` distinct edges such that every part of the type cut at
+    them keeps an end and, at ell = ends - 1 edges, has exactly one: a
+    plan with a unique solution for generic points.  Each edge is drawn
+    from a part with an end to spare, and never leaves a side without one."""
+    parts, edges = [(1 << system.num_edges) - 1], []
+
+    def ends(part):
+        return (part & system.ends).bit_count()
+
+    while len(edges) < count:
+        spare = [part for part in parts if ends(part) > 1]
+        if not spare:
+            break
+        part = rng.choice(spare)
+        edge = rng.choice([e for e in range(system.num_edges) if part >> e & 1])
+        sides = [part & side for side in system.cuts[edge]]
+        if all(ends(side) for side in sides):
+            parts.remove(part)
+            parts += sides
+            edges.append(edge)
+    return edges
+
+
+def random_plan(rng, system, ell):
+    """Points and a plan for one random system: one point too few, just
+    enough or one too many, on edges with one end per part of the cut
+    type, on distinct edges, or on edges that may repeat; a repeated
+    edge's second point is half the time on the first one's line."""
+    size = ell + rng.choice((-1, 0, 1))
+    kind = rng.randrange(3)
+    if kind == 0:
+        edges = quota_edges(rng, system, size)
+        edges += [rng.randrange(system.num_edges) for _ in range(size - len(edges))]
+    elif kind == 1:
+        edges = rng.sample(range(system.num_edges), size)
+    else:
+        edges = [rng.randrange(system.num_edges) for _ in range(size)]
+    points, plan = [], {}
+    for j, edge in enumerate(edges):
+        while True:
+            if edge in edges[:j] and rng.random() < 0.5:
+                x, y = points[edges.index(edge)]
+                t = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                u = system.ctype.edges[edge].prim
+                p = (x + t * u[0], y + t * u[1])
+            else:
+                p = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 3)) for _ in range(2))
+            if p not in points:
+                break
+        points.append(p)
+        plan[j] = edge
+    return PointConfiguration(tuple(points)), plan
+
+
+def test_cascade_values_equal_the_unique_rational_solve(d3_types):
+    """On random systems at d <= 3 the vertex cascade finds a solution
+    exactly when the linear system of the vertex equations and the pins
+    has a unique one, and it is that one."""
+    rng = random.Random(5)
+    types = {d: enumerate_types(0, Degree.projective(d)) for d in (1, 2)}
+    types[3] = rng.sample(d3_types, 12)
+    systems = {d: [enumeration._TypeSystem(t) for t in ts] for d, ts in types.items()}
+    unique = {1: 0, 2: 0, 3: 0}
+    for _ in range(240):
+        d = rng.choice((1, 2, 3))
+        system = rng.choice(systems[d])
+        config, plan = random_plan(rng, system, 3 * d - 1)
+        rows, rhs = [], []
+        for terms in system.vertex_eqs:
+            rows.append([dict(terms).get(i, 0) for i in range(system.num_edges)])
+            rhs.append(0)
+        for j, edge in plan.items():
+            rows.append([int(i == edge) for i in range(system.num_edges)])
+            (m1, m2), (x, y) = system.normals[edge], config.points[j]
+            rhs.append(m1 * x + m2 * y)
+        expected = solve_unique_rational(rows, rhs)
+        found = enumeration._cascade_values(system, config, plan)
+        assert (found is None) == (expected is None), (system.ctype, plan)
+        if found is not None:
+            assert tuple(found) == expected
+            unique[d] += 1
+    assert min(unique.values()) >= 10
 
 
 def test_enumerate_curves_degree_one():

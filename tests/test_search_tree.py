@@ -14,7 +14,10 @@ began to be skipped when its point fails the cone test against a placed
 point, and again when each node began to drop the edges an unplaced point
 cannot take while some other unplaced point could not then pass the cone
 test with it (each d=2 case 86-89 -> 5 calls, ``d3-generic-1`` 5,138 ->
-1,395, ``d3-mikhalkin-7`` 7,539 -> 1,357).
+1,395, ``d3-mikhalkin-7`` 7,539 -> 1,357), and again when a child's rows
+began to be tested before the child is propagated (``d3-generic-1``
+1,395 calls, 13 failed -> 465, 12 failed; ``d3-mikhalkin-7`` 1,357 ->
+166; each d=2 case keeps its 5).
 """
 
 import json
@@ -48,7 +51,8 @@ DATA = Path(__file__).parent.parent / "bench" / "data"
 
 def configurations():
     """Name -> (degree, integer points); the last one is the case whose
-    bite tests run under slow."""
+    bite tests with the cone test or its consistency step off run under
+    slow."""
     out = {}
     for seed in range(10):
         points = PointConfiguration.mikhalkin(5, seed).points
@@ -151,9 +155,7 @@ def test_matching_rejects_a_part_without_an_end():
 
 def coneless(name, types_by_degree, monkeypatch):
     """The fingerprint with the cone test off (no generators, so every
-    cone is the whole plane).  The box and quota tests are checked there:
-    with the cone test on, a d=2 search places each point once and leaves
-    them nothing to prune."""
+    cone is the whole plane)."""
     monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
     degree, points = configurations()[name]
     return fingerprint(types_by_degree[degree], points, monkeypatch)
@@ -174,37 +176,70 @@ def coneless_runs(types_by_degree):
     return run
 
 
-@pytest.mark.parametrize("name", FAST)
+def bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs):
+    """(the fingerprint a check is taken from, a function that finds it
+    again with whatever the caller has patched since).  A d=3 case runs on
+    the pinned tree, cone test on; a d=2 case with the cone test off,
+    since with it on a d=2 search places each point once and leaves the
+    other checks nothing to prune."""
+    if name.startswith("d3"):
+        degree, points = configurations()[name]
+        return expected[name], lambda: fingerprint(types_by_degree[degree], points, monkeypatch)
+    return coneless_runs(name), lambda: coneless(name, types_by_degree, monkeypatch)
+
+
+@pytest.mark.parametrize("name", FAST + [SLOW])
 def test_matching_prune_bites(
     name, expected, types_by_degree, monkeypatch, relax_quotas, coneless_runs
 ):
     """With the quotas relaxed, so that any part takes any number of
     points, the search yields the same sequence, so the quotas drop only
-    nodes with no completion, and it tries strictly more children; both
-    with the cone test off."""
-    base = coneless_runs(name)
+    nodes with no completion, and it tries strictly more children."""
+    base, run = bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs)
     relax_quotas()
-    relaxed = coneless(name, types_by_degree, monkeypatch)
+    relaxed = run()
     assert base["yielded"] == relaxed["yielded"] == expected[name]["yielded"]
     assert relaxed["propagate_calls"] > base["propagate_calls"]
 
 
-# without the box test d3-generic-1 takes seconds, so it runs under slow
-@pytest.mark.parametrize(
-    "name", [pytest.param(n, marks=pytest.mark.slow) if n.startswith("d3") else n for n in FAST]
-)
+@pytest.mark.parametrize("name", FAST)
 def test_box_test_bites(name, expected, types_by_degree, monkeypatch, coneless_runs):
     """With every edge passing the box test the search yields the same
     assignments, so the test drops only candidates with no completion, and
-    it tries strictly more children; both with the cone test off.  The
-    order within a type may change: longer candidate lists can change
-    which point is placed first, and do so on d3-generic-1."""
-    base = coneless_runs(name)
+    it tries strictly more children.  The order within a type may change:
+    longer candidate lists can change which point is placed first, and do
+    so on d3-generic-1.  (On d3-mikhalkin-7 the cone and quota tests leave
+    the box test nothing to prune.)"""
+    base, run = bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs)
     monkeypatch.setattr(_Solver, "point_feasible", lambda self, edge, point, pin: True)
-    unboxed = coneless(name, types_by_degree, monkeypatch)
+    unboxed = run()
     assert base["yielded"] == expected[name]["yielded"]
     assert sorted(unboxed["yielded"]) == sorted(expected[name]["yielded"])
     assert unboxed["propagate_calls"] > base["propagate_calls"]
+
+
+@pytest.mark.parametrize("name", ["d2-mikhalkin-0", "d3-generic-1", SLOW])
+def test_rows_are_tested_before_propagating(name, expected, types_by_degree, monkeypatch):
+    """A child's rows pass cone consistency and the quota flow before its
+    state is touched: every ``propagate`` call follows a
+    ``_cone_consistency`` call that returned rows, and the tree is the
+    pinned one."""
+    consistency = enumeration._cone_consistency
+    propagate = _Solver.propagate
+    last = [None]
+
+    def watched(*args):
+        last[0] = consistency(*args)
+        return last[0]
+
+    def checked(self, pending):
+        assert last[0] is not None
+        return propagate(self, pending)
+
+    monkeypatch.setattr(enumeration, "_cone_consistency", watched)
+    monkeypatch.setattr(_Solver, "propagate", checked)
+    degree, points = configurations()[name]
+    assert fingerprint(types_by_degree[degree], points, monkeypatch) == expected[name]
 
 
 def direction_bits(dirs):

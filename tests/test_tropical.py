@@ -20,6 +20,7 @@ from tropcount.tropical import (
     degree_of,
     dual_triangle,
     segment_crossing,
+    segment_param,
     segments_overlap,
     vertex_multiplicities,
 )
@@ -390,6 +391,76 @@ def test_segment_crossing(s1, s2, expected):
     assert segment_crossing(s1, s2) == expected
     flipped = None if expected is None else expected[::-1]
     assert segment_crossing(s2, s1) == flipped
+
+
+def old_segment_crossing(s1, s2):
+    """``segment_crossing`` as it was: both parameters divided out, then
+    compared."""
+    (a1, v1, bounded1), (a2, v2, bounded2) = s1, s2
+    det = v1[0] * v2[1] - v1[1] * v2[0]
+    if det == 0:
+        return None
+    rx, ry = a2[0] - a1[0], a2[1] - a1[1]
+    t1 = Fraction(rx * v2[1] - ry * v2[0]) / det
+    t2 = Fraction(rx * v1[1] - ry * v1[0]) / det
+    if t1 < 0 or (bounded1 and t1 > 1) or t2 < 0 or (bounded2 and t2 > 1):
+        return None
+    return t1, t2
+
+
+def old_segments_overlap(s1, s2):
+    """``segments_overlap`` as it was, with no test for two parallel lines."""
+    v1, v2 = s1[1], s2[1]
+    if len(v1) == 2 and v1[0] * v2[1] != v1[1] * v2[0]:
+        return False
+    shared = set()
+    for origin, vector, _ in (s1, s2):
+        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
+            if segment_param(s1, p) is not None and segment_param(s2, p) is not None:
+                shared.add(p)
+    return len(shared) > 1
+
+
+def outcome(function, *args):
+    try:
+        return function(*args)
+    except DegenerateEdge:
+        return DegenerateEdge
+
+
+def test_segment_kernel_matches_the_old_formulas():
+    """On random plane segments, many of them parallel, on one line, or
+    of zero length, the crossing and overlap tests give what the divide
+    first formulas gave, DegenerateEdge included."""
+    rng = random.Random(2)
+    directions = [(1, 0), (0, 1), (1, 1), (2, -1), (-3, 2), (0, 0)]
+    seen = set()
+    for _ in range(800):
+        origin = as_point([Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(2)])
+        u = rng.choice(directions)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        s1 = (origin, tuple(k * x for x in u), rng.random() < 0.7)
+        # the second segment is on s1's line, parallel to it, or anywhere
+        shift = rng.choice([(0, 0), (u[0], u[1]), (1, 0), (0, 1)])
+        t = Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+        base = tuple(o + t * x for o, x in zip(origin, shift))
+        w = u if rng.random() < 0.6 else rng.choice(directions)
+        k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        s2 = (base, tuple(k * x for x in w), rng.random() < 0.7)
+        for a, b in ((s1, s2), (s2, s1)):
+            assert outcome(segment_crossing, a, b) == outcome(old_segment_crossing, a, b), (a, b)
+            overlap = outcome(segments_overlap, a, b)
+            assert overlap == outcome(old_segments_overlap, a, b), (a, b)
+            seen.add(overlap)
+    assert seen == {True, False, DegenerateEdge}
+
+
+def test_segments_overlap_raises_on_a_zero_vector_on_either_side():
+    # parallel to anything, and off the other segment's line
+    point, segment_ = segment((5, 5), (0, 0)), segment((0, 0), (1, 0))
+    for s1, s2 in ((point, segment_), (segment_, point)):
+        with pytest.raises(DegenerateEdge):
+            segments_overlap(s1, s2)
 
 
 DATA = Path(__file__).parent.parent / "bench" / "data"
