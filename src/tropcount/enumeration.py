@@ -24,17 +24,12 @@ never skipped.  A whole tree is tested for a flat vertex or a zero bounded
 edge (``_leaf_sums``; flatness does not change within a class) before it is
 keyed, and each survivor is built into a type once.
 
-Propagation is a worklist over rules kept as data by ``_TypeSystem``: a
-value cascade per vertex, a line constraint per (edge, endpoint) and a
-bound transfer per bounded edge, each with the values and boxes it reads.
-A rule reruns only when one of those changed, in at most 12 sweeps in a
-fixed rule order.  Every rule writes only what it reads, as a function of
-what it reads, so a rule skipped this way would have changed nothing: the
-boxes, the contradictions and hence the search tree are those of rerunning
-every rule in every sweep.  A line rule of an edge without a value does
-nothing, so it is never scheduled.  A child node starts from a copy of its
-parent's values and boxes, with the rules its parent left pending, and
-keeps the parent's candidate edges, filtered.
+Propagation runs the rules ``_TypeSystem`` keeps as data, a value
+cascade per vertex, a line constraint per (edge, endpoint) and a bound
+transfer per bounded edge, in plain sweeps in that order, until a sweep
+changes nothing or for at most 12 sweeps.  A child node starts from a
+copy of its parent's values and boxes and keeps the parent's candidate
+edges, filtered.
 
 A node, each type's root included, is dropped when its unplaced points
 cannot take distinct candidate edges with one point fewer than ends on
@@ -328,7 +323,7 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
 # forms are cleared of denominators.  Fractions appear only when a bound is
 # produced by division inside the interval propagation.
 
-# the most sweeps one propagate call runs; a capped call leaves rules pending
+# the most sweeps one propagate call runs; the next call goes on from there
 _SWEEPS = 12
 
 
@@ -339,13 +334,11 @@ class _TypeSystem:
     ``4v + 1`` bound x from below and above, ``4v + 2`` and ``4v + 3`` bound
     y; an even slot is a lower bound.
 
-    ``rules`` lists the propagation rules in sweep order: one value cascade
-    per vertex, one line constraint per (edge, endpoint), tail before head,
-    in edge order, and one bound transfer per bounded edge.  Bit r of
-    ``val_readers[i]`` (``box_readers[v]``) is set when rule r reads the
-    transverse value of edge i (the box of vertex v); ``line_rules[i]`` is
-    the bitmask of edge i's line constraints and ``vertex_edges[v]`` that of
-    the edges at vertex v.
+    The propagation rules come in three lists, in sweep order: the value
+    cascade of each vertex (``vertex_eqs``), the (edge, ``_line_steps``)
+    line constraint of each edge at each endpoint, tail before head, in
+    edge order (``lines``), and the (source slot, target slot) bound
+    transfers of each bounded edge (``transfers``).
 
     ``rays[i]`` lists, per endpoint of edge i (tail first) and coordinate
     k, the (k, slot to check, slot to set) entries of a point on the edge:
@@ -385,16 +378,9 @@ class _TypeSystem:
                     break
             self.solve_pairs.append(pair)
 
-        # rule kinds: 0 value cascade, 1 line constraint, 2 transfer
-        self.rules: List[Tuple] = []
-        self.val_readers = [0] * self.num_edges
-        self.box_readers = [0] * ctype.num_vertices
-        self.vertex_edges = [0] * ctype.num_vertices
-        self.line_rules = [0] * self.num_edges
-        for terms in self.vertex_eqs:
-            for i, _ in terms:
-                self.val_readers[i] |= 1 << len(self.rules)
-            self.rules.append((0, terms))
+        # line steps per (edge, endpoint), tail before head, in edge order
+        self.lines: List[Tuple[int, Tuple[Tuple[int, int, int, int], ...]]] = []
+        vertex_edges = [0] * ctype.num_vertices
         self.rays: List[Tuple[Tuple[int, int, int], ...]] = []
         self.forms: List[Tuple] = []
         for i, e in enumerate(edges):
@@ -403,12 +389,8 @@ class _TypeSystem:
             for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
-                bit = 1 << len(self.rules)
-                self.val_readers[i] |= bit
-                self.box_readers[vertex] |= bit
-                self.line_rules[i] |= bit
-                self.vertex_edges[vertex] |= 1 << i
-                self.rules.append((1, i, _line_steps(self.normals[i], 4 * vertex), vertex))
+                vertex_edges[vertex] |= 1 << i
+                self.lines.append((i, _line_steps(self.normals[i], 4 * vertex)))
                 for k in (0, 1):
                     uk = e.prim[k] * sign
                     lo, hi = 4 * vertex + 2 * k, 4 * vertex + 2 * k + 1
@@ -424,10 +406,11 @@ class _TypeSystem:
             self.rays.append(tuple(rays))
             self.forms.append(tuple(forms))
         # a bounded edge's direction orders its endpoints coordinatewise:
-        # (source slot, target slot, target) copies a bound to the target
+        # each (source slot, target slot) copies a bound to the target
+        self.transfers: List[Tuple[Tuple[int, int], ...]] = []
         for i in ctype.bounded_indices():
             ta, he = edges[i].tail, edges[i].head
-            table: List[Tuple[int, int, int]] = []
+            table: List[Tuple[int, int]] = []
             for k, uk in enumerate(edges[i].prim):
                 lo, hi = 2 * k, 2 * k + 1
                 if uk > 0:
@@ -436,13 +419,8 @@ class _TypeSystem:
                     pairs = [(he, ta, lo), (ta, he, hi)]
                 else:
                     pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
-                table += [(4 * s + slot, 4 * t + slot, t) for s, t, slot in pairs]
-            self.box_readers[ta] |= 1 << len(self.rules)
-            self.box_readers[he] |= 1 << len(self.rules)
-            self.rules.append((2, tuple(table)))
-        self.all_rules = (1 << len(self.rules)) - 1
-        # a line rule of an edge without a value does nothing
-        self.valueless_live = self.all_rules & ~sum(self.line_rules)
+                table += [(4 * s + slot, 4 * t + slot) for s, t, slot in pairs]
+            self.transfers.append(tuple(table))
         # edge bitmasks of the ends, and of the parts a point on edge i
         # leaves of the type: the two sides of a bounded edge, else the rest
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
@@ -452,7 +430,7 @@ class _TypeSystem:
             side, reached = 0, [e.head]
             for v in reached:
                 for k, f in enumerate(edges):
-                    if v is not None and (self.vertex_edges[v] & rest & ~side) >> k & 1:
+                    if v is not None and (vertex_edges[v] & rest & ~side) >> k & 1:
                         side |= 1 << k
                         reached.append((f.tail, f.head)[f.tail == v])
             self.cuts.append((rest ^ side, side) if side else (rest,))
@@ -553,14 +531,24 @@ def _line_steps(normal: Vec, base: int) -> Tuple[Tuple[int, int, int, int], ...]
     )
 
 
-def _union(mask: int, table: Sequence[int]) -> int:
-    """The union of ``table[v]`` over the bits v of ``mask``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= table[low.bit_length() - 1]
-    return out
+def _tighten(box: List[Optional[int]], slot: int, bound: int) -> Optional[bool]:
+    """Move the bound in ``slot`` (an upper one when odd) in to ``bound``:
+    whether that changed it, None when it empties the range."""
+    cur = box[slot]
+    if slot & 1:
+        if cur is not None and cur <= bound:
+            return False
+        other = box[slot - 1]
+        if other is not None and bound < other:
+            return None
+    else:
+        if cur is not None and cur >= bound:
+            return False
+        other = box[slot + 1]
+        if other is not None and bound > other:
+            return None
+    box[slot] = bound
+    return True
 
 
 class _Solver:
@@ -571,11 +559,6 @@ class _Solver:
     direction, and a known transverse value couples the x and y ranges of
     its endpoint vertices.  All bounds are integers, rounded outward where
     a division occurs, which is a sound relaxation of the strict geometry.
-
-    ``live`` is the bitmask of the rules that can act: all but the line
-    rules of edges without a value.  ``moved`` collects the vertices whose
-    box ``apply_point_on_edge`` or ``propagate`` changed; the caller clears
-    it.
     """
 
     def __init__(self, system: _TypeSystem):
@@ -583,153 +566,79 @@ class _Solver:
         self.val: List[Optional[int]] = [None] * system.num_edges
         # per vertex [xlo, xhi, ylo, yhi], None = unbounded
         self.box: List[Optional[int]] = [None] * (4 * system.ctype.num_vertices)
-        self.live = system.valueless_live
-        self.moved = 0
 
-    def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> bool:
+    def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> None:
         """Box consequences of a point lying on the (relative interior of an)
         edge: the tail sits on the backward ray, the head on the forward one.
-        False on a contradiction."""
+        The caller has checked ``point_feasible`` on these boxes, so the
+        point's coordinates only move bounds in."""
         box = self.box
-        moved = self.moved
-        for k, check, slot in self.system.rays[edge]:
+        for k, _, slot in self.system.rays[edge]:
             p = point[k]
             cur = box[slot]
-            other = box[check]
-            if slot & 1:
-                if cur is not None and cur <= p:
-                    continue
-                if other is not None and other > p:
-                    return False
-            else:
-                if cur is not None and cur >= p:
-                    continue
-                if other is not None and other < p:
-                    return False
-            box[slot] = p
-            moved |= 1 << (slot >> 2)
-        self.moved = moved
-        return True
+            if cur is None or (cur > p if slot & 1 else cur < p):
+                box[slot] = p
 
-    def propagate(self, pending: int) -> Optional[int]:
-        """Run the rules in the ``pending`` bitmask, in sweeps, to a fixpoint.
+    def propagate(self) -> bool:
+        """Run every rule, in sweeps, to a fixpoint; False on a
+        contradiction.
 
-        A sweep runs the pending rules in rule order.  A rule that changes a
-        value or a box schedules the live rules that read it: those after it
-        in this sweep, those at or before it (itself included) in the next.
-        After at most ``_SWEEPS`` sweeps this returns the rules still
-        pending, 0 at a fixpoint, or None on a contradiction.
-
-        The result is the one of running every rule in every sweep.  A rule
-        writes only what it reads, and its writes are a function of what it
-        reads, so a rule whose inputs are unchanged since a run that changed
-        nothing would change nothing again; a line rule of an edge without a
-        value changes nothing at all.  A caller that changes values or boxes
-        passes the rules left pending plus the readers of the changes.
+        A sweep runs the vertex cascades, then the line steps of the edges
+        with a value, then the bound transfers.  It stops when a sweep
+        changes nothing, or after ``_SWEEPS`` sweeps; the next call, at a
+        child, goes on from there.
         """
         val = self.val
         box = self.box
         system = self.system
-        rules = system.rules
-        val_readers = system.val_readers
-        box_readers = system.box_readers
-        line_rules = system.line_rules
-        live = self.live
-        moved = self.moved
-        pending &= live
         for _ in range(_SWEEPS):
-            if not pending:
-                break
-            now, pending = pending, 0
-            while now:
-                low = now & -now
-                now ^= low
-                rule = rules[low.bit_length() - 1]
-                kind = rule[0]
-                if kind == 1:
-                    # m1*x + m2*y == c at an endpoint of an edge of known value
-                    c = val[rule[1]]
-                    changed = False
-                    for read, slot, a, m in rule[2]:
-                        if read < 0:
-                            num = c
-                        else:
-                            other = box[read]
-                            if other is None:
-                                continue
-                            num = c - a * other
-                        cur = box[slot]
-                        if slot & 1:
-                            bound = -(-num // m)
-                            if cur is not None and cur <= bound:
-                                continue
-                            other = box[slot - 1]
-                            if other is not None and bound < other:
-                                return None
-                        else:
-                            bound = num // m
-                            if cur is not None and cur >= bound:
-                                continue
-                            other = box[slot + 1]
-                            if other is not None and bound > other:
-                                return None
-                        box[slot] = bound
-                        changed = True
-                    if not changed:
-                        continue
-                    vertex = rule[3]
-                    moved |= 1 << vertex
-                    touched = box_readers[vertex]
-                elif kind == 2:
-                    # monotone transfer along a bounded edge
-                    touched = 0
-                    for source, slot, target in rule[1]:
-                        bound = box[source]
-                        if bound is None:
-                            continue
-                        cur = box[slot]
-                        if slot & 1:
-                            if cur is not None and cur <= bound:
-                                continue
-                            other = box[slot - 1]
-                            if other is not None and bound < other:
-                                return None
-                        else:
-                            if cur is not None and cur >= bound:
-                                continue
-                            other = box[slot + 1]
-                            if other is not None and bound > other:
-                                return None
-                        box[slot] = bound
-                        moved |= 1 << target
-                        touched |= box_readers[target]
-                    if not touched:
-                        continue
-                else:
-                    # transverse-value cascade through a trivalent equation
-                    unknowns = 0
-                    total = 0
-                    for i, s in rule[1]:
-                        v = val[i]
-                        if v is None:
-                            unknowns += 1
-                            unknown, sign = i, s
-                        else:
-                            total += v if s > 0 else -v
-                    if unknowns != 1:
-                        if unknowns == 0 and total != 0:
-                            return None
-                        continue
+            changed = False
+            # transverse-value cascade through each trivalent equation
+            for terms in system.vertex_eqs:
+                unknowns = 0
+                total = 0
+                for i, s in terms:
+                    v = val[i]
+                    if v is None:
+                        unknowns += 1
+                        unknown, sign = i, s
+                    else:
+                        total += v if s > 0 else -v
+                if unknowns == 1:
                     val[unknown] = -total if sign > 0 else total
-                    live |= line_rules[unknown]
-                    touched = val_readers[unknown]
-                touched &= live
-                later = touched & -(low << 1)
-                now |= later
-                pending |= touched ^ later
-        self.live = live
-        self.moved = moved
-        return pending
+                    changed = True
+                elif unknowns == 0 and total != 0:
+                    return False
+            # m1*x + m2*y == c at an endpoint of an edge of known value
+            for edge, steps in system.lines:
+                c = val[edge]
+                if c is None:
+                    continue
+                for read, slot, a, m in steps:
+                    if read < 0:
+                        num = c
+                    else:
+                        other = box[read]
+                        if other is None:
+                            continue
+                        num = c - a * other
+                    moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
+                    if moved is None:
+                        return False
+                    changed = changed or moved
+            # monotone transfer along each bounded edge
+            for table in system.transfers:
+                for source, slot in table:
+                    bound = box[source]
+                    if bound is None:
+                        continue
+                    moved = _tighten(box, slot, bound)
+                    if moved is None:
+                        return False
+                    changed = changed or moved
+            if not changed:
+                break
+        return True
 
     def point_feasible(self, edge: int, point: Tuple[int, int], pin: int) -> bool:
         """Quick test that a point can sit on the edge given current boxes:
@@ -888,14 +797,14 @@ def _search_assignments(
     e.  The next point to place is always one with the fewest admissible
     edges, the first such point on a tie.  A child's admissible edges for a
     point are its parent's, filtered: boxes only shrink and values are only
-    set deeper in the tree, so an edge ruled out stays ruled out, and the
-    box test is redone only for edges whose endpoint boxes moved.
+    set deeper in the tree, so an edge ruled out stays ruled out.  The
+    point placed passed the box test on the boxes it is applied to.
 
     Each child starts from a copy of its parent's state: a node copies its
-    values, boxes and live rules once, before the first child it
-    propagates when more edges follow, and puts them back before each
-    later one.  The state a node leaves behind is its last child's, which
-    its own parent overwrites.
+    values and boxes once, before the first child it propagates when more
+    edges follow, and puts them back before each later one.  The state a
+    node leaves behind is its last child's, which its own parent
+    overwrites.
 
     A node's ``parts`` are the edge bitmasks of the type cut at its placed
     points.  A part with n ends and h cut half-edges has 2n + h - 3 unknown
@@ -923,11 +832,11 @@ def _search_assignments(
     point cannot pass the test with, and the child is skipped, with no
     restore and no ``propagate`` call, on an empty row or rows that meet
     no quotas (``closed``).  A child that passes is propagated, redoes the
-    box test, as above, on the admissible edges that are unused and unset
-    or at their pin, keeps in each row only those, and tests the quotas
-    again if that took an edge from a row (``narrowed``).  The root runs
-    ``closed`` on full rows; its boxes are unbounded, so it redoes no box
-    test.  Every assignment the search yields passes the cone test on
+    box test on the admissible edges that are unused and unset or at their
+    pin, keeps in each row only those, and tests the quotas again if that
+    took an edge from a row (``narrowed``).  The root runs ``closed`` on
+    full rows; it sets no value and its boxes are unbounded, so it keeps
+    every edge.  Every assignment the search yields passes the cone test on
     every pair, so a dropped (point, edge) pair is in no completion and
     the yielded sequence is that of the box and quota tests alone.
 
@@ -951,10 +860,6 @@ def _search_assignments(
     solver = _Solver(system)
     val = solver.val
     box = solver.box
-    val_readers = system.val_readers
-    box_readers = system.box_readers
-    vertex_edges = system.vertex_edges
-    line_rules = system.line_rules
     cuts = system.cuts
     ends = system.ends
 
@@ -972,13 +877,13 @@ def _search_assignments(
         return rows
 
     def narrowed(
-        cands: List[List[int]], moved: int, parts: Tuple[int, ...], rows: int
+        cands: List[List[int]], parts: Tuple[int, ...], rows: int
     ) -> Optional[Tuple[List[List[int]], int]]:
         """Each unplaced point's admissible edges among ``cands``: unused,
-        unset or at its pin, and passing the box test, redone for the edges
-        in the bitmask ``moved``.  ``rows`` (point j's at bit
-        j * (num_edges + 1) and up) come back with those edges only; None
-        when a row empties or no longer meets the quotas of ``parts``."""
+        unset or at its pin, and passing the box test.  ``rows`` (point
+        j's at bit j * (num_edges + 1) and up) come back with those edges
+        only; None when a row empties or no longer meets the quotas of
+        ``parts``."""
         unused = sum(parts)
         unplaced = [j for j in range(num_points) if assignment[j] == -1]
         out: List[List[int]] = [[] for _ in range(num_points)]
@@ -994,7 +899,7 @@ def _search_assignments(
                 cur = val[edge]
                 if cur is not None and cur != pinned[edge]:
                     continue
-                if moved >> edge & 1 and not solver.point_feasible(edge, point, pinned[edge]):
+                if not solver.point_feasible(edge, point, pinned[edge]):
                     continue
                 keep.append(edge)
                 mask |= 1 << edge
@@ -1011,7 +916,7 @@ def _search_assignments(
         return out, rows
 
     def place(
-        placed: int, cands: List[List[int]], rows: int, pending: int, parts: Tuple[int, ...]
+        placed: int, cands: List[List[int]], rows: int, parts: Tuple[int, ...]
     ) -> Iterator[Tuple[int, ...]]:
         if placed == num_points:
             yield tuple(assignment)
@@ -1037,25 +942,18 @@ def _search_assignments(
             if child_rows is None:
                 continue
             if saved is not None:
-                val[:], box[:], solver.live = saved
+                val[:], box[:] = saved
             elif n + 1 < len(edges):
-                saved = (val[:], box[:], solver.live)
+                saved = (val[:], box[:])
             # a candidate's value is unset or already its pin
-            readers = 0
-            if val[edge] is None:
-                val[edge] = row[edge]
-                solver.live |= line_rules[edge]
-                readers = val_readers[edge]
-            solver.moved = 0
-            if not solver.apply_point_on_edge(edge, point):
-                continue
-            rest = solver.propagate(pending | readers | _union(solver.moved, box_readers))
-            if rest is None:
+            val[edge] = row[edge]
+            solver.apply_point_on_edge(edge, point)
+            if not solver.propagate():
                 continue
             assignment[best_point] = edge
-            child = narrowed(cands, _union(solver.moved, vertex_edges), split, child_rows)
+            child = narrowed(cands, split, child_rows)
             if child is not None:
-                yield from place(placed + 1, *child, rest, split)
+                yield from place(placed + 1, *child, split)
             assignment[best_point] = -1
 
     every_edge = list(range(num_edges))
@@ -1063,10 +961,8 @@ def _search_assignments(
     everyone = list(range(num_points))
     cands = [every_edge] * num_points
     rows = closed(sum(full << j * width for j in everyone), everyone, cands, whole)
-    # every box is unbounded at the root, so no box test is redone there
-    root = None if rows is None else narrowed(cands, 0, whole, rows)
-    if root is not None:
-        yield from place(0, *root, system.all_rules, whole)
+    if rows is not None:
+        yield from place(0, cands, rows, whole)
     del place  # place reaches itself through this cell; break that cycle
 
 

@@ -1,4 +1,5 @@
 import ast
+import collections
 from pathlib import Path
 
 import pytest
@@ -101,12 +102,47 @@ def test_no_private_imports_between_modules():
             assert not private, "%s imports %s from %s" % (path.name, private, node.module)
 
 
+def _unread_private_names(tree):
+    """The module-level private names (a ``_``-prefixed def, class or
+    constant) that the module reads nowhere outside their own definition;
+    no module imports another's private names, so no other module reads
+    them either."""
+    reads = [
+        {
+            node.id
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for stmt in tree.body
+    ]
+    # the number of top-level statements that read each name
+    readers = collections.Counter(name for read in reads for name in read)
+    unread = []
+    for stmt, read in zip(tree.body, reads):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        unread += [
+            n
+            for n in defined
+            if n.startswith("_") and not n.startswith("__") and readers[n] == (n in read)
+        ]
+    return unread
+
+
 def test_no_unused_imports():
-    # an imported name is read in its module or re-exported through __all__;
-    # no linter is installed, so this walk stands in for one
+    # an imported name is read in its module or re-exported through __all__,
+    # and every module-level private name is read; no linter is installed,
+    # so this walk stands in for one
     package = Path(tropcount.__file__).parent
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
+        unread = _unread_private_names(tree)
+        assert not unread, "%s defines %s and never reads them" % (path.name, unread)
         imported = set()
         read = set()
         for node in ast.walk(tree):
