@@ -87,14 +87,18 @@ def _parse_points(raw) -> list:
     return [tuple(_parse_rat(c) for c in p) for p in raw]
 
 
-def _load_points_file(path: str):
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: %s" % (path, exc))
+
+
+def _load_points_file(path: str):
+    data = _read_json(path)
     if not isinstance(data, dict) or "points" not in data:
         raise InputError("points file needs a top-level 'points' array")
     points = _parse_points(data["points"])
@@ -335,13 +339,7 @@ def cmd_welschinger(args) -> int:
 
 
 def cmd_render(args) -> int:
-    try:
-        with open(args.input) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (args.input, exc))
-    except json.JSONDecodeError as exc:
-        raise InputError("malformed JSON: %s" % exc)
+    data = _read_json(args.input)
     if not isinstance(data, dict) or data.get("schema") != SCHEMA:
         raise InputError("input is not a %s document" % SCHEMA)
     if data.get("kind") != "curve-set":

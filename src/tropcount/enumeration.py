@@ -25,29 +25,31 @@ edge (``_leaf_sums``; flatness does not change within a class) before it is
 keyed, and each survivor is built into a type once.
 
 Propagation runs the rules ``_TypeSystem`` keeps as data, a value
-cascade per vertex, a line constraint per (edge, endpoint) and a bound
-transfer per bounded edge, in plain sweeps in that order, until a sweep
-changes nothing or for at most 12 sweeps.  A child node starts from a
-copy of its parent's values and boxes and keeps the parent's candidate
-edges, filtered.
+cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
+runs), a line constraint per (edge, endpoint) and a bound transfer per
+bounded edge, in plain sweeps in that order, until a sweep changes
+nothing or for at most 12 sweeps.  A child node starts from a copy of its
+parent's values and boxes.
 
-A node, each type's root included, is dropped when its unplaced points
-cannot take distinct candidate edges with one point fewer than ends on
-each part of the type cut at the placed points (``_search_assignments``
-says why).  The tree path between two points runs along known directions,
-so their difference lies in the cone of those directions
-(``_TypeSystem.cones``, tested on bitmasks of ``_reach_masks``).  Each
-unplaced point has a row, the bitmask of the edges it could still take:
-those that pass this cone test with every placed point and, after
-``_cone_consistency``, with some edge of every other unplaced point's row.
-The rows cost bit operations, so a node tests each child's rows before it
-touches any state: the children of a node are the edges of the placed
-point's row, and one whose rows, with that placement, empty or meet no
-quotas is skipped with no propagation.  A child that passes is
-propagated, then keeps in its rows only the edges that still match their
-pins and pass the box test.  No test filters the candidate lists the
-branching reads, so the yielded sequence is the same, with fewer nodes
-and children.
+A search node keeps two ints that pack an edge bitmask per unplaced
+point: its admissible edges, which branching counts, and its row, those
+of them it could still take.  A node, each type's root included,
+is dropped when its unplaced points cannot take distinct row edges with
+one point fewer than ends on each part of the type cut at the placed
+points (``_search_assignments`` says why).  The tree path between two
+points runs along known directions, so their difference lies in the cone
+of those directions (``_TypeSystem.cones``, tested on bitmasks of
+``_reach_masks``).  A row holds only edges that pass this cone test with
+every placed point and, after ``_cone_consistency``, with some edge of
+every other unplaced point's row.  The rows cost bit operations, so a
+node tests each child's rows before it touches any state: the children
+of a node are the edges of the placed point's row, and one whose rows,
+with that placement, empty or meet no quotas is skipped with no
+propagation.  That test is the one prune gate.  A child that passes is
+propagated, then keeps as admissible only the edges that still match
+their pins and pass the box test, and its rows shrink to match.  No test
+but the box test filters the admissible edges the branching reads, so
+the yielded sequence is the same, with fewer nodes and children.
 """
 
 from __future__ import annotations
@@ -118,7 +120,6 @@ class TypeEdge:
 
 @dataclass(frozen=True)
 class CombinatorialType:
-    genus: int
     num_vertices: int
     edges: Tuple[TypeEdge, ...]
     has_flat_vertex: bool
@@ -269,7 +270,7 @@ def _type_from_tree(
         w = vector_gcd(vec)
         edges.append(TypeEdge(tail - num_leaves, head, vec, w, tuple(x // w for x in vec)))
     return CombinatorialType(
-        genus=0, num_vertices=num_leaves - 2, edges=tuple(edges), has_flat_vertex=False
+        num_vertices=num_leaves - 2, edges=tuple(edges), has_flat_vertex=False
     )
 
 
@@ -551,6 +552,29 @@ def _tighten(box: List[Optional[int]], slot: int, bound: int) -> Optional[bool]:
     return True
 
 
+def _vertex_sweep(vertex_eqs: Sequence[Tuple[Tuple[int, int], ...]], val: List) -> Optional[bool]:
+    """One pass of the vertex equations, in order: an equation with one
+    unknown value sets it.  Whether that set a value; None when an equation
+    with every value known does not hold."""
+    changed = False
+    for terms in vertex_eqs:
+        unknowns = 0
+        total = 0
+        for i, s in terms:
+            v = val[i]
+            if v is None:
+                unknowns += 1
+                unknown, sign = i, s
+            else:
+                total += v if s > 0 else -v
+        if unknowns == 1:
+            val[unknown] = -total if sign > 0 else total
+            changed = True
+        elif unknowns == 0 and total != 0:
+            return None
+    return changed
+
+
 class _Solver:
     """Search state: exact transverse values plus vertex coordinate boxes.
 
@@ -592,23 +616,9 @@ class _Solver:
         box = self.box
         system = self.system
         for _ in range(_SWEEPS):
-            changed = False
-            # transverse-value cascade through each trivalent equation
-            for terms in system.vertex_eqs:
-                unknowns = 0
-                total = 0
-                for i, s in terms:
-                    v = val[i]
-                    if v is None:
-                        unknowns += 1
-                        unknown, sign = i, s
-                    else:
-                        total += v if s > 0 else -v
-                if unknowns == 1:
-                    val[unknown] = -total if sign > 0 else total
-                    changed = True
-                elif unknowns == 0 and total != 0:
-                    return False
+            changed = _vertex_sweep(system.vertex_eqs, val)
+            if changed is None:
+                return False
             # m1*x + m2*y == c at an endpoint of an edge of known value
             for edge, steps in system.lines:
                 c = val[edge]
@@ -662,14 +672,13 @@ class _Solver:
         return True
 
 
-def _has_quota_matching(
-    rows: List[List[int]], parts: Sequence[int], ends: int, num_edges: int
-) -> bool:
-    """Whether every row can take a distinct one of its edges such that
-    each part (an edge bitmask; the parts hold every edge of every row)
-    has an end and takes at most one row fewer than it has ends (bits of
-    ``ends``): exactly that many when these quotas add up to the rows, as
-    in the search.  A flow by augmenting paths (``_reroute``)."""
+def _has_quota_matching(rows: List[int], parts: Sequence[int], ends: int, num_edges: int) -> bool:
+    """Whether every row (an edge bitmask) can take a distinct one of its
+    edges such that each part (an edge bitmask; the parts hold every edge
+    of every row) has an end and takes at most one row fewer than it has
+    ends (bits of ``ends``): exactly that many when these quotas add up to
+    the rows, as in the search.  A flow by augmenting paths
+    (``_reroute``)."""
     spare = [(part & ends).bit_count() - 1 for part in parts]
     if min(spare) < 0:
         return False
@@ -678,17 +687,21 @@ def _has_quota_matching(
 
 
 def _reroute(rows, parts, spare, owner, r, seen) -> bool:
-    """Kuhn's step for row r: take an unseen edge that is free in a part
-    with room to spare, or an owned one whose row moves on, or a free one
-    in a full part one of whose rows moves on.  ``seen`` holds the
-    bitmasks of the edges and the parts this path has visited."""
-    for edge in rows[r]:
-        if seen[0] >> edge & 1:
+    """Kuhn's step for row r: take an unseen edge, lowest first, that is
+    free in a part with room to spare, or an owned one whose row moves on,
+    or a free one in a full part one of whose rows moves on.  ``seen``
+    holds the bitmasks of the edges and the parts this path has visited."""
+    left = rows[r]
+    while left:
+        bit = left & -left
+        left ^= bit
+        if seen[0] & bit:
             continue
-        seen[0] |= 1 << edge
+        seen[0] |= bit
+        edge = bit.bit_length() - 1
         other = owner[edge]
         if other < 0:
-            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
+            k = next(k for k, part in enumerate(parts) if part & bit)
             if spare[k]:
                 spare[k] -= 1
                 owner[edge] = r
@@ -780,25 +793,21 @@ def _cone_consistency(
     return None
 
 
-def _edges(mask: int, order: Sequence[int]) -> List[int]:
-    """The edges of ``order`` whose bits are in ``mask``, in that order."""
-    return [edge for edge in order if mask >> edge & 1]
-
-
 def _search_assignments(
-    system: _TypeSystem,
-    pins: List[List[int]],
-    points: List[Tuple[int, int]],
-    cone_masks: Optional[Dict] = None,
+    system: _TypeSystem, points: List[Tuple[int, int]], cone_masks: Optional[Dict] = None
 ) -> Iterator[Tuple[int, ...]]:
     """DFS over injective point-to-edge assignments with box propagation.
 
-    ``pins[j][e]`` is the transverse value pinned when point j sits on edge
-    e.  The next point to place is always one with the fewest admissible
-    edges, the first such point on a tie.  A child's admissible edges for a
-    point are its parent's, filtered: boxes only shrink and values are only
-    set deeper in the tree, so an edge ruled out stays ruled out.  The
-    point placed passed the box test on the boxes it is applied to.
+    Point j on edge e pins e's transverse value to ``pins[j][e]``, the
+    edge's normal form at the point.  A node keeps two edge bitmasks per
+    unplaced point, packed as the rows of ``_cone_consistency`` (point j's
+    at bit j * (num_edges + 1) and up): its admissible edges (``cands``),
+    and its row, those of them the point could still take.  The next point
+    to place is always one with the fewest admissible edges, the first
+    such point on a tie.  A child's admissible edges for a point are its
+    parent's, filtered: boxes only shrink and values are only set deeper
+    in the tree, so an edge ruled out stays ruled out.  The point placed
+    passed the box test on the boxes it is applied to.
 
     Each child starts from a copy of its parent's state: a node copies its
     values and boxes once, before the first child it propagates when more
@@ -821,24 +830,25 @@ def _search_assignments(
     still passes it, and it reads the same from b, since the cone of the
     path back is the negated cone.
 
-    Besides its admissible edges each unplaced point has a row, the
-    bitmask of the edges it could still take: admissible, unused, and
-    passing the cone test with every placed point.  The children of a
-    node are the admissible edges of the point placed that are in its row,
-    in the order of the admissible edges.  Before a child touches the
+    A row holds the admissible edges that are unused and pass the cone
+    test with every placed point.  The children of a node are the edges of
+    the placed point's row, lowest first.  Before a child touches the
     state, its rows are the node's without the placed point's, less the
     edges that fail the cone test with the new placement or are its edge;
     ``_cone_consistency`` then drops the edges that some other unplaced
     point cannot pass the test with, and the child is skipped, with no
     restore and no ``propagate`` call, on an empty row or rows that meet
-    no quotas (``closed``).  A child that passes is propagated, redoes the
-    box test on the admissible edges that are unused and unset or at their
-    pin, keeps in each row only those, and tests the quotas again if that
-    took an edge from a row (``narrowed``).  The root runs ``closed`` on
-    full rows; it sets no value and its boxes are unbounded, so it keeps
-    every edge.  Every assignment the search yields passes the cone test on
-    every pair, so a dropped (point, edge) pair is in no completion and
-    the yielded sequence is that of the box and quota tests alone.
+    no quotas (``closed``, the one prune gate).  A child that passes is
+    propagated and redoes the box test on its parent's admissible edges
+    that are unused and unset or at their pin; its rows keep only those
+    (``narrowed``).  When that empties a row or breaks the quotas, every
+    child of the child fails ``closed``: its rows are a subset of those,
+    and its quota matching plus its placed point is one of those.  The
+    root runs ``closed`` on full rows; it sets no value and its boxes are
+    unbounded, so it keeps every edge.  Every assignment the search yields
+    passes the cone test on every pair, so a dropped (point, edge) pair is
+    in no completion and the yielded sequence is that of the box and quota
+    tests alone.
 
     ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
     dict for every type of a problem to build each once.
@@ -849,7 +859,8 @@ def _search_assignments(
         [cone_masks.get(dirs) or _reach_masks(dirs, points, cone_masks) for dirs in row]
         for row in system.cones
     ]
-    num_points = len(pins)
+    pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in points]
+    num_points = len(points)
     num_edges = system.num_edges
     width = num_edges + 1
     full = (1 << num_edges) - 1
@@ -863,87 +874,68 @@ def _search_assignments(
     cuts = system.cuts
     ends = system.ends
 
-    def closed(
-        rows: int, unplaced: List[int], cands: List[List[int]], parts: Tuple[int, ...]
-    ) -> Optional[int]:
+    def closed(rows: int, unplaced: List[int], parts: Tuple[int, ...]) -> Optional[int]:
         """The rows after ``_cone_consistency``; None when a row empties or
-        no matching of the rows, in the order of ``cands``, meets the quotas
-        of ``parts``."""
+        no matching of the rows meets the quotas of ``parts``."""
         rows = _cone_consistency(rows, unplaced, partners, num_edges)
         if rows is None or not _has_quota_matching(
-            [_edges(rows >> j * width, cands[j]) for j in unplaced], parts, ends, num_edges
+            [rows >> j * width & full for j in unplaced], parts, ends, num_edges
         ):
             return None
         return rows
 
-    def narrowed(
-        cands: List[List[int]], parts: Tuple[int, ...], rows: int
-    ) -> Optional[Tuple[List[List[int]], int]]:
-        """Each unplaced point's admissible edges among ``cands``: unused,
-        unset or at its pin, and passing the box test.  ``rows`` (point
-        j's at bit j * (num_edges + 1) and up) come back with those edges
-        only; None when a row empties or no longer meets the quotas of
-        ``parts``."""
-        unused = sum(parts)
-        unplaced = [j for j in range(num_points) if assignment[j] == -1]
-        out: List[List[int]] = [[] for _ in range(num_points)]
+    def narrowed(cands: int, unused: int, rows: int) -> Tuple[int, int]:
+        """The unplaced points' admissible edges among ``cands``: in
+        ``unused``, unset or at their pin, and passing the box test; and
+        ``rows`` with those edges only."""
         boxed = 0
-        for j in unplaced:
+        for j in range(num_points):
+            if assignment[j] != -1:
+                continue
             pinned = pins[j]
             point = points[j]
-            keep = out[j]
-            mask = 0
-            for edge in cands[j]:
-                if not unused >> edge & 1:
-                    continue
+            left = cands >> j * width & unused
+            while left:
+                bit = left & -left
+                left ^= bit
+                edge = bit.bit_length() - 1
                 cur = val[edge]
-                if cur is not None and cur != pinned[edge]:
-                    continue
-                if not solver.point_feasible(edge, point, pinned[edge]):
-                    continue
-                keep.append(edge)
-                mask |= 1 << edge
-            if not rows >> j * width & mask:
-                return None
-            boxed |= mask << j * width
-        # the quotas are met unless this took an edge from a row
-        if rows & boxed != rows:
-            rows &= boxed
-            if not _has_quota_matching(
-                [_edges(rows >> j * width, out[j]) for j in unplaced], parts, ends, num_edges
-            ):
-                return None
-        return out, rows
+                if (cur is None or cur == pinned[edge]) and solver.point_feasible(
+                    edge, point, pinned[edge]
+                ):
+                    boxed |= bit << j * width
+        return boxed, rows & boxed
 
     def place(
-        placed: int, cands: List[List[int]], rows: int, parts: Tuple[int, ...]
+        placed: int, cands: int, rows: int, parts: Tuple[int, ...]
     ) -> Iterator[Tuple[int, ...]]:
         if placed == num_points:
             yield tuple(assignment)
             return
-        best_point = -1
-        for j in range(num_points):
-            if assignment[j] == -1 and (
-                best_point == -1 or len(cands[j]) < len(cands[best_point])
-            ):
-                best_point = j
+        best_point = min(
+            (j for j in range(num_points) if assignment[j] == -1),
+            key=lambda j: (cands >> j * width & full).bit_count(),
+        )
         row = pins[best_point]
         point = points[best_point]
         others = [j for j in range(num_points) if assignment[j] == -1 and j != best_point]
         # the other points' rows, which each child narrows by its own edge
         others_rows = rows & ~(full << best_point * width)
         table = partners[best_point]
-        edges = _edges(rows >> best_point * width, cands[best_point])
+        left = rows >> best_point * width & full
         saved = None
-        for n, edge in enumerate(edges):
-            k = next(k for k, part in enumerate(parts) if part >> edge & 1)
+        while left:
+            bit = left & -left
+            left ^= bit
+            edge = bit.bit_length() - 1
+            k = next(k for k, part in enumerate(parts) if part & bit)
             split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
-            child_rows = closed(others_rows & table[edge], others, cands, split)
+            child_rows = closed(others_rows & table[edge], others, split)
             if child_rows is None:
                 continue
             if saved is not None:
                 val[:], box[:] = saved
-            elif n + 1 < len(edges):
+            elif left:
                 saved = (val[:], box[:])
             # a candidate's value is unset or already its pin
             val[edge] = row[edge]
@@ -951,16 +943,13 @@ def _search_assignments(
             if not solver.propagate():
                 continue
             assignment[best_point] = edge
-            child = narrowed(cands, split, child_rows)
-            if child is not None:
-                yield from place(placed + 1, *child, split)
+            yield from place(placed + 1, *narrowed(cands, sum(split), child_rows), split)
             assignment[best_point] = -1
 
-    every_edge = list(range(num_edges))
     whole = (full,)
     everyone = list(range(num_points))
-    cands = [every_edge] * num_points
-    rows = closed(sum(full << j * width for j in everyone), everyone, cands, whole)
+    cands = sum(full << j * width for j in everyone)
+    rows = closed(cands, everyone, whole)
     if rows is not None:
         yield from place(0, cands, rows, whole)
     del place  # place reaches itself through this cell; break that cycle
@@ -975,10 +964,9 @@ def solve_positions(
 
     Accepts iff the transverse system has a unique solution, every bounded
     edge has positive length, and every point lies in the relative interior
-    of its assigned edge.  Returns None otherwise.
+    of its assigned edge.  Returns None otherwise, a type with a flat
+    vertex included: that vertex has no solving pair.
     """
-    if ctype.has_flat_vertex:
-        return None
     return _solve(_TypeSystem(ctype), config, mark_plan)
 
 
@@ -1016,24 +1004,12 @@ def _cascade_values(
             values[edge] = c
         elif values[edge] != c:
             return None
-    waiting = list(system.vertex_eqs)
-    while waiting:
-        stuck = []
-        for terms in waiting:
-            unknown = [(i, s) for i, s in terms if values[i] is None]
-            if len(unknown) > 1:
-                stuck.append(terms)
-                continue
-            total = sum(values[i] * s for i, s in terms if values[i] is not None)
-            if unknown:
-                i, s = unknown[0]
-                values[i] = -total * s
-            elif total != 0:
-                return None
-        if len(stuck) == len(waiting):
+    changed = True
+    while changed:
+        changed = _vertex_sweep(system.vertex_eqs, values)
+        if changed is None:
             return None
-        waiting = stuck
-    return values
+    return None if None in values else values
 
 
 def _reconstruct(system, config, mark_plan, cvals):
@@ -1147,14 +1123,7 @@ def enumerate_curves(
     cone_masks: Dict = {}
     for ctype in enumerate_types(genus, degree):
         system = _TypeSystem(ctype)
-        pins = [
-            [
-                system.normals[e][0] * p[0] + system.normals[e][1] * p[1]
-                for e in range(system.num_edges)
-            ]
-            for p in int_points
-        ]
-        for assignment in _search_assignments(system, pins, int_points, cone_masks):
+        for assignment in _search_assignments(system, int_points, cone_masks):
             plan = {j: assignment[j] for j in range(len(assignment))}
             solved = _solve(system, config, plan)
             if solved is not None:

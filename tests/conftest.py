@@ -22,8 +22,10 @@ def acceptance_results():
 @pytest.fixture
 def relax_quotas(monkeypatch):
     """Call to give the search's matching test one part, every edge of it
-    an end.  The search leaves at least n - 2 more unused edges than
-    unplaced points (n ends), so no quota binds: a plain matching."""
+    an end: the unused edges, the union of the parts, which holds every
+    edge of every row (each row an edge bitmask).  The search leaves at
+    least n - 2 more unused edges than unplaced points (n ends), so no
+    quota binds: a plain matching of the rows to distinct edges."""
     from tropcount import enumeration
 
     quota_matching = enumeration._has_quota_matching
@@ -45,5 +47,5 @@ def d3_types():
         for tail, head, vec in t["edges"]:
             w = vector_gcd(vec)
             edges.append(TypeEdge(tail, head, tuple(vec), w, tuple(x // w for x in vec)))
-        types.append(CombinatorialType(0, t["num_vertices"], tuple(edges), False))
+        types.append(CombinatorialType(t["num_vertices"], tuple(edges), False))
     return types

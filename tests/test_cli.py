@@ -192,6 +192,14 @@ def test_render_dual_panel(tmp_path, capsys):
     assert "<polygon" in out.read_text()
 
 
+def test_render_names_a_malformed_input_file(tmp_path, capsys):
+    doc = tmp_path / "broken.json"
+    doc.write_text('{"schema": ')
+    code, _, err = run_cli(["render", str(doc)], capsys)
+    assert code == 2
+    assert "malformed JSON in %s" % doc in err
+
+
 def test_render_rejects_wrong_schema(tmp_path, capsys):
     doc = tmp_path / "doc.json"
     doc.write_text(json.dumps({"schema": "other/9", "kind": "curve-set"}))

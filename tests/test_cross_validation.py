@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tropcount import enumeration
 from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     CombinatorialType,
@@ -113,9 +114,7 @@ def dual_type_and_plan(d, cells, path):
         else:
             return None
         chain_edge_idx[cid] = len(edges) - 1
-    ctype = CombinatorialType(
-        genus=0, num_vertices=len(tris), edges=tuple(edges), has_flat_vertex=False
-    )
+    ctype = CombinatorialType(num_vertices=len(tris), edges=tuple(edges), has_flat_vertex=False)
     steps = [tuple(sorted(step)) for step in zip(path, path[1:])]
     plan = {j: chain_edge_idx[chain_of[s]] for j, s in enumerate(steps)}
     return ctype, plan
@@ -186,11 +185,28 @@ def test_stored_curves_match_oracle_subdivisions(name):
 
 
 @pytest.mark.slow
-def test_pipeline_matches_oracle_subdivisions_d4():
+def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
     """The normative pipeline at d = 4: 307 curves, N/W = 620/240, each
-    curve dual to one of the lattice-path oracle's subdivisions."""
+    curve dual to one of the lattice-path oracle's subdivisions.  Its
+    search tree is pinned by its size: 307 yielded assignments over the
+    2,818 types, each one a curve, and 25,926 ``propagate`` calls."""
+    search, propagate = enumeration._search_assignments, enumeration._Solver.propagate
+    counts = {"yields": 0, "propagate": 0}
+
+    def counted_search(*args):
+        for assignment in search(*args):
+            counts["yields"] += 1
+            yield assignment
+
+    def counted_propagate(self):
+        counts["propagate"] += 1
+        return propagate(self)
+
+    monkeypatch.setattr(enumeration, "_search_assignments", counted_search)
+    monkeypatch.setattr(enumeration._Solver, "propagate", counted_propagate)
     config = PointConfiguration.mikhalkin(11, 7)
     curves = [c for c, _ in enumerate_curves(0, Degree.projective(4), config)]
+    assert counts == {"yields": 307, "propagate": 25926}
     assert len(curves) == 307
     assert sum(curve_mikhalkin_mults(c)[0] for c in curves) == 620
     assert sum(curve_welschinger_mult(c) for c in curves) == 240

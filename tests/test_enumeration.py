@@ -114,7 +114,7 @@ def _reference_type_from_tree(tree_edges, leaf_vecs, num_leaves):
             tail, head, vec = vertex_index[tail], vertex_index[head], below[child]
         w = vector_gcd(vec)
         edges.append(TypeEdge(tail, head, vec, w, tuple(x // w for x in vec)))
-    return CombinatorialType(0, len(internal), tuple(edges), False)
+    return CombinatorialType(len(internal), tuple(edges), False)
 
 
 def _reference_key(ctype):
@@ -321,6 +321,21 @@ def test_solve_positions_rejects_wrong_ray():
     # solver itself must reject the second point being off its line
     plan = {0: by_vec[(-1, 0)], 1: by_vec[(1, 1)]}
     assert solve_positions(types[0], config, plan) is None
+
+
+def test_solve_positions_rejects_a_flat_vertex():
+    """A vertex with ends (2, 0), (-1, 0), (-1, 0) has no two independent
+    normals, so no solving pair: with both points on its line the values
+    exist, and every plan still gives None."""
+    ends = [TypeEdge(0, None, (2, 0), 2, (1, 0))] + [TypeEdge(0, None, (-1, 0), 1, (-1, 0))] * 2
+    ctype = CombinatorialType(1, tuple(ends), True)
+    system = enumeration._TypeSystem(ctype)
+    assert system.solve_pairs == [None]
+    config = PointConfiguration.explicit([(5, 0), (-4, 0)])
+    for a, b in itertools.combinations(range(3), 2):
+        plan = {0: a, 1: b}
+        assert enumeration._cascade_values(system, config, plan) == [0, 0, 0]
+        assert solve_positions(ctype, config, plan) is None
 
 
 def quota_edges(rng, system, count):

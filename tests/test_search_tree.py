@@ -19,7 +19,9 @@ began to be tested before the child is propagated (``d3-generic-1``
 1,395 calls, 13 failed -> 465, 12 failed; ``d3-mikhalkin-7`` 1,357 ->
 166; each d=2 case keeps its 5).  The counts did not move when the
 worklist went and propagation went back to running every rule in every
-sweep.
+sweep, nor when a node's candidate edges became one packed bitmask and
+the box pass stopped dropping nodes itself, leaving that to the row test
+of their children.
 """
 
 import json
@@ -84,9 +86,7 @@ def fingerprint(types, points, monkeypatch):
     monkeypatch.setattr(_Solver, "propagate", counted)
     yielded = []
     for index, ctype in enumerate(types):
-        system = _TypeSystem(ctype)
-        pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in points]
-        for assignment in _search_assignments(system, pins, points):
+        for assignment in _search_assignments(_TypeSystem(ctype), points):
             yielded.append([index, list(assignment)])
     return {"yielded": yielded, "propagate_calls": calls, "propagate_failed": failed}
 
@@ -118,18 +118,21 @@ def test_search_tree_matches_golden_d3_mikhalkin(expected, types_by_degree, monk
     check(SLOW, expected, types_by_degree, monkeypatch)
 
 
+# A row is the bitmask of its edges, and takes its lowest free edge first.
+
+
 def _plain_matching(rows):
     # one part of edges 0..3 with an end more than the rows: no quota binds
     return _has_quota_matching(rows, (0b1111,), (1 << len(rows) + 1) - 1, 4)
 
 
 def test_matching_finds_hall_violations():
-    # two points whose only candidate is the same edge
-    assert not _plain_matching([[3], [3]])
-    assert not _plain_matching([[1, 2], [3], [3]])
-    # the first row must give up its first choice for the second
-    assert _plain_matching([[3, 1], [3]])
-    assert _plain_matching([[0, 1, 2], [1], [0, 1]])
+    # two points whose only candidate is edge 3
+    assert not _plain_matching([0b1000, 0b1000])
+    assert not _plain_matching([0b0110, 0b1000, 0b1000])
+    # the first row must give up its first choice, edge 1, for the second
+    assert _plain_matching([0b1010, 0b0010])
+    assert _plain_matching([0b0111, 0b0010, 0b0011])
     assert _plain_matching([])
 
 
@@ -139,19 +142,19 @@ TWO_PARTS = ((0b000111, 0b111000), 0b011011, 6)
 
 def test_matching_meets_part_quotas():
     # distinct edges exist, but both rows would land in the first part
-    assert _plain_matching([[0, 1], [2, 0]])
-    assert not _has_quota_matching([[0, 1], [2, 0]], *TWO_PARTS)
-    assert _has_quota_matching([[0, 3], [3, 4]], *TWO_PARTS)
+    assert _plain_matching([0b0011, 0b0101])
+    assert not _has_quota_matching([0b000011, 0b000101], *TWO_PARTS)
+    assert _has_quota_matching([0b001001, 0b011000], *TWO_PARTS)
     # the second row needs edge 0 in the full first part, whose row moves on
-    assert _has_quota_matching([[1, 3], [0]], *TWO_PARTS)
-    assert not _has_quota_matching([[1], [0]], *TWO_PARTS)
+    assert _has_quota_matching([0b001010, 0b000001], *TWO_PARTS)
+    assert not _has_quota_matching([0b000010, 0b000001], *TWO_PARTS)
 
 
 def test_matching_rejects_a_part_without_an_end():
     # edges {0, 1} hold no end; edges {2, 3, 4} hold three, room for two rows
     parts, ends = (0b00011, 0b11100), 0b11100
-    assert not _has_quota_matching([[2], [3]], parts, ends, 5)
-    assert _has_quota_matching([[2], [3]], (0b11111,), ends, 5)
+    assert not _has_quota_matching([0b00100, 0b01000], parts, ends, 5)
+    assert _has_quota_matching([0b00100, 0b01000], (0b11111,), ends, 5)
 
 
 def coneless(name, types_by_degree, monkeypatch):
@@ -208,8 +211,8 @@ def test_box_test_bites(name, expected, types_by_degree, monkeypatch, coneless_r
     """With every edge passing the box test the search yields the same
     assignments, so the test drops only candidates with no completion, and
     it tries strictly more children.  The order within a type may change:
-    longer candidate lists can change which point is placed first, and do
-    so on d3-generic-1.  (On d3-mikhalkin-7 the cone and quota tests leave
+    more candidate edges can change which point is placed first, and do so
+    on d3-generic-1.  (On d3-mikhalkin-7 the cone and quota tests leave
     the box test nothing to prune.)"""
     base, run = bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs)
     monkeypatch.setattr(_Solver, "point_feasible", lambda self, edge, point, pin: True)
@@ -261,6 +264,92 @@ def test_points_are_applied_on_feasible_boxes(name, expected, types_by_degree, m
     degree, points = configurations()[name]
     assert fingerprint(types_by_degree[degree], points, monkeypatch) == expected[name]
     assert applied[0] == expected[name]["propagate_calls"]
+
+
+def bench_points(name):
+    doc = json.loads((DATA / (name + ".json")).read_text())
+    return [(int(x), int(y)) for x, y in doc["points"]]
+
+
+@pytest.mark.parametrize(
+    "name, doomed", [("d3-generic-1", (81, 9)), ("d3-generic-2", (95, 13)), (SLOW, (0, 2))]
+)
+def test_nodes_the_box_pass_dooms_reach_no_propagate(
+    name, doomed, expected, d3_types, monkeypatch
+):
+    """The box pass only filters, and the row test of the children is the
+    one prune gate.  A node whose box pass empties a row, or leaves rows
+    that meet no quotas, has no child that reaches ``propagate``: a child's
+    rows are a subset of the node's, and its quota matching plus its
+    placed point is one of the node's.  ``doomed`` counts such nodes of
+    either kind, so the check is not vacuous.
+
+    Each node is read off the calls.  The last ``_cone_consistency`` and
+    ``_has_quota_matching`` calls before a ``propagate`` call hold the
+    node's unplaced points, rows and parts, and the ``point_feasible``
+    calls after it holds, up to the next ``_cone_consistency`` call, are
+    the node's box pass.
+    """
+    points = configurations()[name][1] if name == SLOW else bench_points(name)
+    consistency = enumeration._cone_consistency
+    quota_matching = enumeration._has_quota_matching
+    propagate = _Solver.propagate
+    feasible = _Solver.point_feasible
+    last = {"boxing": None}
+    at_depth = {}
+    nodes = []
+
+    def watched_consistency(rows, unplaced, partners, num_edges):
+        out = consistency(rows, unplaced, partners, num_edges)
+        last.update(unplaced=list(unplaced), rows=out, boxing=None)
+        return out
+
+    def watched_quotas(rows, parts, ends, num_edges):
+        last["quotas"] = (parts, ends, num_edges)
+        return quota_matching(rows, parts, ends, num_edges)
+
+    def watched_propagate(self):
+        depth = len(points) - len(last["unplaced"])
+        parent = at_depth.get(depth - 1)
+        if parent is not None:
+            parent["children"] += 1
+        holds = propagate(self)
+        if holds:
+            node = {"children": 0, "boxed": [0] * len(points), "quotas": last["quotas"]}
+            node.update(unplaced=last["unplaced"], rows=last["rows"])
+            nodes.append(node)
+            at_depth[depth] = last["boxing"] = node
+        return holds
+
+    def watched_feasible(self, edge, point, pin):
+        fits = feasible(self, edge, point, pin)
+        if fits and last["boxing"] is not None:
+            last["boxing"]["boxed"][points.index(point)] |= 1 << edge
+        return fits
+
+    monkeypatch.setattr(enumeration, "_cone_consistency", watched_consistency)
+    monkeypatch.setattr(enumeration, "_has_quota_matching", watched_quotas)
+    monkeypatch.setattr(_Solver, "propagate", watched_propagate)
+    monkeypatch.setattr(_Solver, "point_feasible", watched_feasible)
+    found = fingerprint(d3_types, points, monkeypatch)
+    if name in expected:
+        assert found == expected[name]
+    assert len(found["yielded"]) == 9
+
+    emptied = broken = 0
+    for node in nodes:
+        parts, ends, num_edges = node["quotas"]
+        full = (1 << num_edges) - 1
+        packed = node["rows"]
+        rows = [packed >> j * (num_edges + 1) & full & node["boxed"][j] for j in node["unplaced"]]
+        if not all(rows):
+            emptied += 1
+        elif not quota_matching(rows, parts, ends, num_edges):
+            broken += 1
+        else:
+            continue
+        assert node["children"] == 0
+    assert (emptied, broken) == doomed
 
 
 def direction_bits(dirs):
@@ -337,12 +426,10 @@ def test_search_keeps_a_point_on_the_cone_boundary(monkeypatch):
     left, down = ([e.prim for e in ctype.edges].index(d) for d in ((-1, 0), (0, -1)))
     points = [(0, 0), (3, 0)]
     assert min(a * 3 + b * 0 for a, b in _dual_cone(system.cones[left][down])) == 0
-    pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in points]
-    yielded = list(_search_assignments(system, pins, points))
+    yielded = list(_search_assignments(system, points))
     assert (left, down) in yielded
     monkeypatch.setattr(enumeration, "_dual_cone", lambda dirs: ())
-    system = _TypeSystem(ctype)
-    assert list(_search_assignments(system, pins, points)) == yielded
+    assert list(_search_assignments(_TypeSystem(ctype), points)) == yielded
 
 
 @pytest.mark.parametrize("name", FAST + [pytest.param(SLOW, marks=pytest.mark.slow)])
