@@ -26,10 +26,13 @@ keyed, and each survivor is built into a type once.
 
 Propagation runs the rules ``_TypeSystem`` keeps as data, a value
 cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
-runs), a line constraint per (edge, endpoint) and a bound transfer per
-bounded edge, in plain sweeps in that order, until a sweep changes
-nothing or for at most 12 sweeps.  A child node starts from a copy of its
-parent's values and boxes.
+runs), then one list of bound steps, each moving one bound by one
+formula: the line steps of each (edge, endpoint), once the edge has a
+value, and the bound transfers of each bounded edge.  It runs them in
+plain sweeps until a sweep changes nothing or for at most 12 sweeps.  A
+child node starts from a copy of its parent's values and boxes.  The box
+test of a point on an edge is the ray test: no endpoint bound lies
+beyond the point's coordinates, the tail behind it and the head ahead.
 
 A search node keeps two ints that pack an edge bitmask per unplaced
 point: its admissible edges, which branching counts, and its row, those
@@ -335,19 +338,21 @@ class _TypeSystem:
     ``4v + 1`` bound x from below and above, ``4v + 2`` and ``4v + 3`` bound
     y; an even slot is a lower bound.
 
-    The propagation rules come in three lists, in sweep order: the value
-    cascade of each vertex (``vertex_eqs``), the (edge, ``_line_steps``)
-    line constraint of each edge at each endpoint, tail before head, in
-    edge order (``lines``), and the (source slot, target slot) bound
-    transfers of each bounded edge (``transfers``).
+    The propagation rules come in two lists, in sweep order: the value
+    cascade of each vertex (``vertex_eqs``) and the bound ``steps``.  A
+    step (edge, read, write, a, m) bounds the write slot by
+    (c - a * box[read]) / m, rounded outward, with c the edge's value: the
+    ``_line_steps`` of each edge at each endpoint, tail before head, in
+    edge order, and then the transfers of each bounded edge, whose
+    direction orders its endpoints coordinatewise.  A transfer copies
+    box[read] to the write slot: it is an edge-less step, edge -1 with
+    c = 0, a = -1 and m = 1.
 
     ``rays[i]`` lists, per endpoint of edge i (tail first) and coordinate
-    k, the (k, slot to check, slot to set) entries of a point on the edge:
-    the tail lies behind the point along the edge and the head ahead of it,
-    so the point's coordinate k bounds the endpoint's slot to set, and
-    contradicts a bound in the slot to check.  ``forms[i]`` holds, per
-    endpoint and sign, the (coefficient, slot) terms of the least value of
-    sign times edge i's normal form over the endpoint's box.
+    k, the (k, slot to set) entries of a point on the edge: the tail lies
+    behind the point along the edge and the head ahead of it, so the
+    point's coordinate k bounds the endpoint's slot to set, and contradicts
+    a bound at the other end of that range, the check slot ``slot ^ 1``.
     """
 
     def __init__(self, ctype: CombinatorialType):
@@ -380,38 +385,26 @@ class _TypeSystem:
             self.solve_pairs.append(pair)
 
         # line steps per (edge, endpoint), tail before head, in edge order
-        self.lines: List[Tuple[int, Tuple[Tuple[int, int, int, int], ...]]] = []
+        self.steps: List[Tuple[int, int, int, int, int]] = []
         vertex_edges = [0] * ctype.num_vertices
-        self.rays: List[Tuple[Tuple[int, int, int], ...]] = []
-        self.forms: List[Tuple] = []
+        self.rays: List[Tuple[Tuple[int, int], ...]] = []
         for i, e in enumerate(edges):
-            rays: List[Tuple[int, int, int]] = []
-            forms = []
+            rays: List[Tuple[int, int]] = []
             for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
                 vertex_edges[vertex] |= 1 << i
-                self.lines.append((i, _line_steps(self.normals[i], 4 * vertex)))
+                self.steps += [(i,) + step for step in _line_steps(self.normals[i], 4 * vertex)]
                 for k in (0, 1):
                     uk = e.prim[k] * sign
-                    lo, hi = 4 * vertex + 2 * k, 4 * vertex + 2 * k + 1
-                    if uk > 0:
-                        rays.append((k, lo, hi))
-                    elif uk < 0:
-                        rays.append((k, hi, lo))
-                    else:
-                        rays += [(k, hi, lo), (k, lo, hi)]
-                terms = [(m, 4 * vertex + lo) for m, lo in zip(self.normals[i], (0, 2)) if m]
-                for flip in (1, -1):
-                    forms.append((flip, tuple((flip * m, lo + (flip * m < 0)) for m, lo in terms)))
+                    lo = 4 * vertex + 2 * k
+                    # set the upper slot ahead along coordinate k, the lower behind
+                    rays += [(k, slot) for slot in ((lo + (uk > 0),) if uk else (lo, lo + 1))]
             self.rays.append(tuple(rays))
-            self.forms.append(tuple(forms))
         # a bounded edge's direction orders its endpoints coordinatewise:
-        # each (source slot, target slot) copies a bound to the target
-        self.transfers: List[Tuple[Tuple[int, int], ...]] = []
+        # each transfer copies a source slot's bound to a target slot
         for i in ctype.bounded_indices():
             ta, he = edges[i].tail, edges[i].head
-            table: List[Tuple[int, int]] = []
             for k, uk in enumerate(edges[i].prim):
                 lo, hi = 2 * k, 2 * k + 1
                 if uk > 0:
@@ -420,8 +413,7 @@ class _TypeSystem:
                     pairs = [(he, ta, lo), (ta, he, hi)]
                 else:
                     pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
-                table += [(4 * s + slot, 4 * t + slot) for s, t, slot in pairs]
-            self.transfers.append(tuple(table))
+                self.steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
         # edge bitmasks of the ends, and of the parts a point on edge i
         # leaves of the type: the two sides of a bounded edge, else the rest
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
@@ -581,8 +573,10 @@ class _Solver:
     Boxes are the workhorse: a point pinned on an edge bounds the endpoint
     vertices coordinatewise, bounded edges transfer bounds along their
     direction, and a known transverse value couples the x and y ranges of
-    its endpoint vertices.  All bounds are integers, rounded outward where
-    a division occurs, which is a sound relaxation of the strict geometry.
+    its endpoint vertices.  Every bound moves through ``_tighten``, by a
+    ray entry or a step of ``_TypeSystem.steps``.  All bounds are
+    integers, rounded outward where a division occurs, which is a sound
+    relaxation of the strict geometry.
     """
 
     def __init__(self, system: _TypeSystem):
@@ -591,26 +585,22 @@ class _Solver:
         # per vertex [xlo, xhi, ylo, yhi], None = unbounded
         self.box: List[Optional[int]] = [None] * (4 * system.ctype.num_vertices)
 
-    def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> None:
+    def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> bool:
         """Box consequences of a point lying on the (relative interior of an)
         edge: the tail sits on the backward ray, the head on the forward one.
-        The caller has checked ``point_feasible`` on these boxes, so the
-        point's coordinates only move bounds in."""
+        False when that empties a range, which ``point_feasible`` rules out
+        on these boxes first."""
         box = self.box
-        for k, _, slot in self.system.rays[edge]:
-            p = point[k]
-            cur = box[slot]
-            if cur is None or (cur > p if slot & 1 else cur < p):
-                box[slot] = p
+        return all(_tighten(box, slot, point[k]) is not None for k, slot in self.system.rays[edge])
 
     def propagate(self) -> bool:
         """Run every rule, in sweeps, to a fixpoint; False on a
         contradiction.
 
-        A sweep runs the vertex cascades, then the line steps of the edges
-        with a value, then the bound transfers.  It stops when a sweep
-        changes nothing, or after ``_SWEEPS`` sweeps; the next call, at a
-        child, goes on from there.
+        A sweep runs the vertex cascades, then the bound steps, those of an
+        edge only once it has a value.  It stops when a sweep changes
+        nothing, or after ``_SWEEPS`` sweeps; the next call, at a child,
+        goes on from there.
         """
         val = self.val
         box = self.box
@@ -619,56 +609,35 @@ class _Solver:
             changed = _vertex_sweep(system.vertex_eqs, val)
             if changed is None:
                 return False
-            # m1*x + m2*y == c at an endpoint of an edge of known value
-            for edge, steps in system.lines:
-                c = val[edge]
-                if c is None:
-                    continue
-                for read, slot, a, m in steps:
-                    if read < 0:
-                        num = c
-                    else:
-                        other = box[read]
-                        if other is None:
-                            continue
-                        num = c - a * other
-                    moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
-                    if moved is None:
-                        return False
-                    changed = changed or moved
-            # monotone transfer along each bounded edge
-            for table in system.transfers:
-                for source, slot in table:
-                    bound = box[source]
-                    if bound is None:
+            for edge, read, slot, a, m in system.steps:
+                if edge < 0:
+                    num = 0
+                else:
+                    num = val[edge]
+                    if num is None:
                         continue
-                    moved = _tighten(box, slot, bound)
-                    if moved is None:
-                        return False
-                    changed = changed or moved
+                if read >= 0:
+                    other = box[read]
+                    if other is None:
+                        continue
+                    num -= a * other
+                moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
+                if moved is None:
+                    return False
+                changed = changed or moved
             if not changed:
                 break
         return True
 
-    def point_feasible(self, edge: int, point: Tuple[int, int], pin: int) -> bool:
-        """Quick test that a point can sit on the edge given current boxes:
-        no ray entry contradicts a bound, and at each endpoint the pinned
-        line crosses the box."""
+    def point_feasible(self, edge: int, point: Tuple[int, int]) -> bool:
+        """Whether a point can sit on the edge given current boxes: no ray
+        entry's slot to set has a bound beyond the point on the other side
+        of its range (its check slot, the set slot ^ 1)."""
         box = self.box
-        for k, check, _ in self.system.rays[edge]:
-            bound = box[check]
-            if bound is not None and (bound < point[k] if check & 1 else bound > point[k]):
+        for k, slot in self.system.rays[edge]:
+            bound = box[slot ^ 1]
+            if bound is not None and (bound > point[k] if slot & 1 else bound < point[k]):
                 return False
-        for sign, terms in self.system.forms[edge]:
-            least = 0
-            for coef, slot in terms:
-                bound = box[slot]
-                if bound is None:
-                    break
-                least += coef * bound
-            else:
-                if sign * pin < least:
-                    return False
         return True
 
 
@@ -807,7 +776,7 @@ def _search_assignments(
     such point on a tie.  A child's admissible edges for a point are its
     parent's, filtered: boxes only shrink and values are only set deeper
     in the tree, so an edge ruled out stays ruled out.  The point placed
-    passed the box test on the boxes it is applied to.
+    passed the box test (``point_feasible``) on the boxes it is applied to.
 
     Each child starts from a copy of its parent's state: a node copies its
     values and boxes once, before the first child it propagates when more
@@ -843,7 +812,9 @@ def _search_assignments(
     that are unused and unset or at their pin; its rows keep only those
     (``narrowed``).  When that empties a row or breaks the quotas, every
     child of the child fails ``closed``: its rows are a subset of those,
-    and its quota matching plus its placed point is one of those.  The
+    and its quota matching plus its placed point is one of those.  The box
+    test is the ray test; a pinned line that misses an endpoint's box is
+    found by the edge's line steps in the child's propagation.  The
     root runs ``closed`` on full rows; it sets no value and its boxes are
     unbounded, so it keeps every edge.  Every assignment the search yields
     passes the cone test on every pair, so a dropped (point, edge) pair is
@@ -900,9 +871,7 @@ def _search_assignments(
                 left ^= bit
                 edge = bit.bit_length() - 1
                 cur = val[edge]
-                if (cur is None or cur == pinned[edge]) and solver.point_feasible(
-                    edge, point, pinned[edge]
-                ):
+                if (cur is None or cur == pinned[edge]) and solver.point_feasible(edge, point):
                     boxed |= bit << j * width
         return boxed, rows & boxed
 
@@ -939,8 +908,7 @@ def _search_assignments(
                 saved = (val[:], box[:])
             # a candidate's value is unset or already its pin
             val[edge] = row[edge]
-            solver.apply_point_on_edge(edge, point)
-            if not solver.propagate():
+            if not (solver.apply_point_on_edge(edge, point) and solver.propagate()):
                 continue
             assignment[best_point] = edge
             yield from place(placed + 1, *narrowed(cands, sum(split), child_rows), split)

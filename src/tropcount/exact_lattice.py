@@ -48,24 +48,22 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntMatrix":
         rows = [list(r) for r in rows]
-        if rows:
-            ncols = len(rows[0])
-            if any(len(r) != ncols for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            ncols = 0 if cols is None else cols
+        ncols = len(rows[0]) if rows else cols or 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != ncols:
+            raise ValueError("rows of length %d, not cols=%d" % (ncols, cols))
         flat = tuple(int(x) for r in rows for x in r)
         return IntMatrix(len(rows), ncols, flat)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
         cols = [list(c) for c in columns]
-        if cols:
-            nrows = len(cols[0])
-            if any(len(c) != nrows for c in cols):
-                raise ValueError("ragged columns")
-        else:
-            nrows = 0 if rows is None else rows
+        nrows = len(cols[0]) if cols else rows or 0
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("ragged columns")
+        if rows is not None and rows != nrows:
+            raise ValueError("columns of length %d, not rows=%d" % (nrows, rows))
         flat = tuple(int(cols[j][i]) for i in range(nrows) for j in range(len(cols)))
         return IntMatrix(nrows, len(cols), flat)
 

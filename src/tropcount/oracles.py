@@ -72,12 +72,14 @@ class _PathProblem:
         return self.direction[0] * p[0] + self.direction[1] * p[1]
 
 
-def _side_of(d: int, a, b) -> Optional[str]:
-    if a[0] == 0 and b[0] == 0:
+def _side_of(d: int, edge) -> Optional[str]:
+    """The side of the degree-d triangle that holds the edge, if any."""
+    (ax, ay), (bx, by) = edge
+    if ax == 0 and bx == 0:
         return "x0"
-    if a[1] == 0 and b[1] == 0:
+    if ay == 0 and by == 0:
         return "y0"
-    if a[0] + a[1] == d and b[0] + b[1] == d:
+    if ax + ay == d and bx + by == d:
         return "hyp"
     return None
 
@@ -126,7 +128,7 @@ def _make_problem(d: int, direction: Tuple[int, int]) -> _PathProblem:
 
 
 def _on_chain(problem: _PathProblem, sides: Tuple[str, ...], a, b) -> bool:
-    s = _side_of(problem.d, a, b)
+    s = _side_of(problem.d, (a, b))
     return s is not None and s in sides
 
 
@@ -238,20 +240,11 @@ def _validate_subdivision(d: int, cells: Sequence[Cell]):
         for e in _cell_edges(cell):
             counts[e] = counts.get(e, 0) + 1
     for e, k in counts.items():
-        on_boundary = _edge_on_triangle_boundary(d, e)
+        on_boundary = _side_of(d, e) is not None
         if on_boundary and k != 1:
             raise AssertionError("boundary edge %s shared by %d cells" % (e, k))
         if not on_boundary and k != 2:
             raise AssertionError("interior edge %s shared by %d cells" % (e, k))
-
-
-def _edge_on_triangle_boundary(d: int, edge) -> bool:
-    (ax, ay), (bx, by) = edge
-    if ax == 0 and bx == 0:
-        return True
-    if ay == 0 and by == 0:
-        return True
-    return ax + ay == d and bx + by == d
 
 
 def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int]:
@@ -264,7 +257,7 @@ def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int
     _validate_subdivision(d, cells)
     for cell in cells:
         for e in _cell_edges(cell):
-            if _edge_on_triangle_boundary(d, e) and _lattice_length(e) != 1:
+            if _side_of(d, e) is not None and _lattice_length(e) != 1:
                 return 0, 0
     complex_mult = 1
     for cell in cells:
@@ -320,7 +313,7 @@ def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int
             for idx in edge_cells[ce]:
                 if cells[idx][0] == "t":
                     tri_ends.append(idx)
-            if _edge_on_triangle_boundary(d, ce):
+            if _side_of(d, ce) is not None:
                 boundary_ends += 1
         lengths = {_lattice_length(ce) for ce in chain}
         if len(lengths) != 1:

@@ -2,21 +2,18 @@
 
 Each criterion is a function returning (ok, detail); ``run`` executes them
 in order, printing one PASS/FAIL line per criterion.  The expensive
-enumeration data is computed once and shared.  A test-only fault hook can
-corrupt the Smith normal form to prove the kernel-lemma criterion actually
-bites.
+enumeration data is computed once and shared.
 """
 
 from __future__ import annotations
 
-import contextlib
 import random
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from . import counting, exact_lattice
+from . import exact_lattice
 from .counting import count_complex, count_real, real_index
 from .enumeration import PointConfiguration, enumerate_curves
 from .exact_lattice import IntMatrix, f2_rank
@@ -332,56 +329,24 @@ CRITERIA: List[Tuple[str, str, Callable]] = [
 ]
 
 
-@contextlib.contextmanager
-def _fault(fault: Optional[str]):
-    if fault is None:
-        yield
-        return
-    if fault != "snf-drop-even-factor":
-        raise ValueError("unknown fault %r" % fault)
-    original = exact_lattice.smith_normal_form
-
-    def corrupted(m):
-        res = original(m)
-        factors = tuple(f // 2 if f % 2 == 0 else f for f in res.invariant_factors)
-        return exact_lattice.SnfResult(
-            invariant_factors=tuple(f if f > 0 else 1 for f in factors),
-            left_transform=res.left_transform,
-            right_transform=res.right_transform,
-            rank=res.rank,
-        )
-
-    # counting binds the name at import, so it is patched there too
-    modules = (exact_lattice, counting)
-    for module in modules:
-        module.smith_normal_form = corrupted
-    try:
-        yield
-    finally:
-        for module in modules:
-            module.smith_normal_form = original
-
-
 def run(
     degrees: Tuple[int, ...] = (1, 2, 3),
     seed: int = 7,
-    fault: Optional[str] = None,
     echo: Callable[[str], None] = print,
 ) -> List[CriterionResult]:
     """Run the acceptance criteria, printing one line per criterion."""
     ctx = _Context(degrees=tuple(degrees), seed=seed)
     results = []
-    with _fault(fault):
-        for ident, name, fn in CRITERIA:
-            t0 = time.time()
-            try:
-                ok, detail = fn(ctx)
-            except Exception as exc:
-                ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
-            elapsed = time.time() - t0
-            results.append(CriterionResult(ident, name, ok, detail, elapsed))
-            echo(
-                "%s %s: %s (%s) [%.1fs]"
-                % ("PASS" if ok else "FAIL", ident, name, detail, elapsed)
-            )
+    for ident, name, fn in CRITERIA:
+        t0 = time.time()
+        try:
+            ok, detail = fn(ctx)
+        except Exception as exc:
+            ok, detail = False, "raised %s: %s" % (type(exc).__name__, exc)
+        elapsed = time.time() - t0
+        results.append(CriterionResult(ident, name, ok, detail, elapsed))
+        echo(
+            "%s %s: %s (%s) [%.1fs]"
+            % ("PASS" if ok else "FAIL", ident, name, detail, elapsed)
+        )
     return results

@@ -38,7 +38,6 @@ class _Canvas:
         self.ymin = ymin - margin_y
         self.ymax = ymax + margin_y
         self.scale = Fraction(width) / (self.xmax - self.xmin)
-        self.width = width
         self.height_f = (self.ymax - self.ymin) * self.scale
         self.elements: List[str] = []
 
@@ -76,7 +75,6 @@ class _Canvas:
         )
 
     def svg(self, x_offset=0) -> str:
-        height = _fmt(self.height_f, Fraction(1), Fraction(0))
         body = "\n".join("  " + e for e in self.elements)
         return (
             '<g transform="translate(%d,0)">\n%s\n</g>' % (x_offset, body),
@@ -155,39 +153,17 @@ def dual_subdivision_cells(curve: TropicalCurve):
         w, u = curve.weight(eid), curve.edge_direction(eid)
         weighted[eid] = (w * u[0], w * u[1])
 
-    def rot(v):
-        return (v[1], -v[0])
-
-    # cell per curve vertex
+    # a cell per curve vertex, of its outward directions, and per crossing
     cells = {}
     for v in curve.graph.vertices:
-        dirs = []
+        outward = []
         for eid in curve.graph.edges_at(v):
-            u = curve.edge_direction(eid, at_vertex=v)
-            w = curve.weight(eid)
-            dirs.append(((w * u[0], w * u[1]), eid))
-        dirs.sort(key=lambda t: angle_key(t[0]))
-        corners = [(0, 0)]
-        sides = {}
-        for vec, eid in dirs:
-            s = rot(vec)
-            start = corners[-1]
-            corners.append((start[0] + s[0], start[1] + s[1]))
-            sides[eid] = (start, corners[-1])
-        corners.pop()
-        cells[("v", v)] = {"corners": corners, "sides": sides}
+            u, w = curve.edge_direction(eid, at_vertex=v), curve.weight(eid)
+            outward.append((w * u[0], w * u[1]))
+        cells[("v", v)] = _cell(outward)
     for e1, e2 in crossings:
-        v1, v2 = weighted[e1], weighted[e2]
-        seq = sorted([v1, (-v1[0], -v1[1]), v2, (-v2[0], -v2[1])], key=angle_key)
-        corners = [(0, 0)]
-        sides = {}
-        for vec in seq:
-            s = rot(vec)
-            start = corners[-1]
-            corners.append((start[0] + s[0], start[1] + s[1]))
-            sides[vec] = (start, corners[-1])
-        corners.pop()
-        cells[("x", e1, e2)] = {"corners": corners, "sides": sides}
+        (a, b), (c, d) = weighted[e1], weighted[e2]
+        cells[("x", e1, e2)] = _cell([(a, b), (-a, -b), (c, d), (-c, -d)])
 
     # glue along image pieces with a BFS from an arbitrary cell
     if not cells:
@@ -202,8 +178,8 @@ def dual_subdivision_cells(curve: TropicalCurve):
         for other, shared_vec in adjacency.get(key, []):
             if other in offsets:
                 continue
-            side_a = _find_side(cells[key], shared_vec)
-            side_b = _find_side(cells[other], (-shared_vec[0], -shared_vec[1]))
+            side_a = _find_side(cells[key][1], shared_vec)
+            side_b = _find_side(cells[other][1], (-shared_vec[0], -shared_vec[1]))
             if side_a is None or side_b is None:
                 continue
             # side_a runs p -> p + rot(vec); side_b runs q -> q - rot(vec)
@@ -216,7 +192,7 @@ def dual_subdivision_cells(curve: TropicalCurve):
     minx = miny = None
     for key in sorted(offsets):
         off = offsets[key]
-        poly = [(c[0] + off[0], c[1] + off[1]) for c in cells[key]["corners"]]
+        poly = [(c[0] + off[0], c[1] + off[1]) for c in cells[key][0]]
         polygons.append(poly)
         for c in poly:
             if minx is None or c[0] < minx:
@@ -251,12 +227,29 @@ def _image_adjacency(curve, crossings, weighted):
     return adjacency
 
 
-def _find_side(cell, vec):
-    def rot(v):
-        return (v[1], -v[0])
+def _clockwise(v: Vec) -> Vec:
+    return (v[1], -v[0])
 
-    target = rot(vec)
-    for start, end in cell["sides"].values():
+
+def _cell(vecs: Sequence[Vec]):
+    """(corners, sides) of the polygon whose sides are the weighted
+    vectors turned clockwise, walked in angle order from the origin; each
+    side is a (start, end) pair."""
+    corners = [(0, 0)]
+    sides = []
+    for vec in sorted(vecs, key=angle_key):
+        s = _clockwise(vec)
+        start = corners[-1]
+        corners.append((start[0] + s[0], start[1] + s[1]))
+        sides.append((start, corners[-1]))
+    corners.pop()
+    return corners, sides
+
+
+def _find_side(sides, vec):
+    """The side of a cell that runs along ``vec`` turned clockwise."""
+    target = _clockwise(vec)
+    for start, end in sides:
         if (end[0] - start[0], end[1] - start[1]) == target:
             return (start, end)
     return None

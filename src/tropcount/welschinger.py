@@ -98,11 +98,13 @@ def lift_sign(curve: TropicalCurve, lift: LiftAssignment, sign_t: int) -> int:
         raise ValueError("sign_t must be +-1")
     if curve.n != 2:
         raise ValueError("lift signs are defined for plane curves")
-    even_edges = {
-        eid for eid in curve.graph.bounded_ids() if curve.weight(eid) % 2 == 0
-    }
+    bounded = curve.graph.bounded_ids()
+    even_edges = {eid for eid in bounded if curve.weight(eid) % 2 == 0}
     if set(lift.zeta) != even_edges:
         extra = set(lift.zeta) - even_edges
+        stray = sorted(map(str, extra - set(bounded)))
+        if stray:
+            raise ValueError("lift key %s is not a bounded edge of the curve" % ", ".join(stray))
         for eid in extra:
             if lift.zeta[eid] == -1:
                 raise InvalidZeta("edge %s has odd weight, zeta must be 1" % eid)

@@ -6,6 +6,7 @@ inside the criteria themselves (5s for the kernel sweep, 30s for the Pick
 sweep, 10 minutes overall for the degree-3 run).
 """
 
+from dataclasses import replace
 from math import lcm
 
 import pytest
@@ -34,10 +35,32 @@ def test_degree_three_within_budget(acceptance_results):
     assert r.seconds < 600, "degree-3 run took %.1fs" % r.seconds
 
 
-def test_negative_control_snf_fault():
+@pytest.fixture
+def snf_fault(monkeypatch):
+    """Call to corrupt the Smith normal form: every even invariant factor
+    halved.  ``counting`` binds the name at import, so it is patched there
+    too."""
+    from tropcount import counting, exact_lattice
+
+    original = exact_lattice.smith_normal_form
+
+    def corrupted(m):
+        res = original(m)
+        factors = tuple(f // 2 if f % 2 == 0 else f for f in res.invariant_factors)
+        return replace(res, invariant_factors=tuple(f if f > 0 else 1 for f in factors))
+
+    def apply():
+        for module in (exact_lattice, counting):
+            monkeypatch.setattr(module, "smith_normal_form", corrupted)
+
+    return apply
+
+
+def test_negative_control_snf_fault(snf_fault):
     from tropcount.selftest import run
 
-    results = run(degrees=(1,), fault="snf-drop-even-factor", echo=lambda s: None)
+    snf_fault()
+    results = run(degrees=(1,), echo=lambda s: None)
     kernel = next(r for r in results if r.ident == "A1")
     assert not kernel.ok
 
@@ -106,7 +129,7 @@ def test_negative_control_f2_fault(monkeypatch):
     assert detail == "d=1 parity violated"
 
 
-def test_snf_fault_reaches_counting():
+def test_snf_fault_reaches_counting(snf_fault):
     # the stored generic set has a weight-2 edge whose lattice map has
     # invariant factor 2, so the corrupted SNF must trip the index check
     import json
@@ -116,7 +139,6 @@ def test_snf_fault_reaches_counting():
     from tropcount.cli import curve_from_json
     from tropcount.counting import CrossCheckError, count_complex
     from tropcount.enumeration import PointConfiguration
-    from tropcount.selftest import _fault
 
     path = Path(__file__).parent.parent / "bench" / "data" / "d3-generic-1.json"
     doc = json.loads(path.read_text())
@@ -124,9 +146,9 @@ def test_snf_fault_reaches_counting():
     count_complex([curve_from_json(c) for c in doc["curves"]], config.constraints())
     # fresh curves: the clean call's lattice records stay on its own curves
     curves = [curve_from_json(c) for c in doc["curves"]]
-    with _fault("snf-drop-even-factor"):
-        with pytest.raises(CrossCheckError, match=r"product 1 != \|det\| 2"):
-            count_complex(curves, config.constraints())
+    snf_fault()
+    with pytest.raises(CrossCheckError, match=r"product 1 != \|det\| 2"):
+        count_complex(curves, config.constraints())
 
 
 def test_selftest_deterministic():

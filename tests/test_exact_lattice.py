@@ -249,3 +249,14 @@ def test_solve_unique_rational():
     assert sol == (Fraction(1, 2), Fraction(1, 2))
     assert solve_unique_rational([[1, 1]], [1]) is None  # underdetermined
     assert solve_unique_rational([[1, 1], [1, 1]], [0, 1]) is None  # inconsistent
+
+
+def test_shape_arguments_must_match_the_entries():
+    assert IntMatrix.from_rows([], cols=3).cols == 3
+    assert IntMatrix.from_columns([], rows=2).rows == 2
+    assert IntMatrix.from_rows([[1, 2]], cols=2).to_rows() == [[1, 2]]
+    assert IntMatrix.from_columns([[1, 2]], rows=2).to_rows() == [[1], [2]]
+    with pytest.raises(ValueError, match="cols=3"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError, match="rows=1"):
+        IntMatrix.from_columns([[1, 2]], rows=1)

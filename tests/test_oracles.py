@@ -104,9 +104,16 @@ def test_no_private_imports_between_modules():
 
 def _unread_private_names(tree):
     """The module-level private names (a ``_``-prefixed def, class or
-    constant) that the module reads nowhere outside their own definition;
-    no module imports another's private names, so no other module reads
-    them either."""
+    constant) that the module reads nowhere outside their own definition,
+    and, as ``Class.attr``, the attributes a private class's ``__init__``
+    sets on ``self`` that no attribute read in the module names; no module
+    imports another's private names, so no other module reads them
+    either."""
+    attributes_read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
     reads = [
         {
             node.id
@@ -131,6 +138,20 @@ def _unread_private_names(tree):
             for n in defined
             if n.startswith("_") and not n.startswith("__") and readers[n] == (n in read)
         ]
+        if isinstance(stmt, ast.ClassDef) and stmt.name.startswith("_"):
+            inits = [f for f in stmt.body if getattr(f, "name", None) == "__init__"]
+            unread += sorted(
+                {
+                    "%s.%s" % (stmt.name, node.attr)
+                    for init in inits
+                    for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and node.attr not in attributes_read
+                }
+            )
     return unread
 
 

@@ -185,6 +185,15 @@ def test_lift_signs_differ_at_even_edge():
     assert plus == -minus
 
 
+@pytest.mark.parametrize("zeta", [1, -1])
+def test_lift_sign_rejects_a_key_that_is_not_a_bounded_edge(zeta):
+    # u0 is an end, and b7 no edge of the curve
+    for key in ("u0", "b7"):
+        with pytest.raises(ValueError, match="lift key %s is not a bounded edge" % key) as info:
+            lift_sign(even_edge_curve(), LiftAssignment(zeta={"b0": 1, key: zeta}), 1)
+        assert not isinstance(info.value, InvalidZeta)
+
+
 def test_census_sum_even_edge_cancels():
     for sign_t in (1, -1):
         assert census_sum(even_edge_curve(weight=2, length=2), sign_t) == 0
