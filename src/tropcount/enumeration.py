@@ -53,6 +53,11 @@ propagated, then keeps as admissible only the edges that still match
 their pins and pass the box test, and its rows shrink to match.  No test
 but the box test filters the admissible edges the branching reads, so
 the yielded sequence is the same, with fewer nodes and children.
+
+Types and their systems depend on the degree alone, so
+``enumerate_curves`` builds them on a degree's first call and keeps them
+for the process (``_degree_systems``): a later problem of that degree pays
+only for its points.
 """
 
 from __future__ import annotations
@@ -353,13 +358,24 @@ class _TypeSystem:
     behind the point along the edge and the head ahead of it, so the
     point's coordinate k bounds the endpoint's slot to set, and contradicts
     a bound at the other end of that range, the check slot ``slot ^ 1``.
+
+    Every table is a tuple, so a system kept for the process
+    (``_degree_systems``) stays as built.  Systems built with one
+    ``shared`` dict hold one object for each group of equal entries, type
+    edges included: ``ctype`` is an equal copy of the type given.
     """
 
-    def __init__(self, ctype: CombinatorialType):
-        self.ctype = ctype
-        edges = ctype.edges
+    def __init__(self, ctype: CombinatorialType, shared: Optional[Dict] = None):
+        if shared is None:
+            shared = {}
+
+        def share(entry):
+            return shared.setdefault(entry, entry)
+
+        edges = tuple(share(e) for e in ctype.edges)
+        self.ctype = ctype = CombinatorialType(ctype.num_vertices, edges, ctype.has_flat_vertex)
         self.num_edges = len(edges)
-        self.normals = [_rot90(e.vec) for e in edges]
+        self.normals = tuple(share(_rot90(e.vec)) for e in edges)
 
         # vertex equations: sum of +-c over incident edges (+ out, - in)
         eqs: List[List[Tuple[int, int]]] = [[] for _ in range(ctype.num_vertices)]
@@ -367,10 +383,10 @@ class _TypeSystem:
             eqs[e.tail].append((i, 1))
             if e.head is not None:
                 eqs[e.head].append((i, -1))
-        self.vertex_eqs = [tuple(eq) for eq in eqs]
+        self.vertex_eqs = tuple(share(tuple(eq)) for eq in eqs)
 
         # per-vertex solving pair (two incident edges with independent normals)
-        self.solve_pairs: List[Optional[Tuple[int, int, int]]] = []
+        solve_pairs: List[Optional[Tuple[int, int, int]]] = []
         for v in range(ctype.num_vertices):
             pair = None
             inc = [i for i, _ in eqs[v]]
@@ -380,27 +396,29 @@ class _TypeSystem:
                     - self.normals[i][1] * self.normals[j][0]
                 )
                 if det != 0:
-                    pair = (i, j, det)
+                    pair = share((i, j, det))
                     break
-            self.solve_pairs.append(pair)
+            solve_pairs.append(pair)
+        self.solve_pairs = tuple(solve_pairs)
 
         # line steps per (edge, endpoint), tail before head, in edge order
-        self.steps: List[Tuple[int, int, int, int, int]] = []
+        steps: List[Tuple[int, int, int, int, int]] = []
         vertex_edges = [0] * ctype.num_vertices
-        self.rays: List[Tuple[Tuple[int, int], ...]] = []
+        all_rays: List[Tuple[Tuple[int, int], ...]] = []
         for i, e in enumerate(edges):
             rays: List[Tuple[int, int]] = []
             for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
                 vertex_edges[vertex] |= 1 << i
-                self.steps += [(i,) + step for step in _line_steps(self.normals[i], 4 * vertex)]
+                steps += [(i,) + step for step in _line_steps(self.normals[i], 4 * vertex)]
                 for k in (0, 1):
                     uk = e.prim[k] * sign
                     lo = 4 * vertex + 2 * k
                     # set the upper slot ahead along coordinate k, the lower behind
                     rays += [(k, slot) for slot in ((lo + (uk > 0),) if uk else (lo, lo + 1))]
-            self.rays.append(tuple(rays))
+            all_rays.append(share(tuple(rays)))
+        self.rays = tuple(all_rays)
         # a bounded edge's direction orders its endpoints coordinatewise:
         # each transfer copies a source slot's bound to a target slot
         for i in ctype.bounded_indices():
@@ -413,11 +431,12 @@ class _TypeSystem:
                     pairs = [(he, ta, lo), (ta, he, hi)]
                 else:
                     pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
-                self.steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
+                steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
+        self.steps = tuple(share(step) for step in steps)
         # edge bitmasks of the ends, and of the parts a point on edge i
         # leaves of the type: the two sides of a bounded edge, else the rest
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
-        self.cuts: List[Tuple[int, ...]] = []
+        cuts: List[Tuple[int, ...]] = []
         for i, e in enumerate(edges):
             rest = (1 << self.num_edges) - 1 ^ 1 << i
             side, reached = 0, [e.head]
@@ -426,13 +445,14 @@ class _TypeSystem:
                     if v is not None and (vertex_edges[v] & rest & ~side) >> k & 1:
                         side |= 1 << k
                         reached.append((f.tail, f.head)[f.tail == v])
-            self.cuts.append((rest ^ side, side) if side else (rest,))
+            cuts.append(share((rest ^ side, side) if side else (rest,)))
+        self.cuts = tuple(cuts)
         # cones[e][f] holds the directions the tree path from a point on
         # edge e to one on edge f runs along, as ``_direction_bit``s: the
         # rest of e, every bounded edge between, and f up to its point
         ahead = [_direction_bit(e.prim) for e in edges]
         behind = [_direction_bit((-e.prim[0], -e.prim[1])) for e in edges]
-        self.cones: List[List[int]] = []
+        cones: List[Tuple[int, ...]] = []
         for i, e in enumerate(edges):
             row = [0] * self.num_edges
             walk = [(e.tail, i, behind[i])]
@@ -449,7 +469,8 @@ class _TypeSystem:
                             far = edges[k].tail
                         if far is not None:
                             walk.append((far, k, row[k]))
-            self.cones.append(row)
+            cones.append(tuple(share(dirs) for dirs in row))
+        self.cones = tuple(cones)
 
 
 def _direction_bit(v: Vec) -> int:
@@ -1068,6 +1089,26 @@ def _genericity_checks(curve: TropicalCurve):
             raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
 
 
+# degree items -> the systems of the degree's types, in type order
+_SYSTEMS: Dict[Tuple, Tuple[_TypeSystem, ...]] = {}
+
+
+def _degree_systems(degree: Degree) -> Tuple[_TypeSystem, ...]:
+    """The ``_TypeSystem`` of each type of the degree, in the order of
+    ``enumerate_types``: built on the first call for the degree, with one
+    ``shared`` dict for them all, and kept for the process, since types do
+    not depend on the points.  An entry is written once, by
+    ``setdefault``, and holds only immutable data, so threads may share it.
+    """
+    key = tuple(degree.items())
+    systems = _SYSTEMS.get(key)
+    if systems is None:
+        shared: Dict = {}
+        built = tuple(_TypeSystem(ctype, shared) for ctype in enumerate_types(0, degree))
+        systems = _SYSTEMS.setdefault(key, built)
+    return systems
+
+
 def enumerate_curves(
     genus: int, degree: Degree, config: PointConfiguration
 ) -> List[Tuple[TropicalCurve, Tuple[str, ...]]]:
@@ -1089,8 +1130,7 @@ def enumerate_curves(
     int_points = [(int(p[0] * denom), int(p[1] * denom)) for p in config.points]
     results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
     cone_masks: Dict = {}
-    for ctype in enumerate_types(genus, degree):
-        system = _TypeSystem(ctype)
+    for system in _degree_systems(degree):
         for assignment in _search_assignments(system, int_points, cone_masks):
             plan = {j: assignment[j] for j in range(len(assignment))}
             solved = _solve(system, config, plan)

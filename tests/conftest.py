@@ -37,6 +37,16 @@ def relax_quotas(monkeypatch):
     return lambda: monkeypatch.setattr(enumeration, "_has_quota_matching", relaxed)
 
 
+@pytest.fixture
+def fresh_systems(monkeypatch):
+    """An empty per-degree memo of type systems for this test; the
+    process's memo comes back after it, so systems built under a patch
+    serve no later test."""
+    from tropcount import enumeration
+
+    monkeypatch.setattr(enumeration, "_SYSTEMS", {})
+
+
 @pytest.fixture(scope="session")
 def d3_types():
     """The 80 non-flat d = 3 types, read back from their golden file

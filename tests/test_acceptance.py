@@ -129,6 +129,27 @@ def test_negative_control_f2_fault(monkeypatch):
     assert detail == "d=1 parity violated"
 
 
+def test_negative_control_vertex_product(monkeypatch):
+    # one vertex's multiplicity doubled on every curve: the vertex route
+    # of the product identity disagrees with the lattice route, so A8 goes
+    # red with the CrossCheckError's detail
+    from tropcount import counting
+    from tropcount.selftest import _Context, criterion_vertex_product_identity
+
+    ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
+    assert ok, detail
+    vertex_multiplicities = counting.vertex_multiplicities
+
+    def doubled(curve, vertex):
+        found = vertex_multiplicities(curve, vertex)
+        return replace(found, mult=2 * found.mult) if vertex == "v0" else found
+
+    monkeypatch.setattr(counting, "vertex_multiplicities", doubled)
+    ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
+    assert not ok
+    assert detail.startswith("d=1: curve 0: lattice route 1 != vertex route 2 "), detail
+
+
 def test_snf_fault_reaches_counting(snf_fault):
     # the stored generic set has a weight-2 edge whose lattice map has
     # invariant factor 2, so the corrupted SNF must trip the index check

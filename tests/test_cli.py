@@ -334,9 +334,12 @@ def test_genericity_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["integer", "halved"])
-def test_genericity_failure_names_the_point(tmp_path, monkeypatch, capsys, d3_types, scale):
+def test_genericity_failure_names_the_point(
+    tmp_path, monkeypatch, capsys, d3_types, scale, fresh_systems
+):
     from tropcount import enumeration
 
+    # the systems built on the patched types stay in this test's memo
     monkeypatch.setattr(enumeration, "enumerate_types", lambda genus, degree: d3_types)
     # integer points in [-30, 30]^2: point 3 lies on two ends of one curve;
     # halved, the message must still name the point as given

@@ -15,6 +15,7 @@ import pytest
 
 from tropcount import enumeration
 from tropcount.cli import curve_from_json
+from tropcount.counting import count_complex, count_real
 from tropcount.enumeration import (
     CombinatorialType,
     PointConfiguration,
@@ -23,6 +24,7 @@ from tropcount.enumeration import (
     solve_positions,
 )
 from tropcount.exact_lattice import primitive_vector
+from tropcount.incidence import RealPointConfig
 from tropcount.oracles import (
     _cell_edges,
     _lattice_length,
@@ -31,6 +33,7 @@ from tropcount.oracles import (
 )
 from tropcount.svg import dual_subdivision_cells
 from tropcount.tropical import Degree, as_point, curve_mikhalkin_mults, curve_welschinger_mult
+from tropcount.welschinger import census_report, welschinger_total
 
 DATA = Path(__file__).parent.parent / "bench" / "data"
 
@@ -211,3 +214,35 @@ def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
     assert sum(curve_mikhalkin_mults(c)[0] for c in curves) == 620
     assert sum(curve_welschinger_mult(c) for c in curves) == 240
     assert pipeline_subdivisions(4, curves) == oracle_subdivisions(4, config.points)
+
+
+# generic_points(random.Random(3), 11) of bench/workloads.py
+GENERIC_D4_POINTS = [
+    (-500953, 242858), (141331, -726484), (-224148, 920875), (266512, -5838),
+    (312230, 218135), (-862577, 270034), (-972385, 905930), (756299, -15949),
+    (-456096, 155079), (-508573, -597884), (503968, -13786),
+]
+
+
+@pytest.mark.slow
+def test_generic_d4_counts():
+    """The pipeline at d = 4 in generic position: N/W = 620/240, N through
+    ``count_complex`` (whose lattice route is cross-checked against the
+    vertex product), and on two sign vectors, each with both signs of t,
+    a real count of the parity of N with |W| <= N_R <= N and a census
+    that agrees curve by curve.  Runs after the Mikhalkin d = 4 test, so
+    it reads the d = 4 systems that test built."""
+    config = PointConfiguration.explicit(GENERIC_D4_POINTS)
+    constraints = config.constraints()
+    curves = enumerate_curves(0, Degree.projective(4), config)
+    plain = [c for c, _ in curves]
+    n = count_complex(curves, constraints).n_trop
+    w = welschinger_total(plain)
+    assert (n, w) == (620, 240)
+    for signs in (["++"] * 11, ["+-", "--", "-+", "++"] * 2 + ["-+", "+-", "--"]):
+        real_config = RealPointConfig.from_strings(signs)
+        for sign_t in (1, -1):
+            n_r = count_real(curves, constraints, real_config, sign_t).n_real_trop
+            assert (n - n_r) % 2 == 0 and abs(w) <= n_r <= n, (signs, sign_t, n_r)
+    for sign_t in (1, -1):
+        assert all(row["agrees"] for row in census_report(plain, sign_t))

@@ -330,7 +330,7 @@ def test_solve_positions_rejects_a_flat_vertex():
     ends = [TypeEdge(0, None, (2, 0), 2, (1, 0))] + [TypeEdge(0, None, (-1, 0), 1, (-1, 0))] * 2
     ctype = CombinatorialType(1, tuple(ends), True)
     system = enumeration._TypeSystem(ctype)
-    assert system.solve_pairs == [None]
+    assert system.solve_pairs == (None,)
     config = PointConfiguration.explicit([(5, 0), (-4, 0)])
     for a, b in itertools.combinations(range(3), 2):
         plan = {0: a, 1: b}
@@ -568,6 +568,58 @@ def test_part_quotas_drop_no_curve(name, relax_quotas):
     assert (sum(curve_mikhalkin_mults(c)[0] for c, _ in curves), len(curves)) == (total, count)
     relax_quotas()
     assert enumerate_curves(0, degree, config) == curves
+
+
+def test_second_problem_of_a_degree_reads_the_memo(monkeypatch, fresh_systems):
+    """A second problem of one degree builds no types and no systems, and
+    finds the curves a process with an empty memo finds."""
+    degree = Degree.projective(2)
+    first, second = PointConfiguration.mikhalkin(5, 7), PointConfiguration.mikhalkin(5, 101)
+    enumerate_curves(0, degree, first)
+    calls = {"types": 0, "systems": 0}
+    types, system = enumeration.enumerate_types, enumeration._TypeSystem
+
+    def counted_types(*args):
+        calls["types"] += 1
+        return types(*args)
+
+    def counted_system(*args):
+        calls["systems"] += 1
+        return system(*args)
+
+    monkeypatch.setattr(enumeration, "enumerate_types", counted_types)
+    monkeypatch.setattr(enumeration, "_TypeSystem", counted_system)
+    warm = enumerate_curves(0, degree, second)
+    assert calls == {"types": 0, "systems": 0}
+    enumeration._SYSTEMS.clear()
+    assert enumerate_curves(0, degree, second) == warm
+    assert calls == {"types": 1, "systems": 4}
+
+
+def test_each_degree_has_its_own_memo_entry(fresh_systems):
+    configs = {
+        "P2-d2": PointConfiguration.mikhalkin(5, 7),
+        "P1xP1-(1,1)": PointConfiguration.explicit(NO_DROP_POINTS["P1xP1-(1,1)"][0]),
+        "weight-2-end": PointConfiguration.explicit(NO_DROP_POINTS["weight-2-end"][0]),
+    }
+    for name, config in configs.items():
+        assert enumerate_curves(0, EQUIVALENCE_DEGREES[name][0], config)
+    assert len(enumeration._SYSTEMS) == len(configs)
+    for name in configs:
+        systems = enumeration._SYSTEMS[tuple(EQUIVALENCE_DEGREES[name][0].items())]
+        assert [system.ctype for system in systems] == _reference_types(name)
+
+
+def test_memo_systems_stay_as_built(fresh_systems):
+    """After a d = 3 search, which reads the kept systems, every system's
+    tables equal those of one built afresh from its type."""
+    doc = json.loads((DATA / "d3-generic-1.json").read_text())
+    config = PointConfiguration.explicit([[Fraction(x) for x in p] for p in doc["points"]])
+    assert len(enumerate_curves(0, Degree.projective(3), config)) == len(doc["curves"])
+    (systems,) = enumeration._SYSTEMS.values()
+    assert len(systems) == 80
+    for system in systems:
+        assert vars(system) == vars(enumeration._TypeSystem(system.ctype))
 
 
 def test_enumerate_curves_wrong_point_count():
