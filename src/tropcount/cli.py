@@ -118,7 +118,10 @@ def _config_from_args(args, ell: int) -> Tuple[PointConfiguration, Optional[list
         points, signs = _load_points_file(args.points)
         if len(points) != ell:
             raise InputError("degree %d needs %d points, got %d" % (args.degree, ell, len(points)))
-        return PointConfiguration.explicit(points), signs
+        try:
+            return PointConfiguration.explicit(points), signs
+        except ValueError as exc:  # repeated points
+            raise InputError(str(exc))
     return PointConfiguration.mikhalkin(ell, _mikhalkin_seed(args)), None
 
 
@@ -215,6 +218,8 @@ def curve_from_json(data: Dict) -> Tuple[TropicalCurve, Tuple[str, ...]]:
             v: tuple(_parse_rat(c) for c in p) for v, p in vertices.items()
         }
         curve = TropicalCurve(graph=graph, positions=positions, n=2)
+        for eid in graph.bounded_ids():
+            curve.edge_direction(eid)  # DegenerateEdge on a zero length
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError("malformed curve record: %s" % exc)
     return curve, marks
@@ -228,7 +233,10 @@ def _check_edge_id(edge, expected: str):
 
 
 def _enumerate_from_args(args):
-    degree = Degree.projective(args.degree)
+    try:
+        degree = Degree.projective(args.degree)
+    except ValueError as exc:
+        raise InputError(str(exc))
     ell = degree.total() - 1
     config, file_signs = _config_from_args(args, ell)
     curves = enumerate_curves(0, degree, config)
@@ -429,7 +437,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ValueError as exc:
+    except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except GenericityFailure as exc:

@@ -20,9 +20,11 @@ a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
 This is exact: restricting a tree to leaves 0..k commutes with relabelling
 same-direction leaves, and a tree's place in the walk extends its
 restriction's, so the first tree of a class is first at every level and is
-never skipped.  A whole tree is tested for a flat vertex or a zero bounded
-edge (``_leaf_sums``; flatness does not change within a class) before it is
-keyed, and each survivor is built into a type once.
+never skipped.  A tree on all leaves but the last gets the last leaf only
+on the edges where it makes no flat vertex or zero bounded edge
+(``_last_leaf_fits``: one pass up the tree and one down), and is skipped
+unkeyed when there are none, as validity does not change within a class.
+Each whole tree of a new class is built into a type once.
 
 Propagation runs the rules ``_TypeSystem`` keeps as data, a value
 cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
@@ -41,8 +43,9 @@ is dropped when its unplaced points cannot take distinct row edges with
 one point fewer than ends on each part of the type cut at the placed
 points (``_search_assignments`` says why).  The tree path between two
 points runs along known directions, so their difference lies in the cone
-of those directions (``_TypeSystem.cones``, tested on bitmasks of
-``_reach_masks``).  A row holds only edges that pass this cone test with
+of those directions (``_TypeSystem.cones``, tested on the packed reach
+relations of ``_reach_masks``, which ``_partners`` reads for all points
+at once).  A row holds only edges that pass this cone test with
 every placed point and, after ``_cone_consistency``, with some edge of
 every other unplaced point's row.  The rows cost bit operations, so a
 node tests each child's rows before it touches any state: the children
@@ -182,15 +185,12 @@ def _rot90(v: Vec) -> Vec:
     return (-v[1], v[0])
 
 
-def _leaf_sums(
-    tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
-) -> Optional[Tuple[List[int], List[Vec]]]:
-    """One pass over a labelled tree, rooted at its first internal node.
-
-    Returns the parent of every node (-1 at the root) and the leaf-vector
-    sum below every node but the root; or None when some vertex is flat (all
-    its directions parallel) or some bounded direction is zero.
-    """
+def _rooted(
+    tree_edges: Tuple[Tuple[int, int], ...], num_leaves: int
+) -> Tuple[List[List[int]], List[int], List[int]]:
+    """A labelled tree rooted at its first internal node, ``num_leaves``:
+    the adjacency and parent (-1 at the root) of every node, and the
+    internal nodes, each after its parent."""
     adjacency: List[List[int]] = [[] for _ in range(2 * num_leaves - 2)]
     for a, b in tree_edges:
         adjacency[a].append(b)
@@ -203,6 +203,19 @@ def _leaf_sums(
                 parent[child] = node
                 if child >= num_leaves:
                     order.append(child)
+    return adjacency, parent, order
+
+
+def _leaf_sums(
+    tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
+) -> Optional[Tuple[List[int], List[Vec]]]:
+    """One pass over a labelled tree, rooted at its first internal node.
+
+    Returns the parent of every node (-1 at the root) and the leaf-vector
+    sum below every node but the root; or None when some vertex is flat (all
+    its directions parallel) or some bounded direction is zero.
+    """
+    adjacency, parent, order = _rooted(tree_edges, num_leaves)
     # A vertex's directions sum to zero, so two of its child sums are
     # parallel exactly when the vertex is flat or its parent edge is zero.
     below: List[Vec] = list(leaf_vecs) + [(0, 0)] * (num_leaves - 2)
@@ -213,6 +226,40 @@ def _leaf_sums(
             return None
         below[node] = (ax + bx, ay + by)
     return parent, below
+
+
+def _last_leaf_fits(
+    tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
+) -> List[int]:
+    """The indices of the edges of a tree on leaves 0..num_leaves - 2 on
+    which inserting the last leaf, of vector v, gives a tree that passes
+    ``_leaf_sums``.
+
+    Inserted above node c, the leaf adds a vertex with child sums c's and
+    v; each vertex on the path up to the root gains v on its child toward
+    it, and the others keep theirs.  So a pass up marks the subtrees with
+    no failing vertex (``clean``), and a pass down the nodes c with none
+    outside c's subtree once v is above c (``good``).  At the root any two
+    child sums will do, as the three add up to zero once the leaf is in.
+    """
+    adjacency, parent, order = _rooted(tree_edges, num_leaves)
+    vx, vy = leaf_vecs[num_leaves - 1]
+    below: List[Vec] = list(leaf_vecs[: num_leaves - 1]) + [(0, 0)] * (num_leaves - 1)
+    clean = [True] * len(adjacency)
+    for node in reversed(order[1:]):
+        a, b = [c for c in adjacency[node] if c != parent[node]]
+        (ax, ay), (bx, by) = below[a], below[b]
+        below[node] = (ax + bx, ay + by)
+        clean[node] = clean[a] and clean[b] and ax * by != ay * bx
+    good = [True] * len(adjacency)
+    for node in order:
+        kids = [c for c in adjacency[node] if c != parent[node]]
+        for c in kids:
+            (cx, cy), (ox, oy) = below[c], below[next(k for k in kids if k != c)]
+            rest = all(clean[k] for k in kids if k != c)
+            good[c] = good[node] and rest and (cx + vx) * oy != (cy + vy) * ox
+    fits = [good[c] and clean[c] and cx * vy != cy * vx for c, (cx, cy) in enumerate(below)]
+    return [i for i, (a, b) in enumerate(tree_edges) if fits[a if parent[a] == b else b]]
 
 
 def _tree_key(tree_edges: Tuple[Tuple[int, int], ...], leaf_chars: str) -> str:
@@ -306,19 +353,24 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     stack = [(((0, n), (1, n), (2, n)), 3)]
     while stack:
         tree_edges, leaves = stack.pop()
-        if leaves == n:
-            sums = _leaf_sums(tree_edges, leaf_vecs, n)
-            if sums is None:
+        where = range(len(tree_edges))
+        if leaves == n - 1:
+            where = _last_leaf_fits(tree_edges, leaf_vecs, n)
+            # validity is the same for the whole class, so no key is needed
+            if not where:
                 continue
         key = _tree_key(tree_edges, leaf_chars)
         if key in seen:
             continue
         seen.add(key)
         if leaves == n:
-            out.append(_type_from_tree(tree_edges, *sums, n))
+            # None only for the first tree, at n == 3; later ones got the last leaf where it fits
+            sums = _leaf_sums(tree_edges, leaf_vecs, n)
+            if sums is not None:
+                out.append(_type_from_tree(tree_edges, *sums, n))
             continue
         internal = n + leaves - 2
-        for i in reversed(range(len(tree_edges))):
+        for i in reversed(where):
             a, b = tree_edges[i]
             child = tree_edges[:i] + ((a, internal), (internal, b), (internal, leaves))
             stack.append((child + tree_edges[i + 1 :], leaves + 1))
@@ -501,27 +553,30 @@ def _dual_cone(dirs: int) -> Tuple[Vec, ...]:
     )
 
 
-def _reach_masks(dirs: int, points: Sequence[Tuple[int, int]], known: Dict) -> List[int]:
-    """Per point j, the bitmask of the points k that p_j reaches along the
-    directions in ``dirs``: those with phi . p_k >= phi . p_j for every
-    generator phi of the dual cone.
+def _reach_masks(dirs: int, points: Sequence[Tuple[int, int]], width: int, known: Dict) -> int:
+    """The points' reach relation along the directions in ``dirs``, packed:
+    bit a * stride + b * width, with stride = len(points) * width, is set
+    when phi . p_b >= phi . p_a for every generator phi of the dual cone.
 
-    ``known`` keeps the masks found so far, by ``dirs`` and by generator:
-    a generator's are read off the points, and those of ``dirs`` are the
-    intersection of its generators'.
+    ``known`` keeps the packs of these points at this width, by ``dirs``
+    and by generator: a generator's is read off the points, and that of
+    ``dirs`` is the AND of its generators' (spreading bits commutes with
+    AND).  With no generators, the zero form stands in: every point
+    reaches every point.
     """
-    masks = known.get(dirs)
-    if masks is None:
-        masks = [(1 << len(points)) - 1] * len(points)
-        for a, b in _dual_cone(dirs):
+    pack = known.get(dirs)
+    if pack is None:
+        stride = len(points) * width
+        pack = -1
+        for a, b in _dual_cone(dirs) or ((0, 0),):
             above = known.get((a, b))
             if above is None:
-                values = [a * x + b * y for x, y in points]
-                above = [sum(1 << k for k, v in enumerate(values) if v >= low) for low in values]
+                pairs = itertools.product(enumerate(a * x + b * y for x, y in points), repeat=2)
+                above = sum(1 << j * stride + k * width for (j, low), (k, v) in pairs if v >= low)
                 known[(a, b)] = above
-            masks = [m & n for m, n in zip(masks, above)]
-        known[dirs] = masks
-    return masks
+            pack &= above
+        known[dirs] = pack
+    return pack
 
 
 def _line_steps(normal: Vec, base: int) -> Tuple[Tuple[int, int, int, int], ...]:
@@ -712,50 +767,37 @@ def _reroute(rows, parts, spare, owner, r, seen) -> bool:
     return False
 
 
-class _Spread(dict):
-    """Point bitmask m -> the bitmask with bit b * width for each bit b of
-    m, computed when first read."""
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, mask: int) -> int:
-        bits = (b for b in range(mask.bit_length()) if mask >> b & 1)
-        out = self[mask] = sum(1 << b * self.width for b in bits)
-        return out
-
-
-class _Partners(dict):
-    """For point a: edge e -> per point b, at bit b * ``spread.width`` and
-    up, the bitmask of the edges f != e with point b reachable from point
-    a on edge e when b is on f, that is bit b of ``reach[e][f][a]``;
-    built when first read."""
-
-    def __init__(self, reach: Sequence[Sequence[Sequence[int]]], a: int, spread: _Spread):
-        super().__init__()
-        self.reach, self.a, self.spread = reach, a, spread
-
-    def __missing__(self, e: int) -> int:
-        a, spread = self.a, self.spread
-        out = 0
-        for f, masks in enumerate(self.reach[e]):
+def _partners(
+    cones: Sequence[Sequence[int]], points: Sequence[Tuple[int, int]], width: int, known: Dict
+) -> List[List[int]]:
+    """Per point a and edge e, the bitmask with bit b * width + f when
+    point b on edge f != e passes the cone test with point a on edge e.
+    Edge e's table is the OR of the relations of ``cones[e]``
+    (``_reach_masks``) shifted onto their edge bits, for all points at
+    once; point a's is its slice at a * stride."""
+    stride = len(points) * width
+    tables = []
+    for e, row in enumerate(cones):
+        table = 0
+        for f, dirs in enumerate(row):
             if f != e:
-                out |= spread[masks[a]] << f
-        self[e] = out
-        return out
+                table |= (known.get(dirs) or _reach_masks(dirs, points, width, known)) << f
+        tables.append(table)
+    mask = (1 << stride) - 1
+    return [[table >> a * stride & mask for table in tables] for a in range(len(points))]
 
 
 def _cone_consistency(
-    rows: int, unplaced: Sequence[int], partners: Sequence[_Partners], num_edges: int
+    rows: int, unplaced: Sequence[int], partners: Sequence[Sequence[int]], num_edges: int
 ) -> Optional[int]:
     """Drop edge e from point a's row while some other point b of
     ``unplaced`` has no edge f in its row such that e is among point a's
     edges in ``partners[b][f]``, to a fixpoint; None once a row is empty.
 
     ``rows`` holds point b's edge bitmask at bit b * (num_edges + 1) and
-    up, as ``partners`` do, with a guard bit above it, so adding num_edges
-    ones to each row sets the guards of the nonempty ones.  The union of
+    up, as ``partners`` (``_partners``) do, with a guard bit above it that
+    they never set, so adding num_edges ones to each row sets the guards
+    of the nonempty ones.  The union of
     ``partners[b][f]`` over the edges f of b's row holds each other
     point's edges that pass the cone test with some edge of b's row, so a
     pass intersects the rows with that union for each b in turn.  The test
@@ -816,9 +858,9 @@ def _search_assignments(
     of the type p_b - p_a is a sum of non-negative multiples of the
     directions ``system.cones[e][f]`` the tree path runs along, so
     phi . p_b >= phi . p_a for each generator phi of their dual cone: bit
-    b of ``reach[e][f][a]``.  The test is closed, so a degenerate solution
-    still passes it, and it reads the same from b, since the cone of the
-    path back is the negated cone.
+    b * width + f of ``partners[a][e]`` (``_partners``).  The test is
+    closed, so a degenerate solution still passes it, and it reads the
+    same from b, since the cone of the path back is the negated cone.
 
     A row holds the admissible edges that are unused and pass the cone
     test with every placed point.  The children of a node are the edges of
@@ -843,21 +885,16 @@ def _search_assignments(
     tests alone.
 
     ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
-    dict for every type of a problem to build each once.
+    dict for every type of a problem, all of one width, to build each once.
     """
     if cone_masks is None:
         cone_masks = {}
-    reach = [
-        [cone_masks.get(dirs) or _reach_masks(dirs, points, cone_masks) for dirs in row]
-        for row in system.cones
-    ]
     pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in points]
     num_points = len(points)
     num_edges = system.num_edges
     width = num_edges + 1
     full = (1 << num_edges) - 1
-    spread = _Spread(width)
-    partners = [_Partners(reach, a, spread) for a in range(num_points)]
+    partners = _partners(system.cones, points, width, cone_masks)
 
     assignment: List[int] = [-1] * num_points
     solver = _Solver(system)

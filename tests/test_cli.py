@@ -228,6 +228,18 @@ def _reordered_rays():
     return record
 
 
+def _degenerate_edge():
+    """Two vertices at one position, joined by a bounded edge."""
+    record = _star([(-1, 0), (0, -1)])
+    record["vertices"]["v1"] = ["0", "0"]
+    record["bounded_edges"] = [{"id": "b0", "tail": "v0", "head": "v1", "weight": 1}]
+    record["unbounded_edges"] += [
+        {"id": "u2", "vertex": "v1", "direction": [1, 0], "weight": 1},
+        {"id": "u3", "vertex": "v1", "direction": [0, 1], "weight": 1},
+    ]
+    return record
+
+
 def test_curve_from_json_rejects_edges_out_of_position():
     # an edge's id is its position in its list; a record listing them in
     # another order would move its weights and marks to other edges
@@ -253,6 +265,7 @@ def test_curve_from_json_rejects_edges_out_of_position():
         ([_star([(-1, 0), (0, -1), (1, 1)], weight=True)], "malformed curve record: not an integer: True"),
         ([_star([(-1, 0), (0, -1), (1.0, 1)])], "malformed curve record: not an integer: 1.0"),
         ([_reordered_rays()], "malformed curve record: edge 'u1' is listed where 'u0' belongs"),
+        ([_degenerate_edge()], "malformed curve record: bounded edge b0 has equal endpoints"),
     ],
     ids=[
         "curves-number",
@@ -263,6 +276,7 @@ def test_curve_from_json_rejects_edges_out_of_position():
         "weight-bool",
         "direction-float",
         "edge-out-of-position",
+        "degenerate-edge",
     ],
 )
 def test_render_rejects_malformed_curves(tmp_path, capsys, curves, message):
@@ -390,5 +404,38 @@ def test_infinite_cokernel_is_not_an_input_error(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "count_complex", boom)
     with pytest.raises(InfiniteCokernel):
+        main(["count", "--degree", "1", "--complex"])
+    assert "input error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, points, message",
+    [
+        (["-d", "0"], None, "degree must be positive"),
+        (["-d", "1"], [["1", "2"], ["1", "2"]], "constraint points must be pairwise distinct"),
+        (["-d", "1"], [["1", "2"], ["3", "5"], ["0", "7"]], "degree 1 needs 2 points, got 3"),
+    ],
+    ids=["degree-zero", "duplicate-points", "point-count"],
+)
+def test_user_value_errors_are_input_errors(tmp_path, capsys, args, points, message):
+    if points is not None:
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps({"points": points}))
+        args = args + ["--points", str(path)]
+    code, out, err = run_cli(["count"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "input error: " + message in err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
+    """An invariant failure inside the pipeline, here an ``IntMatrix``
+    shape error, is a fault of the program: it leaves ``main`` as it is
+    instead of exiting 2."""
+    import tropcount.cli as cli
+    from tropcount.exact_lattice import IntMatrix
+
+    monkeypatch.setattr(cli, "count_complex", lambda *args: IntMatrix.from_rows([[1, 2], [3]]))
+    with pytest.raises(ValueError, match="ragged rows"):
         main(["count", "--degree", "1", "--complex"])
     assert "input error" not in capsys.readouterr().err

@@ -14,6 +14,8 @@ from tropcount.enumeration import (
     PointConfiguration,
     TypeEdge,
     UnsupportedGenus,
+    _last_leaf_fits,
+    _leaf_sums,
     enumerate_curves,
     enumerate_types,
     solve_positions,
@@ -34,8 +36,9 @@ GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent.parent / "bench" / "data"
 
 
-def _trees(num_leaves):
-    """All trivalent trees on leaves 0..n-1; internal nodes are n, n+1, ...
+def _trees(num_leaves, stop=None):
+    """All trivalent trees on leaves 0..n-1, or on leaves 0..stop-1 if
+    given; internal nodes are n, n+1, ...
 
     Iterative leaf insertion: each tree on k leaves arises from a unique
     (tree on k-1 leaves, edge) pair, so every tree is produced exactly once.
@@ -43,7 +46,7 @@ def _trees(num_leaves):
     """
 
     def insert(edges, leaf, internal):
-        if leaf == num_leaves:
+        if leaf == (num_leaves if stop is None else stop):
             yield edges
             return
         for i, (a, b) in enumerate(edges):
@@ -194,6 +197,47 @@ def test_enumerate_types_equals_building_every_tree(name):
     expected = _reference_types(name)
     assert len(expected) == count
     assert enumerate_types(0, degree) == expected
+
+
+@pytest.mark.parametrize("name", ["P2-d2", "P1xP1-(2,2)", "cut-triangle", "weight-2-end"])
+def test_last_leaf_fits_are_the_leaf_sums_test(name):
+    """On every tree on all leaves but the last, ``_last_leaf_fits`` names
+    exactly the edges where inserting the last leaf gives a tree that
+    passes ``_leaf_sums``; trees with and without such an edge both
+    occur."""
+    degree, _ = EQUIVALENCE_DEGREES[name]
+    leaf_vecs = [tuple(v) for v, count in degree.items() for _ in range(count)]
+    n = len(leaf_vecs)
+    internal = 2 * n - 3
+    kinds = set()
+    for tree_edges in _trees(n, n - 1):
+        expected = [
+            i
+            for i, (a, b) in enumerate(tree_edges)
+            for child in [((a, internal), (internal, b), (internal, n - 1))]
+            if _leaf_sums(tree_edges[:i] + child + tree_edges[i + 1 :], leaf_vecs, n) is not None
+        ]
+        assert _last_leaf_fits(tree_edges, leaf_vecs, n) == expected, tree_edges
+        kinds.add(bool(expected))
+    assert kinds == {False, True}
+
+
+def test_last_leaf_prune_bites(monkeypatch):
+    """The d=3 walk keys fewer trees with the prune than with every edge
+    fitting, and builds the same types."""
+    keyed = []
+    tree_key = enumeration._tree_key
+    monkeypatch.setattr(
+        enumeration, "_tree_key", lambda *args: keyed.append(args) or tree_key(*args)
+    )
+    test_enumerate_types_degree_three_matches_golden()
+    pruned = len(keyed)
+    keyed.clear()
+    monkeypatch.setattr(
+        enumeration, "_last_leaf_fits", lambda tree_edges, *args: list(range(len(tree_edges)))
+    )
+    test_enumerate_types_degree_three_matches_golden()
+    assert pruned < len(keyed)
 
 
 def test_equivalence_fails_when_the_key_drops_its_labels(monkeypatch):

@@ -43,11 +43,10 @@ from tropcount.enumeration import (
     _direction_bit,
     _dual_cone,
     _has_quota_matching,
-    _Partners,
+    _partners,
     _reach_masks,
     _search_assignments,
     _Solver,
-    _Spread,
     _TypeSystem,
     enumerate_curves,
     enumerate_types,
@@ -437,12 +436,16 @@ def test_direction_bits_read_back():
 
 def test_reach_masks_keep_the_cone_boundary():
     # the quadrant x >= 0, y >= 0 from point 0: point 1 on its boundary
-    # ray, point 2 inside, point 3 outside
+    # ray, point 2 inside, point 3 outside; at width 1 point a's row is
+    # the 4 bits from bit 4a
     points = [(0, 0), (5, 0), (2, 7), (-1, 3)]
-    masks = _reach_masks(direction_bits({(1, 0), (0, 1)}), points, {})
-    assert masks[0] == 0b0111
+    pack = _reach_masks(direction_bits({(1, 0), (0, 1)}), points, 1, {})
+    assert pack & 0b1111 == 0b0111
     # no directions: no test
-    assert _reach_masks(0, points, {}) == [0b1111] * 4
+    assert _reach_masks(0, points, 1, {}) == (1 << 16) - 1
+    # at width 3 point b's bit is 3b in each row
+    pack = _reach_masks(direction_bits({(1, 0), (0, 1)}), points, 3, {})
+    assert pack & (1 << 12) - 1 == 0b1001001
 
 
 def test_search_keeps_a_point_on_the_cone_boundary(monkeypatch):
@@ -485,10 +488,25 @@ def test_cone_consistency_bites(name, expected, types_by_degree, monkeypatch):
     assert unchecked["propagate_calls"] > expected[name]["propagate_calls"]
 
 
+def flipped(partners, num_edges):
+    """The partner tables of the relation read the wrong way round, p_a
+    reachable from p_b: point a's table of edge e takes, at point b's
+    bits, point b's table of edge e at point a's bits."""
+    width = num_edges + 1
+    full = (1 << num_edges) - 1
+    return [
+        [
+            sum((table[e] >> a * width & full) << b * width for b, table in enumerate(partners))
+            for e in range(num_edges)
+        ]
+        for a in range(len(partners))
+    ]
+
+
 def test_faulted_consistency_changes_the_yields(expected, types_by_degree, monkeypatch):
-    """A negative control: a consistency step that reads the relation the
-    wrong way round, p_a reachable from p_b, drops pairs that lead to
-    curves."""
+    """A negative control: a consistency step that reads the packed
+    relation the wrong way round, p_a reachable from p_b, drops pairs that
+    lead to curves."""
     consistency = enumeration._cone_consistency
     backwards = {}
 
@@ -496,15 +514,7 @@ def test_faulted_consistency_changes_the_yields(expected, types_by_degree, monke
         # one faulted table per search, kept beside the search's own so
         # that its id is not reused
         if id(partners) not in backwards:
-            flipped = [
-                [[sum((m >> a & 1) << b for b, m in enumerate(masks)) for a in range(len(masks))]
-                 for masks in row]
-                for row in partners[0].reach
-            ]
-            backwards[id(partners)] = (
-                partners,
-                [_Partners(flipped, a, table.spread) for a, table in enumerate(partners)],
-            )
+            backwards[id(partners)] = (partners, flipped(partners, num_edges))
         return consistency(rows, unplaced, backwards[id(partners)][1], num_edges)
 
     monkeypatch.setattr(enumeration, "_cone_consistency", faulted)
@@ -523,10 +533,24 @@ def pack(*rows):
     return sum(row << 3 * b for b, row in enumerate(rows))
 
 
+def hand_made_partners(reach):
+    """The partner tables of two points on two edges, where
+    ``reach[e][f][a]`` has bit b when point b on edge f is reachable from
+    point a on edge e.  Each (e, f) relation is packed at width 3, point
+    a's row at bit 6a, and stored under a key of its own in the packs that
+    ``_partners`` reads."""
+    known = {
+        1 + 2 * e + f: sum(
+            (m >> b & 1) << 6 * a + 3 * b for a, m in enumerate(masks) for b in (0, 1)
+        )
+        for e, row in enumerate(reach)
+        for f, masks in enumerate(row)
+    }
+    return _partners([[1, 2], [3, 4]], [(0, 0)] * 2, 3, known)
+
+
 def consistent(reach, rows, unplaced=(0, 1)):
-    spread = _Spread(3)
-    partners = [_Partners(reach, a, spread) for a in range(2)]
-    return _cone_consistency(pack(*rows), list(unplaced), partners, 2)
+    return _cone_consistency(pack(*rows), list(unplaced), hand_made_partners(reach), 2)
 
 
 def test_cone_consistency_on_a_hand_made_relation():
@@ -535,7 +559,7 @@ def test_cone_consistency_on_a_hand_made_relation():
     everywhere = [[[0b11, 0b11], [0b11, 0b11]] for _ in range(2)]
     # an edge is never its own partner: point 0 on edge 0 needs point 1 on
     # edge 1, though every pair is reachable
-    assert _Partners(everywhere, 0, _Spread(3))[0] == pack(0b10, 0b10)
+    assert hand_made_partners(everywhere)[0][0] == pack(0b10, 0b10)
     assert consistent(everywhere, (0b01, 0b01)) is None
     assert consistent(everywhere, (0b01, 0b11)) == pack(0b01, 0b10)
     # a placed point, whose row is empty, is not tested
@@ -545,6 +569,52 @@ def test_cone_consistency_on_a_hand_made_relation():
     one_way = [[[0b11, 0b11], [0b01, 0b11]], [[0b11, 0b10], [0b11, 0b11]]]
     assert consistent(one_way, (0b01, 0b10)) is None
     assert consistent(one_way, (0b11, 0b11)) == pack(0b10, 0b01)
+
+
+def search_partners(system, points, monkeypatch):
+    """The partner tables a search over the points hands its root's
+    ``_cone_consistency`` call."""
+    consistency = enumeration._cone_consistency
+    seen = []
+
+    def watched(rows, unplaced, partners, num_edges):
+        seen.append(partners)
+        return consistency(rows, unplaced, partners, num_edges)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_cone_consistency", watched)
+        next(_search_assignments(system, points), None)
+    return seen[0]
+
+
+@pytest.mark.parametrize(
+    "degree, name, sample", [(2, "d2-mikhalkin-%d" % seed, 1) for seed in (0, 7)]
+    + [(3, "d3-generic-1", 8), (3, "d3-mikhalkin-7", 8)]
+)
+def test_partner_tables_are_the_cone_test(degree, name, sample, types_by_degree, monkeypatch):
+    """Every d=2 type and a sample of the d=3 ones on pinned points: point
+    a's table of edge e has bit b * width + f exactly when f != e and p_b
+    is reachable from p_a along ``cones[e][f]``, by the definition of the
+    cone test (phi . p_b >= phi . p_a for each generator phi of the dual
+    cone).  So no bit lands on another point's slot or a guard bit."""
+    points = configurations()[name][1]
+    checked = 0
+    for ctype in types_by_degree[degree][::sample]:
+        system = _TypeSystem(ctype)
+        width = system.num_edges + 1
+        partners = search_partners(system, points, monkeypatch)
+        for a, (xa, ya) in enumerate(points):
+            for e, row in enumerate(system.cones):
+                expect = sum(
+                    1 << b * width + f
+                    for f, dirs in enumerate(row)
+                    if f != e
+                    for b, (xb, yb) in enumerate(points)
+                    if all(u * (xb - xa) + v * (yb - ya) >= 0 for u, v in _dual_cone(dirs))
+                )
+                assert partners[a][e] == expect, (name, a, e)
+                checked += 1
+    assert checked == {2: 4 * 5 * 9, 3: 10 * 8 * 15}[degree]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -640,6 +710,7 @@ def test_every_curve_passes_the_cone_test():
                 for k, f in enumerate(marks):
                     if j != k:
                         dirs = direction_bits(path_directions(curve, e, f))
-                        assert _reach_masks(dirs, points, known)[j] >> k & 1, (name, j, k)
+                        reached = _reach_masks(dirs, points, 1, known) >> j * len(points) + k
+                        assert reached & 1, (name, j, k)
                         pairs += 1
     assert pairs > 2000
