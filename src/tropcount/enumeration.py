@@ -14,6 +14,13 @@ almost immediately for spread-out configurations.  Survivors get their
 values from the pins and the vertex equations, leaf inward
 (``_cascade_values``), then positions and geometric acceptance checks.
 
+Acceptance: ``_reconstruct`` keeps a unique solution with positive
+lengths and each point strictly inside its edge; ``_clearly_generic``
+clears, on integers, a curve with no point or vertex on the line of an
+edge not its own; only a flagged curve goes through the ``Fraction``
+rematch and crossing scan of ``_genericity_checks``, which a cleared one
+would pass, so verdicts and messages are those of checking every curve.
+
 Types come from one depth-first walk that inserts leaf k on each edge of
 a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
 ``_tree_key`` (its AHU form, one character per leaf direction) it has seen.
@@ -68,6 +75,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1104,7 +1112,20 @@ def _reconstruct(system, config, mark_plan, cvals):
     return curve, marks
 
 
-def _genericity_checks(curve: TropicalCurve):
+def _genericity_checks(curve: TropicalCurve, marks: Tuple[str, ...], config: PointConfiguration):
+    """Raise GenericityFailure when the curve breaks a generality clause."""
+    try:
+        rematched = match_marked_edges(curve, config.constraints())
+    except (ConstraintOnVertex, AmbiguousConstraint) as exc:
+        raise GenericityFailure(str(exc))
+    except ConstraintMissed as exc:
+        raise AssertionError("solver accepted a curve missing its point: %s" % exc)
+    for j, (mark, edge) in enumerate(zip(marks, rematched)):
+        if mark != edge:
+            raise GenericityFailure(
+                "point %d %s is marked on edge %s but meets edge %s"
+                % (j, point_str(config.points[j]), mark, edge)
+            )
     vertex_at: Dict[Point, str] = {}
     for v, p in curve.positions.items():
         if p in vertex_at:
@@ -1124,6 +1145,39 @@ def _genericity_checks(curve: TropicalCurve):
             continue
         if segments_overlap(curve.edge_segment(e1), curve.edge_segment(e2)):
             raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
+
+
+def _clearly_generic(
+    system: _TypeSystem, points: Sequence[Tuple[int, int]], assignment: Sequence[int]
+) -> bool:
+    """Whether integer line tests show that the solved assignment's curve
+    passes ``_genericity_checks``: each point and each vertex lies on the
+    lines of its own edges only.  Scaled to the integer ``points``, the
+    values are the pins cascaded by ``_vertex_sweep``, and vertex v sits at
+    (X, Y) / det over its solving pair, on the line of edge f when
+    m_f . (X, Y) == c_f * det.  The test is sound because ``_reconstruct``
+    rejects zero lengths and points at an end of their edge, and a type has
+    no flat vertex, so no two edges at a vertex are parallel.  Then each
+    failure of the checks puts a point or a vertex on a foreign edge's
+    line: a point on a vertex is not at an end of its own edge; two
+    vertices at one place share at most one edge; an edge through a vertex
+    is such a line; and overlapping parallel edges share no vertex.
+    """
+    normals = system.normals
+    pins = [[m1 * x + m2 * y for m1, m2 in normals] for x, y in points]
+    values: List = [None] * system.num_edges
+    for j, edge in enumerate(assignment):
+        values[edge] = pins[j][edge]
+    while _vertex_sweep(system.vertex_eqs, values):
+        pass
+    if any(sum(map(operator.eq, row, values)) != 1 for row in pins):
+        return False
+    for (i, k, det), eq in zip(system.solve_pairs, system.vertex_eqs):
+        (a, b), (c, d) = normals[i], normals[k]
+        x, y = d * values[i] - b * values[k], a * values[k] - c * values[i]
+        if sum(m1 * x + m2 * y == val * det for (m1, m2), val in zip(normals, values)) != len(eq):
+            return False
+    return True
 
 
 # degree items -> the systems of the degree's types, in type order
@@ -1153,7 +1207,9 @@ def enumerate_curves(
 
     Results are deterministic: types in enumeration order, assignments in
     search order.  Raises GenericityFailure when a solution violates the
-    generality clauses; the caller should retry with a fresh seed.
+    generality clauses; the caller should retry with a fresh seed.  Curves
+    are checked in that order once all are solved, the first failure
+    raising; one that ``_clearly_generic`` clears skips the checks.
     """
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
@@ -1172,27 +1228,15 @@ def enumerate_curves(
             plan = {j: assignment[j] for j in range(len(assignment))}
             solved = _solve(system, config, plan)
             if solved is not None:
-                results.append(solved)
+                results.append(solved + (_clearly_generic(system, int_points, assignment),))
 
-    constraints = config.constraints()
     seen_signatures = set()
     accepted = []
-    for curve, marks in results:
+    for curve, marks, cleared in results:
         if check_balancing(curve):
             raise AssertionError("enumerated curve is not balanced")
-        try:
-            rematched = match_marked_edges(curve, constraints)
-        except (ConstraintOnVertex, AmbiguousConstraint) as exc:
-            raise GenericityFailure(str(exc))
-        except ConstraintMissed as exc:
-            raise AssertionError("solver accepted a curve missing its point: %s" % exc)
-        for j, (mark, edge) in enumerate(zip(marks, rematched)):
-            if mark != edge:
-                raise GenericityFailure(
-                    "point %d %s is marked on edge %s but meets edge %s"
-                    % (j, point_str(config.points[j]), mark, edge)
-                )
-        _genericity_checks(curve)
+        if not cleared:
+            _genericity_checks(curve, marks, config)
         signature = (
             tuple(sorted(curve.positions.values())),
             tuple(

@@ -347,24 +347,54 @@ def test_genericity_failure_exit_code(monkeypatch, capsys):
     assert "Mikhalkin seed 7" in err
 
 
-@pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 2)], ids=["integer", "halved"])
+# integer points in [-30, 30]^2 whose d = 3 curves break a generality
+# clause, and the message naming it, filled in with the named point.  The
+# last two fail only the integer certificate's vertex half and point half
+# (``enumeration._clearly_generic``): without either, they give curves.
+NON_GENERIC_D3 = {
+    "point-on-two-ends": (
+        [(7, 27), (28, -17), (2, -22), (-12, -22), (18, -24), (9, 21), (-14, 28), (4, 15)],
+        3,
+        "point 3 (%s, %s) meets edges",
+    ),
+    "edge-through-a-vertex": (
+        [(-4, 4), (-7, 9), (6, -10), (30, -22), (14, 24), (2, 30), (9, 11), (13, 17)],
+        None,
+        "edge u0 meets a vertex of edge b5",
+    ),
+    "point-on-two-edges": (
+        [(-3, 4), (3, -2), (11, 2), (-3, 7), (-10, -9), (4, 1), (-7, 12), (-2, -8)],
+        0,
+        "point 0 (%s, %s) meets edges b5, u0",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, scale",
+    [
+        # the first case keeps the bare scale ids it has always had
+        pytest.param(case, scale, id=name if i == 0 else "%s-%s" % (case, name))
+        for i, case in enumerate(NON_GENERIC_D3)
+        for name, scale in (("integer", Fraction(1)), ("halved", Fraction(1, 2)))
+    ],
+)
 def test_genericity_failure_names_the_point(
-    tmp_path, monkeypatch, capsys, d3_types, scale, fresh_systems
+    tmp_path, monkeypatch, capsys, d3_types, scale, case, fresh_systems
 ):
     from tropcount import enumeration
 
     # the systems built on the patched types stay in this test's memo
     monkeypatch.setattr(enumeration, "enumerate_types", lambda genus, degree: d3_types)
-    # integer points in [-30, 30]^2: point 3 lies on two ends of one curve;
     # halved, the message must still name the point as given
-    points = [(7, 27), (28, -17), (2, -22), (-12, -22), (18, -24), (9, 21), (-14, 28), (4, 15)]
+    points, named, message = NON_GENERIC_D3[case]
     points = [(x * scale, y * scale) for x, y in points]
     path = tmp_path / "points.json"
     path.write_text(json.dumps({"points": [[str(x), str(y)] for x, y in points]}))
     code, out, err = run_cli(["enumerate", "--degree", "3", "--points", str(path)], capsys)
     assert code == 3
     assert out == ""
-    assert "point 3 (%s, %s) meets edges" % points[3] in err
+    assert (message if named is None else message % points[named]) in err
     assert err.count("reseed") == 1
     assert "Mikhalkin" not in err
 

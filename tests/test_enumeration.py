@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from tropcount import enumeration
+from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     CombinatorialType,
     PointConfiguration,
@@ -664,6 +665,82 @@ def test_memo_systems_stay_as_built(fresh_systems):
     assert len(systems) == 80
     for system in systems:
         assert vars(system) == vars(enumeration._TypeSystem(system.ctype))
+
+
+def _certificate_sweep(degree, draws, bound, seed):
+    """Check every curve the integer certificate clears, over seeded draws
+    of distinct integer points in [-bound, bound]^2: it passes the Fraction
+    checks, and its rematch gives its marks.  Returns the number of curves
+    cleared, flagged, and flagged that then fail the checks."""
+    rng = random.Random(seed)
+    systems = enumeration._degree_systems(degree)
+    ell = degree.total() - 1
+    cleared = flagged = failed = 0
+    for _ in range(draws):
+        points = set()
+        while len(points) < ell:
+            points.add((rng.randint(-bound, bound), rng.randint(-bound, bound)))
+        points = sorted(points)
+        config = PointConfiguration.explicit(points)
+        for system in systems:
+            for assignment in enumeration._search_assignments(system, points):
+                plan = dict(enumerate(assignment))
+                solved = enumeration._solve(system, config, plan)
+                if solved is None:
+                    continue
+                curve, marks = solved
+                if enumeration._clearly_generic(system, points, assignment):
+                    cleared += 1
+                    assert match_marked_edges(curve, config.constraints()) == marks
+                    enumeration._genericity_checks(curve, marks, config)
+                else:
+                    flagged += 1
+                    try:
+                        enumeration._genericity_checks(curve, marks, config)
+                    except enumeration.GenericityFailure:
+                        failed += 1
+    return cleared, flagged, failed
+
+
+def test_certificate_clears_only_curves_that_pass_the_checks():
+    cleared, flagged, _ = _certificate_sweep(Degree.projective(2), 300, 10, 33)
+    assert cleared and flagged
+
+
+@pytest.mark.slow
+def test_certificate_clears_only_curves_that_pass_the_checks_d3():
+    """At d = 3 in [-30, 30] some flagged curves also fail the checks."""
+    cleared, flagged, failed = _certificate_sweep(Degree.projective(3), 40, 30, 33)
+    assert cleared and flagged > failed > 0
+
+
+@pytest.mark.parametrize("name", ["d3-generic-1", "d3-mikhalkin-7"])
+def test_generic_problems_skip_the_fraction_checks(monkeypatch, name):
+    """The stored generic d = 3 problems clear every curve, so they run no
+    rematch and no crossing scan, and give the stored curves; with every
+    curve flagged, the same curves come after both checks run."""
+    doc = json.loads((DATA / (name + ".json")).read_text())
+    if doc["mode"] == "mikhalkin":
+        config = PointConfiguration.mikhalkin(len(doc["points"]), doc["seed"])
+    else:
+        config = PointConfiguration.explicit([as_point(p) for p in doc["points"]])
+    stored = [curve_from_json(c) for c in doc["curves"]]
+    calls = {"match_marked_edges": 0, "plane_crossings": 0}
+
+    def counted(fn, inner):
+        def call(*args):
+            calls[fn] += 1
+            return inner(*args)
+
+        return call
+
+    for fn in calls:
+        monkeypatch.setattr(enumeration, fn, counted(fn, getattr(enumeration, fn)))
+    assert enumerate_curves(0, Degree.projective(3), config) == stored
+    assert calls == {"match_marked_edges": 0, "plane_crossings": 0}
+    monkeypatch.setattr(enumeration, "_clearly_generic", lambda *args: False)
+    assert enumerate_curves(0, Degree.projective(3), config) == stored
+    assert calls == {"match_marked_edges": len(stored), "plane_crossings": len(stored)}
 
 
 def test_enumerate_curves_wrong_point_count():
