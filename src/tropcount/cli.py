@@ -142,6 +142,9 @@ def _signs_from_args(args, ell: int, file_signs: Optional[list]) -> RealPointCon
         parts = [parts[0][i : i + 2] for i in range(0, 2 * ell, 2)]
     if len(parts) != ell:
         raise InputError("need %d sign pairs, got %d" % (ell, len(parts)))
+    for part in parts:
+        if len(part) != 2:
+            raise InputError("a sign pair needs one sign per coordinate, got %r" % (part,))
     try:
         return RealPointConfig.from_strings(parts)
     except ValueError as exc:

@@ -12,14 +12,16 @@ its edge's endpoints, bounded edges transfer bounds along their direction,
 pinned lines couple the x and y ranges), which prunes wrong assignments
 almost immediately for spread-out configurations.  Survivors get their
 values from the pins and the vertex equations, leaf inward
-(``_cascade_values``), then positions and geometric acceptance checks.
+(``_cascade_values``), then positions and acceptance, in one pass.
 
-Acceptance: ``_reconstruct`` keeps a unique solution with positive
-lengths and each point strictly inside its edge; ``_clearly_generic``
-clears, on integers, a curve with no point or vertex on the line of an
-edge not its own; only a flagged curve goes through the ``Fraction``
-rematch and crossing scan of ``_genericity_checks``, which a cleared one
-would pass, so verdicts and messages are those of checking every curve.
+Acceptance: ``_solve`` runs on the points scaled to integers and keeps a
+unique solution with positive lengths and each point strictly inside its
+edge, then reads a certificate off the same numbers: no point or vertex
+lies on the line of an edge not its own.  Only a curve it flags goes
+through the ``Fraction`` rematch and crossing scan of
+``_genericity_checks``, which a cleared one would pass, so verdicts and
+messages are those of checking every curve.  Positions become
+``Fraction``s only for the output curve.
 
 Types come from one depth-first walk that inserts leaf k on each edge of
 a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
@@ -101,7 +103,6 @@ from .tropical import (
     check_balancing,
     plane_crossings,
     point_str,
-    segment_param,
     segments_overlap,
 )
 
@@ -389,8 +390,8 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
 #
 # All data is integer: pins are integer values of integer normal forms at
 # integer points, vertex equations have +-1 coefficients, and inequality
-# forms are cleared of denominators.  Fractions appear only when a bound is
-# produced by division inside the interval propagation.
+# forms are cleared of denominators.  Fractions appear only in the positions
+# of a solved curve.
 
 # the most sweeps one propagate call runs; the next call goes on from there
 _SWEEPS = 12
@@ -1001,42 +1002,36 @@ def solve_positions(
     of its assigned edge.  Returns None otherwise, a type with a flat
     vertex included: that vertex has no solving pair.
     """
-    return _solve(_TypeSystem(ctype), config, mark_plan)
+    solved = _solve(_TypeSystem(ctype), *_scaled(config.points), mark_plan)
+    return None if solved is None else solved[:2]
 
 
-def _solve(
-    system: _TypeSystem, config: PointConfiguration, mark_plan: Mapping[int, int]
-) -> Optional[Tuple[TropicalCurve, Tuple[str, ...]]]:
-    """``solve_positions`` with the type's system already built."""
-    values = _cascade_values(system, config, mark_plan)
-    if values is None:
-        return None
-    return _reconstruct(system, config, mark_plan, values)
+def _scaled(points: Sequence[Point]) -> Tuple[List[Tuple[int, int]], int]:
+    """The points times the lcm of their coordinates' denominators, as
+    integers, and that lcm."""
+    denom = lcm(*(x.denominator for p in points for x in p))
+    return [(int(x * denom), int(y * denom)) for x, y in points], denom
 
 
 def _cascade_values(
-    system: _TypeSystem, config: PointConfiguration, mark_plan: Mapping[int, int]
+    system: _TypeSystem, pins: Sequence[Sequence], mark_plan: Mapping[int, int]
 ) -> Optional[List]:
-    """The unique transverse values of the edges through the marked
-    points, or None when there are none or more than one.
+    """The unique transverse values with point j pinning edge
+    ``mark_plan[j]`` to ``pins[j][edge]``, or None when there are none or
+    more than one.
 
-    A point pins its edge's value; a second, different pin on one edge
-    has no solution.  The vertex equations then give the rest leaf
-    inward: a vertex with one unknown value fixes it.  Cut at its pinned
-    edges the type is a forest, and a tree of k vertices has k equations
-    in its k - 1 inner edges and its unpinned ends, which a cascade from
-    its leaves solves exactly when it has at most one such end; with more
-    the solution is not unique, and the cascade stops short of an edge.
-    So the solution is unique exactly when the cascade reaches every
-    edge, and it exists when every equation then holds.
+    The vertex equations give the rest leaf inward: one with a single
+    unknown value fixes it.  Cut at its pinned edges the type is a forest,
+    and a tree of k vertices has k equations in its k - 1 inner edges and
+    its unpinned ends, which the cascade solves exactly when it has at most
+    one such end.  So the solution is unique exactly when the cascade
+    reaches every edge, and it exists when every equation then holds.
     """
     values: List = [None] * system.num_edges
     for j, edge in mark_plan.items():
-        (m1, m2), (x, y) = system.normals[edge], config.points[j]
-        c = m1 * x + m2 * y
         if values[edge] is None:
-            values[edge] = c
-        elif values[edge] != c:
+            values[edge] = pins[j][edge]
+        elif values[edge] != pins[j][edge]:
             return None
     changed = True
     while changed:
@@ -1046,70 +1041,76 @@ def _cascade_values(
     return None if None in values else values
 
 
-def _reconstruct(system, config, mark_plan, cvals):
+def _ahead(p: Tuple[int, int, int], q: Tuple[int, int, int], u: Vec) -> bool:
+    """Whether q lies strictly ahead of p along u; each is (X, Y, w), w > 0, for (X, Y) / w."""
+    return (q[0] * p[2] - p[0] * q[2]) * u[0] + (q[1] * p[2] - p[1] * q[2]) * u[1] > 0
+
+
+def _solve(
+    system: _TypeSystem,
+    points: Sequence[Tuple[int, int]],
+    denom: int,
+    mark_plan: Mapping[int, int],
+) -> Optional[Tuple[TropicalCurve, Tuple[str, ...], bool]]:
+    """``solve_positions`` on the integer ``points`` (the problem's times
+    ``denom``), in integers up to the output: the curve, its marks, and
+    whether the certificate clears it of ``_genericity_checks``.
+
+    Vertex v sits at (X, Y) / w over its solving pair, w = +-det > 0.  Every
+    vertex equation holds, so each vertex lies on the lines of all its
+    edges and each point on its edge's line, and a length or a point's
+    parameter along an edge has the sign of a dot product with the edge's
+    direction.  A length <= 0, or a point not strictly between its edge's
+    ends, is rejected.
+
+    The certificate: each point and each vertex lies on the lines of its
+    own edges only.  That is sound, as zero lengths and points at an end of
+    their edge are rejected and no two edges at a vertex are parallel: each
+    failure of the checks puts a point or a vertex on a foreign edge's
+    line.  A point on a vertex is not at an end of its own edge; two
+    vertices at one place share at most one edge; an edge through a vertex
+    is such a line; and overlapping parallel edges share no vertex.
+    """
+    normals = system.normals
+    pins = [[m1 * x + m2 * y for m1, m2 in normals] for x, y in points]
+    values = _cascade_values(system, pins, mark_plan)
+    if values is None or None in system.solve_pairs:
+        return None
+    vertices = []
+    for i, k, det in system.solve_pairs:
+        (a, b), (c, d) = normals[i], normals[k]
+        x, y = d * values[i] - b * values[k], a * values[k] - c * values[i]
+        vertices.append((x, y, det) if det > 0 else (-x, -y, -det))
     ctype = system.ctype
-    positions: List[Optional[Tuple[Fraction, Fraction]]] = [None] * ctype.num_vertices
-    for v in range(ctype.num_vertices):
-        pair = system.solve_pairs[v]
-        if pair is None:
+    for e in ctype.edges:
+        if e.head is not None and not _ahead(vertices[e.tail], vertices[e.head], e.prim):
             return None
-        i, j, det = pair
-        mi, mj = system.normals[i], system.normals[j]
-        ci, cj = cvals[i], cvals[j]
-        x = Fraction(mj[1] * ci - mi[1] * cj, det)
-        y = Fraction(-mj[0] * ci + mi[0] * cj, det)
-        positions[v] = (x, y)
-
-    # positive lengths, strictly
-    lengths: Dict[int, Fraction] = {}
-    for i in ctype.bounded_indices():
-        e = ctype.edges[i]
-        t = segment_param((positions[e.tail], e.prim, False), positions[e.head])
-        if t is None or t <= 0:
-            return None
-        lengths[i] = t
-
-    # marked points strictly inside their edges
     for j, edge in mark_plan.items():
-        e = ctype.edges[edge]
-        t = segment_param((positions[e.tail], e.prim, False), config.points[j])
-        if t is None or t <= 0:
+        e, p = ctype.edges[edge], points[j] + (1,)
+        if not _ahead(vertices[e.tail], p, e.prim):
             return None
-        if e.head is not None and t >= lengths[edge]:
+        if e.head is not None and not _ahead(p, vertices[e.head], e.prim):
             return None
+    cleared = all(sum(map(operator.eq, pins[j], values)) == 1 for j in mark_plan) and all(
+        sum(m1 * x + m2 * y == c * w for (m1, m2), c in zip(normals, values)) == len(eq)
+        for (x, y, w), eq in zip(vertices, system.vertex_eqs)
+    )
 
-    # assemble the tropical curve
-    vertex_ids = tuple("v%d" % v for v in range(ctype.num_vertices))
-    bounded = []
-    unbounded = []
-    weights = {}
-    edge_id_of: Dict[int, str] = {}
-    for i in ctype.bounded_indices():
-        e = ctype.edges[i]
-        eid = "b%d" % len(bounded)
-        bounded.append((vertex_ids[e.tail], vertex_ids[e.head]))
-        weights[eid] = e.weight
-        edge_id_of[i] = eid
-    for i in ctype.unbounded_indices():
-        e = ctype.edges[i]
-        eid = "u%d" % len(unbounded)
-        unbounded.append((vertex_ids[e.tail], e.prim))
-        weights[eid] = e.weight
-        edge_id_of[i] = eid
-    marks = tuple(edge_id_of[mark_plan[j]] for j in sorted(mark_plan))
+    names = tuple("v%d" % v for v in range(ctype.num_vertices))
+    bounded, unbounded = ctype.bounded_indices(), ctype.unbounded_indices()
+    edge_ids = {i: "b%d" % n for n, i in enumerate(bounded)}
+    edge_ids.update((i, "u%d" % n) for n, i in enumerate(unbounded))
+    marks = tuple(edge_ids[mark_plan[j]] for j in sorted(mark_plan))
+    edges = ctype.edges
     graph = TropicalGraph(
-        vertices=vertex_ids,
-        bounded_edges=tuple(bounded),
-        unbounded_edges=tuple(unbounded),
-        weights=weights,
+        vertices=names,
+        bounded_edges=tuple((names[edges[i].tail], names[edges[i].head]) for i in bounded),
+        unbounded_edges=tuple((names[edges[i].tail], edges[i].prim) for i in unbounded),
+        weights={eid: edges[i].weight for i, eid in edge_ids.items()},
         marked=marks,
     )
-    curve = TropicalCurve(
-        graph=graph,
-        positions={vertex_ids[v]: positions[v] for v in range(ctype.num_vertices)},
-        n=2,
-    )
-    return curve, marks
+    positions = [(Fraction(x, w * denom), Fraction(y, w * denom)) for x, y, w in vertices]
+    return TropicalCurve(graph=graph, positions=dict(zip(names, positions)), n=2), marks, cleared
 
 
 def _genericity_checks(curve: TropicalCurve, marks: Tuple[str, ...], config: PointConfiguration):
@@ -1147,39 +1148,6 @@ def _genericity_checks(curve: TropicalCurve, marks: Tuple[str, ...], config: Poi
             raise GenericityFailure("edges %s and %s overlap" % (e1, e2))
 
 
-def _clearly_generic(
-    system: _TypeSystem, points: Sequence[Tuple[int, int]], assignment: Sequence[int]
-) -> bool:
-    """Whether integer line tests show that the solved assignment's curve
-    passes ``_genericity_checks``: each point and each vertex lies on the
-    lines of its own edges only.  Scaled to the integer ``points``, the
-    values are the pins cascaded by ``_vertex_sweep``, and vertex v sits at
-    (X, Y) / det over its solving pair, on the line of edge f when
-    m_f . (X, Y) == c_f * det.  The test is sound because ``_reconstruct``
-    rejects zero lengths and points at an end of their edge, and a type has
-    no flat vertex, so no two edges at a vertex are parallel.  Then each
-    failure of the checks puts a point or a vertex on a foreign edge's
-    line: a point on a vertex is not at an end of its own edge; two
-    vertices at one place share at most one edge; an edge through a vertex
-    is such a line; and overlapping parallel edges share no vertex.
-    """
-    normals = system.normals
-    pins = [[m1 * x + m2 * y for m1, m2 in normals] for x, y in points]
-    values: List = [None] * system.num_edges
-    for j, edge in enumerate(assignment):
-        values[edge] = pins[j][edge]
-    while _vertex_sweep(system.vertex_eqs, values):
-        pass
-    if any(sum(map(operator.eq, row, values)) != 1 for row in pins):
-        return False
-    for (i, k, det), eq in zip(system.solve_pairs, system.vertex_eqs):
-        (a, b), (c, d) = normals[i], normals[k]
-        x, y = d * values[i] - b * values[k], a * values[k] - c * values[i]
-        if sum(m1 * x + m2 * y == val * det for (m1, m2), val in zip(normals, values)) != len(eq):
-            return False
-    return True
-
-
 # degree items -> the systems of the degree's types, in type order
 _SYSTEMS: Dict[Tuple, Tuple[_TypeSystem, ...]] = {}
 
@@ -1209,7 +1177,7 @@ def enumerate_curves(
     search order.  Raises GenericityFailure when a solution violates the
     generality clauses; the caller should retry with a fresh seed.  Curves
     are checked in that order once all are solved, the first failure
-    raising; one that ``_clearly_generic`` clears skips the checks.
+    raising; one that ``_solve``'s certificate clears skips the checks.
     """
     if genus != 0:
         raise UnsupportedGenus("genus >= 1 enumeration is gated off")
@@ -1218,17 +1186,15 @@ def enumerate_curves(
         raise ValueError(
             "degree %d needs %d points, got %d" % (degree.total(), ell, len(config.points))
         )
-    # the box search needs integers; solving and acceptance use the points
-    denom = lcm(*(x.denominator for p in config.points for x in p))
-    int_points = [(int(p[0] * denom), int(p[1] * denom)) for p in config.points]
-    results: List[Tuple[TropicalCurve, Tuple[str, ...]]] = []
+    # the box search and the solve run on integers
+    int_points, denom = _scaled(config.points)
+    results: List[Tuple[TropicalCurve, Tuple[str, ...], bool]] = []
     cone_masks: Dict = {}
     for system in _degree_systems(degree):
         for assignment in _search_assignments(system, int_points, cone_masks):
-            plan = {j: assignment[j] for j in range(len(assignment))}
-            solved = _solve(system, config, plan)
+            solved = _solve(system, int_points, denom, dict(enumerate(assignment)))
             if solved is not None:
-                results.append(solved + (_clearly_generic(system, int_points, assignment),))
+                results.append(solved)
 
     seen_signatures = set()
     accepted = []
@@ -1237,23 +1203,17 @@ def enumerate_curves(
             raise AssertionError("enumerated curve is not balanced")
         if not cleared:
             _genericity_checks(curve, marks, config)
+        pos = curve.positions
+        bounded = (
+            (min(pos[t], pos[h]), max(pos[t], pos[h]), curve.weight("b%d" % i))
+            for i, (t, h) in enumerate(curve.graph.bounded_edges)
+        )
+        unbounded = (
+            (pos[v], d, curve.weight("u%d" % i))
+            for i, (v, d) in enumerate(curve.graph.unbounded_edges)
+        )
         signature = (
-            tuple(sorted(curve.positions.values())),
-            tuple(
-                sorted(
-                    (min(curve.positions[t], curve.positions[h]),
-                     max(curve.positions[t], curve.positions[h]),
-                     curve.weight("b%d" % i))
-                    for i, (t, h) in enumerate(curve.graph.bounded_edges)
-                )
-            ),
-            tuple(
-                sorted(
-                    (curve.positions[v], d, curve.weight("u%d" % i))
-                    for i, (v, d) in enumerate(curve.graph.unbounded_edges)
-                )
-            ),
-            marks,
+            tuple(sorted(pos.values())), tuple(sorted(bounded)), tuple(sorted(unbounded)), marks
         )
         # Isomorphic types are deduped in enumerate_types, and a non-flat
         # type has no automorphism (swapping two subtrees would need two

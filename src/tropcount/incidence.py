@@ -353,6 +353,9 @@ def sigma_sign_class(
     for j, (constraint, projection) in enumerate(
         zip(constraints, th.constraint_projections, strict=True)
     ):
+        signs = points.signs[j]
+        if len(signs) != constraint.n:
+            raise ValueError("constraint %d needs %d signs, not %d" % (j, constraint.n, len(signs)))
         exponents = []
         for k, coord in enumerate(constraint.base):
             a = Fraction(coord)
@@ -360,7 +363,7 @@ def sigma_sign_class(
                 raise NonIntegralBase(
                     "constraint %d base point is not integral; rescale first" % j
                 )
-            sign = points.signs[j][k] * (sign_t ** (int(a) % 2))
+            sign = signs[k] * (sign_t ** (int(a) % 2))
             exponents.append(0 if sign > 0 else 1)
         bits.extend(x & 1 for x in projection.apply(exponents))
     return SignClass(bits=tuple(bits))

@@ -160,6 +160,24 @@ def test_malformed_points_file(tmp_path, capsys, text):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "signs, file_signs",
+    [("+,++", None), ("+++,++", None), (None, ["+-+", "++"]), (None, ["+", "--"])],
+    ids=["short", "long", "file-long", "file-short"],
+)
+def test_sign_pairs_of_the_wrong_length(tmp_path, capsys, signs, file_signs):
+    doc = {"points": [["-3", "0"], ["0", "-5"]]}
+    if file_signs is not None:
+        doc["signs"] = file_signs
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(doc))
+    args = ["count", "--degree", "1", "--points", str(pts), "--real"]
+    code, out, err = run_cli(args + (["--signs", signs] if signs else []), capsys)
+    assert code == 2
+    assert out == ""
+    assert "one sign per coordinate" in err
+
+
 def test_points_file_roundtrip(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps({"points": [["-3", "0"], ["0", "-5"]], "signs": ["++", "++"]}))
@@ -350,7 +368,7 @@ def test_genericity_failure_exit_code(monkeypatch, capsys):
 # integer points in [-30, 30]^2 whose d = 3 curves break a generality
 # clause, and the message naming it, filled in with the named point.  The
 # last two fail only the integer certificate's vertex half and point half
-# (``enumeration._clearly_generic``): without either, they give curves.
+# (``enumeration._solve``): without either, they give curves.
 NON_GENERIC_D3 = {
     "point-on-two-ends": (
         [(7, 27), (28, -17), (2, -22), (-12, -22), (18, -24), (9, 21), (-14, 28), (4, 15)],

@@ -30,6 +30,7 @@ from tropcount.tropical import (
     curve_mikhalkin_mults,
     curve_welschinger_mult,
     expected_dimension,
+    segment_param,
 )
 
 
@@ -377,9 +378,10 @@ def test_solve_positions_rejects_a_flat_vertex():
     system = enumeration._TypeSystem(ctype)
     assert system.solve_pairs == (None,)
     config = PointConfiguration.explicit([(5, 0), (-4, 0)])
+    pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in config.points]
     for a, b in itertools.combinations(range(3), 2):
         plan = {0: a, 1: b}
-        assert enumeration._cascade_values(system, config, plan) == [0, 0, 0]
+        assert enumeration._cascade_values(system, pins, plan) == [0, 0, 0]
         assert solve_positions(ctype, config, plan) is None
 
 
@@ -438,6 +440,19 @@ def random_plan(rng, system, ell):
     return PointConfiguration(tuple(points)), plan
 
 
+def _unique_values(system, config, plan):
+    """The unique rational solution of the vertex equations and the pins
+    of the plan, or None."""
+    edges = range(system.num_edges)
+    rows = [[dict(terms).get(i, 0) for i in edges] for terms in system.vertex_eqs]
+    rhs = [0] * len(rows)
+    for j, edge in plan.items():
+        rows.append([int(i == edge) for i in edges])
+        (m1, m2), (x, y) = system.normals[edge], config.points[j]
+        rhs.append(m1 * x + m2 * y)
+    return solve_unique_rational(rows, rhs)
+
+
 def test_cascade_values_equal_the_unique_rational_solve(d3_types):
     """On random systems at d <= 3 the vertex cascade finds a solution
     exactly when the linear system of the vertex equations and the pins
@@ -451,21 +466,143 @@ def test_cascade_values_equal_the_unique_rational_solve(d3_types):
         d = rng.choice((1, 2, 3))
         system = rng.choice(systems[d])
         config, plan = random_plan(rng, system, 3 * d - 1)
-        rows, rhs = [], []
-        for terms in system.vertex_eqs:
-            rows.append([dict(terms).get(i, 0) for i in range(system.num_edges)])
-            rhs.append(0)
-        for j, edge in plan.items():
-            rows.append([int(i == edge) for i in range(system.num_edges)])
-            (m1, m2), (x, y) = system.normals[edge], config.points[j]
-            rhs.append(m1 * x + m2 * y)
-        expected = solve_unique_rational(rows, rhs)
-        found = enumeration._cascade_values(system, config, plan)
+        expected = _unique_values(system, config, plan)
+        pins = [[m1 * x + m2 * y for m1, m2 in system.normals] for x, y in config.points]
+        found = enumeration._cascade_values(system, pins, plan)
         assert (found is None) == (expected is None), (system.ctype, plan)
         if found is not None:
             assert tuple(found) == expected
             unique[d] += 1
     assert min(unique.values()) >= 10
+
+
+def _fraction_rule(system, config, plan):
+    """The acceptance rule on Fractions, as ``solve_positions`` once ran
+    it: the unique values of the vertex equations and the pins, each vertex
+    where its edges' lines meet, and ``segment_param`` along each bounded
+    edge and each point's edge, rejecting a length or parameter <= 0 and a
+    parameter >= its edge's length.  The positions by vertex id and the
+    marks, or None."""
+    ctype = system.ctype
+    values = _unique_values(system, config, plan)
+    if values is None:
+        return None
+    positions = [
+        solve_unique_rational([system.normals[i] for i, _ in terms], [values[i] for i, _ in terms])
+        for terms in system.vertex_eqs
+    ]
+    lengths = {}
+    for i in ctype.bounded_indices():
+        e = ctype.edges[i]
+        lengths[i] = segment_param((positions[e.tail], e.prim, False), positions[e.head])
+        if lengths[i] is None or lengths[i] <= 0:
+            return None
+    for j, edge in plan.items():
+        e = ctype.edges[edge]
+        t = segment_param((positions[e.tail], e.prim, False), config.points[j])
+        if t is None or t <= 0 or (e.head is not None and t >= lengths[edge]):
+            return None
+    ids = {i: "b%d" % n for n, i in enumerate(ctype.bounded_indices())}
+    ids.update((i, "u%d" % n) for n, i in enumerate(ctype.unbounded_indices()))
+    marks = tuple(ids[plan[j]] for j in sorted(plan))
+    return {"v%d" % v: p for v, p in enumerate(positions)}, marks
+
+
+def _points_on(system, lengths, params):
+    """The configuration of the points at ``params`` (edge, t) along their
+    edges, from the tail, on the type's curve with vertex 0 at the origin
+    and bounded edge i of length ``lengths[i]``."""
+    edges = system.ctype.edges
+    where = {0: (0, 0)}
+    while len(where) < system.ctype.num_vertices:
+        for i, e in enumerate(edges):
+            if e.head is None or (e.tail in where) == (e.head in where):
+                continue
+            (u1, u2), t = e.prim, lengths[i]
+            if e.tail in where:
+                x, y = where[e.tail]
+                where[e.head] = (x + t * u1, y + t * u2)
+            else:
+                x, y = where[e.head]
+                where[e.tail] = (x - t * u1, y - t * u2)
+    points = []
+    for i, t in params:
+        (x, y), (u1, u2) = where[edges[i].tail], edges[i].prim
+        points.append(as_point((x + t * u1, y + t * u2)))
+    return PointConfiguration(tuple(points))
+
+
+def _curve_plan(rng, system, ell):
+    """Points on a curve of the type, or None: a plan of ``ell`` edges with
+    one end per part of the cut type, bounded lengths from 0 to 3, and each
+    point inside its edge, or a tenth of the time behind, at an end of or
+    beyond its edge."""
+    plan_edges = quota_edges(rng, system, ell)
+    if len(plan_edges) < ell:
+        return None
+    lengths = {
+        i: Fraction(rng.randint(1, 6), 2) if rng.random() < 0.9 else 0
+        for i in system.ctype.bounded_indices()
+    }
+    params = []
+    for i in plan_edges:
+        length = lengths.get(i, Fraction(rng.randint(1, 6), 2))
+        if rng.random() < 0.1:
+            params.append((i, rng.choice((-1, 0, length, length + 1))))
+        else:
+            params.append((i, length * Fraction(rng.randint(1, 9), 10)))
+    try:
+        return _points_on(system, lengths, params), dict(enumerate(plan_edges))
+    except ValueError:  # two points at one place
+        return None
+
+
+def test_integer_solve_accepts_as_the_fraction_rule(d3_types):
+    """On random plans and random points on curves at d <= 3, and on d = 2
+    curves with a zero bounded edge or a point at an end of its edge,
+    ``solve_positions`` accepts exactly the plans the Fraction rule
+    accepts, with its positions and marks."""
+    rng = random.Random(34)
+    types = {d: enumerate_types(0, Degree.projective(d)) for d in (1, 2)}
+    types[3] = rng.sample(d3_types, 12)
+    systems = {d: [enumeration._TypeSystem(t) for t in ts] for d, ts in types.items()}
+    cases = []
+    for draw in range(480):
+        d = rng.choice((1, 2, 3))
+        system = rng.choice(systems[d])
+        drawn = (random_plan if draw % 2 else _curve_plan)(rng, system, 3 * d - 1)
+        if drawn is not None:
+            cases.append((system,) + drawn)
+    # a d = 2 curve with its points inside their edges, then with a bounded
+    # edge off the plan shrunk to 0, a point at its edge's tail, and a
+    # bounded edge's point at its head
+    system = systems[2][0]
+    plan_edges = quota_edges(random.Random(1), system, 5)
+    plan = dict(enumerate(plan_edges))
+    bounded = system.ctype.bounded_indices()
+    lengths = {i: Fraction(n + 2) for n, i in enumerate(bounded)}
+    mid = [(i, lengths.get(i, 1) / 2) for i in plan_edges]
+    cut = next(i for i in bounded if i not in plan_edges)
+    k = next(n for n, i in enumerate(plan_edges) if i in bounded)
+    assert solve_positions(system.ctype, _points_on(system, lengths, mid), plan) is not None
+    for case_lengths, params in [
+        ({**lengths, cut: 0}, mid),
+        (lengths, [(plan_edges[0], 0)] + mid[1:]),
+        (lengths, mid[:k] + [(plan_edges[k], lengths[plan_edges[k]])] + mid[k + 1 :]),
+    ]:
+        config = _points_on(system, case_lengths, params)
+        assert _fraction_rule(system, config, plan) is None
+        cases.append((system, config, plan))
+    accepted = 0
+    for system, config, plan in cases:
+        expected = _fraction_rule(system, config, plan)
+        solved = solve_positions(system.ctype, config, plan)
+        assert (solved is None) == (expected is None), (system.ctype, config, plan)
+        if solved is not None:
+            curve, marks = solved
+            assert (curve.positions, marks) == expected
+            accepted += 1
+    assert accepted >= 100 and len(cases) - accepted >= 100
 
 
 def test_enumerate_curves_degree_one():
@@ -685,11 +822,11 @@ def _certificate_sweep(degree, draws, bound, seed):
         for system in systems:
             for assignment in enumeration._search_assignments(system, points):
                 plan = dict(enumerate(assignment))
-                solved = enumeration._solve(system, config, plan)
+                solved = enumeration._solve(system, points, 1, plan)
                 if solved is None:
                     continue
-                curve, marks = solved
-                if enumeration._clearly_generic(system, points, assignment):
+                curve, marks, certified = solved
+                if certified:
                     cleared += 1
                     assert match_marked_edges(curve, config.constraints()) == marks
                     enumeration._genericity_checks(curve, marks, config)
@@ -738,7 +875,13 @@ def test_generic_problems_skip_the_fraction_checks(monkeypatch, name):
         monkeypatch.setattr(enumeration, fn, counted(fn, getattr(enumeration, fn)))
     assert enumerate_curves(0, Degree.projective(3), config) == stored
     assert calls == {"match_marked_edges": 0, "plane_crossings": 0}
-    monkeypatch.setattr(enumeration, "_clearly_generic", lambda *args: False)
+    solve = enumeration._solve
+
+    def flagged(*args):
+        solved = solve(*args)
+        return None if solved is None else solved[:2] + (False,)
+
+    monkeypatch.setattr(enumeration, "_solve", flagged)
     assert enumerate_curves(0, Degree.projective(3), config) == stored
     assert calls == {"match_marked_edges": len(stored), "plane_crossings": len(stored)}
 

@@ -255,6 +255,15 @@ def test_sigma_all_positive_is_zero():
     assert sigma.is_zero()
 
 
+@pytest.mark.parametrize("signs", [["+", "++"], ["++", "+-+"]])
+def test_sigma_needs_one_sign_per_coordinate(signs):
+    curve = line_through([(-3, 0), (0, -5)])
+    constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
+    th = build_T_h(curve, constraints, match_marked_edges(curve, constraints))
+    with pytest.raises(ValueError, match="needs 2 signs"):
+        sigma_sign_class(th, constraints, RealPointConfig.from_strings(signs), 1)
+
+
 def test_sigma_projection_drops_along_edge_sign():
     # mark on the (-1,0) ray: the quotient keeps only the y-coordinate, so a
     # sign flip in x is invisible and a flip in y shows up as bit 1
