@@ -25,11 +25,13 @@ from .enumeration import (
 from .incidence import RealPointConfig
 from .tropical import (
     Degree,
+    NonGenericCrossing,
     TropicalCurve,
     TropicalGraph,
     check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
+    plane_crossings,
 )
 from .welschinger import census_report, welschinger_total
 
@@ -364,6 +366,12 @@ def cmd_render(args) -> int:
         if violations:
             v, total = violations[0]
             raise InputError("curve %d is not balanced at vertex %s (sum %s)" % (i, v, total))
+        if args.dual:
+            # the dual panel glues cells at the crossings
+            try:
+                list(plane_crossings(curve))
+            except NonGenericCrossing as exc:
+                raise InputError("curve %d has no dual subdivision: %s" % (i, exc))
     points = _parse_points(data.get("points", []))
     from .svg import render_curves
 

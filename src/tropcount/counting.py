@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .exact_lattice import IntMatrix, f2_solve, smith_normal_form
 from .incidence import (
@@ -25,7 +25,7 @@ from .incidence import (
     build_T_h,
     sigma_sign_class,
 )
-from .tropical import TropicalCurve, vertex_multiplicities
+from .tropical import TropicalCurve, Vec, vertex_multiplicities
 
 
 class InfiniteCokernel(AssertionError):
@@ -129,14 +129,24 @@ def total_complex_weight(curve: TropicalCurve) -> int:
     return prod(curve.weight(eid) for eid in curve.graph.bounded_ids() + curve.graph.marked)
 
 
+# (marked direction, constraint directions) -> the inclusion's IndexBundle.
+# An inclusion reads only these two, so it is kept for the process; keyed on
+# a base point, the memo would grow with every problem.
+_inclusion_indices: Dict[Tuple[Vec, IntMatrix], IndexBundle] = {}
+
+
 def constraint_indices(
     th: LatticeMapTh, constraints: Sequence[AffineConstraint]
 ) -> Tuple[IndexBundle, ...]:
     """Lattice indices of the per-constraint inclusions at the marked edges."""
-    return tuple(
-        real_index(build_constraint_inclusion(u, c))
-        for u, c in zip(th.marked_directions, constraints)
-    )
+    bundles = []
+    for u, c in zip(th.marked_directions, constraints):
+        key = (u, c.directions)
+        bundle = _inclusion_indices.get(key)
+        if bundle is None:
+            bundle = _inclusion_indices[key] = real_index(build_constraint_inclusion(u, c))
+        bundles.append(bundle)
+    return tuple(bundles)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ finite cokernels; only the +-1 part of every real datum matters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -242,6 +243,26 @@ def marked_direction(curve: TropicalCurve, eid: EdgeId) -> Tuple[str, Vec]:
     return tail, curve.edge_direction(eid, at_vertex=tail)
 
 
+# The blocks of T_h depend only on an edge direction and a constraint's
+# directions, never on the curve or the points, so each is built once per
+# process.  Quotient bases are not canonical: the memos keep the exact calls
+# that built them, and T_h stays the same matrix.
+@functools.lru_cache(maxsize=None)
+def _edge_projection(u: Vec) -> IntMatrix:
+    """Projection of Z^n onto Z^n / Zu, the block of a bounded edge of
+    primitive direction u."""
+    return quotient_basis(IntMatrix.from_columns([u], rows=len(u)), len(u))
+
+
+@functools.lru_cache(maxsize=None)
+def _marked_projection(u: Vec, directions: IntMatrix) -> IntMatrix:
+    """Projection of Z^n onto its quotient by the saturation of
+    Zu + span(directions), the block of a marked edge of direction u."""
+    n = len(u)
+    span_cols = [list(u)] + [list(directions.column(c)) for c in range(directions.cols)]
+    return quotient_basis(saturate(IntMatrix.from_columns(span_cols, rows=n), n), n)
+
+
 def build_T_h(
     curve: TropicalCurve,
     constraints: Sequence[AffineConstraint],
@@ -257,8 +278,7 @@ def build_T_h(
     rows: List[List[int]] = []
     for eid in curve.graph.bounded_ids():
         tail, head = _oriented_endpoints(curve, eid)
-        u = curve.edge_direction(eid, at_vertex=tail)
-        projection = quotient_basis(IntMatrix.from_columns([u], rows=n), n)
+        projection = _edge_projection(curve.edge_direction(eid, at_vertex=tail))
         for r in range(projection.rows):
             row = [0] * ncols
             for k in range(n):
@@ -273,11 +293,7 @@ def build_T_h(
     for eid, constraint in zip(marks, constraints):
         tail, u = marked_direction(curve, eid)
         marked_dirs.append(u)
-        span_cols = [list(u)] + [
-            list(constraint.directions.column(c)) for c in range(constraint.directions.cols)
-        ]
-        sat = saturate(IntMatrix.from_columns(span_cols, rows=n), n)
-        projection = quotient_basis(sat, n)
+        projection = _marked_projection(u, constraint.directions)
         projections.append(projection)
         for r in range(projection.rows):
             row = [0] * ncols

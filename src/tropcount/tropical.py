@@ -191,6 +191,11 @@ class TropicalCurve:
         kept here so that they die with the curve."""
         return {}
 
+    @functools.cached_property
+    def _multiplicities(self) -> Dict[str, VertexMultiplicities]:
+        """``vertex_multiplicities``' values, filled per vertex as asked."""
+        return {}
+
     def _geometry(self, eid: EdgeId) -> Tuple[Vec, Fraction]:
         geometry = self._bounded_geometry[eid]
         if geometry is None:
@@ -506,7 +511,15 @@ def dual_triangle(sides: Sequence[Tuple[Vec, int]]) -> DualTriangle:
 
 
 def vertex_multiplicities(curve: TropicalCurve, vertex: str) -> VertexMultiplicities:
-    """Complex, Welschinger, and Mikhalkin multiplicities of a trivalent vertex."""
+    """Complex, Welschinger, and Mikhalkin multiplicities of a trivalent vertex,
+    computed once per vertex and kept on the curve."""
+    found = curve._multiplicities.get(vertex)
+    if found is None:
+        found = curve._multiplicities[vertex] = _vertex_multiplicities(curve, vertex)
+    return found
+
+
+def _vertex_multiplicities(curve: TropicalCurve, vertex: str) -> VertexMultiplicities:
     if curve.n != 2:
         raise ValueError("vertex multiplicities are defined for plane curves")
     eids = curve.graph.edges_at(vertex)

@@ -1,3 +1,4 @@
+import functools
 import json
 from pathlib import Path
 
@@ -45,6 +46,27 @@ def fresh_systems(monkeypatch):
     from tropcount import enumeration
 
     monkeypatch.setattr(enumeration, "_SYSTEMS", {})
+
+
+@pytest.fixture
+def fresh_lattice_memos(monkeypatch):
+    """Empty memos of T_h's blocks and of the inclusion indices for this
+    test, as ``fresh_systems`` does for the type systems; returns a call
+    that empties them again."""
+    from tropcount import counting, incidence
+
+    blocks = ("_edge_projection", "_marked_projection")
+    for name in blocks:
+        built = getattr(incidence, name).__wrapped__
+        monkeypatch.setattr(incidence, name, functools.lru_cache(maxsize=None)(built))
+    monkeypatch.setattr(counting, "_inclusion_indices", {})
+
+    def clear():
+        for name in blocks:
+            getattr(incidence, name).cache_clear()
+        counting._inclusion_indices.clear()
+
+    return clear
 
 
 @pytest.fixture(scope="session")

@@ -36,10 +36,10 @@ def test_degree_three_within_budget(acceptance_results):
 
 
 @pytest.fixture
-def snf_fault(monkeypatch):
+def snf_fault(monkeypatch, fresh_lattice_memos):
     """Call to corrupt the Smith normal form: every even invariant factor
     halved.  ``counting`` binds the name at import, so it is patched there
-    too."""
+    too.  Lattice blocks built under the fault stay in this test's memos."""
     from tropcount import counting, exact_lattice
 
     original = exact_lattice.smith_normal_form
@@ -148,6 +148,23 @@ def test_negative_control_vertex_product(monkeypatch):
     ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
     assert not ok
     assert detail.startswith("d=1: curve 0: lattice route 1 != vertex route 2 "), detail
+
+
+def test_negative_control_poisoned_inclusion_index(fresh_lattice_memos):
+    # the memoized inclusion index of one direction doubled: the curves
+    # marked along it disagree with their vertex products, so A8 goes red
+    from tropcount import counting
+    from tropcount.selftest import _Context, criterion_vertex_product_identity
+
+    ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
+    assert ok, detail
+    key = next(iter(counting._inclusion_indices))
+    bundle = counting._inclusion_indices[key]
+    counting._inclusion_indices[key] = replace(bundle, complex_index=2 * bundle.complex_index)
+    ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
+    assert not ok
+    assert detail.startswith("d=1: curve 0: lattice route 2 != vertex route 1 "), detail
+    assert "constraint product 2" in detail
 
 
 def test_snf_fault_reaches_counting(snf_fault):

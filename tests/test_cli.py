@@ -417,6 +417,31 @@ def test_genericity_failure_names_the_point(
     assert "Mikhalkin" not in err
 
 
+def test_render_dual_names_an_edge_through_a_vertex(
+    tmp_path, monkeypatch, capsys, d3_types, fresh_systems
+):
+    # with the genericity checks off, the edge-through-a-vertex set yields a
+    # curve whose ray u0 passes through an end of b5: it can be drawn, but
+    # its dual subdivision is not defined
+    from tropcount import enumeration
+    from tropcount.cli import curve_to_json
+    from tropcount.tropical import Degree
+
+    monkeypatch.setattr(enumeration, "enumerate_types", lambda genus, degree: d3_types)
+    monkeypatch.setattr(enumeration, "_genericity_checks", lambda *args: None)
+    points, _, message = NON_GENERIC_D3["edge-through-a-vertex"]
+    config = enumeration.PointConfiguration.explicit(points)
+    curves = enumeration.enumerate_curves(0, Degree.projective(3), config)
+    doc = tmp_path / "curves.json"
+    records = [curve_to_json(curve, marks) for curve, marks in curves]
+    doc.write_text(json.dumps({"schema": "tropcount/1", "kind": "curve-set", "curves": records}))
+    out = tmp_path / "curves.svg"
+    assert run_cli(["render", str(doc), "-o", str(out)], capsys)[0] == 0
+    code, _, err = run_cli(["render", str(doc), "--dual", "-o", str(out)], capsys)
+    assert code == 2
+    assert "input error: curve 0 has no dual subdivision: " + message in err
+
+
 def test_selftest_passes_seed_zero(monkeypatch):
     from tropcount import selftest
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tropcount import counting
+from tropcount import counting, exact_lattice, incidence
 from tropcount.cli import curve_from_json
 from tropcount.counting import (
     InfiniteCokernel,
@@ -20,7 +20,7 @@ from tropcount.counting import (
     total_real_weight,
     twisted_real_index,
 )
-from tropcount.enumeration import PointConfiguration, enumerate_curves
+from tropcount.enumeration import GenericityFailure, PointConfiguration, enumerate_curves
 from tropcount.exact_lattice import IntMatrix, f2_rank, f2_solve
 from tropcount.incidence import (
     AffineConstraint,
@@ -29,7 +29,13 @@ from tropcount.incidence import (
     build_T_h,
     sigma_sign_class,
 )
-from tropcount.tropical import Degree, TropicalCurve, TropicalGraph, as_point
+from tropcount.tropical import (
+    Degree,
+    TropicalCurve,
+    TropicalGraph,
+    as_point,
+    vertex_multiplicities,
+)
 
 
 def line_fixture():
@@ -245,13 +251,21 @@ def test_count_pipeline_spatial_line_with_line_constraints():
         assert 0 <= real_report.n_real_trop <= complex_report.n_trop
 
 
-def generic_d3_set():
-    """The stored generic d=3 set: 9 curves, one of them with a weight-2
-    edge whose lattice map has invariant factor 2."""
-    path = Path(__file__).parent.parent / "bench" / "data" / "d3-generic-1.json"
+DATA = Path(__file__).parent.parent / "bench" / "data"
+
+
+def stored_d3_set(path):
+    """A stored d=3 curve set: its curves with their marks, and its point
+    constraints."""
     doc = json.loads(path.read_text())
     config = PointConfiguration.explicit([[Fraction(x) for x in p] for p in doc["points"]])
     return [curve_from_json(c) for c in doc["curves"]], config.constraints()
+
+
+def generic_d3_set():
+    """The stored generic d=3 set: 9 curves, one of them with a weight-2
+    edge whose lattice map has invariant factor 2."""
+    return stored_d3_set(DATA / "d3-generic-1.json")
 
 
 def test_sign_sweep_builds_each_lattice_map_once(monkeypatch):
@@ -342,3 +356,114 @@ def test_lattice_records_leave_no_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def lattice_answers(problem):
+    """count_complex's report on fresh curves of a problem, and each curve's
+    T_h built anew."""
+    curves, constraints = problem()
+    report = count_complex(curves, constraints)
+    return report, [build_T_h(curve, constraints, marks) for curve, marks in curves]
+
+
+def spatial_line_problem():
+    curve, constraints = spatial_line_fixture()
+    return [(curve, ("u0", "u1", "u2"))], constraints
+
+
+def memo_sizes():
+    return (
+        incidence._edge_projection.cache_info().currsize,
+        incidence._marked_projection.cache_info().currsize,
+        len(counting._inclusion_indices),
+    )
+
+
+def test_warm_lattice_memos_answer_as_cold_ones(fresh_lattice_memos):
+    # quotient bases are not canonical: a block read from the memo must be
+    # the very matrix a cold build gives, on point and on line constraints
+    problems = [lambda p=p: stored_d3_set(p) for p in sorted(DATA.glob("d3-*.json"))]
+    problems.append(spatial_line_problem)
+    assert len(problems) == 5
+    cold = []
+    for problem in problems:
+        fresh_lattice_memos()
+        cold.append(lattice_answers(problem))
+    for problem in problems:
+        lattice_answers(problem)
+    warm = memo_sizes()
+    for problem, answers in zip(problems, cold):
+        assert lattice_answers(problem) == answers
+    assert memo_sizes() == warm  # every block came from the memos
+    assert incidence._marked_projection.cache_info().hits > 0
+
+
+def d3_direction_bound(types):
+    """The marked-edge directions a d=3 curve can have: each bounded edge
+    of a type as T_h orients it, towards the lexicographically larger end,
+    and each ray."""
+    bounded = set()
+    rays = set()
+    for t in types:
+        for e in t.edges:
+            if e.head is None:
+                rays.add(e.prim)
+            else:
+                bounded.add(max(e.prim, tuple(-x for x in e.prim)))
+    return bounded, bounded | rays
+
+
+def test_lattice_memos_are_bounded_by_the_degree(monkeypatch, fresh_lattice_memos, d3_types):
+    # the memos are keyed on directions only, never on a base point, so
+    # however many problems they serve they hold no more than the degree's
+    # directions; a problem that brings no new direction runs one Smith form
+    # per curve, its T_h's
+    calls = []
+    snf = exact_lattice.smith_normal_form
+    for module in (exact_lattice, counting):
+        monkeypatch.setattr(module, "smith_normal_form", lambda m: calls.append(m) or snf(m))
+    rng = random.Random(35)
+    solved = settled = 0
+    while solved < 20:
+        points = [tuple(rng.randint(-(10**6), 10**6) for _ in range(2)) for _ in range(8)]
+        config = PointConfiguration.explicit(points)
+        try:
+            curves = enumerate_curves(0, Degree.projective(3), config)
+        except GenericityFailure:
+            continue
+        constraints = config.constraints()
+        before = memo_sizes()
+        calls.clear()
+        count_complex(curves, constraints)
+        new_blocks, new_marked, new_indices = (b - a for a, b in zip(before, memo_sizes()))
+        # a new block costs one quotient basis; a new marked block and a new
+        # inclusion index each cost a saturation and one more Smith form
+        assert len(calls) == len(curves) + new_blocks + 2 * (new_marked + new_indices)
+        solved += 1
+        settled += memo_sizes() == before
+    assert settled >= 10
+    bounded, marked = d3_direction_bound(d3_types)
+    point = IntMatrix.zero(2, 0)
+    assert set(counting._inclusion_indices) <= {(u, point) for u in marked}
+    blocks, marked_blocks, indices = memo_sizes()
+    assert blocks <= len(bounded) and marked_blocks == indices
+
+
+def test_vertex_multiplicities_are_computed_once_per_vertex(monkeypatch):
+    from tropcount import tropical
+
+    curve, _, _ = line_fixture()
+    computed = []
+    compute = tropical._vertex_multiplicities
+    monkeypatch.setattr(
+        tropical, "_vertex_multiplicities", lambda c, v: computed.append(v) or compute(c, v)
+    )
+    first = vertex_multiplicities(curve, "v0")
+    assert vertex_multiplicities(curve, "v0") is first and computed == ["v0"]
+    assert first.mult == 1
+    # errors are raised per vertex, on every call, and never kept
+    spatial = spatial_line_fixture()[0]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="plane curves"):
+            vertex_multiplicities(spatial, "v0")
+    assert spatial._multiplicities == {}
