@@ -10,8 +10,10 @@ normative enumeration pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 
 def kontsevich_number(d: int) -> int:
@@ -168,7 +170,10 @@ def _subdivisions(
     side +1: the region filled by left bends (positive cross products);
     side -1: the other one.  Each subdivision is the multiset of
     triangle/parallelogram cells cut off by the standard first-bend
-    reduction.
+    reduction.  A cell with a boundary edge of lattice length >= 2 is never
+    cut off: it would be dual to a multiple unbounded edge, which gives a
+    curve of the wrong degree.  The rule looks at single cells, so pruning
+    here drops exactly the subdivisions that hold such a cell.
     """
     d = problem.d
     key = (path, side)
@@ -194,12 +199,14 @@ def _subdivisions(
     results: List[Tuple[Cell, ...]] = []
     shortcut = path[:pivot] + path[pivot + 1 :]
     tri: Cell = ("t", (a, b, c))
-    for sub in _subdivisions(problem, shortcut, side, memo):
-        results.append(sub + (tri,))
+    if not _cell_geometry(d, tri).multiple_boundary_edge:
+        for sub in _subdivisions(problem, shortcut, side, memo):
+            results.append(sub + (tri,))
     w = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-    if 0 <= w[0] and 0 <= w[1] and w[0] + w[1] <= d:
+    par: Cell = ("p", (a, b, c, w))
+    inside = 0 <= w[0] and 0 <= w[1] and w[0] + w[1] <= d
+    if inside and not _cell_geometry(d, par).multiple_boundary_edge:
         replaced = path[:pivot] + (w,) + path[pivot + 1 :]
-        par: Cell = ("p", (a, b, c, w))
         for sub in _subdivisions(problem, replaced, side, memo):
             results.append(sub + (par,))
     memo[key] = results
@@ -211,74 +218,78 @@ def _cell_edges(cell: Cell) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
     return [tuple(sorted((corners[i], corners[(i + 1) % len(corners)]))) for i in range(len(corners))]
 
 
-def _twice_area(cell: Cell) -> int:
-    corners = cell[1]
-    a, b, c = corners[0], corners[1], corners[2]
-    v1 = (b[0] - a[0], b[1] - a[1])
-    v2 = (c[0] - a[0], c[1] - a[1])
-    base = abs(_cross(v1, v2))
-    return base if cell[0] == "t" else 2 * base
-
-
 def _lattice_length(edge) -> int:
     (ax, ay), (bx, by) = edge
     return gcd(abs(bx - ax), abs(by - ay))
 
 
-def _triangle_interior_points(cell: Cell) -> int:
-    area2 = _twice_area(cell)
-    boundary = sum(_lattice_length(e) for e in _cell_edges(cell))
-    return (area2 - boundary + 2) // 2
+class _CellGeometry(NamedTuple):
+    edges: Tuple  # (edge, lies on the boundary, lattice length) per side
+    twice_area: int
+    multiple_boundary_edge: bool  # a boundary edge of lattice length >= 2
+    odd_interior: bool  # an odd number of interior lattice points
 
 
-def _validate_subdivision(d: int, cells: Sequence[Cell]):
-    total = sum(_twice_area(c) for c in cells)
-    if total != d * d:
+@lru_cache(maxsize=None)
+def _cell_geometry(d: int, cell: Cell) -> _CellGeometry:
+    """The geometry of one cell of a subdivision of the degree-d triangle."""
+    a, b, c = cell[1][:3]
+    twice_area = abs(_cross((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1])))
+    if cell[0] == "p":
+        twice_area *= 2
+    edges = tuple((e, _side_of(d, e) is not None, _lattice_length(e)) for e in _cell_edges(cell))
+    boundary = sum(length for _, _, length in edges)
+    return _CellGeometry(
+        edges,
+        twice_area,
+        any(on_boundary and length != 1 for _, on_boundary, length in edges),
+        (twice_area - boundary + 2) // 2 % 2 == 1,  # Pick's theorem
+    )
+
+
+def _validate_subdivision(
+    d: int, geometry: Sequence[_CellGeometry]
+) -> Dict[Tuple, Tuple[bool, int, List[int]]]:
+    """Each edge of the cells with (on the boundary, lattice length, the
+    cells holding it), once the cells are checked to tile the degree-d
+    triangle: their areas add up, and a boundary edge lies in one cell and
+    an interior edge in two."""
+    if sum(g.twice_area for g in geometry) != d * d:
         raise AssertionError("subdivision does not tile the triangle")
-    counts: Dict[Tuple, int] = {}
-    for cell in cells:
-        for e in _cell_edges(cell):
-            counts[e] = counts.get(e, 0) + 1
-    for e, k in counts.items():
-        on_boundary = _side_of(d, e) is not None
+    edges: Dict[Tuple, Tuple[bool, int, List[int]]] = {}
+    for idx, g in enumerate(geometry):
+        for e, on_boundary, length in g.edges:
+            edges.setdefault(e, (on_boundary, length, []))[2].append(idx)
+    for e, (on_boundary, _, holders) in edges.items():
+        k = len(holders)
         if on_boundary and k != 1:
             raise AssertionError("boundary edge %s shared by %d cells" % (e, k))
         if not on_boundary and k != 2:
             raise AssertionError("interior edge %s shared by %d cells" % (e, k))
+    return edges
 
 
 def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int]:
     """(complex, Welschinger) multiplicity of one dual subdivision.
 
-    Subdivisions with a boundary edge of lattice length >= 2 would be dual
-    to curves with a multiple unbounded edge; those have the wrong degree
-    and contribute nothing.
+    ``_subdivisions`` never builds one with a boundary edge of lattice
+    length >= 2, so only the tiling and the tree shape of the dual curve
+    are checked here.
     """
-    _validate_subdivision(d, cells)
-    for cell in cells:
-        for e in _cell_edges(cell):
-            if _side_of(d, e) is not None and _lattice_length(e) != 1:
-                return 0, 0
+    geometry = [_cell_geometry(d, cell) for cell in cells]
+    edge_cells = _validate_subdivision(d, geometry)
     complex_mult = 1
-    for cell in cells:
+    for cell, g in zip(cells, geometry):
         if cell[0] == "t":
-            complex_mult *= _twice_area(cell)
+            complex_mult *= g.twice_area
 
     # chain parallel edges across parallelograms to recover curve edges
-    edge_cells: Dict[Tuple, List[int]] = {}
-    for idx, cell in enumerate(cells):
-        for e in _cell_edges(cell):
-            edge_cells.setdefault(e, []).append(idx)
-
     links: Dict[Tuple, List[Tuple]] = {}
-    for idx, cell in enumerate(cells):
+    for cell, g in zip(cells, geometry):
         if cell[0] != "p":
             continue
-        a, b, c, w = cell[1]
-        for e1, e2 in (
-            (tuple(sorted((a, b))), tuple(sorted((w, c)))),
-            (tuple(sorted((b, c))), tuple(sorted((a, w)))),
-        ):
+        ab, bc, cw, wa = (e for e, _, _ in g.edges)
+        for e1, e2 in ((ab, cw), (bc, wa)):
             links.setdefault(e1, []).append(e2)
             links.setdefault(e2, []).append(e1)
 
@@ -309,13 +320,12 @@ def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int
         seen |= chain
         tri_ends = []
         boundary_ends = 0
+        lengths = set()
         for ce in chain:
-            for idx in edge_cells[ce]:
-                if cells[idx][0] == "t":
-                    tri_ends.append(idx)
-            if _side_of(d, ce) is not None:
-                boundary_ends += 1
-        lengths = {_lattice_length(ce) for ce in chain}
+            on_boundary, length, holders = edge_cells[ce]
+            tri_ends += [idx for idx in holders if cells[idx][0] == "t"]
+            boundary_ends += on_boundary
+            lengths.add(length)
         if len(lengths) != 1:
             raise AssertionError("chain with inconsistent lattice lengths")
         length = lengths.pop()
@@ -340,15 +350,13 @@ def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int
     if welschinger_zero:
         return complex_mult, 0
     w_mult = 1
-    for cell in cells:
-        if cell[0] == "t":
-            w_mult *= -1 if _triangle_interior_points(cell) % 2 else 1
+    for cell, g in zip(cells, geometry):
+        if cell[0] == "t" and g.odd_interior:
+            w_mult = -w_mult
     return complex_mult, w_mult
 
 
 def _direction_from_points(points) -> Tuple[int, int]:
-    from fractions import Fraction
-
     p0 = points[0]
     p1 = points[1]
     dx = Fraction(p1[0]) - Fraction(p0[0])
@@ -367,6 +375,11 @@ def path_problem(d: int, points=None) -> _PathProblem:
     if points is not None:
         if len(points) != 3 * d - 1:
             raise ValueError("a degree-%d count needs %d points" % (d, 3 * d - 1))
+        first: Dict[Tuple, int] = {}
+        for i, p in enumerate(points):
+            j = first.setdefault(tuple(p), i)
+            if j != i:
+                raise ValueError("points %d and %d coincide at (%s, %s)" % (j, i, p[0], p[1]))
         direction = _direction_from_points(list(points))
     else:
         direction = (101, 157)

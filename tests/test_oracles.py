@@ -6,8 +6,14 @@ import pytest
 
 import tropcount
 
+from tropcount import oracles
 from tropcount.enumeration import PointConfiguration
-from tropcount.oracles import kontsevich_number, lattice_path_oracle, path_problem
+from tropcount.oracles import (
+    kontsevich_number,
+    lattice_path_oracle,
+    lattice_path_subdivisions,
+    path_problem,
+)
 
 
 def test_kontsevich_small_degrees():
@@ -36,6 +42,67 @@ def test_path_problem_rejects_wrong_point_count():
     config = PointConfiguration.mikhalkin(5, 3)
     with pytest.raises(ValueError):
         lattice_path_oracle(3, config.points)
+
+
+def test_path_problem_rejects_coincident_points():
+    with pytest.raises(ValueError, match=r"points 0 and 1 coincide at \(0, 0\)"):
+        lattice_path_oracle(2, [(0, 0), (0, 0), (1, 2), (3, 4), (5, 6)])
+    with pytest.raises(ValueError, match="points 1 and 4 coincide"):
+        lattice_path_oracle(2, [(0, 0), (1, 2), (3, 4), (5, 6), (1, 2)])
+
+
+@pytest.mark.slow
+def test_lattice_paths_degree_five():
+    config = PointConfiguration.mikhalkin(14, 7)
+    assert lattice_path_oracle(5, config.points) == (kontsevich_number(5), 18264)
+
+
+def _half_subdivisions(d, points):
+    problem = path_problem(d, points)
+    memo = {}
+    return [
+        sub
+        for path in oracles._paths(problem)
+        for side in (1, -1)
+        for sub in oracles._subdivisions(problem, path, side, memo)
+    ]
+
+
+def _has_multiple_boundary_edge(d, cells):
+    return any(
+        oracles._side_of(d, e) is not None and oracles._lattice_length(e) >= 2
+        for cell in cells
+        for e in oracles._cell_edges(cell)
+    )
+
+
+def test_boundary_rule_prune_is_exact(monkeypatch):
+    # _subdivisions drops cells with a boundary edge of lattice length >= 2;
+    # building every cell and filtering whole subdivisions afterwards must
+    # give the same halves and the same yielded sequence
+    cases = [
+        (d, points)
+        for d in (2, 3, 4)
+        for points in [None] + [PointConfiguration.mikhalkin(3 * d - 1, s).points for s in (7, 23)]
+    ]
+    pruned = [(_half_subdivisions(d, p), list(lattice_path_subdivisions(d, p))) for d, p in cases]
+    geometry = oracles._cell_geometry
+    monkeypatch.setattr(
+        oracles,
+        "_cell_geometry",
+        lambda d, cell: geometry(d, cell)._replace(multiple_boundary_edge=False),
+    )
+    for (d, p), (halves, yielded) in zip(cases, pruned):
+        unpruned = _half_subdivisions(d, p)
+        assert [h for h in unpruned if not _has_multiple_boundary_edge(d, h)] == halves
+        if d == 4:
+            assert len(unpruned) > len(halves)  # the prune bites
+        reference = [
+            item
+            for item in lattice_path_subdivisions(d, p)
+            if not _has_multiple_boundary_edge(d, item[0])
+        ]
+        assert reference == yielded
 
 
 def test_path_problem_endpoints_are_lambda_extremes():
