@@ -47,24 +47,25 @@ beyond the point's coordinates, the tail behind it and the head ahead.
 
 A search node keeps two ints that pack an edge bitmask per unplaced
 point: its admissible edges, which branching counts, and its row, those
-of them it could still take.  A node, each type's root included,
-is dropped when its unplaced points cannot take distinct row edges with
-one point fewer than ends on each part of the type cut at the placed
-points (``_search_assignments`` says why).  The tree path between two
-points runs along known directions, so their difference lies in the cone
-of those directions (``_TypeSystem.cones``, tested on the packed reach
+of them it could still take.  A node, each type's root included, is
+dropped when its unplaced points cannot take distinct row edges with one
+point fewer than ends on each part of the type cut at the placed points
+(``_search_assignments`` says why).  The tree path between two points
+runs along known directions, so their difference lies in the cone of
+those directions (``_TypeSystem.cones``, tested on the packed reach
 relations of ``_reach_masks``, which ``_partners`` reads for all points
-at once).  A row holds only edges that pass this cone test with
-every placed point and, after ``_cone_consistency``, with some edge of
-every other unplaced point's row.  The rows cost bit operations, so a
-node tests each child's rows before it touches any state: the children
-of a node are the edges of the placed point's row, and one whose rows,
-with that placement, empty or meet no quotas is skipped with no
-propagation.  That test is the one prune gate.  A child that passes is
-propagated, then keeps as admissible only the edges that still match
-their pins and pass the box test, and its rows shrink to match.  No test
-but the box test filters the admissible edges the branching reads, so
-the yielded sequence is the same, with fewer nodes and children.
+at once).  A row holds only edges that pass this cone test with every
+placed point and, after ``_cone_consistency``, with some edge of every
+other unplaced point's row.  The rows cost bit operations, so a node
+tests each child's rows before it touches any state: the children of a
+node are the edges of the placed point's row, and one whose rows, with
+that placement, empty or meet no quotas is skipped with no propagation.
+That test is the one prune gate, which each type's root also runs on
+every point's first placements (``_singleton_consistency``).  A child
+that passes is propagated, then keeps as admissible only the edges that
+still match their pins and pass the box test, and its rows shrink to
+match.  No test but the box test filters the admissible edges the
+branching reads, so the yielded sequence is the same, with fewer nodes.
 
 Types and their systems depend on the degree alone, so
 ``enumerate_curves`` builds them on a degree's first call and keeps them
@@ -82,7 +83,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .exact_lattice import vector_gcd
 from .incidence import (
@@ -834,6 +835,30 @@ def _cone_consistency(
     return None
 
 
+def _singleton_consistency(rows: int, closed: Callable, partners, cuts, width) -> Optional[int]:
+    """The root's ``rows`` less each edge e of point b's row whose child,
+    b placed first on e, fails ``closed``, for every point b but point 0,
+    which the root branches on anyway, smallest row first.  A row that
+    shrinks reruns ``closed`` on all rows; None once a row empties."""
+    full = (1 << width - 1) - 1
+    everyone = list(range(len(partners)))
+    for b in sorted(everyone[1:], key=lambda j: (rows >> j * width & full).bit_count()):
+        others = everyone[:b] + everyone[b + 1 :]
+        others_rows = rows & ~(full << b * width)
+        row = left = rows >> b * width & full
+        while left:
+            bit = left & -left
+            left ^= bit
+            edge = bit.bit_length() - 1
+            if closed(others_rows & partners[b][edge], others, cuts[edge]) is None:
+                row ^= bit
+        if row != rows >> b * width & full:
+            rows = closed(others_rows | row << b * width, everyone, (full,))
+            if rows is None:
+                return None
+    return rows
+
+
 def _search_assignments(
     system: _TypeSystem, points: List[Tuple[int, int]], cone_masks: Optional[Dict] = None
 ) -> Iterator[Tuple[int, ...]]:
@@ -886,12 +911,14 @@ def _search_assignments(
     child of the child fails ``closed``: its rows are a subset of those,
     and its quota matching plus its placed point is one of those.  The box
     test is the ray test; a pinned line that misses an endpoint's box is
-    found by the edge's line steps in the child's propagation.  The
-    root runs ``closed`` on full rows; it sets no value and its boxes are
-    unbounded, so it keeps every edge.  Every assignment the search yields
-    passes the cone test on every pair, so a dropped (point, edge) pair is
-    in no completion and the yielded sequence is that of the box and quota
-    tests alone.
+    found by the edge's line steps in the child's propagation.  The root
+    runs ``closed`` on full rows, then ``_singleton_consistency``: each
+    point but the first keeps only the edges whose child, that point
+    placed first there, passes ``closed``.  Every assignment the search
+    yields passes the cone test on every pair and meets the quotas of every
+    cut, so a dropped (point, edge) pair is in no completion; ``cands``,
+    and so the branching, stay as they are, and the yielded sequence is
+    that of the box and quota tests alone.
 
     ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
     dict for every type of a problem, all of one width, to build each once.
@@ -985,6 +1012,8 @@ def _search_assignments(
     everyone = list(range(num_points))
     cands = sum(full << j * width for j in everyone)
     rows = closed(cands, everyone, whole)
+    if rows is not None:
+        rows = _singleton_consistency(rows, closed, partners, cuts, width)
     if rows is not None:
         yield from place(0, cands, rows, whole)
     del place  # place reaches itself through this cell; break that cycle

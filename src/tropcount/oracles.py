@@ -402,7 +402,8 @@ def lattice_path_subdivisions(
     memo: Dict = {}
     for path in _paths(problem):
         left = _subdivisions(problem, path, 1, memo)
-        right = _subdivisions(problem, path, -1, memo)
+        # a path with no left subdivision has no pair: leave its right unbuilt
+        right = _subdivisions(problem, path, -1, memo) if left else []
         for sub_l in left:
             for sub_r in right:
                 cells = sub_l + sub_r

@@ -25,7 +25,11 @@ of their children.  They were rewritten again when the box test became
 the ray test alone, without the test that an edge's pinned line crosses
 its endpoints' boxes, which the line steps find one ``propagate`` call
 later (``d3-generic-1`` 465 calls, 12 failed -> 500, 24 failed; the other
-cases keep theirs).
+cases keep theirs), and again when each type's root began to drop, for
+every point but the first, the edges whose child as the first placement
+fails the row test (``d3-generic-1`` 500 calls -> 419, still 24
+failed; ``d3-mikhalkin-7`` 166 -> 56; each d=2 case keeps its 5).  With
+that root pass patched off the search makes the calls it made before.
 """
 
 import collections
@@ -46,6 +50,7 @@ from tropcount.enumeration import (
     _partners,
     _reach_masks,
     _search_assignments,
+    _singleton_consistency,
     _Solver,
     _TypeSystem,
     enumerate_curves,
@@ -185,26 +190,41 @@ def coneless_runs(types_by_degree):
     return run
 
 
-def bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs):
-    """(the fingerprint a check is taken from, a function that finds it
-    again with whatever the caller has patched since).  A d=3 case runs on
-    the pinned tree, cone test on; a d=2 case with the cone test off,
-    since with it on a d=2 search places each point once and leaves the
-    other checks nothing to prune."""
+def bite_run(name, types_by_degree, monkeypatch):
+    """A function that finds a case's fingerprint with whatever the caller
+    has patched.  A d=3 case runs with the cone test on; a d=2 case with
+    it off, since with it on a d=2 search places each point once and
+    leaves the other checks nothing to prune."""
     if name.startswith("d3"):
         degree, points = configurations()[name]
-        return expected[name], lambda: fingerprint(types_by_degree[degree], points, monkeypatch)
-    return coneless_runs(name), lambda: coneless(name, types_by_degree, monkeypatch)
+        return lambda: fingerprint(types_by_degree[degree], points, monkeypatch)
+    return lambda: coneless(name, types_by_degree, monkeypatch)
+
+
+def bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs):
+    """(the fingerprint a check is taken from, ``bite_run``'s function):
+    a d=3 case's pinned tree, a d=2 case's ``coneless`` one."""
+    base = expected[name] if name.startswith("d3") else coneless_runs(name)
+    return base, bite_run(name, types_by_degree, monkeypatch)
+
+
+def without_root_pass(monkeypatch):
+    """Patch the root's ``_singleton_consistency`` off: the root keeps the
+    rows its ``closed`` call leaves."""
+    monkeypatch.setattr(enumeration, "_singleton_consistency", lambda rows, *args: rows)
 
 
 @pytest.mark.parametrize("name", FAST + [SLOW])
-def test_matching_prune_bites(
-    name, expected, types_by_degree, monkeypatch, relax_quotas, coneless_runs
-):
+def test_matching_prune_bites(name, expected, types_by_degree, monkeypatch, relax_quotas):
     """With the quotas relaxed, so that any part takes any number of
     points, the search yields the same sequence, so the quotas drop only
-    nodes with no completion, and it tries strictly more children."""
-    base, run = bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs)
+    nodes with no completion, and it tries strictly more children.  The
+    root pass is off in both runs: it runs the quota test of every first
+    placement at the root, and on d3-mikhalkin-7 that leaves the quotas
+    nothing to prune below it (56 calls either way)."""
+    without_root_pass(monkeypatch)
+    run = bite_run(name, types_by_degree, monkeypatch)
+    base = run()
     relax_quotas()
     relaxed = run()
     assert base["yielded"] == relaxed["yielded"] == expected[name]["yielded"]
@@ -299,7 +319,7 @@ def bench_points(name):
 
 
 @pytest.mark.parametrize(
-    "name, doomed", [("d3-generic-1", (74, 9)), ("d3-generic-2", (83, 13)), (SLOW, (0, 0))]
+    "name, doomed", [("d3-generic-1", (84, 3)), ("d3-generic-2", (75, 0)), (SLOW, (0, 0))]
 )
 def test_nodes_the_box_pass_dooms_reach_no_propagate(
     name, doomed, expected, d3_types, monkeypatch
@@ -478,14 +498,69 @@ def test_cone_consistency_bites(name, expected, types_by_degree, monkeypatch):
     """With the consistency step off, so that a row keeps every edge that
     passes the cone test with the placed points, the search yields the same
     sequence, so the step drops only pairs with no completion, and it tries
-    strictly more children."""
+    strictly more children.  The root pass is off in both runs: it tests
+    every first placement against every other point's row, and at d=2 that
+    leaves the step nothing to prune (5 calls either way)."""
+    without_root_pass(monkeypatch)
+    degree, points = configurations()[name]
+    base = fingerprint(types_by_degree[degree], points, monkeypatch)
     monkeypatch.setattr(
         enumeration, "_cone_consistency", lambda rows, unplaced, partners, num_edges: rows
     )
-    degree, points = configurations()[name]
     unchecked = fingerprint(types_by_degree[degree], points, monkeypatch)
-    assert unchecked["yielded"] == expected[name]["yielded"]
-    assert unchecked["propagate_calls"] > expected[name]["propagate_calls"]
+    assert base["yielded"] == unchecked["yielded"] == expected[name]["yielded"]
+    assert unchecked["propagate_calls"] > base["propagate_calls"]
+
+
+@pytest.mark.parametrize("name", FAST + [SLOW])
+def test_root_pass_drops_only_pairs_with_no_completion(
+    name, expected, types_by_degree, monkeypatch
+):
+    """With the root pass off the search yields the same sequence, so the
+    pass drops only pairs that no completion holds, and on the d=3 cases
+    it makes strictly more ``propagate`` calls, so the pass bites."""
+    degree, points = configurations()[name]
+    with_pass = fingerprint(types_by_degree[degree], points, monkeypatch)
+    without_root_pass(monkeypatch)
+    found = fingerprint(types_by_degree[degree], points, monkeypatch)
+    assert found["yielded"] == with_pass["yielded"] == expected[name]["yielded"]
+    assert found["propagate_calls"] >= with_pass["propagate_calls"]
+    if name.startswith("d3"):
+        assert found["propagate_calls"] > with_pass["propagate_calls"]
+
+
+def kept_failures(rows, closed, partners, cuts, width):
+    """The root pass with its child test read backwards: it keeps the edges
+    whose child fails ``closed`` and drops those whose child passes.  A
+    child test holds one point fewer than the whole-row reruns."""
+
+    def backwards(tested, unplaced, parts):
+        passed = closed(tested, unplaced, parts)
+        if len(unplaced) == len(partners):
+            return passed
+        return tested if passed is None else None
+
+    return _singleton_consistency(rows, backwards, partners, cuts, width)
+
+
+def first_point_tables(rows, closed, partners, cuts, width):
+    """The root pass testing every point's edges with point 0's partner
+    tables."""
+    first = [partners[0]] * len(partners)
+    return _singleton_consistency(rows, closed, first, cuts, width)
+
+
+@pytest.mark.parametrize("faulted", [kept_failures, first_point_tables])
+def test_faulted_root_pass_changes_the_yields(faulted, expected, types_by_degree, monkeypatch):
+    """Negative controls: a root pass that keeps the wrong edges, or reads
+    the wrong point's partner tables, drops pairs that lead to curves."""
+    monkeypatch.setattr(enumeration, "_singleton_consistency", faulted)
+    changed = []
+    for name in FAST + [SLOW]:
+        degree, points = configurations()[name]
+        found = fingerprint(types_by_degree[degree], points, monkeypatch)
+        changed += [name] if found["yielded"] != expected[name]["yielded"] else []
+    assert changed
 
 
 def flipped(partners, num_edges):
