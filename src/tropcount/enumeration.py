@@ -29,11 +29,13 @@ a tree on leaves 0..k-1 in turn, and skips everything below a tree whose
 This is exact: restricting a tree to leaves 0..k commutes with relabelling
 same-direction leaves, and a tree's place in the walk extends its
 restriction's, so the first tree of a class is first at every level and is
-never skipped.  A tree on all leaves but the last gets the last leaf only
-on the edges where it makes no flat vertex or zero bounded edge
-(``_last_leaf_fits``: one pass up the tree and one down), and is skipped
-unkeyed when there are none, as validity does not change within a class.
-Each whole tree of a new class is built into a type once.
+never skipped.  Each tree the walk meets is rooted once (``_rooted``), and
+the key, the last-leaf test and the build all read that rooting.  A tree
+on all leaves but the last gets the last leaf only on the edges where it
+makes no flat vertex or zero bounded edge (``_last_leaf_fits``: one pass
+up the tree and one down), and is skipped unkeyed when there are none, as
+validity does not change within a class.  Each whole tree of a new class
+is built into a type once.
 
 Propagation runs the rules ``_TypeSystem`` keeps as data, a value
 cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
@@ -52,20 +54,21 @@ dropped when its unplaced points cannot take distinct row edges with one
 point fewer than ends on each part of the type cut at the placed points
 (``_search_assignments`` says why).  The tree path between two points
 runs along known directions, so their difference lies in the cone of
-those directions (``_TypeSystem.cones``, tested on the packed reach
-relations of ``_reach_masks``, which ``_partners`` reads for all points
-at once).  A row holds only edges that pass this cone test with every
-placed point and, after ``_cone_consistency``, with some edge of every
-other unplaced point's row.  The rows cost bit operations, so a node
-tests each child's rows before it touches any state: the children of a
-node are the edges of the placed point's row, and one whose rows, with
-that placement, empty or meet no quotas is skipped with no propagation.
-That test is the one prune gate, which each type's root also runs on
-every point's first placements (``_singleton_consistency``).  A child
-that passes is propagated, then keeps as admissible only the edges that
-still match their pins and pass the box test, and its rows shrink to
-match.  No test but the box test filters the admissible edges the
-branching reads, so the yielded sequence is the same, with fewer nodes.
+those directions (``_TypeSystem.cones``, read off the walk from each edge
+that also gives its ``cuts``, and tested on the packed reach relations of
+``_reach_masks``, which ``_partners`` reads for all points at once).  A
+row holds only edges that pass this cone test with every placed point
+and, after ``_cone_consistency``, with some edge of every other unplaced
+point's row.  The rows cost bit operations, so a node tests each child's
+rows before it touches any state: the children of a node are the edges of
+the placed point's row, and one whose rows, with that placement, empty or
+meet no quotas is skipped with no propagation.  That test is the one
+prune gate, which each type's root also runs on every point's first
+placements (``_singleton_consistency``).  A child that passes is
+propagated, then keeps as admissible only the edges that still match
+their pins and pass the box test, and its rows shrink to match.  No test
+but the box test filters the admissible edges the branching reads, so the
+yielded sequence is the same, with fewer nodes.
 
 Types and their systems depend on the degree alone, so
 ``enumerate_curves`` builds them on a degree's first call and keeps them
@@ -200,7 +203,8 @@ def _rooted(
 ) -> Tuple[List[List[int]], List[int], List[int]]:
     """A labelled tree rooted at its first internal node, ``num_leaves``:
     the adjacency and parent (-1 at the root) of every node, and the
-    internal nodes, each after its parent."""
+    internal nodes in breadth-first order, so each after its parent and
+    the last one farthest from the root."""
     adjacency: List[List[int]] = [[] for _ in range(2 * num_leaves - 2)]
     for a, b in tree_edges:
         adjacency[a].append(b)
@@ -216,34 +220,12 @@ def _rooted(
     return adjacency, parent, order
 
 
-def _leaf_sums(
-    tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
-) -> Optional[Tuple[List[int], List[Vec]]]:
-    """One pass over a labelled tree, rooted at its first internal node.
-
-    Returns the parent of every node (-1 at the root) and the leaf-vector
-    sum below every node but the root; or None when some vertex is flat (all
-    its directions parallel) or some bounded direction is zero.
-    """
-    adjacency, parent, order = _rooted(tree_edges, num_leaves)
-    # A vertex's directions sum to zero, so two of its child sums are
-    # parallel exactly when the vertex is flat or its parent edge is zero.
-    below: List[Vec] = list(leaf_vecs) + [(0, 0)] * (num_leaves - 2)
-    for node in reversed(order):
-        up = parent[node]
-        (ax, ay), (bx, by) = [below[c] for c in adjacency[node] if c != up][:2]
-        if ax * by - ay * bx == 0:
-            return None
-        below[node] = (ax + bx, ay + by)
-    return parent, below
-
-
 def _last_leaf_fits(
-    tree_edges: Tuple[Tuple[int, int], ...], leaf_vecs: Sequence[Vec], num_leaves: int
+    tree_edges: Tuple[Tuple[int, int], ...], rooted: Tuple, leaf_vecs: Sequence[Vec]
 ) -> List[int]:
-    """The indices of the edges of a tree on leaves 0..num_leaves - 2 on
-    which inserting the last leaf, of vector v, gives a tree that passes
-    ``_leaf_sums``.
+    """The indices of the edges of a tree on all leaves but the last,
+    ``_rooted`` as ``rooted``, on which inserting the last leaf, of vector
+    v, gives a tree that ``_type_from_tree`` builds.
 
     Inserted above node c, the leaf adds a vertex with child sums c's and
     v; each vertex on the path up to the root gains v on its child toward
@@ -252,7 +234,8 @@ def _last_leaf_fits(
     outside c's subtree once v is above c (``good``).  At the root any two
     child sums will do, as the three add up to zero once the leaf is in.
     """
-    adjacency, parent, order = _rooted(tree_edges, num_leaves)
+    adjacency, parent, order = rooted
+    num_leaves = len(leaf_vecs)
     vx, vy = leaf_vecs[num_leaves - 1]
     below: List[Vec] = list(leaf_vecs[: num_leaves - 1]) + [(0, 0)] * (num_leaves - 1)
     clean = [True] * len(adjacency)
@@ -272,42 +255,35 @@ def _last_leaf_fits(
     return [i for i, (a, b) in enumerate(tree_edges) if fits[a if parent[a] == b else b]]
 
 
-def _tree_key(tree_edges: Tuple[Tuple[int, int], ...], leaf_chars: str) -> str:
-    """Canonical string of a labelled tree on leaves 0..k, the same for
-    trees that differ by a relabelling of same-direction leaves.
+def _tree_key(rooted: Tuple, leaf_chars: str) -> str:
+    """Canonical string of a labelled tree on leaves 0..k, ``_rooted`` as
+    ``rooted``, the same for trees that differ by a relabelling of
+    same-direction leaves.
 
     Leaf i is written ``leaf_chars[i]``, and nodes from ``len(leaf_chars)``
     on are internal.  Rooted at the (at most two) centres of the internal
     tree, so isomorphic trees get equal strings without trying every root.
     """
+    adjacency, _, order = rooted
     num_leaves = len(leaf_chars)
-    adjacency: Dict[int, List[int]] = {}
-    for a, b in tree_edges:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
     # The centres are the middle of a longest path.  Its first end is the
-    # last internal node of a walk from node ``num_leaves``, its other end
-    # the last internal node of a walk from there.
-    def walk_from(start: int) -> Dict[int, int]:
-        back = {start: -1}
-        walk = [start]
-        for node in walk:
-            for w in adjacency[node]:
-                if w >= num_leaves and w not in back:
-                    back[w] = node
-                    walk.append(w)
-        return back
-
-    back = walk_from(next(reversed(walk_from(num_leaves))))
-    path = [next(reversed(back))]
+    # last internal node in the rooting's order, its other end the last
+    # internal node of a walk from there.
+    back = {order[-1]: -1}
+    walk = [order[-1]]
+    for node in walk:
+        for w in adjacency[node]:
+            if w >= num_leaves and w not in back:
+                back[w] = node
+                walk.append(w)
+    path = [walk[-1]]
     while back[path[-1]] >= 0:
         path.append(back[path[-1]])
     centres = path[(len(path) - 1) // 2], path[len(path) // 2]
     return min(_ahu(adjacency, leaf_chars, c, -1) for c in centres)
 
 
-def _ahu(adjacency: Dict[int, List[int]], leaf_chars: str, node: int, prev: int) -> str:
+def _ahu(adjacency: Sequence[List[int]], leaf_chars: str, node: int, prev: int) -> str:
     """AHU string of the subtree at internal ``node`` away from ``prev``:
     its neighbours' strings, sorted, in parentheses."""
     parts = sorted(
@@ -319,14 +295,24 @@ def _ahu(adjacency: Dict[int, List[int]], leaf_chars: str, node: int, prev: int)
 
 
 def _type_from_tree(
-    tree_edges: Tuple[Tuple[int, int], ...],
-    parent: List[int],
-    below: List[Vec],
-    num_leaves: int,
-) -> CombinatorialType:
-    """The type of a tree that passed ``_leaf_sums``: internal node
-    ``num_leaves + i`` is vertex i, and every edge points away from the
-    root, with the leaf-vector sum below its far end as its vector."""
+    tree_edges: Tuple[Tuple[int, int], ...], rooted: Tuple, leaf_vecs: Sequence[Vec]
+) -> Optional[CombinatorialType]:
+    """The type of a tree on every leaf, ``_rooted`` as ``rooted``:
+    internal node ``num_leaves + i`` is vertex i, and every edge points
+    away from the root, with the leaf-vector sum below its far end as its
+    vector.  None when some vertex is flat (all its directions parallel)
+    or some bounded direction is zero."""
+    adjacency, parent, order = rooted
+    num_leaves = len(leaf_vecs)
+    # A vertex's directions sum to zero, so two of its child sums are
+    # parallel exactly when the vertex is flat or its parent edge is zero.
+    below: List[Vec] = list(leaf_vecs) + [(0, 0)] * (num_leaves - 2)
+    for node in reversed(order):
+        up = parent[node]
+        (ax, ay), (bx, by) = [below[c] for c in adjacency[node] if c != up][:2]
+        if ax * by - ay * bx == 0:
+            return None
+        below[node] = (ax + bx, ay + by)
     edges: List[TypeEdge] = []
     for a, b in tree_edges:
         far, tail = (a, b) if parent[a] == b else (b, a)
@@ -363,21 +349,22 @@ def enumerate_types(genus: int, degree: Degree) -> List[CombinatorialType]:
     stack = [(((0, n), (1, n), (2, n)), 3)]
     while stack:
         tree_edges, leaves = stack.pop()
+        rooted = _rooted(tree_edges, n)
         where = range(len(tree_edges))
         if leaves == n - 1:
-            where = _last_leaf_fits(tree_edges, leaf_vecs, n)
+            where = _last_leaf_fits(tree_edges, rooted, leaf_vecs)
             # validity is the same for the whole class, so no key is needed
             if not where:
                 continue
-        key = _tree_key(tree_edges, leaf_chars)
+        key = _tree_key(rooted, leaf_chars)
         if key in seen:
             continue
         seen.add(key)
         if leaves == n:
             # None only for the first tree, at n == 3; later ones got the last leaf where it fits
-            sums = _leaf_sums(tree_edges, leaf_vecs, n)
-            if sums is not None:
-                out.append(_type_from_tree(tree_edges, *sums, n))
+            ctype = _type_from_tree(tree_edges, rooted, leaf_vecs)
+            if ctype is not None:
+                out.append(ctype)
             continue
         internal = n + leaves - 2
         for i in reversed(where):
@@ -465,14 +452,12 @@ class _TypeSystem:
 
         # line steps per (edge, endpoint), tail before head, in edge order
         steps: List[Tuple[int, int, int, int, int]] = []
-        vertex_edges = [0] * ctype.num_vertices
         all_rays: List[Tuple[Tuple[int, int], ...]] = []
         for i, e in enumerate(edges):
             rays: List[Tuple[int, int]] = []
             for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
-                vertex_edges[vertex] |= 1 << i
                 steps += [(i,) + step for step in _line_steps(self.normals[i], 4 * vertex)]
                 for k in (0, 1):
                     uk = e.prim[k] * sign
@@ -495,34 +480,26 @@ class _TypeSystem:
                     pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
                 steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
         self.steps = tuple(share(step) for step in steps)
-        # edge bitmasks of the ends, and of the parts a point on edge i
-        # leaves of the type: the two sides of a bounded edge, else the rest
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
-        cuts: List[Tuple[int, ...]] = []
-        for i, e in enumerate(edges):
-            rest = (1 << self.num_edges) - 1 ^ 1 << i
-            side, reached = 0, [e.head]
-            for v in reached:
-                for k, f in enumerate(edges):
-                    if v is not None and (vertex_edges[v] & rest & ~side) >> k & 1:
-                        side |= 1 << k
-                        reached.append((f.tail, f.head)[f.tail == v])
-            cuts.append(share((rest ^ side, side) if side else (rest,)))
-        self.cuts = tuple(cuts)
         # cones[e][f] holds the directions the tree path from a point on
         # edge e to one on edge f runs along, as ``_direction_bit``s: the
-        # rest of e, every bounded edge between, and f up to its point
+        # rest of e, every bounded edge between, and f up to its point;
+        # cuts[e] the edge bitmasks of the parts a point on e leaves of the
+        # type, the edges reached from e's tail and those from its head
         ahead = [_direction_bit(e.prim) for e in edges]
         behind = [_direction_bit((-e.prim[0], -e.prim[1])) for e in edges]
         cones: List[Tuple[int, ...]] = []
+        cuts: List[Tuple[int, ...]] = []
         for i, e in enumerate(edges):
             row = [0] * self.num_edges
-            walk = [(e.tail, i, behind[i])]
+            sides = [0, 0]
+            walk = [(e.tail, i, behind[i], 0)]
             if e.head is not None:
-                walk.append((e.head, i, ahead[i]))
-            for v, came, dirs in walk:
+                walk.append((e.head, i, ahead[i], 1))
+            for v, came, dirs, side in walk:
                 for k, sign in self.vertex_eqs[v]:
                     if k != came:
+                        sides[side] |= 1 << k
                         if sign > 0:
                             row[k] = dirs | ahead[k]
                             far = edges[k].head
@@ -530,9 +507,11 @@ class _TypeSystem:
                             row[k] = dirs | behind[k]
                             far = edges[k].tail
                         if far is not None:
-                            walk.append((far, k, row[k]))
+                            walk.append((far, k, row[k], side))
             cones.append(tuple(share(dirs) for dirs in row))
+            cuts.append(share(tuple(filter(None, sides))))
         self.cones = tuple(cones)
+        self.cuts = tuple(cuts)
 
 
 def _direction_bit(v: Vec) -> int:
@@ -653,78 +632,59 @@ def _vertex_sweep(vertex_eqs: Sequence[Tuple[Tuple[int, int], ...]], val: List) 
     return changed
 
 
-class _Solver:
-    """Search state: exact transverse values plus vertex coordinate boxes.
+def _apply_point(system: _TypeSystem, box: List[Optional[int]], edge: int, point: Vec) -> bool:
+    """Box consequences of a point lying on the (relative interior of an)
+    edge: the tail sits on the backward ray, the head on the forward one.
+    False when that empties a range, which ``_point_feasible`` rules out
+    on these boxes first."""
+    return all(_tighten(box, slot, point[k]) is not None for k, slot in system.rays[edge])
 
-    Boxes are the workhorse: a point pinned on an edge bounds the endpoint
-    vertices coordinatewise, bounded edges transfer bounds along their
-    direction, and a known transverse value couples the x and y ranges of
-    its endpoint vertices.  Every bound moves through ``_tighten``, by a
-    ray entry or a step of ``_TypeSystem.steps``.  All bounds are
-    integers, rounded outward where a division occurs, which is a sound
-    relaxation of the strict geometry.
+
+def _propagate(system: _TypeSystem, val: List[Optional[int]], box: List[Optional[int]]) -> bool:
+    """Run every rule on the transverse values ``val`` and the boxes
+    ``box``, in sweeps, to a fixpoint; False on a contradiction.
+
+    A sweep runs the vertex cascades, then the bound steps, those of an
+    edge only once it has a value.  It stops when a sweep changes nothing,
+    or after ``_SWEEPS`` sweeps; the next call, at a child, goes on from
+    there.  Every bound moves through ``_tighten`` and is an integer,
+    rounded outward where a division occurs: a sound relaxation of the
+    strict geometry.
     """
-
-    def __init__(self, system: _TypeSystem):
-        self.system = system
-        self.val: List[Optional[int]] = [None] * system.num_edges
-        # per vertex [xlo, xhi, ylo, yhi], None = unbounded
-        self.box: List[Optional[int]] = [None] * (4 * system.ctype.num_vertices)
-
-    def apply_point_on_edge(self, edge: int, point: Tuple[int, int]) -> bool:
-        """Box consequences of a point lying on the (relative interior of an)
-        edge: the tail sits on the backward ray, the head on the forward one.
-        False when that empties a range, which ``point_feasible`` rules out
-        on these boxes first."""
-        box = self.box
-        return all(_tighten(box, slot, point[k]) is not None for k, slot in self.system.rays[edge])
-
-    def propagate(self) -> bool:
-        """Run every rule, in sweeps, to a fixpoint; False on a
-        contradiction.
-
-        A sweep runs the vertex cascades, then the bound steps, those of an
-        edge only once it has a value.  It stops when a sweep changes
-        nothing, or after ``_SWEEPS`` sweeps; the next call, at a child,
-        goes on from there.
-        """
-        val = self.val
-        box = self.box
-        system = self.system
-        for _ in range(_SWEEPS):
-            changed = _vertex_sweep(system.vertex_eqs, val)
-            if changed is None:
+    for _ in range(_SWEEPS):
+        changed = _vertex_sweep(system.vertex_eqs, val)
+        if changed is None:
+            return False
+        for edge, read, slot, a, m in system.steps:
+            if edge < 0:
+                num = 0
+            else:
+                num = val[edge]
+                if num is None:
+                    continue
+            if read >= 0:
+                other = box[read]
+                if other is None:
+                    continue
+                num -= a * other
+            moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
+            if moved is None:
                 return False
-            for edge, read, slot, a, m in system.steps:
-                if edge < 0:
-                    num = 0
-                else:
-                    num = val[edge]
-                    if num is None:
-                        continue
-                if read >= 0:
-                    other = box[read]
-                    if other is None:
-                        continue
-                    num -= a * other
-                moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
-                if moved is None:
-                    return False
-                changed = changed or moved
-            if not changed:
-                break
-        return True
+            changed = changed or moved
+        if not changed:
+            break
+    return True
 
-    def point_feasible(self, edge: int, point: Tuple[int, int]) -> bool:
-        """Whether a point can sit on the edge given current boxes: no ray
-        entry's slot to set has a bound beyond the point on the other side
-        of its range (its check slot, the set slot ^ 1)."""
-        box = self.box
-        for k, slot in self.system.rays[edge]:
-            bound = box[slot ^ 1]
-            if bound is not None and (bound > point[k] if slot & 1 else bound < point[k]):
-                return False
-        return True
+
+def _point_feasible(system: _TypeSystem, box: List[Optional[int]], edge: int, point: Vec) -> bool:
+    """Whether a point can sit on the edge given the boxes: no ray entry's
+    slot to set has a bound beyond the point on the other side of its
+    range (its check slot, the set slot ^ 1)."""
+    for k, slot in system.rays[edge]:
+        bound = box[slot ^ 1]
+        if bound is not None and (bound > point[k] if slot & 1 else bound < point[k]):
+            return False
+    return True
 
 
 def _has_quota_matching(rows: List[int], parts: Sequence[int], ends: int, num_edges: int) -> bool:
@@ -873,7 +833,7 @@ def _search_assignments(
     such point on a tie.  A child's admissible edges for a point are its
     parent's, filtered: boxes only shrink and values are only set deeper
     in the tree, so an edge ruled out stays ruled out.  The point placed
-    passed the box test (``point_feasible``) on the boxes it is applied to.
+    passed the box test (``_point_feasible``) on the boxes it is applied to.
 
     Each child starts from a copy of its parent's state: a node copies its
     values and boxes once, before the first child it propagates when more
@@ -903,7 +863,7 @@ def _search_assignments(
     edges that fail the cone test with the new placement or are its edge;
     ``_cone_consistency`` then drops the edges that some other unplaced
     point cannot pass the test with, and the child is skipped, with no
-    restore and no ``propagate`` call, on an empty row or rows that meet
+    restore and no ``_propagate`` call, on an empty row or rows that meet
     no quotas (``closed``, the one prune gate).  A child that passes is
     propagated and redoes the box test on its parent's admissible edges
     that are unused and unset or at their pin; its rows keep only those
@@ -933,9 +893,9 @@ def _search_assignments(
     partners = _partners(system.cones, points, width, cone_masks)
 
     assignment: List[int] = [-1] * num_points
-    solver = _Solver(system)
-    val = solver.val
-    box = solver.box
+    val: List[Optional[int]] = [None] * num_edges
+    # per vertex [xlo, xhi, ylo, yhi], None = unbounded
+    box: List[Optional[int]] = [None] * (4 * system.ctype.num_vertices)
     cuts = system.cuts
     ends = system.ends
 
@@ -965,8 +925,9 @@ def _search_assignments(
                 left ^= bit
                 edge = bit.bit_length() - 1
                 cur = val[edge]
-                if (cur is None or cur == pinned[edge]) and solver.point_feasible(edge, point):
-                    boxed |= bit << j * width
+                if cur is None or cur == pinned[edge]:
+                    if _point_feasible(system, box, edge, point):
+                        boxed |= bit << j * width
         return boxed, rows & boxed
 
     def place(
@@ -1002,7 +963,7 @@ def _search_assignments(
                 saved = (val[:], box[:])
             # a candidate's value is unset or already its pin
             val[edge] = row[edge]
-            if not (solver.apply_point_on_edge(edge, point) and solver.propagate()):
+            if not (_apply_point(system, box, edge, point) and _propagate(system, val, box)):
                 continue
             assignment[best_point] = edge
             yield from place(placed + 1, *narrowed(cands, sum(split), child_rows), split)
@@ -1185,8 +1146,8 @@ def _degree_systems(degree: Degree) -> Tuple[_TypeSystem, ...]:
     """The ``_TypeSystem`` of each type of the degree, in the order of
     ``enumerate_types``: built on the first call for the degree, with one
     ``shared`` dict for them all, and kept for the process, since types do
-    not depend on the points.  An entry is written once, by
-    ``setdefault``, and holds only immutable data, so threads may share it.
+    not depend on the points.  An entry is written once and holds only
+    immutable data.
     """
     key = tuple(degree.items())
     systems = _SYSTEMS.get(key)
@@ -1204,8 +1165,8 @@ def enumerate_curves(
 
     Results are deterministic: types in enumeration order, assignments in
     search order.  Raises GenericityFailure when a solution violates the
-    generality clauses; the caller should retry with a fresh seed.  Curves
-    are checked in that order once all are solved, the first failure
+    generality clauses; the caller should retry with a fresh seed.  Each
+    curve is checked as it is solved, in that order, the first failure
     raising; one that ``_solve``'s certificate clears skips the checks.
     """
     if genus != 0:
@@ -1217,38 +1178,36 @@ def enumerate_curves(
         )
     # the box search and the solve run on integers
     int_points, denom = _scaled(config.points)
-    results: List[Tuple[TropicalCurve, Tuple[str, ...], bool]] = []
     cone_masks: Dict = {}
+    seen_signatures = set()
+    accepted = []
     for system in _degree_systems(degree):
         for assignment in _search_assignments(system, int_points, cone_masks):
             solved = _solve(system, int_points, denom, dict(enumerate(assignment)))
-            if solved is not None:
-                results.append(solved)
-
-    seen_signatures = set()
-    accepted = []
-    for curve, marks, cleared in results:
-        if check_balancing(curve):
-            raise AssertionError("enumerated curve is not balanced")
-        if not cleared:
-            _genericity_checks(curve, marks, config)
-        pos = curve.positions
-        bounded = (
-            (min(pos[t], pos[h]), max(pos[t], pos[h]), curve.weight("b%d" % i))
-            for i, (t, h) in enumerate(curve.graph.bounded_edges)
-        )
-        unbounded = (
-            (pos[v], d, curve.weight("u%d" % i))
-            for i, (v, d) in enumerate(curve.graph.unbounded_edges)
-        )
-        signature = (
-            tuple(sorted(pos.values())), tuple(sorted(bounded)), tuple(sorted(unbounded)), marks
-        )
-        # Isomorphic types are deduped in enumerate_types, and a non-flat
-        # type has no automorphism (swapping two subtrees would need two
-        # parallel edge vectors), so no curve can come out twice.
-        if signature in seen_signatures:
-            raise AssertionError("enumeration produced the same curve twice")
-        seen_signatures.add(signature)
-        accepted.append((curve, marks))
+            if solved is None:
+                continue
+            curve, marks, cleared = solved
+            if check_balancing(curve):
+                raise AssertionError("enumerated curve is not balanced")
+            if not cleared:
+                _genericity_checks(curve, marks, config)
+            pos = curve.positions
+            bounded = (
+                (min(pos[t], pos[h]), max(pos[t], pos[h]), curve.weight("b%d" % i))
+                for i, (t, h) in enumerate(curve.graph.bounded_edges)
+            )
+            unbounded = (
+                (pos[v], d, curve.weight("u%d" % i))
+                for i, (v, d) in enumerate(curve.graph.unbounded_edges)
+            )
+            signature = (
+                tuple(sorted(pos.values())), tuple(sorted(bounded)), tuple(sorted(unbounded)), marks
+            )
+            # Isomorphic types are deduped in enumerate_types, and a non-flat
+            # type has no automorphism (swapping two subtrees would need two
+            # parallel edge vectors), so no curve can come out twice.
+            if signature in seen_signatures:
+                raise AssertionError("enumeration produced the same curve twice")
+            seen_signatures.add(signature)
+            accepted.append((curve, marks))
     return accepted

@@ -97,35 +97,22 @@ def _make_problem(d: int, direction: Tuple[int, int]) -> _PathProblem:
     start = values[min(values)]
     end = values[max(values)]
     corners_ccw = [(0, 0), (d, 0), (0, d)]
-    side_between = {
-        ((0, 0), (d, 0)): "y0",
-        ((d, 0), (0, d)): "hyp",
-        ((0, d), (0, 0)): "x0",
-    }
 
-    def chain(sides_order) -> Tuple[str, ...]:
-        # walk corners in the given cyclic order from start's corner to end's
-        # start/end are corners of the triangle for a generic direction
-        out = []
-        pos = sides_order.index(start)
-        while sides_order[pos] != end:
-            nxt = (pos + 1) % 3
-            pair = (sides_order[pos], sides_order[nxt])
-            key = pair if pair in side_between else (pair[1], pair[0])
-            out.append(side_between[key])
-            pos = nxt
-        return tuple(out)
+    def chain(corners) -> Tuple[str, ...]:
+        # the sides met walking the corners in the given cyclic order from
+        # start's to end's; for a generic direction both are corners
+        i = corners.index(start)
+        walk = [corners[(i + k) % 3] for k in range((corners.index(end) - i) % 3 + 1)]
+        return tuple(_side_of(d, edge) for edge in zip(walk, walk[1:]))
 
-    ccw_chain = chain(corners_ccw)
-    cw_chain = chain(list(reversed(corners_ccw)))
     # left turns (positive cross) bend toward the clockwise chain
     return _PathProblem(
         d=d,
         direction=direction,
         start=start,
         end=end,
-        left_sides=cw_chain,
-        right_sides=ccw_chain,
+        left_sides=chain(corners_ccw[::-1]),
+        right_sides=chain(corners_ccw),
     )
 
 

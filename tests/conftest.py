@@ -20,6 +20,22 @@ def acceptance_results():
     return results, lines
 
 
+def watch(monkeypatch, name, observe):
+    """Patch ``enumeration.<name>`` with a wrapper that calls it and then
+    hands ``observe`` the result and the call's arguments, for the caller
+    to record or check; the wrapper returns the result."""
+    from tropcount import enumeration
+
+    original = getattr(enumeration, name)
+
+    def watched(*args):
+        result = original(*args)
+        observe(result, *args)
+        return result
+
+    monkeypatch.setattr(enumeration, name, watched)
+
+
 @pytest.fixture
 def relax_quotas(monkeypatch):
     """Call to give the search's matching test one part, every edge of it

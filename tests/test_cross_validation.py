@@ -35,6 +35,8 @@ from tropcount.svg import dual_subdivision_cells
 from tropcount.tropical import Degree, as_point, curve_mikhalkin_mults, curve_welschinger_mult
 from tropcount.welschinger import census_report, welschinger_total
 
+from conftest import watch
+
 DATA = Path(__file__).parent.parent / "bench" / "data"
 
 
@@ -192,9 +194,9 @@ def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
     """The normative pipeline at d = 4: 307 curves, N/W = 620/240, each
     curve dual to one of the lattice-path oracle's subdivisions.  Its
     search tree is pinned by its size: 307 yielded assignments over the
-    2,818 types, each one a curve, and 2,118 ``propagate`` calls (26,009
+    2,818 types, each one a curve, and 2,118 ``_propagate`` calls (26,009
     before each type's root ran ``_singleton_consistency``)."""
-    search, propagate = enumeration._search_assignments, enumeration._Solver.propagate
+    search = enumeration._search_assignments
     counts = {"yields": 0, "propagate": 0}
 
     def counted_search(*args):
@@ -202,12 +204,11 @@ def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
             counts["yields"] += 1
             yield assignment
 
-    def counted_propagate(self):
+    def counted_propagate(holds, *args):
         counts["propagate"] += 1
-        return propagate(self)
 
     monkeypatch.setattr(enumeration, "_search_assignments", counted_search)
-    monkeypatch.setattr(enumeration._Solver, "propagate", counted_propagate)
+    watch(monkeypatch, "_propagate", counted_propagate)
     config = PointConfiguration.mikhalkin(11, 7)
     curves = [c for c, _ in enumerate_curves(0, Degree.projective(4), config)]
     assert counts == {"yields": 307, "propagate": 2118}

@@ -16,7 +16,8 @@ from tropcount.enumeration import (
     TypeEdge,
     UnsupportedGenus,
     _last_leaf_fits,
-    _leaf_sums,
+    _rooted,
+    _type_from_tree,
     enumerate_curves,
     enumerate_types,
     solve_positions,
@@ -32,6 +33,8 @@ from tropcount.tropical import (
     expected_dimension,
     segment_param,
 )
+
+from conftest import watch
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -205,8 +208,8 @@ def test_enumerate_types_equals_building_every_tree(name):
 def test_last_leaf_fits_are_the_leaf_sums_test(name):
     """On every tree on all leaves but the last, ``_last_leaf_fits`` names
     exactly the edges where inserting the last leaf gives a tree that
-    passes ``_leaf_sums``; trees with and without such an edge both
-    occur."""
+    ``_type_from_tree`` builds, one with no flat vertex and no zero edge;
+    trees with and without such an edge both occur."""
     degree, _ = EQUIVALENCE_DEGREES[name]
     leaf_vecs = [tuple(v) for v, count in degree.items() for _ in range(count)]
     n = len(leaf_vecs)
@@ -216,10 +219,11 @@ def test_last_leaf_fits_are_the_leaf_sums_test(name):
         expected = [
             i
             for i, (a, b) in enumerate(tree_edges)
-            for child in [((a, internal), (internal, b), (internal, n - 1))]
-            if _leaf_sums(tree_edges[:i] + child + tree_edges[i + 1 :], leaf_vecs, n) is not None
+            for child in [tree_edges[:i] + ((a, internal), (internal, b), (internal, n - 1))]
+            for whole in [child + tree_edges[i + 1 :]]
+            if _type_from_tree(whole, _rooted(whole, n), leaf_vecs) is not None
         ]
-        assert _last_leaf_fits(tree_edges, leaf_vecs, n) == expected, tree_edges
+        assert _last_leaf_fits(tree_edges, _rooted(tree_edges, n), leaf_vecs) == expected
         kinds.add(bool(expected))
     assert kinds == {False, True}
 
@@ -228,10 +232,7 @@ def test_last_leaf_prune_bites(monkeypatch):
     """The d=3 walk keys fewer trees with the prune than with every edge
     fitting, and builds the same types."""
     keyed = []
-    tree_key = enumeration._tree_key
-    monkeypatch.setattr(
-        enumeration, "_tree_key", lambda *args: keyed.append(args) or tree_key(*args)
-    )
+    watch(monkeypatch, "_tree_key", lambda key, *args: keyed.append(key))
     test_enumerate_types_degree_three_matches_golden()
     pruned = len(keyed)
     keyed.clear()
@@ -245,8 +246,8 @@ def test_last_leaf_prune_bites(monkeypatch):
 def test_equivalence_fails_when_the_key_drops_its_labels(monkeypatch):
     tree_key = enumeration._tree_key
 
-    def unlabelled(tree_edges, leaf_chars):
-        return tree_key(tree_edges, "a" * len(leaf_chars))
+    def unlabelled(rooted, leaf_chars):
+        return tree_key(rooted, "a" * len(leaf_chars))
 
     monkeypatch.setattr(enumeration, "_tree_key", unlabelled)
     # distinct classes of the same shape now merge
@@ -257,20 +258,16 @@ def test_equivalence_fails_when_the_key_drops_its_labels(monkeypatch):
 def test_orderly_prune_bites(monkeypatch):
     tree_key = enumeration._tree_key
     keyed = []
-
-    def counted(tree_edges, leaf_chars):
-        keyed.append(tree_edges)
-        return tree_key(tree_edges, leaf_chars)
-
-    monkeypatch.setattr(enumeration, "_tree_key", counted)
+    watch(monkeypatch, "_tree_key", lambda key, *args: keyed.append(key))
     assert len(enumerate_types(0, Degree.projective(3))) == 80
     # the walk keys a few partial trees, not all 13!! = 135,135 labelled trees
     assert len(keyed) < 2_000
 
-    def never_prunes(tree_edges, leaf_chars):
-        if len(tree_edges) < 2 * len(leaf_chars) - 3:
+    def never_prunes(rooted, leaf_chars):
+        _, _, internal = rooted
+        if len(internal) < len(leaf_chars) - 2:
             return object()  # equal to no other key
-        return tree_key(tree_edges, leaf_chars)
+        return tree_key(rooted, leaf_chars)
 
     # walking every labelled tree and keying only whole ones gives the same types
     monkeypatch.setattr(enumeration, "_tree_key", never_prunes)
@@ -279,13 +276,7 @@ def test_orderly_prune_bites(monkeypatch):
 
 def test_enumerate_types_builds_each_type_once(monkeypatch):
     calls = []
-    build = enumeration._type_from_tree
-
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
-
-    monkeypatch.setattr(enumeration, "_type_from_tree", counted)
+    watch(monkeypatch, "_type_from_tree", lambda ctype, *args: calls.append(ctype))
     types = enumerate_types(0, _bidegree(2, 2))
     assert len(calls) == len(types) == 98
 

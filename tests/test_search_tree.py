@@ -2,34 +2,14 @@
 
 For each configuration the file holds the (type index, assignment) pairs
 that ``_search_assignments`` yields, in order, together with the number of
-``_Solver.propagate`` calls and how many of them found a contradiction.  A
+``_propagate`` calls and how many of them found a contradiction.  A
 change to the search that keeps these keeps the nodes it visits and the
-candidates it prunes, not only the curves it finally accepts.  The yielded
-sequences were written before the propagation became a worklist; the
-counts were rewritten when nodes with no one-to-one completion (no
-matching of unplaced points to candidate edges) began to be dropped, and
-again when that matching had to give each part of the type, cut at the
-placed points, one point fewer than it has ends, again when a child
-began to be skipped when its point fails the cone test against a placed
-point, and again when each node began to drop the edges an unplaced point
-cannot take while some other unplaced point could not then pass the cone
-test with it (each d=2 case 86-89 -> 5 calls, ``d3-generic-1`` 5,138 ->
-1,395, ``d3-mikhalkin-7`` 7,539 -> 1,357), and again when a child's rows
-began to be tested before the child is propagated (``d3-generic-1``
-1,395 calls, 13 failed -> 465, 12 failed; ``d3-mikhalkin-7`` 1,357 ->
-166; each d=2 case keeps its 5).  The counts did not move when the
-worklist went and propagation went back to running every rule in every
-sweep, nor when a node's candidate edges became one packed bitmask and
-the box pass stopped dropping nodes itself, leaving that to the row test
-of their children.  They were rewritten again when the box test became
-the ray test alone, without the test that an edge's pinned line crosses
-its endpoints' boxes, which the line steps find one ``propagate`` call
-later (``d3-generic-1`` 465 calls, 12 failed -> 500, 24 failed; the other
-cases keep theirs), and again when each type's root began to drop, for
-every point but the first, the edges whose child as the first placement
-fails the row test (``d3-generic-1`` 500 calls -> 419, still 24
-failed; ``d3-mikhalkin-7`` 166 -> 56; each d=2 case keeps its 5).  With
-that root pass patched off the search makes the calls it made before.
+candidates it prunes, not only the curves it finally accepts.  Only the
+box test filters the edges the branching reads, so the yielded sequences
+are its own; the prunes that skip a child before it is propagated (the
+cone test, its consistency step, the quotas and the root pass) move only
+the counts, and the tests below that patch one off find the same
+sequence.
 """
 
 import collections
@@ -43,21 +23,24 @@ from tropcount import enumeration
 from tropcount.cli import curve_from_json
 from tropcount.enumeration import (
     PointConfiguration,
+    _apply_point,
     _cone_consistency,
     _direction_bit,
     _dual_cone,
     _has_quota_matching,
     _partners,
+    _point_feasible,
     _reach_masks,
     _search_assignments,
     _singleton_consistency,
-    _Solver,
     _TypeSystem,
     enumerate_curves,
     enumerate_types,
 )
 from tropcount.exact_lattice import primitive_vector
 from tropcount.tropical import Degree, as_point
+
+from conftest import watch
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent.parent / "bench" / "data"
@@ -83,17 +66,14 @@ SLOW = "d3-mikhalkin-7"
 
 def fingerprint(types, points, monkeypatch):
     calls = failed = 0
-    original = _Solver.propagate
 
-    def counted(self, *args):
+    def counted(holds, *args):
         nonlocal calls, failed
-        result = original(self, *args)
         calls += 1
         # False marks a contradiction
-        failed += result is False
-        return result
+        failed += holds is False
 
-    monkeypatch.setattr(_Solver, "propagate", counted)
+    watch(monkeypatch, "_propagate", counted)
     yielded = []
     for index, ctype in enumerate(types):
         for assignment in _search_assignments(_TypeSystem(ctype), points):
@@ -240,7 +220,7 @@ def test_box_test_bites(name, expected, types_by_degree, monkeypatch, coneless_r
     on d3-generic-1.  (On d3-mikhalkin-7 the cone and quota tests leave
     the box test nothing to prune.)"""
     base, run = bite_runs(name, expected, types_by_degree, monkeypatch, coneless_runs)
-    monkeypatch.setattr(_Solver, "point_feasible", lambda self, edge, point: True)
+    monkeypatch.setattr(enumeration, "_point_feasible", lambda system, box, edge, point: True)
     unboxed = run()
     assert base["yielded"] == expected[name]["yielded"]
     assert sorted(unboxed["yielded"]) == sorted(expected[name]["yielded"])
@@ -250,41 +230,36 @@ def test_box_test_bites(name, expected, types_by_degree, monkeypatch, coneless_r
 @pytest.mark.parametrize("name", ["d2-mikhalkin-0", "d3-generic-1", SLOW])
 def test_rows_are_tested_before_propagating(name, expected, types_by_degree, monkeypatch):
     """A child's rows pass cone consistency and the quota flow before its
-    state is touched: every ``propagate`` call follows a
+    state is touched: every ``_propagate`` call follows a
     ``_cone_consistency`` call that returned rows, and the tree is the
     pinned one."""
-    consistency = enumeration._cone_consistency
-    propagate = _Solver.propagate
     last = [None]
 
-    def watched(*args):
-        last[0] = consistency(*args)
-        return last[0]
+    def watched(rows, *args):
+        last[0] = rows
 
-    def checked(self):
+    def checked(holds, *args):
         assert last[0] is not None
-        return propagate(self)
 
-    monkeypatch.setattr(enumeration, "_cone_consistency", watched)
-    monkeypatch.setattr(_Solver, "propagate", checked)
+    watch(monkeypatch, "_cone_consistency", watched)
+    watch(monkeypatch, "_propagate", checked)
     degree, points = configurations()[name]
     assert fingerprint(types_by_degree[degree], points, monkeypatch) == expected[name]
 
 
 @pytest.mark.parametrize("name", ["d2-mikhalkin-0", "d3-generic-1", SLOW])
 def test_points_are_applied_on_feasible_boxes(name, expected, types_by_degree, monkeypatch):
-    """``apply_point_on_edge`` has no contradiction to report: the point
-    it applies passed ``point_feasible`` on the same boxes, and the tree
+    """``_apply_point`` has no contradiction to report: the point it
+    applies passed ``_point_feasible`` on the same boxes, which is the
+    same test (``test_point_feasible_is_the_tighten_test``), and the tree
     is the pinned one."""
-    apply = _Solver.apply_point_on_edge
     applied = [0]
 
-    def checked(self, edge, point):
-        assert self.point_feasible(edge, point)
+    def checked(fits, system, box, edge, point):
+        assert fits, (edge, point)
         applied[0] += 1
-        return apply(self, edge, point)
 
-    monkeypatch.setattr(_Solver, "apply_point_on_edge", checked)
+    watch(monkeypatch, "_apply_point", checked)
     degree, points = configurations()[name]
     assert fingerprint(types_by_degree[degree], points, monkeypatch) == expected[name]
     assert applied[0] == expected[name]["propagate_calls"]
@@ -297,18 +272,16 @@ def test_point_feasible_is_the_tighten_test(d3_types):
     rng = random.Random(3)
     outcomes = collections.Counter()
     for ctype in d3_types:
-        solver = _Solver(_TypeSystem(ctype))
-        for edge in range(solver.system.num_edges):
+        system = _TypeSystem(ctype)
+        for edge in range(system.num_edges):
             for _ in range(10):
                 box = []
-                for _ in range(len(solver.box) // 2):
+                for _ in range(2 * ctype.num_vertices):
                     lo, hi = sorted(rng.randint(-3, 3) for _ in range(2))
                     box += [rng.choice((lo, None)), rng.choice((hi, None))]
                 point = (rng.randint(-4, 4), rng.randint(-4, 4))
-                solver.box = box
-                fits = solver.point_feasible(edge, point)
-                solver.box = box[:]
-                assert solver.apply_point_on_edge(edge, point) == fits, (ctype, edge, box)
+                fits = _point_feasible(system, box, edge, point)
+                assert _apply_point(system, box[:], edge, point) == fits, (ctype, edge, box)
                 outcomes[fits] += 1
     assert min(outcomes[True], outcomes[False]) > 1000
 
@@ -318,66 +291,75 @@ def bench_points(name):
     return [(int(x), int(y)) for x, y in doc["points"]]
 
 
+# generic_points(random.Random(10), 8) of bench/workloads.py: three of its
+# doomed nodes break the quotas, where d3-generic-2 has none
+GENERIC_D3_SEED_10 = [
+    (198318, -931665), (-100555, 12005), (212345, -968895), (-567781, -29899),
+    (705658, 30323), (727191, -417997), (370431, 699990), (-663975, -927851),
+]
+
+
 @pytest.mark.parametrize(
-    "name, doomed", [("d3-generic-1", (84, 3)), ("d3-generic-2", (75, 0)), (SLOW, (0, 0))]
+    "name, doomed",
+    [
+        ("d3-generic-1", (84, 3)),
+        ("d3-generic-2", (75, 0)),
+        (SLOW, (0, 0)),
+        ("d3-generic-seed-10", (69, 3)),
+    ],
 )
 def test_nodes_the_box_pass_dooms_reach_no_propagate(
     name, doomed, expected, d3_types, monkeypatch
 ):
     """The box pass only filters, and the row test of the children is the
     one prune gate.  A node whose box pass empties a row, or leaves rows
-    that meet no quotas, has no child that reaches ``propagate``: a child's
+    that meet no quotas, has no child that reaches ``_propagate``: a child's
     rows are a subset of the node's, and its quota matching plus its
     placed point is one of the node's.  ``doomed`` counts such nodes of
     either kind, so the check is not vacuous on the generic cases.
 
     Each node is read off the calls.  The last ``_cone_consistency`` and
-    ``_has_quota_matching`` calls before a ``propagate`` call hold the
-    node's unplaced points, rows and parts, and the ``point_feasible``
+    ``_has_quota_matching`` calls before a ``_propagate`` call hold the
+    node's unplaced points, rows and parts, and the ``_point_feasible``
     calls after it holds, up to the next ``_cone_consistency`` call, are
     the node's box pass.
     """
-    points = configurations()[name][1] if name == SLOW else bench_points(name)
-    consistency = enumeration._cone_consistency
+    if name == SLOW:
+        points = configurations()[name][1]
+    elif name == "d3-generic-seed-10":
+        points = GENERIC_D3_SEED_10
+    else:
+        points = bench_points(name)
     quota_matching = enumeration._has_quota_matching
-    propagate = _Solver.propagate
-    feasible = _Solver.point_feasible
     last = {"boxing": None}
     at_depth = {}
     nodes = []
 
-    def watched_consistency(rows, unplaced, partners, num_edges):
-        out = consistency(rows, unplaced, partners, num_edges)
+    def watched_consistency(out, rows, unplaced, partners, num_edges):
         last.update(unplaced=list(unplaced), rows=out, boxing=None)
-        return out
 
-    def watched_quotas(rows, parts, ends, num_edges):
+    def watched_quotas(matched, rows, parts, ends, num_edges):
         last["quotas"] = (parts, ends, num_edges)
-        return quota_matching(rows, parts, ends, num_edges)
 
-    def watched_propagate(self):
+    def watched_propagate(holds, system, val, box):
         depth = len(points) - len(last["unplaced"])
         parent = at_depth.get(depth - 1)
         if parent is not None:
             parent["children"] += 1
-        holds = propagate(self)
         if holds:
             node = {"children": 0, "boxed": [0] * len(points), "quotas": last["quotas"]}
             node.update(unplaced=last["unplaced"], rows=last["rows"])
             nodes.append(node)
             at_depth[depth] = last["boxing"] = node
-        return holds
 
-    def watched_feasible(self, edge, point):
-        fits = feasible(self, edge, point)
+    def watched_feasible(fits, system, box, edge, point):
         if fits and last["boxing"] is not None:
             last["boxing"]["boxed"][points.index(point)] |= 1 << edge
-        return fits
 
-    monkeypatch.setattr(enumeration, "_cone_consistency", watched_consistency)
-    monkeypatch.setattr(enumeration, "_has_quota_matching", watched_quotas)
-    monkeypatch.setattr(_Solver, "propagate", watched_propagate)
-    monkeypatch.setattr(_Solver, "point_feasible", watched_feasible)
+    watch(monkeypatch, "_cone_consistency", watched_consistency)
+    watch(monkeypatch, "_has_quota_matching", watched_quotas)
+    watch(monkeypatch, "_propagate", watched_propagate)
+    watch(monkeypatch, "_point_feasible", watched_feasible)
     found = fingerprint(d3_types, points, monkeypatch)
     if name in expected:
         assert found == expected[name]
@@ -518,7 +500,7 @@ def test_root_pass_drops_only_pairs_with_no_completion(
 ):
     """With the root pass off the search yields the same sequence, so the
     pass drops only pairs that no completion holds, and on the d=3 cases
-    it makes strictly more ``propagate`` calls, so the pass bites."""
+    it makes strictly more ``_propagate`` calls, so the pass bites."""
     degree, points = configurations()[name]
     with_pass = fingerprint(types_by_degree[degree], points, monkeypatch)
     without_root_pass(monkeypatch)
