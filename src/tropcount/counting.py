@@ -25,7 +25,7 @@ from .incidence import (
     build_T_h,
     sigma_sign_class,
 )
-from .tropical import TropicalCurve, Vec, vertex_multiplicities
+from .tropical import TropicalCurve, Vec, curve_mikhalkin_mults
 
 
 class InfiniteCokernel(AssertionError):
@@ -193,9 +193,7 @@ def count_complex(
         a_product = prod(b.complex_index for b in lattice.constraint_bundles)
         contribution = weight * bundle.complex_index * a_product
         if curve.n == 2 and all(c.codim == 2 for c in constraints):
-            vertex_product = prod(
-                vertex_multiplicities(curve, v).mult for v in curve.graph.vertices
-            )
+            vertex_product = curve_mikhalkin_mults(curve)[0]
             if contribution != vertex_product:
                 raise CrossCheckError(
                     "curve %d: lattice route %d != vertex route %d "

@@ -1,10 +1,11 @@
 """Independent oracles for plane enumerative totals.
 
 Two deliberately separate routes to the same numbers as the curve
-enumeration: the degree-recursion for complex counts, and a lattice-path
-enumeration over the degree-d triangle that produces dual subdivisions with
-complex and Welschinger multiplicities.  Neither shares code with the
-normative enumeration pipeline.
+enumeration: the degree-recursion for complex counts, and Mikhalkin's
+lattice paths over the degree-d triangle, whose dual subdivisions count
+when their dual curve is a tree, with complex and Welschinger
+multiplicities read off the cells.  Neither shares code with the normative
+enumeration pipeline.
 """
 
 from __future__ import annotations
@@ -160,7 +161,8 @@ def _subdivisions(
     reduction.  A cell with a boundary edge of lattice length >= 2 is never
     cut off: it would be dual to a multiple unbounded edge, which gives a
     curve of the wrong degree.  The rule looks at single cells, so pruning
-    here drops exactly the subdivisions that hold such a cell.
+    here drops exactly the subdivisions that hold such a cell, and leaves
+    every unbounded end the weight 1 that the Welschinger rule needs.
     """
     d = problem.d
     key = (path, side)
@@ -234,113 +236,65 @@ def _cell_geometry(d: int, cell: Cell) -> _CellGeometry:
     )
 
 
-def _validate_subdivision(
-    d: int, geometry: Sequence[_CellGeometry]
-) -> Dict[Tuple, Tuple[bool, int, List[int]]]:
-    """Each edge of the cells with (on the boundary, lattice length, the
-    cells holding it), once the cells are checked to tile the degree-d
-    triangle: their areas add up, and a boundary edge lies in one cell and
-    an interior edge in two."""
-    if sum(g.twice_area for g in geometry) != d * d:
-        raise AssertionError("subdivision does not tile the triangle")
-    edges: Dict[Tuple, Tuple[bool, int, List[int]]] = {}
-    for idx, g in enumerate(geometry):
-        for e, on_boundary, length in g.edges:
-            edges.setdefault(e, (on_boundary, length, []))[2].append(idx)
-    for e, (on_boundary, _, holders) in edges.items():
-        k = len(holders)
-        if on_boundary and k != 1:
-            raise AssertionError("boundary edge %s shared by %d cells" % (e, k))
-        if not on_boundary and k != 2:
-            raise AssertionError("interior edge %s shared by %d cells" % (e, k))
-    return edges
-
-
 def _subdivision_multiplicities(d: int, cells: Sequence[Cell]) -> Tuple[int, int]:
-    """(complex, Welschinger) multiplicity of one dual subdivision.
+    """(complex, Welschinger) multiplicity of one dual subdivision, once its
+    cells are checked to tile the degree-d triangle: their areas add up, and
+    a boundary edge lies in one cell and an interior edge in two.
 
-    ``_subdivisions`` never builds one with a boundary edge of lattice
-    length >= 2, so only the tiling and the tree shape of the dual curve
-    are checked here.
+    The dual curve is cut into pieces, the vertex of a triangle and the two
+    strands that cross in a parallelogram (sides 0 and 2, sides 1 and 3),
+    and an interior edge joins the pieces on its two sides.  Each end of a
+    curve edge is a triangle side or a boundary edge, so with T triangles
+    and B boundary edges a connected curve has T vertices and (3T - B) / 2
+    bounded edges: it is a tree exactly when T == B - 2, and otherwise
+    counts 0.  An edge of even lattice length makes W zero: as
+    ``_subdivisions`` builds no multiple boundary edge, it lies on a
+    bounded edge of even weight.
     """
-    geometry = [_cell_geometry(d, cell) for cell in cells]
-    edge_cells = _validate_subdivision(d, geometry)
+    sides: Dict[Tuple, List[int]] = {}  # (edge, on the boundary, length) -> pieces
+    twice_area = 0
+    triangles = 0
+    pieces = 0
     complex_mult = 1
-    for cell, g in zip(cells, geometry):
+    odd = 0  # triangles with an odd number of interior points
+    for cell in cells:
+        g = _cell_geometry(d, cell)
+        twice_area += g.twice_area
         if cell[0] == "t":
+            side_pieces = (pieces, pieces, pieces)
+            pieces += 1
+            triangles += 1
             complex_mult *= g.twice_area
-
-    # chain parallel edges across parallelograms to recover curve edges
-    links: Dict[Tuple, List[Tuple]] = {}
-    for cell, g in zip(cells, geometry):
-        if cell[0] != "p":
-            continue
-        ab, bc, cw, wa = (e for e, _, _ in g.edges)
-        for e1, e2 in ((ab, cw), (bc, wa)):
-            links.setdefault(e1, []).append(e2)
-            links.setdefault(e2, []).append(e1)
-
-    triangles = [idx for idx, cell in enumerate(cells) if cell[0] == "t"]
-    tri_pos = {idx: k for k, idx in enumerate(triangles)}
-    parent = list(range(len(triangles)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    bounded_chains = 0
-    seen = set()
-    welschinger_zero = False
-    for e in edge_cells:
-        if e in seen:
-            continue
-        chain = {e}
-        frontier = [e]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in links.get(cur, []):
-                if nxt not in chain:
-                    chain.add(nxt)
-                    frontier.append(nxt)
-        seen |= chain
-        tri_ends = []
-        boundary_ends = 0
-        lengths = set()
-        for ce in chain:
-            on_boundary, length, holders = edge_cells[ce]
-            tri_ends += [idx for idx in holders if cells[idx][0] == "t"]
-            boundary_ends += on_boundary
-            lengths.add(length)
-        if len(lengths) != 1:
-            raise AssertionError("chain with inconsistent lattice lengths")
-        length = lengths.pop()
-        if len(tri_ends) == 2 and boundary_ends == 0:
-            # bounded edge of the dual curve
-            bounded_chains += 1
-            a, b = find(tri_pos[tri_ends[0]]), find(tri_pos[tri_ends[1]])
-            if a == b:
-                return 0, 0  # cycle: dual curve has positive genus
-            parent[a] = b
-            if length % 2 == 0:
-                welschinger_zero = True
-        elif len(tri_ends) == 1 and boundary_ends == 1:
-            pass  # unbounded edge
+            odd += g.odd_interior
         else:
-            return 0, 0  # vertex-free component or malformed chain
-    # the dual curve must be a single tree through all its vertices
-    if bounded_chains != len(triangles) - 1:
+            side_pieces = (pieces, pieces + 1, pieces, pieces + 1)
+            pieces += 2
+        for side, piece in zip(g.edges, side_pieces):
+            sides.setdefault(side, []).append(piece)
+    if twice_area != d * d:
+        raise AssertionError("subdivision does not tile the triangle")
+    joined: List[List[int]] = [[] for _ in range(pieces)]
+    boundary = 0
+    even = False
+    for (e, on_boundary, length), held in sides.items():
+        if len(held) != 2 - on_boundary:
+            raise AssertionError("edge %s lies in %d cells" % (e, len(held)))
+        boundary += on_boundary
+        even |= length % 2 == 0
+        if not on_boundary:
+            a, b = held
+            joined[a].append(b)
+            joined[b].append(a)
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        for piece in joined[frontier.pop()]:
+            if piece not in reached:
+                reached.add(piece)
+                frontier.append(piece)
+    if triangles != boundary - 2 or len(reached) != pieces:
         return 0, 0
-    if len({find(k) for k in range(len(triangles))}) != 1:
-        return 0, 0
-    if welschinger_zero:
-        return complex_mult, 0
-    w_mult = 1
-    for cell, g in zip(cells, geometry):
-        if cell[0] == "t" and g.odd_interior:
-            w_mult = -w_mult
-    return complex_mult, w_mult
+    return complex_mult, 0 if even else (-1) ** odd
 
 
 def _direction_from_points(points) -> Tuple[int, int]:

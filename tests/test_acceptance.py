@@ -133,18 +133,18 @@ def test_negative_control_vertex_product(monkeypatch):
     # one vertex's multiplicity doubled on every curve: the vertex route
     # of the product identity disagrees with the lattice route, so A8 goes
     # red with the CrossCheckError's detail
-    from tropcount import counting
+    from tropcount import tropical
     from tropcount.selftest import _Context, criterion_vertex_product_identity
 
     ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
     assert ok, detail
-    vertex_multiplicities = counting.vertex_multiplicities
+    vertex_multiplicities = tropical.vertex_multiplicities
 
     def doubled(curve, vertex):
         found = vertex_multiplicities(curve, vertex)
         return replace(found, mult=2 * found.mult) if vertex == "v0" else found
 
-    monkeypatch.setattr(counting, "vertex_multiplicities", doubled)
+    monkeypatch.setattr(tropical, "vertex_multiplicities", doubled)
     ok, detail = criterion_vertex_product_identity(_Context(degrees=(1, 2), seed=7))
     assert not ok
     assert detail.startswith("d=1: curve 0: lattice route 1 != vertex route 2 "), detail

@@ -55,6 +55,53 @@ def test_path_problem_rejects_coincident_points():
 def test_lattice_paths_degree_five():
     config = PointConfiguration.mikhalkin(14, 7)
     assert lattice_path_oracle(5, config.points) == (kontsevich_number(5), 18264)
+    # one subdivision per curve through the points
+    assert sum(1 for _ in lattice_path_subdivisions(5, config.points)) == 26891
+
+
+# the 9 unit triangles of the degree-3 triangle: dual to a connected cubic
+# of genus 1 (T = 9 triangles, B = 9 boundary edges)
+CUBIC_OF_GENUS_ONE = [
+    ("t", ((i, j), (i + 1, j), (i, j + 1))) for i in range(3) for j in range(3 - i)
+] + [("t", ((i + 1, j), (i + 1, j + 1), (i, j + 1))) for i in range(2) for j in range(2 - i)]
+
+# one of the 55 subdivisions of path_problem(4, mikhalkin(11, 7).points) dual
+# to a line (the strip of parallelograms) and a cubic of genus 1: with
+# T = 10 and B = 12 it passes the count of a tree, but is not connected
+LINE_AND_CUBIC = [
+    ("t", ((0, 3), (1, 3), (0, 4))),
+    ("t", ((0, 2), (1, 2), (0, 3))),
+    ("t", ((0, 2), (2, 1), (1, 2))),
+    ("t", ((0, 2), (3, 0), (2, 1))),
+    ("t", ((0, 1), (1, 1), (0, 2))),
+    ("t", ((0, 1), (2, 0), (1, 1))),
+    ("t", ((0, 0), (1, 0), (0, 1))),
+    ("p", ((3, 0), (2, 1), (3, 1), (4, 0))),
+    ("p", ((2, 1), (1, 2), (2, 2), (3, 1))),
+    ("p", ((1, 2), (0, 3), (1, 3), (2, 2))),
+    ("t", ((2, 0), (1, 1), (3, 0))),
+    ("t", ((1, 1), (0, 2), (3, 0))),
+    ("t", ((1, 0), (0, 1), (2, 0))),
+]
+
+
+def test_curve_with_a_cycle_counts_zero():
+    assert len(CUBIC_OF_GENUS_ONE) == 9
+    assert oracles._subdivision_multiplicities(3, CUBIC_OF_GENUS_ONE) == (0, 0)
+
+
+def test_disconnected_curve_counts_zero():
+    assert oracles._subdivision_multiplicities(4, LINE_AND_CUBIC) == (0, 0)
+
+
+def test_cells_that_do_not_tile_are_rejected():
+    cells = CUBIC_OF_GENUS_ONE
+    for i in range(len(cells)):
+        with pytest.raises(AssertionError, match="does not tile"):
+            oracles._subdivision_multiplicities(3, cells[:i] + cells[i + 1 :])
+        swapped = cells[:i] + [cells[i - 1]] + cells[i + 1 :]  # same area
+        with pytest.raises(AssertionError, match=r"lies in \d cells"):
+            oracles._subdivision_multiplicities(3, swapped)
 
 
 def _half_subdivisions(d, points):
