@@ -8,8 +8,11 @@ so the algorithms favour determinism over asymptotic speed.
 
 There is one elimination per field: ``_row_reduce`` over Q behind
 ``rational_rank`` and ``solve_unique_rational``, ``_f2_reduce`` over GF(2)
-behind ``f2_solve`` and ``f2_rank``.  Over Z, the Smith form gives the
-saturation directly: with ``left @ A @ right == D``, column i of
+behind ``f2_solve`` and ``f2_rank``.  Over Z, the Smith and Hermite forms
+each eliminate on one augmented matrix, the input bordered by identity
+blocks (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
+so every operation reaches its witness by construction.  The Smith form
+gives the saturation directly: with ``left @ A @ right == D``, column i of
 ``A @ right`` divided by d_i is column i of ``left^-1``, and the first rank
 such columns, put in Hermite normal form, generate the saturation.
 ``f2_rank`` and the Bareiss ``IntMatrix.det`` share no code with the Smith
@@ -143,39 +146,6 @@ class SnfResult:
     right_transform: IntMatrix
     rank: int
 
-    def diagonal_matrix(self, rows: int, cols: int) -> IntMatrix:
-        d = [[0] * cols for _ in range(rows)]
-        for i, f in enumerate(self.invariant_factors):
-            d[i][i] = f
-        return IntMatrix.from_rows(d, cols=cols)
-
-
-def _swap_rows(a, i, j):
-    a[i], a[j] = a[j], a[i]
-
-
-def _swap_cols(a, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(a, dst, src, factor):
-    a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-
-
-def _add_col(a, dst, src, factor):
-    for row in a:
-        row[dst] += factor * row[src]
-
-
-def _scale_row(a, i, factor):
-    a[i] = [factor * x for x in a[i]]
-
-
-def _scale_col(a, j, factor):
-    for row in a:
-        row[j] *= factor
-
 
 def smith_normal_form(m: IntMatrix) -> SnfResult:
     """Smith normal form by gcd row/column elimination.
@@ -183,31 +153,24 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     Pivots on the minimal nonzero absolute value (ties broken by position)
     so the run is deterministic.  Returns the invariant factors, ones
     included, together with unimodular left/right witnesses.
-    """
-    a = m.to_rows()
-    nr, nc = m.rows, m.cols
-    left = IntMatrix.identity(nr).to_rows()
-    right = IntMatrix.identity(nc).to_rows()
 
-    t = 0
-    while True:
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                v = abs(a[i][j])
-                if v != 0 and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
+    The elimination runs on ``[[A, I], [I, 0]]``: an operation on the first
+    ``rows`` rows builds the left witness in the last ``rows`` columns, one
+    on the first ``cols`` columns the right witness in the last ``cols``
+    rows.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(m.row(i)) + [int(i == k) for k in range(nr)] for i in range(nr)]
+    a += [[int(i == j) for j in range(nc)] + [0] * nr for i in range(nc)]
+
+    for t in range(min(nr, nc)):
+        entries = [(abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]]
+        if not entries:
             break
-        pi, pj = pivot
-        if pi != t:
-            _swap_rows(a, t, pi)
-            _swap_rows(left, t, pi)
-        if pj != t:
-            _swap_cols(a, t, pj)
-            _swap_cols(right, t, pj)
+        _, pi, pj = min(entries)
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
 
         while True:
             # Clear the pivot column.
@@ -216,11 +179,9 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 if a[i][t] == 0:
                     continue
                 q = a[i][t] // a[t][t]
-                _add_row(a, i, t, -q)
-                _add_row(left, i, t, -q)
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                 if a[i][t] != 0:
-                    _swap_rows(a, t, i)
-                    _swap_rows(left, t, i)
+                    a[t], a[i] = a[i], a[t]
                     dirty = True
             if dirty:
                 continue
@@ -229,40 +190,34 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
                 if a[t][j] == 0:
                     continue
                 q = a[t][j] // a[t][t]
-                _add_col(a, j, t, -q)
-                _add_col(right, j, t, -q)
+                for row in a:
+                    row[j] -= q * row[t]
                 if a[t][j] != 0:
-                    _swap_cols(a, t, j)
-                    _swap_cols(right, t, j)
+                    for row in a:
+                        row[t], row[j] = row[j], row[t]
                     dirty = True
             if dirty:
                 continue
-            # Enforce divisibility of the remaining block by the pivot.
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # Enforce divisibility of the remaining block by the pivot (a unit
+            # divides everything).
+            p = a[t][t]
+            if p in (1, -1):
+                break
+            offender = next(
+                (i for i in range(t + 1, nr) for j in range(t + 1, nc) if a[i][j] % p), None
+            )
             if offender is None:
                 break
-            _add_row(a, t, offender, 1)
-            _add_row(left, t, offender, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
 
         if a[t][t] < 0:
-            _scale_row(a, t, -1)
-            _scale_row(left, t, -1)
-        t += 1
-        if t == min(nr, nc):
-            break
+            a[t] = [-x for x in a[t]]
 
     factors = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i] != 0)
     return SnfResult(
         invariant_factors=factors,
-        left_transform=IntMatrix.from_rows(left, cols=nr),
-        right_transform=IntMatrix.from_rows(right, cols=nc),
+        left_transform=IntMatrix.from_rows([row[nc:] for row in a[:nr]], cols=nr),
+        right_transform=IntMatrix.from_rows([row[:nc] for row in a[nr:]], cols=nc),
         rank=len(factors),
     )
 
@@ -273,11 +228,11 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
     Returns ``(hnf, transform)`` with ``m @ transform == hnf``, transform
     unimodular.  The result is lower-triangular echelon with positive
     pivots; entries left of a pivot in its row are reduced into
-    ``[0, pivot)``.
+    ``[0, pivot)``.  The column operations run on ``[A; I]``, so the last
+    ``cols`` rows build the transform.
     """
-    a = m.to_rows()
     nr, nc = m.rows, m.cols
-    u = IntMatrix.identity(nc).to_rows()
+    a = m.to_rows() + IntMatrix.identity(nc).to_rows()
 
     c = 0
     for i in range(nr):
@@ -289,32 +244,31 @@ def hermite_normal_form(m: IntMatrix) -> tuple:
             if not nonzero:
                 break
             jmin = min(nonzero, key=lambda j: (abs(a[i][j]), j))
-            if jmin != c:
-                _swap_cols(a, c, jmin)
-                _swap_cols(u, c, jmin)
+            for row in a:
+                row[c], row[jmin] = row[jmin], row[c]
             done = True
             for j in range(c + 1, nc):
                 if a[i][j] == 0:
                     continue
                 q = a[i][j] // a[i][c]
-                _add_col(a, j, c, -q)
-                _add_col(u, j, c, -q)
+                for row in a:
+                    row[j] -= q * row[c]
                 if a[i][j] != 0:
                     done = False
             if done:
                 break
-        if c < nc and a[i][c] != 0:
+        if a[i][c] != 0:
             if a[i][c] < 0:
-                _scale_col(a, c, -1)
-                _scale_col(u, c, -1)
+                for row in a:
+                    row[c] = -row[c]
             for j in range(c):
                 q = a[i][j] // a[i][c]
                 if q != 0:
-                    _add_col(a, j, c, -q)
-                    _add_col(u, j, c, -q)
+                    for row in a:
+                        row[j] -= q * row[c]
             c += 1
 
-    return IntMatrix.from_rows(a, cols=nc), IntMatrix.from_rows(u, cols=nc)
+    return IntMatrix.from_rows(a[:nr], cols=nc), IntMatrix.from_rows(a[nr:], cols=nc)
 
 
 def saturate(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:

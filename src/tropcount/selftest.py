@@ -2,7 +2,9 @@
 
 Each criterion is a function returning (ok, detail); ``run`` executes them
 in order, printing one PASS/FAIL line per criterion.  The expensive
-enumeration data is computed once and shared.
+enumeration data is computed once and shared.  A3 runs on Mikhalkin
+configurations, which the lattice-path oracle needs; A4-A8 also run on
+GENERIC_D3 when the degrees include 3.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import exact_lattice
 from .counting import count_complex, count_real, real_index
@@ -33,6 +35,21 @@ from .welschinger import census_sum, welschinger_total
 
 EXPECTED_TOTALS = {1: (1, 1), 2: (1, 1), 3: (12, 8)}
 
+# The points of the stored set d3-generic-1.  One of its curves has a
+# weight-2 bounded edge and a T_h with invariant factor 2, which the
+# Mikhalkin configurations lack, so the twisted index is tested where it can
+# differ from the untwisted one.
+GENERIC_D3 = (
+    (-718218, 193707),
+    (777197, 682471),
+    (601751, -867656),
+    (-465082, -752707),
+    (39002, 595853),
+    (-57349, -9630),
+    (366489, -203890),
+    (654072, -559693),
+)
+
 
 @dataclass
 class CriterionResult:
@@ -44,19 +61,31 @@ class CriterionResult:
 
 
 class _Context:
-    """Shared data for the criteria: one enumeration per degree."""
+    """Shared data for the criteria: one enumeration per problem."""
 
     def __init__(self, degrees: Tuple[int, ...], seed: int):
         self.degrees = degrees
         self.seed = seed
-        self._cache: Dict[int, Tuple[PointConfiguration, list]] = {}
+        self._cache: Dict[Tuple, Tuple[PointConfiguration, list]] = {}
 
-    def enumerated(self, d: int):
-        if d not in self._cache:
-            config = PointConfiguration.mikhalkin(3 * d - 1, self.seed)
-            curves = enumerate_curves(0, Degree.projective(d), config)
-            self._cache[d] = (config, curves)
-        return self._cache[d]
+    def enumerated(self, d: int, points: Optional[Tuple] = None):
+        """The degree's Mikhalkin configuration, or ``points``, with its curves."""
+        key = (d, points)
+        if key not in self._cache:
+            if points is None:
+                config = PointConfiguration.mikhalkin(3 * d - 1, self.seed)
+            else:
+                config = PointConfiguration.explicit(points)
+            self._cache[key] = (config, enumerate_curves(0, Degree.projective(d), config))
+        return self._cache[key]
+
+    def problems(self):
+        """(d, label, config, curves) of each degree's Mikhalkin set, then
+        of GENERIC_D3 when 3 is among the degrees."""
+        for d in self.degrees:
+            yield (d, "d=%d" % d) + self.enumerated(d)
+        if 3 in self.degrees:
+            yield (3, "d=3 generic") + self.enumerated(3, GENERIC_D3)
 
 
 def criterion_kernel_lemma(ctx: _Context) -> Tuple[bool, str]:
@@ -157,20 +186,15 @@ def criterion_census_identity(ctx: _Context) -> Tuple[bool, str]:
     from .welschinger import crossing_count
 
     checked = 0
-    for d in ctx.degrees:
-        _, curves = ctx.enumerated(d)
+    for d, label, _, curves in ctx.problems():
         delta = (d - 1) * (d - 2) // 2
         for curve, _ in curves:
             expected = curve_welschinger_mult(curve)
             for sign_t in (1, -1):
                 got = census_sum(curve, sign_t)
                 if got != expected:
-                    return False, "d=%d curve %d sign_t=%d: %d != %d" % (
-                        d,
-                        checked,
-                        sign_t,
-                        got,
-                        expected,
+                    return False, "%s curve %d sign_t=%d: %d != %d" % (
+                        label, checked, sign_t, got, expected
                     )
             if all(curve.weight(eid) == 1 for eid in curve.graph.edge_ids()):
                 interior = sum(
@@ -178,10 +202,8 @@ def criterion_census_identity(ctx: _Context) -> Tuple[bool, str]:
                     for v in curve.graph.vertices
                 )
                 if crossing_count(curve) + interior != delta:
-                    return False, "d=%d curve %d misses the node budget %d" % (
-                        d,
-                        checked,
-                        delta,
+                    return False, "%s curve %d misses the node budget %d" % (
+                        label, checked, delta
                     )
             checked += 1
     return True, "%d curves, both signs" % checked
@@ -191,8 +213,7 @@ def criterion_real_count_structure(ctx: _Context) -> Tuple[bool, str]:
     """A5: parity and domination against the complex count for random sign
     configurations; all-positive signs with t > 0 leave every index untwisted."""
     rng = random.Random(977 + ctx.seed)
-    for d in ctx.degrees:
-        config, curves = ctx.enumerated(d)
+    for _, label, config, curves in ctx.problems():
         constraints = config.constraints()
         complex_report = count_complex(curves, constraints)
         w_total = welschinger_total([c for c, _ in curves])
@@ -206,14 +227,14 @@ def criterion_real_count_structure(ctx: _Context) -> Tuple[bool, str]:
             for sign_t in (1, -1):
                 report = count_real(curves, constraints, signs, sign_t)
                 if report.n_real_trop % 2 != complex_report.n_trop % 2:
-                    return False, "d=%d parity violated" % d
+                    return False, "%s parity violated" % label
                 if report.n_real_trop > complex_report.n_trop:
-                    return False, "d=%d domination violated" % d
+                    return False, "%s domination violated" % label
                 if report.n_real_trop < w_total:
-                    return False, "d=%d real count below the signed count" % d
+                    return False, "%s real count below the signed count" % label
                 for r_row, c_row in zip(report.rows, complex_report.rows):
                     if r_row.contribution_real > c_row.contribution_complex:
-                        return False, "d=%d row domination violated" % d
+                        return False, "%s row domination violated" % label
         plus_report = count_real(
             curves, constraints, RealPointConfig.all_positive(ell, 2), 1
         )
@@ -222,16 +243,15 @@ def criterion_real_count_structure(ctx: _Context) -> Tuple[bool, str]:
             # faulty record cannot vouch for itself
             th = build_T_h(curve, constraints, marks)
             if row.twisted_index != real_index(th.matrix).real_index:
-                return False, "d=%d untwisted index mismatch" % d
-    return True, "20 sign configurations per degree, both signs of t"
+                return False, "%s untwisted index mismatch" % label
+    return True, "20 sign configurations per problem, both signs of t"
 
 
 def criterion_multr_vs_multm(ctx: _Context) -> Tuple[bool, str]:
     """A6: Mult_R equals the Mikhalkin-style real multiplicity on every
     enumerated curve (all unbounded weights are 1)."""
     checked = 0
-    for d in ctx.degrees:
-        _, curves = ctx.enumerated(d)
+    for _, label, _, curves in ctx.problems():
         for curve, _ in curves:
             if any(
                 curve.weight(eid) != 1 for eid in curve.graph.unbounded_ids()
@@ -240,7 +260,7 @@ def criterion_multr_vs_multm(ctx: _Context) -> Tuple[bool, str]:
             mult_r = curve_welschinger_mult(curve)
             mult_m = curve_mikhalkin_mults(curve)[1]
             if mult_r != mult_m:
-                return False, "d=%d: Mult_R %d != Mult_M %d" % (d, mult_r, mult_m)
+                return False, "%s: Mult_R %d != Mult_M %d" % (label, mult_r, mult_m)
             checked += 1
     return True, "%d curves" % checked
 
@@ -283,15 +303,14 @@ def criterion_goodness_scale(ctx: _Context) -> Tuple[bool, str]:
     bounded-edge fixture a weight that does not divide its length is not
     good."""
     checked = 0
-    for d in ctx.degrees:
-        config, curves = ctx.enumerated(d)
+    for _, label, config, curves in ctx.problems():
         for i, (curve, _) in enumerate(curves):
             s = rescale_for_goodness(curve, config.points)
             if not is_good_scale(curve, s, config.points):
-                return False, "d=%d curve %d: scale %d is not good" % (d, i, s)
+                return False, "%s curve %d: scale %d is not good" % (label, i, s)
             for p in _prime_factors(s):
                 if is_good_scale(curve, s // p, config.points):
-                    return False, "d=%d curve %d: scale %d is not least" % (d, i, s)
+                    return False, "%s curve %d: scale %d is not least" % (label, i, s)
             checked += 1
     # negative control for the weight clause: weight 2 needs scale 2 at
     # lattice length 1, and length 3 is not good at scale 1
@@ -307,12 +326,11 @@ def criterion_vertex_product_identity(ctx: _Context) -> Tuple[bool, str]:
     """A8: weights x lattice index x constraint indices equals the product of
     vertex multiplicities on every enumerated curve."""
     rows = 0
-    for d in ctx.degrees:
-        config, curves = ctx.enumerated(d)
+    for _, label, config, curves in ctx.problems():
         try:
             report = count_complex(curves, config.constraints())
         except Exception as exc:  # diagnostic dump comes with the exception
-            return False, "d=%d: %s" % (d, exc)
+            return False, "%s: %s" % (label, exc)
         rows += len(report.rows)
     return True, "%d curve rows" % rows
 

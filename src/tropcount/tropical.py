@@ -274,31 +274,6 @@ def segment_crossing(s1: Segment, s2: Segment) -> Optional[Tuple[Fraction, Fract
     return Fraction(n1) / det, Fraction(n2) / det
 
 
-def segments_overlap(s1: Segment, s2: Segment) -> bool:
-    """Whether two segments share a piece of positive length.
-
-    Non-parallel plane segments share at most a point, and parallel ones
-    on two lines share none.  Otherwise the shared part is convex, and
-    when it is more than a point it contains two distinct points among the
-    origin of each segment and its point at parameter 1.
-    """
-    v1, v2 = s1[1], s2[1]
-    if len(v1) == 2:
-        if v1[0] * v2[1] != v1[1] * v2[0]:
-            return False
-        # parallel, and off one line when the origins' difference crosses
-        # both vectors; a zero vector crosses nothing and is left to raise
-        rx, ry = s2[0][0] - s1[0][0], s2[0][1] - s1[0][1]
-        if rx * v1[1] != ry * v1[0] and rx * v2[1] != ry * v2[0]:
-            return False
-    shared = set()
-    for origin, vector, _ in (s1, s2):
-        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
-            if segment_param(s1, p) is not None and segment_param(s2, p) is not None:
-                shared.add(p)
-    return len(shared) > 1
-
-
 def rational_primitive(disp: Sequence[Fraction]) -> Vec:
     """Primitive integer vector parallel to a rational displacement."""
     denom = lcm(*(Fraction(x).denominator for x in disp))

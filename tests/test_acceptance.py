@@ -11,6 +11,7 @@ from math import lcm
 
 import pytest
 
+from tropcount.incidence import SignClass
 from tropcount.selftest import CRITERIA
 from tropcount.tropical import TropicalCurve
 
@@ -127,6 +128,31 @@ def test_negative_control_f2_fault(monkeypatch):
     ok, detail = criterion_real_count_structure(_Context(degrees=(1,), seed=7))
     assert not ok
     assert detail == "d=1 parity violated"
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_negative_control_flipped_sign_class_bit(monkeypatch, seed):
+    # point 1's bit of every sign class flipped (each point's block of the
+    # class is one bit): on the Mikhalkin sets no T_h has an even factor, so
+    # the mod-2 image is everything and A5 stays green there; on the generic
+    # set the flipped class leaves the image of a T_h with factor 2, so A5's
+    # untwisted-index check goes red on it
+    from tropcount import counting
+    from tropcount.selftest import _Context, criterion_real_count_structure
+
+    ok, detail = criterion_real_count_structure(_Context(degrees=(3,), seed=seed))
+    assert ok, detail
+    sigma_sign_class = counting.sigma_sign_class
+
+    def flipped(th, *args):
+        bits = list(sigma_sign_class(th, *args).bits)
+        bits[th.edge_rows + 1] ^= 1
+        return SignClass(tuple(bits))
+
+    monkeypatch.setattr(counting, "sigma_sign_class", flipped)
+    ok, detail = criterion_real_count_structure(_Context(degrees=(3,), seed=seed))
+    assert not ok
+    assert detail == "d=3 generic untwisted index mismatch"
 
 
 def test_negative_control_vertex_product(monkeypatch):

@@ -26,6 +26,8 @@ from tropcount.exact_lattice import solve_unique_rational, vector_gcd
 from tropcount.incidence import match_marked_edges
 from tropcount.tropical import (
     Degree,
+    TropicalCurve,
+    TropicalGraph,
     as_point,
     check_balancing,
     curve_mikhalkin_mults,
@@ -820,11 +822,11 @@ def _certificate_sweep(degree, draws, bound, seed):
                 if certified:
                     cleared += 1
                     assert match_marked_edges(curve, config.constraints()) == marks
-                    enumeration._genericity_checks(curve, marks, config)
+                    enumeration._genericity_checks(curve, config)
                 else:
                     flagged += 1
                     try:
-                        enumeration._genericity_checks(curve, marks, config)
+                        enumeration._genericity_checks(curve, config)
                     except enumeration.GenericityFailure:
                         failed += 1
     return cleared, flagged, failed
@@ -840,6 +842,34 @@ def test_certificate_clears_only_curves_that_pass_the_checks_d3():
     """At d = 3 in [-30, 30] some flagged curves also fail the checks."""
     cleared, flagged, failed = _certificate_sweep(Degree.projective(3), 40, 30, 33)
     assert cleared and flagged > failed > 0
+
+
+def test_genericity_checks_reject_two_vertices_at_one_place():
+    """v0 -> v1 -> v2 -> v3 runs (1, 0), (0, 1), (-1, -1) and closes up:
+    v0 and v3, three edges apart, both sit at the origin.  The curve is
+    balanced and trivalent with no flat vertex, and each point lies inside
+    one edge only, so only the vertex clause can fail."""
+    graph = TropicalGraph(
+        vertices=("v0", "v1", "v2", "v3"),
+        bounded_edges=(("v0", "v1"), ("v1", "v2"), ("v2", "v3")),
+        unbounded_edges=(
+            ("v0", (-1, 1)),
+            ("v0", (0, -1)),
+            ("v1", (1, -1)),
+            ("v2", (1, 2)),
+            ("v3", (0, 1)),
+            ("v3", (-1, -2)),
+        ),
+        weights=dict.fromkeys(("b0", "b1", "b2", "u0", "u1", "u2", "u3", "u4", "u5"), 1),
+    )
+    positions = {"v0": (0, 0), "v1": (1, 0), "v2": (1, 1), "v3": (0, 0)}
+    curve = TropicalCurve(graph, {v: as_point(p) for v, p in positions.items()}, n=2)
+    assert check_balancing(curve) == []
+    config = PointConfiguration.explicit([(Fraction(1, 2), 0), (1, Fraction(1, 2)), (2, 3)])
+    assert match_marked_edges(curve, config.constraints()) == ("b0", "b1", "u3")
+    message = "vertices v0 and v3 share the position"
+    with pytest.raises(enumeration.GenericityFailure, match=message):
+        enumeration._genericity_checks(curve, config)
 
 
 @pytest.mark.parametrize("name", ["d3-generic-1", "d3-mikhalkin-7"])

@@ -20,8 +20,6 @@ from tropcount.tropical import (
     degree_of,
     dual_triangle,
     segment_crossing,
-    segment_param,
-    segments_overlap,
     vertex_multiplicities,
 )
 
@@ -345,26 +343,6 @@ def test_mult_r_vs_mult_m_sign_rule():
     assert curve_welschinger_mult(line) == curve_mikhalkin_mults(line)[1]
 
 
-def test_segments_overlap():
-    # b0 runs from (0,0) to (2,0); u0, u1 leave (0,0) left and right, u2
-    # leaves (2,0) to the left and u3 upwards (balancing is not needed here)
-    graph = TropicalGraph(
-        vertices=("v0", "v1"),
-        bounded_edges=(("v0", "v1"),),
-        unbounded_edges=(("v0", (-1, 0)), ("v0", (1, 0)), ("v1", (-1, 0)), ("v1", (0, 1))),
-        weights={"b0": 1, "u0": 1, "u1": 1, "u2": 1, "u3": 1},
-    )
-    curve = TropicalCurve(
-        graph=graph, positions={"v0": as_point((0, 0)), "v1": as_point((2, 0))}, n=2
-    )
-    overlapping = {("b0", "u1"), ("b0", "u2"), ("u0", "u2"), ("u1", "u2")}
-    eids = graph.edge_ids()
-    for i, e1 in enumerate(eids):
-        for e2 in eids[i + 1 :]:
-            overlap = segments_overlap(curve.edge_segment(e1), curve.edge_segment(e2))
-            assert overlap == ((e1, e2) in overlapping), (e1, e2)
-
-
 def segment(origin, vector, bounded=True):
     return as_point(origin), vector, bounded
 
@@ -408,30 +386,10 @@ def old_segment_crossing(s1, s2):
     return t1, t2
 
 
-def old_segments_overlap(s1, s2):
-    """``segments_overlap`` as it was, with no test for two parallel lines."""
-    v1, v2 = s1[1], s2[1]
-    if len(v1) == 2 and v1[0] * v2[1] != v1[1] * v2[0]:
-        return False
-    shared = set()
-    for origin, vector, _ in (s1, s2):
-        for p in (origin, tuple(a + v for a, v in zip(origin, vector))):
-            if segment_param(s1, p) is not None and segment_param(s2, p) is not None:
-                shared.add(p)
-    return len(shared) > 1
-
-
-def outcome(function, *args):
-    try:
-        return function(*args)
-    except DegenerateEdge:
-        return DegenerateEdge
-
-
 def test_segment_kernel_matches_the_old_formulas():
     """On random plane segments, many of them parallel, on one line, or
-    of zero length, the crossing and overlap tests give what the divide
-    first formulas gave, DegenerateEdge included."""
+    of zero length, the crossing test gives what the divide first formula
+    gave."""
     rng = random.Random(2)
     directions = [(1, 0), (0, 1), (1, 1), (2, -1), (-3, 2), (0, 0)]
     seen = set()
@@ -448,19 +406,10 @@ def test_segment_kernel_matches_the_old_formulas():
         k = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         s2 = (base, tuple(k * x for x in w), rng.random() < 0.7)
         for a, b in ((s1, s2), (s2, s1)):
-            assert outcome(segment_crossing, a, b) == outcome(old_segment_crossing, a, b), (a, b)
-            overlap = outcome(segments_overlap, a, b)
-            assert overlap == outcome(old_segments_overlap, a, b), (a, b)
-            seen.add(overlap)
-    assert seen == {True, False, DegenerateEdge}
-
-
-def test_segments_overlap_raises_on_a_zero_vector_on_either_side():
-    # parallel to anything, and off the other segment's line
-    point, segment_ = segment((5, 5), (0, 0)), segment((0, 0), (1, 0))
-    for s1, s2 in ((point, segment_), (segment_, point)):
-        with pytest.raises(DegenerateEdge):
-            segments_overlap(s1, s2)
+            crossing = segment_crossing(a, b)
+            assert crossing == old_segment_crossing(a, b), (a, b)
+            seen.add(crossing is None)
+    assert seen == {True, False}
 
 
 DATA = Path(__file__).parent.parent / "bench" / "data"
