@@ -39,13 +39,14 @@ is built into a type once.
 
 Propagation runs the rules ``_TypeSystem`` keeps as data, a value
 cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
-runs), then one list of bound steps, each moving one bound by one
-formula: the line steps of each (edge, endpoint), once the edge has a
-value, and the bound transfers of each bounded edge.  It runs them in
-plain sweeps until a sweep changes nothing or for at most 12 sweeps.  A
-child node starts from a copy of its parent's values and boxes.  The box
-test of a point on an edge is the ray test: no endpoint bound lies
-beyond the point's coordinates, the tail behind it and the head ahead.
+runs), then bound steps, each moving one bound by one formula: the line
+steps of each edge, kept as one group per edge (both endpoints) and
+skipped whole until the edge has a value, and then the bound transfers
+of the bounded edges.  It runs them in plain sweeps until a sweep
+changes nothing or for at most 12 sweeps.  A child node starts from a
+copy of its parent's values and boxes.  The box test of a point on an
+edge is the ray test: no endpoint bound lies beyond the point's
+coordinates, the tail behind it and the head ahead.
 
 A search node keeps two ints that pack an edge bitmask per unplaced
 point: its admissible edges, which branching counts, and its row, those
@@ -391,15 +392,15 @@ class _TypeSystem:
     ``4v + 1`` bound x from below and above, ``4v + 2`` and ``4v + 3`` bound
     y; an even slot is a lower bound.
 
-    The propagation rules come in two lists, in sweep order: the value
-    cascade of each vertex (``vertex_eqs``) and the bound ``steps``.  A
-    step (edge, read, write, a, m) bounds the write slot by
-    (c - a * box[read]) / m, rounded outward, with c the edge's value: the
-    ``_line_steps`` of each edge at each endpoint, tail before head, in
-    edge order, and then the transfers of each bounded edge, whose
-    direction orders its endpoints coordinatewise.  A transfer copies
-    box[read] to the write slot: it is an edge-less step, edge -1 with
-    c = 0, a = -1 and m = 1.
+    The propagation rules come in three tables, in sweep order: the value
+    cascade of each vertex (``vertex_eqs``), the line steps of each edge
+    (``lines``) and the bound ``transfers``.  ``lines[i]`` holds edge i's
+    ``_line_steps`` at its tail and then at its head; a step
+    (read, write, a, m) bounds the write slot by (c - a * box[read]) / m,
+    rounded outward, with c the edge's value, so an edge's steps run only
+    once it has one.  A transfer (read, write) copies box[read] to the
+    write slot: a bounded edge's direction orders its endpoints
+    coordinatewise.
 
     ``rays[i]`` lists, per endpoint of edge i (tail first) and coordinate
     k, the (k, slot to set) entries of a point on the edge: the tail lies
@@ -449,24 +450,28 @@ class _TypeSystem:
             solve_pairs.append(pair)
         self.solve_pairs = tuple(solve_pairs)
 
-        # line steps per (edge, endpoint), tail before head, in edge order
-        steps: List[Tuple[int, int, int, int, int]] = []
+        # each edge's line steps, at its tail and then at its head
+        lines: List[Tuple[Tuple[int, int, int, int], ...]] = []
         all_rays: List[Tuple[Tuple[int, int], ...]] = []
         for i, e in enumerate(edges):
+            steps: Tuple[Tuple[int, int, int, int], ...] = ()
             rays: List[Tuple[int, int]] = []
             for vertex, sign in ((e.tail, 1), (e.head, -1)):
                 if vertex is None:
                     continue
-                steps += [(i,) + step for step in _line_steps(self.normals[i], 4 * vertex)]
+                steps += _line_steps(self.normals[i], 4 * vertex)
                 for k in (0, 1):
                     uk = e.prim[k] * sign
                     lo = 4 * vertex + 2 * k
                     # set the upper slot ahead along coordinate k, the lower behind
                     rays += [(k, slot) for slot in ((lo + (uk > 0),) if uk else (lo, lo + 1))]
+            lines.append(share(tuple(share(step) for step in steps)))
             all_rays.append(share(tuple(rays)))
+        self.lines = tuple(lines)
         self.rays = tuple(all_rays)
         # a bounded edge's direction orders its endpoints coordinatewise:
         # each transfer copies a source slot's bound to a target slot
+        transfers: List[Tuple[int, int]] = []
         for i in ctype.bounded_indices():
             ta, he = edges[i].tail, edges[i].head
             for k, uk in enumerate(edges[i].prim):
@@ -477,8 +482,8 @@ class _TypeSystem:
                     pairs = [(he, ta, lo), (ta, he, hi)]
                 else:
                     pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
-                steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
-        self.steps = tuple(share(step) for step in steps)
+                transfers += [(4 * s + slot, 4 * t + slot) for s, t, slot in pairs]
+        self.transfers = tuple(share(pair) for pair in transfers)
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
         # cones[e][f] holds the directions the tree path from a point on
         # edge e to one on edge f runs along, as ``_direction_bit``s: the
@@ -636,40 +641,49 @@ def _apply_point(system: _TypeSystem, box: List[Optional[int]], edge: int, point
     edge: the tail sits on the backward ray, the head on the forward one.
     False when that empties a range, which ``_point_feasible`` rules out
     on these boxes first."""
-    return all(_tighten(box, slot, point[k]) is not None for k, slot in system.rays[edge])
+    for k, slot in system.rays[edge]:
+        if _tighten(box, slot, point[k]) is None:
+            return False
+    return True
 
 
 def _propagate(system: _TypeSystem, val: List[Optional[int]], box: List[Optional[int]]) -> bool:
     """Run every rule on the transverse values ``val`` and the boxes
     ``box``, in sweeps, to a fixpoint; False on a contradiction.
 
-    A sweep runs the vertex cascades, then the bound steps, those of an
-    edge only once it has a value.  It stops when a sweep changes nothing,
-    or after ``_SWEEPS`` sweeps; the next call, at a child, goes on from
-    there.  Every bound moves through ``_tighten`` and is an integer,
-    rounded outward where a division occurs: a sound relaxation of the
-    strict geometry.
+    A sweep runs the vertex cascades, then the line steps edge by edge,
+    skipping those of an edge with no value, then the transfers.  It stops
+    when a sweep changes nothing, or after ``_SWEEPS`` sweeps; the next
+    call, at a child, goes on from there.  Every bound moves through
+    ``_tighten`` and is an integer, rounded outward where a division
+    occurs: a sound relaxation of the strict geometry.
     """
+    lines = system.lines
     for _ in range(_SWEEPS):
         changed = _vertex_sweep(system.vertex_eqs, val)
         if changed is None:
             return False
-        for edge, read, slot, a, m in system.steps:
-            if edge < 0:
-                num = 0
-            else:
-                num = val[edge]
-                if num is None:
-                    continue
-            if read >= 0:
-                other = box[read]
-                if other is None:
-                    continue
-                num -= a * other
-            moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
-            if moved is None:
-                return False
-            changed = changed or moved
+        for c, steps in zip(val, lines):
+            if c is None:
+                continue
+            for read, slot, a, m in steps:
+                num = c
+                if read >= 0:
+                    other = box[read]
+                    if other is None:
+                        continue
+                    num -= a * other
+                moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
+                if moved is None:
+                    return False
+                changed = changed or moved
+        for read, slot in system.transfers:
+            bound = box[read]
+            if bound is not None:
+                moved = _tighten(box, slot, bound)
+                if moved is None:
+                    return False
+                changed = changed or moved
         if not changed:
             break
     return True
@@ -697,7 +711,10 @@ def _has_quota_matching(rows: List[int], parts: Sequence[int], ends: int, num_ed
     if min(spare) < 0:
         return False
     owner = [-1] * num_edges
-    return all(_reroute(rows, parts, spare, owner, r, [0, 0]) for r in range(len(rows)))
+    for r in range(len(rows)):
+        if not _reroute(rows, parts, spare, owner, r, [0, 0]):
+            return False
+    return True
 
 
 def _reroute(rows, parts, spare, owner, r, seen) -> bool:
@@ -715,7 +732,9 @@ def _reroute(rows, parts, spare, owner, r, seen) -> bool:
         edge = bit.bit_length() - 1
         other = owner[edge]
         if other < 0:
-            k = next(k for k, part in enumerate(parts) if part & bit)
+            k = 0
+            while not parts[k] & bit:
+                k += 1
             if spare[k]:
                 spare[k] -= 1
                 owner[edge] = r
@@ -757,7 +776,7 @@ def _partners(
 
 
 def _cone_consistency(
-    rows: int, unplaced: Sequence[int], partners: Sequence[Sequence[int]], num_edges: int
+    rows: int, unplaced: List[int], partners: Sequence[Sequence[int]], num_edges: int, guards: int
 ) -> Optional[int]:
     """Drop edge e from point a's row while some other point b of
     ``unplaced`` has no edge f in its row such that e is among point a's
@@ -766,24 +785,31 @@ def _cone_consistency(
     ``rows`` holds point b's edge bitmask at bit b * (num_edges + 1) and
     up, as ``partners`` (``_partners``) do, with a guard bit above it that
     they never set, so adding num_edges ones to each row sets the guards
-    of the nonempty ones.  The union of
-    ``partners[b][f]`` over the edges f of b's row holds each other
-    point's edges that pass the cone test with some edge of b's row, so a
-    pass intersects the rows with that union for each b in turn.  The test
-    reads the same from either point (``_search_assignments``), so this is
-    also the test read from a.
+    of the nonempty ones.  ``guards`` holds the guard bits of the points
+    of ``unplaced``, which the caller finds once for all its calls on
+    them.  The union of ``partners[b][f]`` over the edges f of b's row
+    holds each other point's edges that pass the cone test with some edge
+    of b's row, so a pass intersects the rows with that union for each b
+    in turn, skipping a b whose row has not changed since its union was
+    last applied: rows only shrink, so that union would change nothing.
+    The test reads the same from either point (``_search_assignments``),
+    so this is also the test read from a.
     """
     width = num_edges + 1
     full = (1 << num_edges) - 1
-    ones = sum(full << b * width for b in unplaced)
-    guards = sum(1 << b * width + num_edges for b in unplaced)
+    ones = guards - (guards >> num_edges)
+    applied = [-1] * len(partners)
     while (rows + ones) & guards == guards:
         before = rows
         for b in unplaced:
+            shift = b * width
+            row = rows >> shift & full
+            if row == applied[b]:
+                continue
+            applied[b] = row
             table = partners[b]
-            row = rows >> b * width & full
             # b's own row is not tested against itself
-            support = full << b * width
+            support = full << shift
             while row:
                 low = row & -row
                 row ^= low
@@ -801,18 +827,21 @@ def _singleton_consistency(rows: int, closed: Callable, partners, cuts, width) -
     shrinks reruns ``closed`` on all rows; None once a row empties."""
     full = (1 << width - 1) - 1
     everyone = list(range(len(partners)))
-    for b in sorted(everyone[1:], key=lambda j: (rows >> j * width & full).bit_count()):
+    guards = sum([1 << b * width + width - 1 for b in everyone])
+    for _, b in sorted([((rows >> j * width & full).bit_count(), j) for j in everyone[1:]]):
         others = everyone[:b] + everyone[b + 1 :]
+        others_guards = guards ^ 1 << b * width + width - 1
         others_rows = rows & ~(full << b * width)
         row = left = rows >> b * width & full
+        table = partners[b]
         while left:
             bit = left & -left
             left ^= bit
             edge = bit.bit_length() - 1
-            if closed(others_rows & partners[b][edge], others, cuts[edge]) is None:
+            if closed(others_rows & table[edge], others, others_guards, cuts[edge]) is None:
                 row ^= bit
         if row != rows >> b * width & full:
-            rows = closed(others_rows | row << b * width, everyone, (full,))
+            rows = closed(others_rows | row << b * width, everyone, guards, (full,))
             if rows is None:
                 return None
     return rows
@@ -838,7 +867,9 @@ def _search_assignments(
     values and boxes once, before the first child it propagates when more
     edges follow, and puts them back before each later one.  The state a
     node leaves behind is its last child's, which its own parent
-    overwrites.
+    overwrites.  What depends only on the node (the point placed, the
+    others and their guard bits, the unused edges) is found once, before
+    its first child.
 
     A node's ``parts`` are the edge bitmasks of the type cut at its placed
     points.  A part with n ends and h cut half-edges has 2n + h - 3 unknown
@@ -866,18 +897,19 @@ def _search_assignments(
     no quotas (``closed``, the one prune gate).  A child that passes is
     propagated and redoes the box test on its parent's admissible edges
     that are unused and unset or at their pin; its rows keep only those
-    (``narrowed``).  When that empties a row or breaks the quotas, every
-    child of the child fails ``closed``: its rows are a subset of those,
-    and its quota matching plus its placed point is one of those.  The box
-    test is the ray test; a pinned line that misses an endpoint's box is
-    found by the edge's line steps in the child's propagation.  The root
-    runs ``closed`` on full rows, then ``_singleton_consistency``: each
-    point but the first keeps only the edges whose child, that point
-    placed first there, passes ``closed``.  Every assignment the search
-    yields passes the cone test on every pair and meets the quotas of every
-    cut, so a dropped (point, edge) pair is in no completion; ``cands``,
-    and so the branching, stay as they are, and the yielded sequence is
-    that of the box and quota tests alone.
+    (``narrowed``, which stops at the first row it empties).  When that
+    empties a row or breaks the quotas, every child of the child fails
+    ``closed``: its rows are a subset of those, and its quota matching
+    plus its placed point is one of those.  The box test is the ray test;
+    a pinned line that misses an endpoint's box is found by the edge's
+    line steps in the child's propagation.  The root runs ``closed`` on
+    full rows, then ``_singleton_consistency``: each point but the first
+    keeps only the edges whose child, that point placed first there,
+    passes ``closed``.  Every assignment the search yields passes the cone
+    test on every pair and meets the quotas of every cut, so a dropped
+    (point, edge) pair is in no completion; ``cands``, and so the
+    branching, stay as they are, and the yielded sequence is that of the
+    box and quota tests alone.
 
     ``cone_masks`` keeps the ``_reach_masks`` over ``points``; pass one
     dict for every type of a problem, all of one width, to build each once.
@@ -898,27 +930,30 @@ def _search_assignments(
     cuts = system.cuts
     ends = system.ends
 
-    def closed(rows: int, unplaced: List[int], parts: Tuple[int, ...]) -> Optional[int]:
+    def closed(
+        rows: int, unplaced: List[int], guards: int, parts: Tuple[int, ...]
+    ) -> Optional[int]:
         """The rows after ``_cone_consistency``; None when a row empties or
         no matching of the rows meets the quotas of ``parts``."""
-        rows = _cone_consistency(rows, unplaced, partners, num_edges)
+        rows = _cone_consistency(rows, unplaced, partners, num_edges, guards)
         if rows is None or not _has_quota_matching(
             [rows >> j * width & full for j in unplaced], parts, ends, num_edges
         ):
             return None
         return rows
 
-    def narrowed(cands: int, unused: int, rows: int) -> Tuple[int, int]:
-        """The unplaced points' admissible edges among ``cands``: in
+    def narrowed(unplaced: List[int], cands: int, unused: int, rows: int) -> Tuple[int, int]:
+        """The admissible edges of ``unplaced`` among ``cands``: in
         ``unused``, unset or at their pin, and passing the box test; and
-        ``rows`` with those edges only."""
+        ``rows`` with those edges only.  It stops at the first row that
+        comes out empty, where every child fails ``closed``."""
         boxed = 0
-        for j in range(num_points):
-            if assignment[j] != -1:
-                continue
+        for j in unplaced:
             pinned = pins[j]
             point = points[j]
-            left = cands >> j * width & unused
+            shift = j * width
+            fits = 0
+            left = cands >> shift & unused
             while left:
                 bit = left & -left
                 left ^= bit
@@ -926,22 +961,33 @@ def _search_assignments(
                 cur = val[edge]
                 if cur is None or cur == pinned[edge]:
                     if _point_feasible(system, box, edge, point):
-                        boxed |= bit << j * width
+                        fits |= bit
+            boxed |= fits << shift
+            if not rows >> shift & fits:
+                break
         return boxed, rows & boxed
 
     def place(
-        placed: int, cands: int, rows: int, parts: Tuple[int, ...]
+        unplaced: List[int], cands: int, rows: int, parts: Tuple[int, ...]
     ) -> Iterator[Tuple[int, ...]]:
-        if placed == num_points:
+        if not unplaced:
             yield tuple(assignment)
             return
-        best_point = min(
-            (j for j in range(num_points) if assignment[j] == -1),
-            key=lambda j: (cands >> j * width & full).bit_count(),
-        )
+        best_point = unplaced[0]
+        fewest = width
+        for j in unplaced:
+            count = (cands >> j * width & full).bit_count()
+            if count < fewest:
+                best_point, fewest = j, count
         row = pins[best_point]
         point = points[best_point]
-        others = [j for j in range(num_points) if assignment[j] == -1 and j != best_point]
+        others = []
+        guards = 0
+        for j in unplaced:
+            if j != best_point:
+                others.append(j)
+                guards |= 1 << j * width + num_edges
+        unused = sum(parts)
         # the other points' rows, which each child narrows by its own edge
         others_rows = rows & ~(full << best_point * width)
         table = partners[best_point]
@@ -951,9 +997,11 @@ def _search_assignments(
             bit = left & -left
             left ^= bit
             edge = bit.bit_length() - 1
-            k = next(k for k, part in enumerate(parts) if part & bit)
-            split = parts[:k] + tuple(parts[k] & side for side in cuts[edge]) + parts[k + 1 :]
-            child_rows = closed(others_rows & table[edge], others, split)
+            k = 0
+            while not parts[k] & bit:
+                k += 1
+            split = parts[:k] + tuple([parts[k] & side for side in cuts[edge]]) + parts[k + 1 :]
+            child_rows = closed(others_rows & table[edge], others, guards, split)
             if child_rows is None:
                 continue
             if saved is not None:
@@ -965,17 +1013,17 @@ def _search_assignments(
             if not (_apply_point(system, box, edge, point) and _propagate(system, val, box)):
                 continue
             assignment[best_point] = edge
-            yield from place(placed + 1, *narrowed(cands, sum(split), child_rows), split)
+            yield from place(others, *narrowed(others, cands, unused ^ bit, child_rows), split)
             assignment[best_point] = -1
 
     whole = (full,)
     everyone = list(range(num_points))
-    cands = sum(full << j * width for j in everyone)
-    rows = closed(cands, everyone, whole)
+    cands = sum([full << j * width for j in everyone])
+    rows = closed(cands, everyone, sum([1 << j * width + num_edges for j in everyone]), whole)
     if rows is not None:
         rows = _singleton_consistency(rows, closed, partners, cuts, width)
     if rows is not None:
-        yield from place(0, cands, rows, whole)
+        yield from place(everyone, cands, rows, whole)
     del place  # place reaches itself through this cell; break that cycle
 
 

@@ -189,13 +189,10 @@ def test_stored_curves_match_oracle_subdivisions(name):
     assert pipeline_subdivisions(3, curves[:i] + [curves[j]] + curves[i + 1 :]) != expected
 
 
-@pytest.mark.slow
-def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
-    """The normative pipeline at d = 4: 307 curves, N/W = 620/240, each
-    curve dual to one of the lattice-path oracle's subdivisions.  Its
-    search tree is pinned by its size: 307 yielded assignments over the
-    2,818 types, each one a curve, and 2,118 ``_propagate`` calls (26,009
-    before each type's root ran ``_singleton_consistency``)."""
+def count_search(monkeypatch):
+    """A dict whose "yields" and "propagate" entries count, from now on,
+    the assignments ``_search_assignments`` yields and the ``_propagate``
+    calls, which pin the size of a search tree."""
     search = enumeration._search_assignments
     counts = {"yields": 0, "propagate": 0}
 
@@ -209,6 +206,17 @@ def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_search_assignments", counted_search)
     watch(monkeypatch, "_propagate", counted_propagate)
+    return counts
+
+
+@pytest.mark.slow
+def test_pipeline_matches_oracle_subdivisions_d4(monkeypatch):
+    """The normative pipeline at d = 4: 307 curves, N/W = 620/240, each
+    curve dual to one of the lattice-path oracle's subdivisions.  Its
+    search tree is pinned by its size: 307 yielded assignments over the
+    2,818 types, each one a curve, and 2,118 ``_propagate`` calls (26,009
+    before each type's root ran ``_singleton_consistency``)."""
+    counts = count_search(monkeypatch)
     config = PointConfiguration.mikhalkin(11, 7)
     curves = [c for c, _ in enumerate_curves(0, Degree.projective(4), config)]
     assert counts == {"yields": 307, "propagate": 2118}
@@ -227,16 +235,21 @@ GENERIC_D4_POINTS = [
 
 
 @pytest.mark.slow
-def test_generic_d4_counts():
+def test_generic_d4_counts(monkeypatch):
     """The pipeline at d = 4 in generic position: N/W = 620/240, N through
     ``count_complex`` (whose lattice route is cross-checked against the
     vertex product), and on two sign vectors, each with both signs of t,
     a real count of the parity of N with |W| <= N_R <= N and a census
-    that agrees curve by curve.  Runs after the Mikhalkin d = 4 test, so
-    it reads the d = 4 systems that test built."""
+    that agrees curve by curve.  Its search tree is pinned by its size:
+    310 yielded assignments, each one a curve, and 27,223 ``_propagate``
+    calls.  Runs after the Mikhalkin d = 4 test, so it reads the d = 4
+    systems that test built."""
+    counts = count_search(monkeypatch)
     config = PointConfiguration.explicit(GENERIC_D4_POINTS)
     constraints = config.constraints()
     curves = enumerate_curves(0, Degree.projective(4), config)
+    assert counts == {"yields": 310, "propagate": 27223}
+    assert len(curves) == 310
     plain = [c for c, _ in curves]
     n = count_complex(curves, constraints).n_trop
     w = welschinger_total(plain)

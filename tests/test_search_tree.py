@@ -28,12 +28,17 @@ from tropcount.enumeration import (
     _direction_bit,
     _dual_cone,
     _has_quota_matching,
+    _line_steps,
     _partners,
     _point_feasible,
+    _propagate,
     _reach_masks,
     _search_assignments,
     _singleton_consistency,
+    _SWEEPS,
+    _tighten,
     _TypeSystem,
+    _vertex_sweep,
     enumerate_curves,
     enumerate_types,
 )
@@ -54,8 +59,9 @@ def configurations():
     for seed in range(10):
         points = PointConfiguration.mikhalkin(5, seed).points
         out["d2-mikhalkin-%d" % seed] = (2, [(int(x), int(y)) for x, y in points])
-    generic = json.loads((DATA / "d3-generic-1.json").read_text())["points"]
-    out["d3-generic-1"] = (3, [(int(x), int(y)) for x, y in generic])
+    for name in ("d3-generic-1", "d3-generic-2"):
+        generic = json.loads((DATA / (name + ".json")).read_text())["points"]
+        out[name] = (3, [(int(x), int(y)) for x, y in generic])
     points = PointConfiguration.mikhalkin(8, 7).points
     out["d3-mikhalkin-7"] = (3, [(int(x), int(y)) for x, y in points])
     return out
@@ -286,6 +292,97 @@ def test_point_feasible_is_the_tighten_test(d3_types):
     assert min(outcomes[True], outcomes[False]) > 1000
 
 
+def flat_steps(system):
+    """The bound steps as one flat list of (edge, read, write, a, m), built
+    from the type: each edge's ``_line_steps`` at its tail and then at its
+    head, in edge order, then the transfers of each bounded edge as
+    edge-less steps (edge -1, with c = 0, a = -1 and m = 1)."""
+    steps = []
+    edges = system.ctype.edges
+    for i, e in enumerate(edges):
+        for vertex in (e.tail, e.head):
+            if vertex is not None:
+                steps += [(i,) + step for step in _line_steps(system.normals[i], 4 * vertex)]
+    for e in edges:
+        if e.head is None:
+            continue
+        ta, he = e.tail, e.head
+        for k, uk in enumerate(e.prim):
+            lo, hi = 2 * k, 2 * k + 1
+            if uk > 0:
+                pairs = [(ta, he, lo), (he, ta, hi)]
+            elif uk < 0:
+                pairs = [(he, ta, lo), (ta, he, hi)]
+            else:
+                pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
+            steps += [(-1, 4 * s + slot, 4 * t + slot, -1, 1) for s, t, slot in pairs]
+    return steps
+
+
+def flat_propagate(system, steps, val, box):
+    """``_propagate`` as one sweep over ``flat_steps``, skipping a step
+    whose edge has no value: (its return, how it stopped)."""
+    for _ in range(_SWEEPS):
+        changed = _vertex_sweep(system.vertex_eqs, val)
+        if changed is None:
+            return False, "values"
+        for edge, read, slot, a, m in steps:
+            if edge < 0:
+                num = 0
+            else:
+                num = val[edge]
+                if num is None:
+                    continue
+            if read >= 0:
+                other = box[read]
+                if other is None:
+                    continue
+                num -= a * other
+            moved = _tighten(box, slot, -(-num // m) if slot & 1 else num // m)
+            if moved is None:
+                return False, "box"
+            changed = changed or moved
+        if not changed:
+            return True, "fixpoint"
+    return True, "cap"
+
+
+def test_grouped_sweeps_match_the_flat_sweep(d3_types):
+    """``_propagate`` runs each edge's line steps as a group, skipped whole
+    while the edge has no value, and the transfers after them.  On every
+    d=3 type it returns, and leaves in the values and boxes, what a sweep
+    over the flat list of steps does (``flat_propagate``).  The states
+    come from up to eight random points placed one by one, each pinning
+    its edge and, four times in five, applied to the boxes, with a
+    propagation after each, so later calls go on from earlier ones,
+    capped ones included."""
+    rng = random.Random(1)
+    outcomes = collections.Counter()
+    for ctype in d3_types:
+        system = _TypeSystem(ctype)
+        steps = flat_steps(system)
+        for _ in range(10):
+            val = [None] * system.num_edges
+            box = [None] * (4 * ctype.num_vertices)
+            for _ in range(8):
+                edge = rng.randrange(system.num_edges)
+                if val[edge] is not None:
+                    continue
+                point = (rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6))
+                m1, m2 = system.normals[edge]
+                val[edge] = m1 * point[0] + m2 * point[1]
+                if rng.random() < 0.8 and not _apply_point(system, box, edge, point):
+                    break
+                flat_val, flat_box = val[:], box[:]
+                holds, how = flat_propagate(system, steps, flat_val, flat_box)
+                assert _propagate(system, val, box) == holds, (ctype, how)
+                assert (val, box) == (flat_val, flat_box), (ctype, how)
+                outcomes[how] += 1
+                if not holds:
+                    break
+    assert outcomes["cap"] >= 10 and outcomes["box"] >= 100 and outcomes["fixpoint"] >= 1000
+
+
 def bench_points(name):
     doc = json.loads((DATA / (name + ".json")).read_text())
     return [(int(x), int(y)) for x, y in doc["points"]]
@@ -335,7 +432,7 @@ def test_nodes_the_box_pass_dooms_reach_no_propagate(
     at_depth = {}
     nodes = []
 
-    def watched_consistency(out, rows, unplaced, partners, num_edges):
+    def watched_consistency(out, rows, unplaced, partners, num_edges, guards):
         last.update(unplaced=list(unplaced), rows=out, boxing=None)
 
     def watched_quotas(matched, rows, parts, ends, num_edges):
@@ -487,7 +584,7 @@ def test_cone_consistency_bites(name, expected, types_by_degree, monkeypatch):
     degree, points = configurations()[name]
     base = fingerprint(types_by_degree[degree], points, monkeypatch)
     monkeypatch.setattr(
-        enumeration, "_cone_consistency", lambda rows, unplaced, partners, num_edges: rows
+        enumeration, "_cone_consistency", lambda rows, unplaced, partners, num_edges, guards: rows
     )
     unchecked = fingerprint(types_by_degree[degree], points, monkeypatch)
     assert base["yielded"] == unchecked["yielded"] == expected[name]["yielded"]
@@ -516,8 +613,8 @@ def kept_failures(rows, closed, partners, cuts, width):
     whose child fails ``closed`` and drops those whose child passes.  A
     child test holds one point fewer than the whole-row reruns."""
 
-    def backwards(tested, unplaced, parts):
-        passed = closed(tested, unplaced, parts)
+    def backwards(tested, unplaced, guards, parts):
+        passed = closed(tested, unplaced, guards, parts)
         if len(unplaced) == len(partners):
             return passed
         return tested if passed is None else None
@@ -567,12 +664,12 @@ def test_faulted_consistency_changes_the_yields(expected, types_by_degree, monke
     consistency = enumeration._cone_consistency
     backwards = {}
 
-    def faulted(rows, unplaced, partners, num_edges):
+    def faulted(rows, unplaced, partners, num_edges, guards):
         # one faulted table per search, kept beside the search's own so
         # that its id is not reused
         if id(partners) not in backwards:
             backwards[id(partners)] = (partners, flipped(partners, num_edges))
-        return consistency(rows, unplaced, backwards[id(partners)][1], num_edges)
+        return consistency(rows, unplaced, backwards[id(partners)][1], num_edges, guards)
 
     monkeypatch.setattr(enumeration, "_cone_consistency", faulted)
 
@@ -607,7 +704,9 @@ def hand_made_partners(reach):
 
 
 def consistent(reach, rows, unplaced=(0, 1)):
-    return _cone_consistency(pack(*rows), list(unplaced), hand_made_partners(reach), 2)
+    # the guard bit of point b's row is bit 3b + 2
+    guards = sum(1 << 3 * b + 2 for b in unplaced)
+    return _cone_consistency(pack(*rows), list(unplaced), hand_made_partners(reach), 2, guards)
 
 
 def test_cone_consistency_on_a_hand_made_relation():
@@ -634,9 +733,9 @@ def search_partners(system, points, monkeypatch):
     consistency = enumeration._cone_consistency
     seen = []
 
-    def watched(rows, unplaced, partners, num_edges):
+    def watched(rows, unplaced, partners, num_edges, guards):
         seen.append(partners)
-        return consistency(rows, unplaced, partners, num_edges)
+        return consistency(rows, unplaced, partners, num_edges, guards)
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_cone_consistency", watched)
