@@ -164,27 +164,18 @@ def _sign_t_from_args(args) -> int:
 
 def curve_to_json(curve: TropicalCurve, marks: Sequence[str]) -> Dict:
     complex_mult, mikhalkin_real = curve_mikhalkin_mults(curve)
+    graph = curve.graph
     return {
         "vertices": {
             v: [_rat(x) for x in p] for v, p in sorted(curve.positions.items())
         },
         "bounded_edges": [
-            {
-                "id": "b%d" % i,
-                "tail": tail,
-                "head": head,
-                "weight": curve.weight("b%d" % i),
-            }
-            for i, (tail, head) in enumerate(curve.graph.bounded_edges)
+            {"id": eid, "tail": tail, "head": head, "weight": curve.weight(eid)}
+            for eid, (tail, head) in zip(graph.bounded_ids(), graph.bounded_edges)
         ],
         "unbounded_edges": [
-            {
-                "id": "u%d" % i,
-                "vertex": vertex,
-                "direction": list(direction),
-                "weight": curve.weight("u%d" % i),
-            }
-            for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges)
+            {"id": eid, "vertex": vertex, "direction": list(direction), "weight": curve.weight(eid)}
+            for eid, (vertex, direction) in zip(graph.unbounded_ids(), graph.unbounded_edges)
         ],
         "marks": list(marks),
         "multiplicities": {

@@ -1233,14 +1233,13 @@ def enumerate_curves(
             if not cleared:
                 _genericity_checks(curve, config)
             pos = curve.positions
-            bounded = (
-                (min(pos[t], pos[h]), max(pos[t], pos[h]), curve.weight("b%d" % i))
-                for i, (t, h) in enumerate(curve.graph.bounded_edges)
-            )
-            unbounded = (
-                (pos[v], d, curve.weight("u%d" % i))
-                for i, (v, d) in enumerate(curve.graph.unbounded_edges)
-            )
+            bounded, unbounded = [], []
+            for eid in curve.graph.edge_ids():
+                t, h, d = curve.graph.edge(eid)
+                if h is None:
+                    unbounded.append((pos[t], d, curve.weight(eid)))
+                else:
+                    bounded.append((min(pos[t], pos[h]), max(pos[t], pos[h]), curve.weight(eid)))
             signature = (
                 tuple(sorted(pos.values())), tuple(sorted(bounded)), tuple(sorted(unbounded)), marks
             )

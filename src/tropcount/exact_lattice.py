@@ -56,7 +56,7 @@ class IntMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != ncols:
             raise ValueError("rows of length %d, not cols=%d" % (ncols, cols))
-        flat = tuple(int(x) for r in rows for x in r)
+        flat = tuple(x for r in rows for x in r)
         return IntMatrix(len(rows), ncols, flat)
 
     @staticmethod
@@ -67,7 +67,7 @@ class IntMatrix:
             raise ValueError("ragged columns")
         if rows is not None and rows != nrows:
             raise ValueError("columns of length %d, not rows=%d" % (nrows, rows))
-        flat = tuple(int(cols[j][i]) for i in range(nrows) for j in range(len(cols)))
+        flat = tuple(cols[j][i] for i in range(nrows) for j in range(len(cols)))
         return IntMatrix(nrows, len(cols), flat)
 
     @staticmethod

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact_lattice import (
-    IntMatrix,
-    quotient_basis,
-    rational_rank,
-    saturate,
-    solve_unique_rational,
-)
+from .exact_lattice import IntMatrix, quotient_basis, saturate, solve_unique_rational
 from .tropical import EdgeId, Point, TropicalCurve, Vec, as_point, point_str
 
 
@@ -67,8 +61,7 @@ class AffineConstraint:
 
     @staticmethod
     def point(coords: Sequence) -> "AffineConstraint":
-        base = as_point(coords)
-        return AffineConstraint(base=base, directions=IntMatrix.zero(len(base), 0))
+        return AffineConstraint.through(coords, ())
 
     @staticmethod
     def through(coords: Sequence, directions: Sequence[Sequence[int]]) -> "AffineConstraint":
@@ -117,9 +110,6 @@ class SignClass:
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0/1")
 
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
 
 @dataclass(frozen=True)
 class LatticeMapTh:
@@ -139,37 +129,13 @@ class LatticeMapTh:
     marked_directions: Tuple[Vec, ...]
 
 
-def check_generality_dims(genus: int, degree, constraints: Sequence[AffineConstraint]) -> bool:
-    """Dimension count and translation test for an affine constraint tuple.
-
-    True iff sum(codim_j - 1) matches the expected dimension and no nonzero
-    translation preserves the union of the constraints (rank test on the
-    common direction space).  The remaining clauses of generality are
-    checked per curve after enumeration.
-    """
-    if not constraints:
-        return False
-    n = constraints[0].n
-    total = sum(c.codim - 1 for c in constraints)
-    expected = (n - 3) * (1 - genus) + degree.total()
-    if total != expected:
-        return False
-    # translations preserving every A_j individually: intersection of the
-    # direction spaces;  a common nonzero direction breaks generality.
-    rows: List[List[int]] = []
-    for c in constraints:
-        rows.extend(quotient_basis(c.directions, n).to_rows())
-    return rational_rank(rows) == n
-
-
 def _constraint_meets_edge(curve: TropicalCurve, eid: EdgeId, constraint: AffineConstraint):
     """Whether the edge image meets the constraint, in any ambient dimension.
 
     Solves the joint affine system; the edge parameter it pins must lie in
-    the edge's range.
+    the edge's range.  A point constraint has no direction columns, and
+    the system is then the edge's line through the point.
     """
-    if constraint.directions.cols == 0:
-        return curve.edge_param(eid, constraint.base) is not None
     a, e, bounded = curve.edge_segment(eid)
     # a + t e == base + L s: columns (t, s_1, ..., s_k)
     k = constraint.directions.cols
@@ -222,10 +188,8 @@ def _describe(j: int, constraint: AffineConstraint) -> str:
 
 def _vertex_on_constraint(position: Point, constraint: AffineConstraint) -> bool:
     diff = [p - b for p, b in zip(position, constraint.base)]
-    if constraint.directions.cols == 0:
-        return all(x == 0 for x in diff)
     # the directions are independent, so diff is in their span iff the
-    # system has a (then unique) solution
+    # system has a (then unique) solution; with no directions, iff diff == 0
     return solve_unique_rational(constraint.directions.to_rows(), diff) is not None
 
 
@@ -308,20 +272,6 @@ def build_T_h(
         vertex_order=vertex_order,
         marked_directions=tuple(marked_dirs),
     )
-
-
-def evaluate_T_h(th: LatticeMapTh, curve: TropicalCurve) -> Tuple[int, ...]:
-    """Image of the curve's own position vector under the lattice map.
-
-    Positions must be integral for the result to be an integer vector.
-    """
-    vec: List[int] = []
-    for v in th.vertex_order:
-        for x in curve.positions[v]:
-            if Fraction(x).denominator != 1:
-                raise NonIntegralBase("integral positions required")
-            vec.append(int(x))
-    return th.matrix.apply(vec)
 
 
 def build_constraint_inclusion(u: Vec, constraint: AffineConstraint) -> IntMatrix:

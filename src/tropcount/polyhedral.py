@@ -44,6 +44,6 @@ def is_good_scale(curve: TropicalCurve, s: int, constraints: Sequence = ()) -> b
     scaled = scale_curve(curve, s)
     points = list(scaled.positions.values()) + [scale_point(p, s) for p in constraints]
     return all(x.denominator == 1 for p in points for x in p) and all(
-        (scaled.lattice_length(i) / scaled.weight(eid)).denominator == 1
-        for i, eid in enumerate(scaled.graph.bounded_ids())
+        (scaled.lattice_length(eid) / scaled.weight(eid)).denominator == 1
+        for eid in scaled.graph.bounded_ids()
     )

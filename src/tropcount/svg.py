@@ -74,7 +74,8 @@ class _Canvas:
             % (pts, fill, stroke)
         )
 
-    def svg(self, x_offset=0) -> str:
+    def svg(self, x_offset=0) -> Tuple[str, Fraction]:
+        """The elements as one translated group, and the canvas height."""
         body = "\n".join("  " + e for e in self.elements)
         return (
             '<g transform="translate(%d,0)">\n%s\n</g>' % (x_offset, body),
@@ -118,18 +119,14 @@ def draw_curve(
 ) -> Tuple[str, Fraction]:
     xmin, xmax, ymin, ymax = curve_extent(curve, marked_points)
     canvas = _Canvas(xmin, xmax, ymin, ymax, width=width)
-    for i, (tail, head) in enumerate(curve.graph.bounded_edges):
-        a, b = curve.positions[tail], curve.positions[head]
+    for eid in curve.graph.edge_ids():
+        a, vector, bounded = curve.edge_segment(eid)
+        if bounded:
+            b = (a[0] + vector[0], a[1] + vector[1])
+        else:
+            b = _clip_ray(a, vector, canvas.xmin, canvas.xmax, canvas.ymin, canvas.ymax)
         canvas.line(a, b)
-        w = curve.weight("b%d" % i)
-        if w > 1:
-            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-            canvas.label(mid, "w=%d" % w)
-    for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
-        a = curve.positions[vertex]
-        b = _clip_ray(a, direction, canvas.xmin, canvas.xmax, canvas.ymin, canvas.ymax)
-        canvas.line(a, b)
-        w = curve.weight("u%d" % i)
+        w = curve.weight(eid)
         if w > 1:
             mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
             canvas.label(mid, "w=%d" % w)

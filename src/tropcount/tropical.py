@@ -3,9 +3,10 @@
 A curve is a weighted graph mapped to Q^n: balancing at every vertex,
 degree as the multiset of weighted unbounded directions, the least scale
 that makes a curve's positions integral and its weights divide its edge
-lengths, expected moduli dimension, the angle order of plane vectors, and
-the dual-triangle multiplicities used by the counting and Welschinger
-modules.
+lengths, the angle order of plane vectors, and the dual-triangle
+multiplicities used by the counting and Welschinger modules.  Edges are
+addressed by id through one table per graph, built here; every other
+module reads edges by those ids.
 """
 
 from __future__ import annotations
@@ -100,39 +101,32 @@ class TropicalGraph:
             if len(seen) != len(self.vertices):
                 raise ValueError("graph is not connected")
 
+    @functools.cached_property
+    def _edges(self) -> Dict[EdgeId, Tuple[str, Optional[str], Optional[Vec]]]:
+        """Edge id -> (tail, head, fixed direction), bounded edges first: the
+        one place that makes the ids.  A bounded edge gives (tail, head,
+        None), its direction depending on the positions; an unbounded edge
+        gives (vertex, None, direction)."""
+        table = {"b%d" % i: (tail, head, None) for i, (tail, head) in enumerate(self.bounded_edges)}
+        for i, (vertex, direction) in enumerate(self.unbounded_edges):
+            table["u%d" % i] = vertex, None, direction
+        return table
+
     def edge_ids(self) -> Tuple[EdgeId, ...]:
-        return tuple("b%d" % i for i in range(len(self.bounded_edges))) + tuple(
-            "u%d" % i for i in range(len(self.unbounded_edges))
-        )
+        return tuple(self._edges)
 
     def bounded_ids(self) -> Tuple[EdgeId, ...]:
-        return tuple("b%d" % i for i in range(len(self.bounded_edges)))
+        return self.edge_ids()[: len(self.bounded_edges)]
 
     def unbounded_ids(self) -> Tuple[EdgeId, ...]:
-        return tuple("u%d" % i for i in range(len(self.unbounded_edges)))
+        return self.edge_ids()[len(self.bounded_edges) :]
 
     def edge(self, eid: EdgeId) -> Tuple[str, Optional[str], Optional[Vec]]:
-        """Tail, head and fixed direction of an edge.
-
-        A bounded edge gives (tail, head, None); its direction depends on the
-        positions.  An unbounded edge gives (vertex, None, direction).
-        """
-        idx = int(eid[1:])
-        if eid[0] == "b":
-            tail, head = self.bounded_edges[idx]
-            return tail, head, None
-        vertex, direction = self.unbounded_edges[idx]
-        return vertex, None, direction
+        """Tail, head and fixed direction of an edge (see ``_edges``)."""
+        return self._edges[eid]
 
     def edges_at(self, vertex: str) -> Tuple[EdgeId, ...]:
-        out = []
-        for i, (tail, head) in enumerate(self.bounded_edges):
-            if tail == vertex or head == vertex:
-                out.append("b%d" % i)
-        for i, (v, _) in enumerate(self.unbounded_edges):
-            if v == vertex:
-                out.append("u%d" % i)
-        return tuple(out)
+        return tuple(eid for eid, (tail, head, _) in self._edges.items() if vertex in (tail, head))
 
 
 @dataclass(frozen=True)
@@ -152,19 +146,13 @@ class TropicalCurve:
             if len(direction) != self.n:
                 raise ValueError("unbounded direction has wrong dimension")
 
-    def bounded_vector(self, i: int) -> Point:
-        """head - tail displacement of bounded edge i."""
-        tail, head = self.graph.bounded_edges[i]
-        pt, ph = self.positions[tail], self.positions[head]
-        return tuple(a - b for a, b in zip(ph, pt))
-
     @functools.cached_property
     def _bounded_geometry(self) -> Dict[EdgeId, Optional[Tuple[Vec, Fraction]]]:
         """Bounded edge id -> (primitive direction from tail to head, lattice
         length), or None when the edge's endpoints coincide."""
         table = {}
-        for i, eid in enumerate(self.graph.bounded_ids()):
-            disp = self.bounded_vector(i)
+        for eid in self.graph.bounded_ids():
+            disp = self.edge_segment(eid)[1]
             if all(x == 0 for x in disp):
                 table[eid] = None
                 continue
@@ -177,9 +165,9 @@ class TropicalCurve:
         """Least s > 0 such that s times every position is integral and every
         bounded edge's weight divides its lattice length after scaling by s."""
         s = lcm(*(Fraction(x).denominator for p in self.positions.values() for x in p))
-        for i, eid in enumerate(self.graph.bounded_ids()):
+        for eid in self.graph.bounded_ids():
             w = self.weight(eid)
-            length = self.lattice_length(i)
+            length = self.lattice_length(eid)
             # need s * length in w * Z
             num, den = length.numerator, length.denominator
             s = lcm(s, w * den // gcd(abs(num), w * den))
@@ -226,14 +214,10 @@ class TropicalCurve:
             return origin, direction, False
         return origin, tuple(b - a for a, b in zip(origin, self.positions[head])), True
 
-    def edge_param(self, eid: EdgeId, point: Sequence) -> Optional[Fraction]:
-        """``segment_param`` on the edge's image."""
-        return segment_param(self.edge_segment(eid), point)
-
-    def lattice_length(self, i: int) -> Fraction:
-        """Integral affine length of bounded edge i: the factor k with
+    def lattice_length(self, eid: EdgeId) -> Fraction:
+        """Integral affine length of a bounded edge: the factor k with
         head - tail == k * primitive_direction."""
-        return self._geometry("b%d" % i)[1]
+        return self._geometry(eid)[1]
 
     def weight(self, eid: EdgeId) -> int:
         return self.graph.weights[eid]
@@ -415,20 +399,6 @@ def plane_crossings(
             if 0 in crossing or (s1[2] and t1 == 1) or (s2[2] and t2 == 1):
                 raise NonGenericCrossing("edge %s meets a vertex of edge %s" % (e2, e1))
             yield e1, e2, t1, t2
-
-
-def degree_of(curve: TropicalCurve) -> Degree:
-    """Weighted unbounded-direction multiset of a balanced curve."""
-    entries: Dict[Vec, int] = {}
-    for i, (vertex, direction) in enumerate(curve.graph.unbounded_edges):
-        w = curve.weight("u%d" % i)
-        v = tuple(w * x for x in direction)
-        entries[v] = entries.get(v, 0) + 1
-    return Degree(entries)
-
-
-def expected_dimension(n: int, genus: int, degree_total: int) -> int:
-    return (n - 3) * (1 - genus) + degree_total
 
 
 def _angle_cmp(u, v) -> int:

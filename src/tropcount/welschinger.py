@@ -40,9 +40,6 @@ class NodeCensus:
         if min(self.elliptic, self.hyperbolic, self.imaginary_pairs) < 0:
             raise ValueError("census counts must be nonnegative")
 
-    def total(self) -> int:
-        return self.elliptic + self.hyperbolic + 2 * self.imaginary_pairs
-
 
 @dataclass(frozen=True)
 class LiftAssignment:
@@ -101,22 +98,18 @@ def lift_sign(curve: TropicalCurve, lift: LiftAssignment, sign_t: int) -> int:
     bounded = curve.graph.bounded_ids()
     even_edges = {eid for eid in bounded if curve.weight(eid) % 2 == 0}
     if set(lift.zeta) != even_edges:
-        extra = set(lift.zeta) - even_edges
-        stray = sorted(map(str, extra - set(bounded)))
+        stray = sorted(map(str, set(lift.zeta) - set(bounded)))
         if stray:
             raise ValueError("lift key %s is not a bounded edge of the curve" % ", ".join(stray))
-        for eid in extra:
-            if lift.zeta[eid] == -1:
-                raise InvalidZeta("edge %s has odd weight, zeta must be 1" % eid)
         if even_edges - set(lift.zeta):
             raise ValueError("lift must fix zeta for every even bounded edge")
     s = curve.goodness_scale
     elliptic = 0
     for v in curve.graph.vertices:
         elliptic += vertex_multiplicities(curve, v).triangle.interior_points
-    for i, eid in enumerate(curve.graph.bounded_ids()):
+    for eid in bounded:
         mu = curve.weight(eid)
-        e = curve.lattice_length(i) * s
+        e = curve.lattice_length(eid) * s
         steps = e / mu
         if steps.denominator != 1:
             raise AssertionError("rescaling failed to make e/mu integral")

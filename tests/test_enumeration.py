@@ -32,7 +32,6 @@ from tropcount.tropical import (
     check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
-    expected_dimension,
     segment_param,
 )
 
@@ -614,8 +613,9 @@ def test_enumerate_curves_degree_two_totals():
     w_total = sum(curve_welschinger_mult(c) for c, _ in curves)
     assert (total, w_total) == (1, 1)
     for curve, _ in curves:
-        # a tree moves by the position of one vertex and its edge lengths
-        assert 2 + len(curve.graph.bounded_edges) == expected_dimension(2, 0, 6)
+        # a tree moves by the position of one vertex and its edge lengths,
+        # the expected dimension (n - 3)(1 - genus) + |degree| = -1 + 6
+        assert 2 + len(curve.graph.bounded_edges) == -1 + 6
 
 
 def test_enumerate_curves_leaves_no_reference_cycles():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,16 @@ from tropcount.exact_lattice import (
 
 def random_matrix(rng, n, m, lo=-9, hi=9):
     return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)], cols=m)
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(4, 2), 2.7, 2.0])
+def test_constructors_reject_entries_that_are_not_int(entry):
+    # an entry is never truncated to an int: a non-int is a TypeError
+    for build in (IntMatrix.from_rows, IntMatrix.from_columns):
+        with pytest.raises(TypeError, match="must be int"):
+            build([[entry, 2]])
+    with pytest.raises(TypeError, match="must be int"):
+        IntMatrix(1, 1, (entry,))
 
 
 def test_hnf_identity():

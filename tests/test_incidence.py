@@ -11,14 +11,14 @@ from tropcount.incidence import (
     ConstraintOnVertex,
     NonIntegralBase,
     RealPointConfig,
+    _constraint_meets_edge,
+    _vertex_on_constraint,
     build_constraint_inclusion,
     build_T_h,
-    check_generality_dims,
-    evaluate_T_h,
     match_marked_edges,
     sigma_sign_class,
 )
-from tropcount.tropical import Degree, TropicalCurve, TropicalGraph, as_point
+from tropcount.tropical import Degree, TropicalCurve, TropicalGraph, as_point, segment_param
 
 
 def line_through(points):
@@ -35,27 +35,10 @@ def line_through(points):
     return TropicalCurve(graph=graph, positions={"v0": as_point(vertex)}, n=2)
 
 
-def test_check_generality_dims_two_points():
-    constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
-    assert check_generality_dims(0, Degree.projective(1), constraints)
-
-
-def test_check_generality_dims_wrong_count():
-    constraints = [
-        AffineConstraint.point((-3, 0)),
-        AffineConstraint.point((0, -5)),
-        AffineConstraint.point((1, 1)),
-    ]
-    assert not check_generality_dims(0, Degree.projective(1), constraints)
-
-
-def test_check_generality_dims_parallel_lines():
-    constraints = [
-        AffineConstraint.through((0, 0), [(1, 0)]),
-        AffineConstraint.through((0, 3), [(1, 0)]),
-    ]
-    # common translation direction (1,0) preserves the union
-    assert not check_generality_dims(0, Degree({(1, 1): 1, (-1, -1): 1}), constraints)
+def test_through_rejects_a_direction_that_is_not_integral():
+    # a direction is integral or an error, never truncated to (0, 1)
+    with pytest.raises(TypeError, match="must be int"):
+        AffineConstraint.through((0, 0), [(Fraction(1, 2), 1)])
 
 
 def test_match_marked_edges_line():
@@ -123,6 +106,48 @@ def test_match_marked_edges_line_constraint_in_space():
     ) == ("u3",)
 
 
+def test_point_constraint_meets_an_edge_where_segment_param_finds_it():
+    # b0 runs from (0, 0) to (3, 0); u0 leaves (0, 0) along (-1, 1) and u2
+    # leaves (3, 0) along (1, 1)
+    curve = two_vertex_curve()
+    points = {
+        "inside b0": (1, 0),
+        "inside b0, off the grid": (Fraction(3, 2), 0),
+        "tail of b0": (0, 0),
+        "head of b0": (3, 0),
+        "beyond the tail of b0": (-1, 0),
+        "beyond the head of b0": (4, 0),
+        "on u0": (-2, 2),
+        "behind the origin of u0": (1, -1),
+        "behind the origin of u2": (2, -1),
+        "off every edge": (1, 1),
+    }
+    hits = {}
+    for name, p in points.items():
+        constraint = AffineConstraint.point(p)
+        hits[name] = set()
+        for eid in curve.graph.edge_ids():
+            expected = segment_param(curve.edge_segment(eid), as_point(p)) is not None
+            assert _constraint_meets_edge(curve, eid, constraint) == expected, (name, eid)
+            if expected:
+                hits[name].add(eid)
+        for v, position in curve.positions.items():
+            on = _vertex_on_constraint(position, constraint)
+            assert on == (position == as_point(p)), (name, v)
+    assert hits["inside b0"] == hits["inside b0, off the grid"] == {"b0"}
+    assert hits["tail of b0"] == {"b0", "u0", "u1"}
+    assert hits["head of b0"] == {"b0", "u2", "u3"}
+    assert hits["on u0"] == {"u0"}
+    missed = [name for name, eids in hits.items() if not eids]
+    assert missed == [
+        "beyond the tail of b0",
+        "beyond the head of b0",
+        "behind the origin of u0",
+        "behind the origin of u2",
+        "off every edge",
+    ]
+
+
 def test_build_T_h_line_unimodular():
     curve = line_through([(-3, 0), (0, -5)])
     constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
@@ -137,7 +162,7 @@ def test_T_h_image_of_true_positions():
     constraints = [AffineConstraint.point((-3, 0)), AffineConstraint.point((0, -5))]
     marks = match_marked_edges(curve, constraints)
     th = build_T_h(curve, constraints, marks)
-    image = evaluate_T_h(th, curve)
+    image = _image_of_positions(th, curve)
     # constraint-block classes equal the projected base points
     offset = th.edge_rows
     for constraint, projection in zip(constraints, th.constraint_projections):
@@ -146,6 +171,13 @@ def test_T_h_image_of_true_positions():
         got = image[offset : offset + projection.rows]
         assert tuple(got) == tuple(expected)
         offset += projection.rows
+
+
+def _image_of_positions(th, curve):
+    """T_h applied to the curve's own position vector, which must be integral."""
+    vec = [x for v in th.vertex_order for x in curve.positions[v]]
+    assert all(x.denominator == 1 for x in vec)
+    return th.matrix.apply([int(x) for x in vec])
 
 
 def test_T_h_translation_invariance():
@@ -252,7 +284,7 @@ def test_sigma_all_positive_is_zero():
     marks = match_marked_edges(curve, constraints)
     th = build_T_h(curve, constraints, marks)
     sigma = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), 1)
-    assert sigma.is_zero()
+    assert not any(sigma.bits)
 
 
 @pytest.mark.parametrize("signs", [["+", "++"], ["++", "+-+"]])
@@ -286,7 +318,7 @@ def test_sigma_twist_uses_base_point_parity():
     th = build_T_h(curve, constraints, marks)
     plus = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), 1)
     minus = sigma_sign_class(th, constraints, RealPointConfig.all_positive(2, 2), -1)
-    assert plus.is_zero()
+    assert not any(plus.bits)
     assert minus.bits[0] == 1 and minus.bits[1] == 0
 
 
@@ -389,7 +421,6 @@ def two_vertex_curve():
 
 def test_evaluate_T_h_edge_block_vanishes_on_true_positions():
     from tropcount.enumeration import PointConfiguration, enumerate_curves
-    from tropcount.incidence import evaluate_T_h
     from tropcount.polyhedral import rescale_for_goodness, scale_curve, scale_point
 
     config = PointConfiguration.mikhalkin(5, 7)
@@ -401,7 +432,7 @@ def test_evaluate_T_h_edge_block_vanishes_on_true_positions():
             AffineConstraint.point(scale_point(p, s)) for p in config.points
         ]
         th = build_T_h(scaled, constraints, marks)
-        image = evaluate_T_h(th, scaled)
+        image = _image_of_positions(th, scaled)
         assert image[: th.edge_rows] == (0,) * th.edge_rows
         # constraint block rows carry the classes of the base points
         offset = th.edge_rows

@@ -293,3 +293,43 @@ def test_no_unused_imports():
                 read.update(ast.literal_eval(node.value))
         unused = sorted(imported - read)
         assert not unused, "%s imports %s and never reads them" % (path.name, unused)
+
+
+# Public src names that no src or bench code reads, each kept as an
+# independent reference for the tests named beside it.
+TEST_ONLY_NAMES = {
+    "rational_rank": "test_exact_lattice: test_saturate_idempotent, "
+    "test_quotient_after_saturate_kills_exactly_qspan",
+    "segment_param": "test_enumeration: _fraction_rule; "
+    "test_incidence: test_point_constraint_meets_an_edge_where_segment_param_finds_it",
+}
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public module-level def or class, or a public method, of the package
+    # is read somewhere in src/ or bench/; names match by identifier, as in
+    # the private-name walk above
+    package = Path(tropcount.__file__).parent
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    defined = set()
+    read = set()
+    for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # __all__ entries and the (module, name) pairs bench traces
+                read.add(node.value)
+        if path.parent != package:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                defined.update(f.name for f in stmt.body if isinstance(f, ast.FunctionDef))
+    unread = sorted(n for n in defined - read - set(TEST_ONLY_NAMES) if not n.startswith("_"))
+    assert not unread, "only tests read %s" % unread
+    assert not set(TEST_ONLY_NAMES) & read, "allow-listed names are read in src or bench"

@@ -17,7 +17,6 @@ from tropcount.tropical import (
     check_balancing,
     curve_mikhalkin_mults,
     curve_welschinger_mult,
-    degree_of,
     dual_triangle,
     segment_crossing,
     vertex_multiplicities,
@@ -143,23 +142,11 @@ def test_degenerate_edge_raises_only_for_that_edge():
     )
     assert c.edge_direction("b1") == (2, 1)
     assert c.edge_direction("b1", at_vertex="v2") == (-2, -1)
-    assert c.lattice_length(1) == 2
+    assert c.lattice_length("b1") == 2
     with pytest.raises(DegenerateEdge, match="b0"):
         c.edge_direction("b0")
     with pytest.raises(DegenerateEdge, match="b0"):
-        c.lattice_length(0)
-
-
-def test_degree_of_line():
-    d = degree_of(standard_line())
-    assert d.entries == {(-1, 0): 1, (0, -1): 1, (1, 1): 1}
-    assert d.total() == 3
-
-
-def test_degree_weight_two_ray():
-    c = weighted_star([((1, 0), 2), ((-1, 1), 1), ((-1, -1), 1)])
-    d = degree_of(c)
-    assert (2, 0) in d.entries and (1, 0) not in d.entries
+        c.lattice_length("b0")
 
 
 def test_degree_projective():
@@ -280,16 +267,6 @@ def test_nonprimitive_direction_rejected():
             unbounded_edges=(("v0", (-2, 0)), ("v0", (0, -1)), ("v0", (2, 1))),
             weights={"u0": 1, "u1": 1, "u2": 1},
         )
-
-
-def test_degree_translation_invariance():
-    c = two_vertex()
-    shifted = TropicalCurve(
-        graph=c.graph,
-        positions={v: tuple(x + 7 for x in p) for v, p in c.positions.items()},
-        n=2,
-    )
-    assert degree_of(c).entries == degree_of(shifted).entries
 
 
 def test_all_mult_three_curve_real_m():

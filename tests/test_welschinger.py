@@ -116,7 +116,7 @@ def test_edge_census_budget_invariant():
         for zeta in ((1,) if mu % 2 else (1, -1)):
             for st in (1, -1):
                 census = edge_census(mu, zeta, st)
-                assert census.total() == mu - 1
+                assert census.elliptic + census.hyperbolic + 2 * census.imaginary_pairs == mu - 1
 
 
 def test_edge_census_weight_one():
@@ -183,6 +183,13 @@ def test_lift_signs_differ_at_even_edge():
     plus = lift_sign(c, LiftAssignment(zeta={"b0": 1}), 1)
     minus = lift_sign(c, LiftAssignment(zeta={"b0": -1}), 1)
     assert plus == -minus
+
+
+def test_lift_sign_rejects_minus_zeta_on_an_odd_edge():
+    c = odd_edge_curve(weight=3, length=3)
+    for sign_t in (1, -1):
+        with pytest.raises(InvalidZeta):
+            lift_sign(c, LiftAssignment(zeta={"b0": -1}), sign_t)
 
 
 @pytest.mark.parametrize("zeta", [1, -1])
