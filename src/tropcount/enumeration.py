@@ -37,16 +37,16 @@ up the tree and one down), and is skipped unkeyed when there are none, as
 validity does not change within a class.  Each whole tree of a new class
 is built into a type once.
 
-Propagation runs the rules ``_TypeSystem`` keeps as data, a value
-cascade per vertex (``_vertex_sweep``, which ``_cascade_values`` also
-runs), then bound steps, each moving one bound by one formula: the line
-steps of each edge, kept as one group per edge (both endpoints) and
-skipped whole until the edge has a value, and then the bound transfers
-of the bounded edges.  It runs them in plain sweeps until a sweep
-changes nothing or for at most 12 sweeps.  A child node starts from a
-copy of its parent's values and boxes.  The box test of a point on an
-edge is the ray test: no endpoint bound lies beyond the point's
-coordinates, the tail behind it and the head ahead.
+Propagation runs the rules ``_TypeSystem`` keeps as data, a value cascade
+per vertex (``_vertex_sweep``, which ``_cascade_values`` also runs), then
+bound steps, each moving one bound by one formula: the line steps of each
+edge, kept as one group per edge (both endpoints) and skipped whole until
+the edge has a value, and then the bound transfers of the bounded edges.
+It runs them in plain sweeps, the cascades only until a pass sets no
+value, until a sweep changes nothing or for at most 12 sweeps.  A child
+node starts from a copy of its parent's values and boxes.  The box test
+of a point on an edge is the ray test: no endpoint bound lies beyond the
+point's coordinates, the tail behind it and the head ahead.
 
 A search node keeps two ints that pack an edge bitmask per unplaced
 point: its admissible edges, which branching counts, and its row, those
@@ -194,10 +194,6 @@ class PointConfiguration:
         return [AffineConstraint.point(p) for p in self.points]
 
 
-def _rot90(v: Vec) -> Vec:
-    return (-v[1], v[0])
-
-
 def _rooted(
     tree_edges: Tuple[Tuple[int, int], ...], num_leaves: int
 ) -> Tuple[List[List[int]], List[int], List[int]]:
@@ -231,27 +227,32 @@ def _last_leaf_fits(
     v; each vertex on the path up to the root gains v on its child toward
     it, and the others keep theirs.  So a pass up marks the subtrees with
     no failing vertex (``clean``), and a pass down the nodes c with none
-    outside c's subtree once v is above c (``good``).  At the root any two
-    child sums will do, as the three add up to zero once the leaf is in.
+    outside c's subtree once v is above c (``good``: none below two
+    unclean siblings).  At the root any two child sums will do, as the
+    three add up to zero once the leaf is in.
     """
     adjacency, parent, order = rooted
-    num_leaves = len(leaf_vecs)
-    vx, vy = leaf_vecs[num_leaves - 1]
-    below: List[Vec] = list(leaf_vecs[: num_leaves - 1]) + [(0, 0)] * (num_leaves - 1)
+    vx, vy = leaf_vecs[-1]
+    below: List[Vec] = list(leaf_vecs[:-1]) + [(0, 0)] * (len(leaf_vecs) - 1)
     clean = [True] * len(adjacency)
+    kids: List = [()] * len(adjacency)
     for node in reversed(order[1:]):
-        a, b = [c for c in adjacency[node] if c != parent[node]]
+        a, b, c = adjacency[node]
+        kids[node] = a, b = (b, c) if a == parent[node] else (a, c) if b == parent[node] else (a, b)
+        if not (clean[a] or clean[b]):
+            return []
         (ax, ay), (bx, by) = below[a], below[b]
         below[node] = (ax + bx, ay + by)
         clean[node] = clean[a] and clean[b] and ax * by != ay * bx
-    good = [True] * len(adjacency)
-    for node in order:
-        kids = [c for c in adjacency[node] if c != parent[node]]
-        for c in kids:
-            (cx, cy), (ox, oy) = below[c], below[next(k for k in kids if k != c)]
-            rest = all(clean[k] for k in kids if k != c)
-            good[c] = good[node] and rest and (cx + vx) * oy != (cy + vy) * ox
-    fits = [good[c] and clean[c] and cx * vy != cy * vx for c, (cx, cy) in enumerate(below)]
+    a, b, c = adjacency[order[0]]
+    fits = [False] * len(adjacency)
+    # the children c of good nodes, with siblings o and p (p = o below the root)
+    todo = [(a, b, c), (b, a, c), (c, a, b)]
+    for c, o, p in todo:
+        (cx, cy), (ox, oy) = below[c], below[o]
+        if clean[o] and clean[p] and (cx + vx) * oy != (cy + vy) * ox:
+            fits[c] = clean[c] and cx * vy != cy * vx
+            todo += [(a, b, b) for a, b in itertools.permutations(kids[c], 2)]
     return [i for i, (a, b) in enumerate(tree_edges) if fits[a if parent[a] == b else b]]
 
 
@@ -279,18 +280,20 @@ def _tree_key(rooted: Tuple, leaf_chars: str) -> str:
     path = [walk[-1]]
     while back[path[-1]] >= 0:
         path.append(back[path[-1]])
-    centres = path[(len(path) - 1) // 2], path[len(path) // 2]
+    centres = {path[(len(path) - 1) // 2], path[len(path) // 2]}
     return min(_ahu(adjacency, leaf_chars, c, -1) for c in centres)
 
 
 def _ahu(adjacency: Sequence[List[int]], leaf_chars: str, node: int, prev: int) -> str:
     """AHU string of the subtree at internal ``node`` away from ``prev``:
     its neighbours' strings, sorted, in parentheses."""
-    parts = sorted(
-        leaf_chars[w] if w < len(leaf_chars) else _ahu(adjacency, leaf_chars, w, node)
-        for w in adjacency[node]
-        if w != prev
-    )
+    parts = []
+    for w in adjacency[node]:
+        if w != prev:
+            parts.append(
+                leaf_chars[w] if w < len(leaf_chars) else _ahu(adjacency, leaf_chars, w, node)
+            )
+    parts.sort()
     return "(" + "".join(parts) + ")"
 
 
@@ -415,105 +418,97 @@ class _TypeSystem:
     """
 
     def __init__(self, ctype: CombinatorialType, shared: Optional[Dict] = None):
-        if shared is None:
-            shared = {}
-
-        def share(entry):
-            return shared.setdefault(entry, entry)
-
-        edges = tuple(share(e) for e in ctype.edges)
+        shared = {} if shared is None else shared
+        share = shared.setdefault
+        # what an edge alone decides, built once per shared dict under the
+        # key (edge,): the edge, its normal, line steps (tail, then head),
+        # rays, transfers, and direction bits ahead along it and behind
+        per_edge = []
+        for e in ctype.edges:
+            data = shared.get((e,))
+            if data is None:
+                e, prim, normal = share(e, e), e.prim, (-e.vec[1], e.vec[0])
+                normal = share(normal, normal)
+                steps, rays, moves = [], [], []
+                for vertex, sign in ((e.tail, 1), (e.head, -1)):
+                    if vertex is None:
+                        continue
+                    steps += _line_steps(normal, 4 * vertex)
+                    for k in (0, 1):
+                        uk = prim[k] * sign
+                        lo = 4 * vertex + 2 * k
+                        # set the upper slot ahead along coordinate k, the lower behind
+                        rays += [(k, slot) for slot in ((lo + (uk > 0),) if uk else (lo, lo + 1))]
+                # a bounded edge's direction orders its ends coordinatewise,
+                # so a transfer copies a lower bound in coordinate k to the
+                # end ahead, an upper one back, and both ways where level
+                ta, he = e.tail, e.head
+                for k, uk in enumerate(prim if he is not None else ()):
+                    pairs = ((ta, he, 2 * k, uk >= 0), (he, ta, 2 * k, uk <= 0))
+                    pairs += ((ta, he, 2 * k + 1, uk <= 0), (he, ta, 2 * k + 1, uk >= 0))
+                    moves += [(4 * s + slot, 4 * t + slot) for s, t, slot, ok in pairs if ok]
+                steps, rays, moves = [tuple(map(share, x, x)) for x in (steps, rays, moves)]
+                data = (e, normal, share(steps, steps), share(rays, rays), moves)
+                bits = _direction_bit(prim), _direction_bit((-prim[0], -prim[1]))
+                data = shared[(e,)] = data + bits
+            per_edge.append(data)
+        edges, normals, lines, rays, moves, ahead, behind = zip(*per_edge)
         self.ctype = ctype = CombinatorialType(ctype.num_vertices, edges, ctype.has_flat_vertex)
-        self.num_edges = len(edges)
-        self.normals = tuple(share(_rot90(e.vec)) for e in edges)
+        self.num_edges = num_edges = len(edges)
+        self.normals = normals
 
-        # vertex equations: sum of +-c over incident edges (+ out, - in)
+        # vertex equations: sum of +-c over incident edges (+ out, - in);
+        # out[v]: each edge at v, its far end, its direction bit away from v
         eqs: List[List[Tuple[int, int]]] = [[] for _ in range(ctype.num_vertices)]
+        out: List[List[Tuple[int, Optional[int], int]]] = [[] for _ in eqs]
         for i, e in enumerate(edges):
             eqs[e.tail].append((i, 1))
+            out[e.tail].append((i, e.head, ahead[i]))
             if e.head is not None:
                 eqs[e.head].append((i, -1))
-        self.vertex_eqs = tuple(share(tuple(eq)) for eq in eqs)
+                out[e.head].append((i, e.tail, behind[i]))
+        eqs = [tuple(eq) for eq in eqs]
+        self.vertex_eqs = tuple(map(share, eqs, eqs))
 
-        # per-vertex solving pair (two incident edges with independent normals)
+        # per-vertex solving pair: the first two incident edges with
+        # independent normals, and their determinant
         solve_pairs: List[Optional[Tuple[int, int, int]]] = []
-        for v in range(ctype.num_vertices):
-            pair = None
-            inc = [i for i, _ in eqs[v]]
-            for i, j in itertools.combinations(inc, 2):
-                det = (
-                    self.normals[i][0] * self.normals[j][1]
-                    - self.normals[i][1] * self.normals[j][0]
-                )
-                if det != 0:
-                    pair = share((i, j, det))
-                    break
-            solve_pairs.append(pair)
+        for eq in eqs:
+            pairs = [
+                (i, j, normals[i][0] * normals[j][1] - normals[i][1] * normals[j][0])
+                for (i, _), (j, _) in itertools.combinations(eq, 2)
+            ]
+            pair = next((pair for pair in pairs if pair[2]), None)
+            solve_pairs.append(pair and share(pair, pair))
         self.solve_pairs = tuple(solve_pairs)
-
-        # each edge's line steps, at its tail and then at its head
-        lines: List[Tuple[Tuple[int, int, int, int], ...]] = []
-        all_rays: List[Tuple[Tuple[int, int], ...]] = []
-        for i, e in enumerate(edges):
-            steps: Tuple[Tuple[int, int, int, int], ...] = ()
-            rays: List[Tuple[int, int]] = []
-            for vertex, sign in ((e.tail, 1), (e.head, -1)):
-                if vertex is None:
-                    continue
-                steps += _line_steps(self.normals[i], 4 * vertex)
-                for k in (0, 1):
-                    uk = e.prim[k] * sign
-                    lo = 4 * vertex + 2 * k
-                    # set the upper slot ahead along coordinate k, the lower behind
-                    rays += [(k, slot) for slot in ((lo + (uk > 0),) if uk else (lo, lo + 1))]
-            lines.append(share(tuple(share(step) for step in steps)))
-            all_rays.append(share(tuple(rays)))
-        self.lines = tuple(lines)
-        self.rays = tuple(all_rays)
-        # a bounded edge's direction orders its endpoints coordinatewise:
-        # each transfer copies a source slot's bound to a target slot
-        transfers: List[Tuple[int, int]] = []
-        for i in ctype.bounded_indices():
-            ta, he = edges[i].tail, edges[i].head
-            for k, uk in enumerate(edges[i].prim):
-                lo, hi = 2 * k, 2 * k + 1
-                if uk > 0:
-                    pairs = [(ta, he, lo), (he, ta, hi)]
-                elif uk < 0:
-                    pairs = [(he, ta, lo), (ta, he, hi)]
-                else:
-                    pairs = [(ta, he, lo), (he, ta, lo), (ta, he, hi), (he, ta, hi)]
-                transfers += [(4 * s + slot, 4 * t + slot) for s, t, slot in pairs]
-        self.transfers = tuple(share(pair) for pair in transfers)
+        self.lines, self.rays = lines, rays
+        self.transfers = tuple(itertools.chain.from_iterable(moves))
         self.ends = sum(1 << i for i in ctype.unbounded_indices())
+
         # cones[e][f] holds the directions the tree path from a point on
         # edge e to one on edge f runs along, as ``_direction_bit``s: the
         # rest of e, every bounded edge between, and f up to its point;
         # cuts[e] the edge bitmasks of the parts a point on e leaves of the
         # type, the edges reached from e's tail and those from its head
-        ahead = [_direction_bit(e.prim) for e in edges]
-        behind = [_direction_bit((-e.prim[0], -e.prim[1])) for e in edges]
         cones: List[Tuple[int, ...]] = []
         cuts: List[Tuple[int, ...]] = []
         for i, e in enumerate(edges):
-            row = [0] * self.num_edges
-            sides = [0, 0]
-            walk = [(e.tail, i, behind[i], 0)]
-            if e.head is not None:
-                walk.append((e.head, i, ahead[i], 1))
-            for v, came, dirs, side in walk:
-                for k, sign in self.vertex_eqs[v]:
-                    if k != came:
-                        sides[side] |= 1 << k
-                        if sign > 0:
-                            row[k] = dirs | ahead[k]
-                            far = edges[k].head
-                        else:
-                            row[k] = dirs | behind[k]
-                            far = edges[k].tail
-                        if far is not None:
-                            walk.append((far, k, row[k], side))
-            cones.append(tuple(share(dirs) for dirs in row))
-            cuts.append(share(tuple(filter(None, sides))))
+            row = [0] * num_edges
+            sides = []
+            for start, dirs in ((e.tail, behind[i]), (e.head, ahead[i])):
+                if start is None:
+                    continue
+                sides.append(0)
+                walk = [(start, i, dirs)]
+                for v, came, dirs in walk:
+                    for k, far, bit in out[v]:
+                        if k != came:
+                            sides[-1] |= 1 << k
+                            row[k] = bit | dirs
+                            if far is not None:
+                                walk.append((far, k, row[k]))
+            cones.append(tuple(map(share, row, row)))
+            cuts.append(share(tuple(sides), tuple(sides)))
         self.cones = tuple(cones)
         self.cuts = tuple(cuts)
 
@@ -540,10 +535,14 @@ def _dual_cone(dirs: int) -> Tuple[Vec, ...]:
         diagonal = (math.isqrt(8 * n + 1) - 1) // 2
         y = n - diagonal * (diagonal + 1) // 2
         ws.append(tuple(z // 2 if z % 2 == 0 else -(z + 1) // 2 for z in (diagonal - y, y)))
-    candidates = {c for w in ws for c in (_rot90(w), (w[1], -w[0]), w)}
-    return tuple(
-        sorted(c for c in candidates if all(c[0] * w[0] + c[1] * w[1] >= 0 for w in ws))
-    )
+    generators = []
+    for a, b in {c for x, y in ws for c in ((-y, x), (y, -x), (x, y))}:
+        for x, y in ws:
+            if a * x + b * y < 0:
+                break
+        else:
+            generators.append((a, b))
+    return tuple(sorted(generators))
 
 
 def _reach_masks(dirs: int, points: Sequence[Tuple[int, int]], width: int, known: Dict) -> int:
@@ -651,16 +650,17 @@ def _propagate(system: _TypeSystem, val: List[Optional[int]], box: List[Optional
     """Run every rule on the transverse values ``val`` and the boxes
     ``box``, in sweeps, to a fixpoint; False on a contradiction.
 
-    A sweep runs the vertex cascades, then the line steps edge by edge,
-    skipping those of an edge with no value, then the transfers.  It stops
-    when a sweep changes nothing, or after ``_SWEEPS`` sweeps; the next
-    call, at a child, goes on from there.  Every bound moves through
-    ``_tighten`` and is an integer, rounded outward where a division
-    occurs: a sound relaxation of the strict geometry.
+    A sweep runs the vertex cascades, unless their last pass set no value,
+    then the line steps edge by edge, skipping an edge with no value, then
+    the transfers.  It stops when a sweep changes nothing, or after
+    ``_SWEEPS`` sweeps; the next call, at a child, goes on from there.
+    Every bound moves through ``_tighten`` and is an integer, rounded
+    outward where a division occurs: a sound relaxation of the strict geometry.
     """
     lines = system.lines
+    cascade = True
     for _ in range(_SWEEPS):
-        changed = _vertex_sweep(system.vertex_eqs, val)
+        changed = cascade = cascade and _vertex_sweep(system.vertex_eqs, val)
         if changed is None:
             return False
         for c, steps in zip(val, lines):

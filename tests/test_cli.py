@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tropcount
 from tropcount.cli import main
 
 
@@ -512,3 +517,24 @@ def test_internal_value_error_is_not_an_input_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="ragged rows"):
         main(["count", "--degree", "1", "--complex"])
     assert "input error" not in capsys.readouterr().err
+
+
+def test_a_count_imports_no_oracle_selftest_or_svg():
+    """A fresh ``tropcount count`` process imports only the modules a count
+    runs: with no cached bytecode each module it imports is compiled, and
+    the oracles, the self-test and the renderer are not among them."""
+    script = (
+        "import sys\n"
+        "from tropcount.cli import main\n"
+        "code = main(['count', '-d', '1', '--complex'])\n"
+        "print(code, sorted(name for name in sys.modules if name.startswith('tropcount')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(tropcount.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    code, modules = done.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert "tropcount.enumeration" in modules
+    for name in ("tropcount.oracles", "tropcount.selftest", "tropcount.svg"):
+        assert repr(name) not in modules

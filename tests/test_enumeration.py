@@ -1,5 +1,6 @@
 import functools
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -310,12 +311,48 @@ def _flat_vertices(ctype):
     ]
 
 
+def _sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# sha256 of a degree's build: of the repr of its kept systems' tables (each
+# system's type included), in type order, and of the dual cones of their
+# distinct cone entries, in sorted order
+BUILD_PINS = {
+    3: (
+        "e03eab6fc0c8f064a8b2fdff6c31555c5dc431678cf3842ff4f19b8bbe7c72df",
+        "2d0617767434d13beb6e7f99e028cab101832869d73005ea02af68d4eaae21c7",
+    ),
+    4: (
+        "34c34979067a90736b79c4178c7c48f5d7c1a5b0ccf96c97b3a365b16c9fc49f",
+        "a92b1a3a132ece9819e95f0dd6d125f998ce6b1443fb6e3b34f2c7142f5d528d",
+    ),
+}
+
+
+def _build_digests(degree):
+    systems = enumeration._degree_systems(degree)
+    cones = sorted({dirs for system in systems for row in system.cones for dirs in row})
+    return _sha256([vars(system) for system in systems]), _sha256(
+        [enumeration._dual_cone(dirs) for dirs in cones]
+    )
+
+
+def test_degree_three_build_is_pinned(fresh_systems):
+    """The d = 3 build, types, tables and dual cones, is the one pinned:
+    a change to how it is built must not change what it builds."""
+    assert _build_digests(Degree.projective(3)) == BUILD_PINS[3]
+
+
 @pytest.mark.slow
-def test_enumerate_types_degree_four():
+def test_enumerate_types_degree_four(fresh_systems):
     types = enumerate_types(0, Degree.projective(4))
     assert len(types) == 2818
     assert not any(_flat_vertices(t) for t in types)
     assert len({_reference_key(t) for t in types}) == len(types)
+    # the types in order, with their numbering, then their systems
+    assert _sha256(types) == "1319f7839f0cc9d06fb3aaebd3c433abf13fbbf116beb894238be040419d9b94"
+    assert _build_digests(Degree.projective(4)) == BUILD_PINS[4]
 
 
 def test_enumerate_types_rejects_flat_vertices():

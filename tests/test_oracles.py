@@ -308,10 +308,11 @@ TEST_ONLY_NAMES = {
 def test_every_public_name_is_read_outside_the_tests():
     # a public module-level def or class, or a public method, of the package
     # is read somewhere in src/ or bench/; names match by identifier, as in
-    # the private-name walk above
+    # the private-name walk above, so each public name is defined once: a
+    # method only tests call would hide behind a namesake that src reads
     package = Path(tropcount.__file__).parent
     bench = Path(__file__).resolve().parent.parent / "bench"
-    defined = set()
+    defined = collections.Counter()
     read = set()
     for path in sorted(package.glob("*.py")) + sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -327,9 +328,13 @@ def test_every_public_name_is_read_outside_the_tests():
             continue
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(stmt.name)
+                defined[stmt.name] += 1
             if isinstance(stmt, ast.ClassDef):
                 defined.update(f.name for f in stmt.body if isinstance(f, ast.FunctionDef))
-    unread = sorted(n for n in defined - read - set(TEST_ONLY_NAMES) if not n.startswith("_"))
+    twice = sorted(n for n, count in defined.items() if count > 1 and not n.startswith("_"))
+    assert not twice, "public names defined more than once: %s" % twice
+    unread = sorted(
+        n for n in defined.keys() - read - set(TEST_ONLY_NAMES) if not n.startswith("_")
+    )
     assert not unread, "only tests read %s" % unread
     assert not set(TEST_ONLY_NAMES) & read, "allow-listed names are read in src or bench"

@@ -383,6 +383,29 @@ def test_grouped_sweeps_match_the_flat_sweep(d3_types):
     assert outcomes["cap"] >= 10 and outcomes["box"] >= 100 and outcomes["fixpoint"] >= 1000
 
 
+def test_no_vertex_sweep_follows_a_quiet_one(expected, d3_types, monkeypatch):
+    """Only the vertex cascades set values, so within one ``_propagate``
+    call a vertex pass that set none is the last: the sweeps after it run
+    the bound steps alone.  Read off the d3-generic-1 search, where bounds
+    often move after a quiet pass, so that more sweeps follow it."""
+    events = []
+    watch(monkeypatch, "_vertex_sweep", lambda changed, *args: events.append(("vertex", changed)))
+    watch(monkeypatch, "_tighten", lambda moved, *args: events.append(("bound", moved)))
+    watch(monkeypatch, "_propagate", lambda holds, *args: events.append(("end", holds)))
+    found = fingerprint(d3_types, bench_points("d3-generic-1"), monkeypatch)
+    assert found == expected["d3-generic-1"]
+    quiet, swept_on = False, 0
+    for kind, value in events:
+        if kind == "end":
+            quiet = False
+        elif kind == "vertex":
+            assert not quiet, "a vertex pass followed a quiet one in the same call"
+            quiet = value is False
+        elif quiet and value:
+            swept_on += 1
+    assert swept_on > 100, swept_on
+
+
 def bench_points(name):
     doc = json.loads((DATA / (name + ".json")).read_text())
     return [(int(x), int(y)) for x, y in doc["points"]]
