@@ -1,22 +1,26 @@
 """Exact integer and rational linear algebra.
 
-Normal forms (Hermite, Smith) with unimodular witnesses, lattice
-saturation, quotient bases, and GF(2) solvers.  Everything here works on
+The Smith normal form with unimodular witnesses, lattice saturation,
+quotient bases, and GF(2) solvers.  Everything here works on
 arbitrary-precision Python integers and Fractions; there is no floating
 point anywhere in this module.  Matrices are small (tens of rows at most),
 so the algorithms favour determinism over asymptotic speed.
 
 There is one elimination per field: ``_row_reduce`` over Q behind
 ``rational_rank`` and ``solve_unique_rational``, ``_f2_reduce`` over GF(2)
-behind ``f2_solve`` and ``f2_rank``.  Over Z, the Smith and Hermite forms
-each eliminate on one augmented matrix, the input bordered by identity
-blocks (Cohen, *A Course in Computational Algebraic Number Theory*, 2.4),
-so every operation reaches its witness by construction.  The Smith form
-gives the saturation directly: with ``left @ A @ right == D``, column i of
-``A @ right`` divided by d_i is column i of ``left^-1``, and the first rank
-such columns, put in Hermite normal form, generate the saturation.
-``f2_rank`` and the Bareiss ``IntMatrix.det`` share no code with the Smith
-form, so they stay independent checks on it.
+behind ``f2_solve`` and ``f2_rank``, and the Smith form over Z.  It
+eliminates on one augmented matrix, the input bordered by identity blocks
+(Cohen, *A Course in Computational Algebraic Number Theory*, 2.4), so every
+operation reaches its witness by construction, and every lattice question
+about a generator matrix A is read off the one Smith form
+``left @ A @ right == D`` of rank r.  Rows r.. of ``left`` vanish on A and
+are part of a unimodular matrix, so they project Z^n onto Z^n modulo the
+saturation of A; the first r rows are coordinates on that saturation; and
+column i of ``A @ right`` is d_i times column i of ``left^-1``, so dividing
+out d_i gives a basis of the saturation without an inverse.  No consumer
+needs a canonical basis, so none is computed.  ``f2_rank`` and the
+Bareiss ``IntMatrix.det`` share no code with the Smith form, so they stay
+independent checks on it.
 """
 
 from __future__ import annotations
@@ -25,10 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
-
-
-class NotSaturated(ValueError):
-    """Raised when a quotient by a non-saturated sublattice is requested."""
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,6 @@ class IntMatrix:
             raise ValueError("columns of length %d, not rows=%d" % (nrows, rows))
         flat = tuple(cols[j][i] for i in range(nrows) for j in range(len(cols)))
         return IntMatrix(nrows, len(cols), flat)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
 
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -222,79 +214,25 @@ def smith_normal_form(m: IntMatrix) -> SnfResult:
     )
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple:
-    """Column-style Hermite normal form.
-
-    Returns ``(hnf, transform)`` with ``m @ transform == hnf``, transform
-    unimodular.  The result is lower-triangular echelon with positive
-    pivots; entries left of a pivot in its row are reduced into
-    ``[0, pivot)``.  The column operations run on ``[A; I]``, so the last
-    ``cols`` rows build the transform.
-    """
-    nr, nc = m.rows, m.cols
-    a = m.to_rows() + IntMatrix.identity(nc).to_rows()
-
-    c = 0
-    for i in range(nr):
-        if c >= nc:
-            break
-        # gcd-collapse row i over columns >= c into column c
-        while True:
-            nonzero = [j for j in range(c, nc) if a[i][j] != 0]
-            if not nonzero:
-                break
-            jmin = min(nonzero, key=lambda j: (abs(a[i][j]), j))
-            for row in a:
-                row[c], row[jmin] = row[jmin], row[c]
-            done = True
-            for j in range(c + 1, nc):
-                if a[i][j] == 0:
-                    continue
-                q = a[i][j] // a[i][c]
-                for row in a:
-                    row[j] -= q * row[c]
-                if a[i][j] != 0:
-                    done = False
-            if done:
-                break
-        if a[i][c] != 0:
-            if a[i][c] < 0:
-                for row in a:
-                    row[c] = -row[c]
-            for j in range(c):
-                q = a[i][j] // a[i][c]
-                if q != 0:
-                    for row in a:
-                        row[j] -= q * row[c]
-            c += 1
-
-    return IntMatrix.from_rows(a[:nr], cols=nc), IntMatrix.from_rows(a[nr:], cols=nc)
-
-
 def saturate(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
     """Generators of (Q-span of the columns) intersected with Z^ambient_rank.
 
-    The result is returned in column Hermite normal form, so equal
-    saturations compare equal.
+    One column per rank; the basis is read off the Smith form and is not
+    canonical, so consumers must not compare it entry by entry.
     """
     if sublattice.rows != ambient_rank:
         raise ValueError("sublattice columns must live in Z^ambient_rank")
     snf = smith_normal_form(sublattice)
-    if snf.rank == 0:
-        return IntMatrix.zero(ambient_rank, 0)
-    # left @ sub @ right == D, so column i of sub @ right is d_i times
-    # column i of left^-1: the first rank columns of left^-1 span the
-    # saturation, and dividing out d_i gives them without an inverse.
     gens = [
         [x // d for x in sublattice.apply(snf.right_transform.column(i))]
         for i, d in enumerate(snf.invariant_factors)
     ]
-    hnf, _ = hermite_normal_form(IntMatrix.from_columns(gens, rows=ambient_rank))
-    return hnf
+    return IntMatrix.from_columns(gens, rows=ambient_rank)
 
 
 def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
-    """Projection of Z^ambient_rank onto its quotient by a saturated sublattice.
+    """Projection of Z^ambient_rank onto its quotient by the saturation of a
+    sublattice.
 
     One row per quotient coordinate; the kernel is exactly the Q-span of the
     sublattice in Z^ambient_rank.  The projection is non-canonical, so
@@ -303,12 +241,7 @@ def quotient_basis(sublattice: IntMatrix, ambient_rank: int) -> IntMatrix:
     if sublattice.rows != ambient_rank:
         raise ValueError("sublattice columns must live in Z^ambient_rank")
     snf = smith_normal_form(sublattice)
-    r = snf.rank
-    if any(f != 1 for f in snf.invariant_factors):
-        raise NotSaturated(
-            "sublattice is not saturated (invariant factors %s)" % (snf.invariant_factors,)
-        )
-    proj_rows = [snf.left_transform.row(i) for i in range(r, ambient_rank)]
+    proj_rows = [snf.left_transform.row(i) for i in range(snf.rank, ambient_rank)]
     return IntMatrix.from_rows(proj_rows, cols=ambient_rank)
 
 

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .exact_lattice import IntMatrix, quotient_basis, saturate, solve_unique_rational
+from .exact_lattice import (
+    IntMatrix,
+    quotient_basis,
+    saturate,
+    smith_normal_form,
+    solve_unique_rational,
+)
 from .tropical import EdgeId, Point, TropicalCurve, Vec, as_point, point_str
 
 
@@ -38,7 +44,11 @@ class NonIntegralBase(ValueError):
 
 @dataclass(frozen=True)
 class AffineConstraint:
-    """Affine subspace A = base + span(directions), directions saturated."""
+    """Affine subspace A = base + span(directions).
+
+    The directions are replaced by a basis of their saturation, which is not
+    canonical: two constraints with one span may hold different bases.
+    """
 
     base: Point
     directions: IntMatrix
@@ -207,24 +217,24 @@ def marked_direction(curve: TropicalCurve, eid: EdgeId) -> Tuple[str, Vec]:
     return tail, curve.edge_direction(eid, at_vertex=tail)
 
 
-# The blocks of T_h depend only on an edge direction and a constraint's
-# directions, never on the curve or the points, so each is built once per
-# process.  Quotient bases are not canonical: the memos keep the exact calls
-# that built them, and T_h stays the same matrix.
-@functools.lru_cache(maxsize=None)
-def _edge_projection(u: Vec) -> IntMatrix:
-    """Projection of Z^n onto Z^n / Zu, the block of a bounded edge of
-    primitive direction u."""
-    return quotient_basis(IntMatrix.from_columns([u], rows=len(u)), len(u))
+def _generator_columns(u: Vec, constraint: AffineConstraint) -> Tuple[Vec, ...]:
+    """u followed by the constraint's directions: the generators of
+    Zu + L(A)."""
+    directions = constraint.directions
+    return (u,) + tuple(directions.column(c) for c in range(directions.cols))
 
 
+# The blocks of T_h depend only on their generator columns, an edge direction
+# and for a marked edge its constraint's directions, never on the curve or the
+# points, so each is built once per process.  Quotient bases are not canonical: the memo keeps
+# the exact calls that built them, and T_h stays the same matrix.
 @functools.lru_cache(maxsize=None)
-def _marked_projection(u: Vec, directions: IntMatrix) -> IntMatrix:
-    """Projection of Z^n onto its quotient by the saturation of
-    Zu + span(directions), the block of a marked edge of direction u."""
-    n = len(u)
-    span_cols = [list(u)] + [list(directions.column(c)) for c in range(directions.cols)]
-    return quotient_basis(saturate(IntMatrix.from_columns(span_cols, rows=n), n), n)
+def _projection(columns: Tuple[Vec, ...]) -> IntMatrix:
+    """Projection of Z^n onto its quotient by the saturation of the span of
+    ``columns``: the block of a bounded edge of primitive direction u for
+    ``(u,)``, of a marked edge for u and its constraint's directions."""
+    n = len(columns[0])
+    return quotient_basis(IntMatrix.from_columns(columns, rows=n), n)
 
 
 def build_T_h(
@@ -242,7 +252,7 @@ def build_T_h(
     rows: List[List[int]] = []
     for eid in curve.graph.bounded_ids():
         tail, head = _oriented_endpoints(curve, eid)
-        projection = _edge_projection(curve.edge_direction(eid, at_vertex=tail))
+        projection = _projection((curve.edge_direction(eid, at_vertex=tail),))
         for r in range(projection.rows):
             row = [0] * ncols
             for k in range(n):
@@ -257,7 +267,7 @@ def build_T_h(
     for eid, constraint in zip(marks, constraints):
         tail, u = marked_direction(curve, eid)
         marked_dirs.append(u)
-        projection = _marked_projection(u, constraint.directions)
+        projection = _projection(_generator_columns(u, constraint))
         projections.append(projection)
         for r in range(projection.rows):
             row = [0] * ncols
@@ -277,25 +287,16 @@ def build_T_h(
 def build_constraint_inclusion(u: Vec, constraint: AffineConstraint) -> IntMatrix:
     """Matrix of Zu + (L(A) cap M) inside the saturation of Qu + L(A).
 
-    Expressed in a basis of the saturated target; its Smith normal form
-    drives the complex and real indices of the marked-point count.
+    With ``left @ G @ right == D`` for the generator columns G, the first
+    rank rows of the unimodular ``left`` are coordinates on the saturation,
+    so ``left @ G`` cut to them expresses G in a basis of it; its Smith
+    normal form drives the complex and real indices of the marked-point
+    count.
     """
-    n = len(u)
-    span_cols = [list(u)] + [
-        list(constraint.directions.column(c)) for c in range(constraint.directions.cols)
-    ]
-    target = saturate(IntMatrix.from_columns(span_cols, rows=n), n)
-    columns = []
-    for gen in span_cols:
-        coords = solve_unique_rational(
-            [[target.at(i, j) for j in range(target.cols)] for i in range(n)], gen
-        )
-        if coords is None:
-            raise AssertionError("generator outside its own saturation")
-        if any(c.denominator != 1 for c in coords):
-            raise AssertionError("saturation does not contain the generator")
-        columns.append([int(c) for c in coords])
-    return IntMatrix.from_columns(columns, rows=target.cols)
+    generators = IntMatrix.from_columns(_generator_columns(u, constraint), rows=len(u))
+    snf = smith_normal_form(generators)
+    head = [snf.left_transform.row(i) for i in range(snf.rank)]
+    return IntMatrix.from_rows(head, cols=len(u)) @ generators
 
 
 def sigma_sign_class(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .tropical import TropicalCurve, Vec, angle_key, plane_crossings
+from .tropical import TropicalCurve, Vec, angle_key, plane_crossings, point_str
 
 
 def _fmt(x: Fraction, scale: Fraction, offset: Fraction) -> str:
@@ -99,7 +99,9 @@ def _clip_ray(origin, direction: Vec, xmin, xmax, ymin, ymax):
                 if best is None or t > best:
                     best = t
     if best is None:
-        best = Fraction(1)
+        raise AssertionError(
+            "ray from %s along %s meets no side of the viewport" % (point_str(origin), direction)
+        )
     return (ox + best * dx, oy + best * dy)
 
 
@@ -178,7 +180,9 @@ def dual_subdivision_cells(curve: TropicalCurve):
             side_a = _find_side(cells[key][1], shared_vec)
             side_b = _find_side(cells[other][1], (-shared_vec[0], -shared_vec[1]))
             if side_a is None or side_b is None:
-                continue
+                raise AssertionError(
+                    "dual cells %s and %s share no side along %s" % (key, other, shared_vec)
+                )
             # side_a runs p -> p + rot(vec); side_b runs q -> q - rot(vec)
             oa = offsets[key]
             pa = (side_a[0][0] + oa[0], side_a[0][1] + oa[1])

@@ -71,15 +71,12 @@ def fresh_lattice_memos(monkeypatch):
     that empties them again."""
     from tropcount import counting, incidence
 
-    blocks = ("_edge_projection", "_marked_projection")
-    for name in blocks:
-        built = getattr(incidence, name).__wrapped__
-        monkeypatch.setattr(incidence, name, functools.lru_cache(maxsize=None)(built))
+    built = incidence._projection.__wrapped__
+    monkeypatch.setattr(incidence, "_projection", functools.lru_cache(maxsize=None)(built))
     monkeypatch.setattr(counting, "_inclusion_indices", {})
 
     def clear():
-        for name in blocks:
-            getattr(incidence, name).cache_clear()
+        incidence._projection.cache_clear()
         counting._inclusion_indices.clear()
 
     return clear

@@ -39,9 +39,10 @@ def test_degree_three_within_budget(acceptance_results):
 @pytest.fixture
 def snf_fault(monkeypatch, fresh_lattice_memos):
     """Call to corrupt the Smith normal form: every even invariant factor
-    halved.  ``counting`` binds the name at import, so it is patched there
-    too.  Lattice blocks built under the fault stay in this test's memos."""
-    from tropcount import counting, exact_lattice
+    halved.  ``counting`` and ``incidence`` bind the name at import, so it
+    is patched there too.  Lattice blocks built under the fault stay in this
+    test's memos."""
+    from tropcount import counting, exact_lattice, incidence
 
     original = exact_lattice.smith_normal_form
 
@@ -51,7 +52,7 @@ def snf_fault(monkeypatch, fresh_lattice_memos):
         return replace(res, invariant_factors=tuple(f if f > 0 else 1 for f in factors))
 
     def apply():
-        for module in (exact_lattice, counting):
+        for module in (exact_lattice, incidence, counting):
             monkeypatch.setattr(module, "smith_normal_form", corrupted)
 
     return apply

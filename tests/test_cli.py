@@ -99,6 +99,98 @@ def test_count_sign_options_need_real(option, capsys):
     assert "need --real" in err
 
 
+def _count_points(doc):
+    """The argv of a d=1 count over a points file holding ``doc``."""
+
+    def argv(tmp_path, monkeypatch):
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        return ["count", "-d", "1", "--points", str(path)]
+
+    return argv
+
+
+def _argv(*args):
+    return lambda tmp_path, monkeypatch: list(args)
+
+
+def _unreadable_points(tmp_path, monkeypatch):
+    return ["count", "-d", "1", "--points", str(tmp_path / "missing.json")]
+
+
+def _render_count_report(tmp_path, monkeypatch):
+    doc = tmp_path / "report.json"
+    doc.write_text(json.dumps({"schema": "tropcount/1", "kind": "count-report", "rows": []}))
+    return ["render", str(doc)]
+
+
+def _failing_census(tmp_path, monkeypatch):
+    from tropcount import cli
+
+    monkeypatch.setattr(cli, "census_report", lambda curves, sign_t: [{"agrees": False}])
+    return ["welschinger", "-d", "1"]
+
+
+def _failing_criterion(tmp_path, monkeypatch):
+    from tropcount import selftest
+
+    ident, name, _ = selftest.CRITERIA[0]
+    monkeypatch.setattr(selftest, "CRITERIA", [(ident, name, lambda ctx: (False, "patched"))])
+    return ["selftest", "--max-degree", "1"]
+
+
+# case: (argv given tmp_path and monkeypatch, exit code, stderr prefix)
+EXITS = {
+    "non-rational-coordinate": (
+        _count_points({"points": [["1/x", "0"], ["3", "1"]]}),
+        2,
+        "input error: not a rational number: '1/x'",
+    ),
+    "unreadable-points-path": (_unreadable_points, 2, "input error: cannot read "),
+    "points-file-without-points": (
+        _count_points({"signs": ["++", "++"]}),
+        2,
+        "input error: points file needs a top-level 'points' array",
+    ),
+    "wrong-number-of-sign-pairs": (
+        _argv("count", "-d", "1", "--real", "--signs", "++,++,++"),
+        2,
+        "input error: need 2 sign pairs, got 3",
+    ),
+    "sign-not-plus-or-minus": (
+        _argv("count", "-d", "1", "--real", "--signs", "+x,++"),
+        2,
+        "input error: sign strings may only contain '+' and '-'",
+    ),
+    "sign-t-x": (
+        _argv("count", "-d", "1", "--real", "--signs", "all-positive", "--sign-t", "x"),
+        2,
+        "input error: --sign-t must be + or -",
+    ),
+    "render-a-count-report": (_render_count_report, 2, "input error: render expects a curve-set"),
+    "census-mismatch": (_failing_census, 4, "census/Mult_R mismatch"),
+    "failing-selftest": (_failing_criterion, 1, "failing criteria: A1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXITS))
+def test_exit_codes_and_messages(case, tmp_path, monkeypatch, capsys):
+    argv_of, expected, prefix = EXITS[case]
+    code, _, err = run_cli(argv_of(tmp_path, monkeypatch), capsys)
+    assert code == expected
+    assert err.startswith(prefix), err
+
+
+def test_concatenated_signs_print_as_the_comma_form(capsys):
+    signs = ["++", "-+", "+-", "--", "-+"]
+    outputs = []
+    for form in (",".join(signs), "".join(signs)):
+        code, out, _ = run_cli(["count", "-d", "2", "--real", "--signs=" + form], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("command", ["count", "enumerate"])
 def test_points_and_mikhalkin_seed_exclude_each_other(command, tmp_path, capsys):
     points = tmp_path / "points.json"

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import random
 import weakref
@@ -16,6 +17,7 @@ from tropcount.counting import (
     constraint_indices,
     count_complex,
     count_real,
+    curve_lattice,
     real_index,
     total_real_weight,
     twisted_real_index,
@@ -54,7 +56,7 @@ def line_fixture():
 def test_real_index_examples():
     b = real_index(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert (b.complex_index, b.real_index) == (6, 2)
-    b = real_index(IntMatrix.identity(3))
+    b = real_index(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert (b.complex_index, b.real_index) == (1, 1)
     b = real_index(IntMatrix.from_rows([[2, 0], [0, 2]]))
     assert (b.complex_index, b.real_index) == (4, 4)
@@ -265,6 +267,36 @@ def generic_d3_set():
     return stored_d3_set(DATA / "d3-generic-1.json")
 
 
+def lattice_route_digest():
+    """sha256 of every T_h matrix, its constraint projections and the
+    constraint inclusion indices, over the four stored d=3 sets and the
+    Mikhalkin seeds 0, 3 and 7 at d = 1..3, each curve built fresh."""
+    problems = [stored_d3_set(path) for path in sorted(DATA.glob("d3-*.json"))]
+    for seed in (0, 3, 7):
+        for d in (1, 2, 3):
+            config = PointConfiguration.mikhalkin(3 * d - 1, seed)
+            curves = enumerate_curves(0, Degree.projective(d), config)
+            problems.append((curves, config.constraints()))
+    outputs = []
+    for curves, constraints in problems:
+        for curve, marks in curves:
+            th = build_T_h(curve, constraints, marks)
+            bundles = curve_lattice(curve, constraints, marks).constraint_bundles
+            outputs.append((th.matrix, th.constraint_projections, bundles))
+    return len(outputs), hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
+def test_lattice_route_is_pinned():
+    """The lattice route's exact outputs, not only their indices: the T_h
+    blocks are read off Smith-form witnesses, so a change to which
+    projection the memos keep shows here even when every count holds.
+    The digest was taken before the Hermite form was deleted."""
+    assert lattice_route_digest() == (
+        72,
+        "640fb3ccc8a35205f925068a630aee193b71246c786a1ee8c9fe8a3b0956487a",
+    )
+
+
 def test_sign_sweep_builds_each_lattice_map_once(monkeypatch):
     curves, constraints = generic_d3_set()
     reference = []
@@ -370,8 +402,7 @@ def spatial_line_problem():
 
 def memo_sizes():
     return (
-        incidence._edge_projection.cache_info().currsize,
-        incidence._marked_projection.cache_info().currsize,
+        incidence._projection.cache_info().currsize,
         len(counting._inclusion_indices),
     )
 
@@ -392,22 +423,21 @@ def test_warm_lattice_memos_answer_as_cold_ones(fresh_lattice_memos):
     for problem, answers in zip(problems, cold):
         assert lattice_answers(problem) == answers
     assert memo_sizes() == warm  # every block came from the memos
-    assert incidence._marked_projection.cache_info().hits > 0
+    assert incidence._projection.cache_info().hits > 0
 
 
 def d3_direction_bound(types):
-    """The marked-edge directions a d=3 curve can have: each bounded edge
-    of a type as T_h orients it, towards the lexicographically larger end,
-    and each ray."""
-    bounded = set()
-    rays = set()
+    """The edge directions T_h can read on a d=3 curve: each bounded edge of
+    a type as T_h orients it, towards the lexicographically larger end, and
+    each ray."""
+    directions = set()
     for t in types:
         for e in t.edges:
             if e.head is None:
-                rays.add(e.prim)
+                directions.add(e.prim)
             else:
-                bounded.add(max(e.prim, tuple(-x for x in e.prim)))
-    return bounded, bounded | rays
+                directions.add(max(e.prim, tuple(-x for x in e.prim)))
+    return directions
 
 
 def test_lattice_memos_are_bounded_by_the_degree(monkeypatch, fresh_lattice_memos, d3_types):
@@ -417,7 +447,7 @@ def test_lattice_memos_are_bounded_by_the_degree(monkeypatch, fresh_lattice_memo
     # per curve, its T_h's
     calls = []
     snf = exact_lattice.smith_normal_form
-    for module in (exact_lattice, counting):
+    for module in (exact_lattice, incidence, counting):
         monkeypatch.setattr(module, "smith_normal_form", lambda m: calls.append(m) or snf(m))
     rng = random.Random(35)
     solved = settled = 0
@@ -432,18 +462,17 @@ def test_lattice_memos_are_bounded_by_the_degree(monkeypatch, fresh_lattice_memo
         before = memo_sizes()
         calls.clear()
         count_complex(curves, constraints)
-        new_blocks, new_marked, new_indices = (b - a for a, b in zip(before, memo_sizes()))
-        # a new block costs one quotient basis; a new marked block and a new
-        # inclusion index each cost a saturation and one more Smith form
-        assert len(calls) == len(curves) + new_blocks + 2 * (new_marked + new_indices)
+        new_blocks, new_indices = (b - a for a, b in zip(before, memo_sizes()))
+        # a new block costs the Smith form of its generators; a new inclusion
+        # index costs that of its generators and that of the inclusion
+        assert len(calls) == len(curves) + new_blocks + 2 * new_indices
         solved += 1
         settled += memo_sizes() == before
     assert settled >= 10
-    bounded, marked = d3_direction_bound(d3_types)
-    point = IntMatrix.zero(2, 0)
-    assert set(counting._inclusion_indices) <= {(u, point) for u in marked}
-    blocks, marked_blocks, indices = memo_sizes()
-    assert blocks <= len(bounded) and marked_blocks == indices
+    directions = d3_direction_bound(d3_types)
+    point = IntMatrix.from_columns([], rows=2)
+    assert set(counting._inclusion_indices) <= {(u, point) for u in directions}
+    assert memo_sizes()[0] <= len(directions)
 
 
 def test_vertex_multiplicities_are_computed_once_per_vertex(monkeypatch):

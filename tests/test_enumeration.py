@@ -5,12 +5,14 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from tropcount import enumeration
 from tropcount.cli import curve_from_json
+from tropcount.counting import count_real
 from tropcount.enumeration import (
     CombinatorialType,
     PointConfiguration,
@@ -24,7 +26,7 @@ from tropcount.enumeration import (
     solve_positions,
 )
 from tropcount.exact_lattice import solve_unique_rational, vector_gcd
-from tropcount.incidence import match_marked_edges
+from tropcount.incidence import RealPointConfig, match_marked_edges
 from tropcount.tropical import (
     Degree,
     TropicalCurve,
@@ -751,6 +753,42 @@ def test_enumerate_curves_commutes_with_permuting_the_ends_d3():
         assert sum(curve_welschinger_mult(c) for c, _ in images) == 8, ends
         mapped = sorted(_shape(c, m, matrix) for c, m in curves)
         assert mapped == sorted(_shape(c, m) for c, m in images), ends
+
+
+def test_real_counts_commute_with_permuting_the_ends_d3():
+    """The monomial map z -> z^M of an end-permuting M is an automorphism
+    of P^2, so it maps the real curves through real points of signs s_j onto
+    those through the image points, of signs s'_k = prod_l s_l^(M_kl mod 2)
+    and the same sign of t: N_R agrees on a seeded sample of settings for
+    the points of bench/data/d3-generic-1 and each of the six images.
+
+    The check bites on a fault that reads coordinates in the wrong frame,
+    such as a sign class with each point's sign pair swapped.  A fault the
+    map commutes with, such as a flipped bit of every sign class or a
+    dropped sign of t, errs alike on both sides and stays green."""
+    doc = json.loads((DATA / "d3-generic-1.json").read_text())
+    points = [as_point(p) for p in doc["points"]]
+    config = PointConfiguration.explicit(points)
+    curves = enumerate_curves(0, Degree.projective(3), config)
+    rng = random.Random(10)
+    counts = set()
+    for ends in itertools.permutations(P2_ENDS):
+        (ax, ay), (bx, by), _ = ends
+        matrix = ((-ax, -bx), (-ay, -by))
+        image = PointConfiguration.explicit([_apply(matrix, p) for p in points])
+        images = enumerate_curves(0, Degree.projective(3), image)
+        for _ in range(48):
+            signs = tuple(tuple(rng.choice((1, -1)) for _ in range(2)) for _ in points)
+            mapped = tuple(
+                tuple(prod(s[l] ** (row[l] % 2) for l in range(2)) for row in matrix)
+                for s in signs
+            )
+            sign_t = rng.choice((1, -1))
+            n_real = count_real(curves, config.constraints(), RealPointConfig(signs), sign_t)
+            n_image = count_real(images, image.constraints(), RealPointConfig(mapped), sign_t)
+            assert n_real.n_real_trop == n_image.n_real_trop, (ends, signs, sign_t)
+            counts.add(n_real.n_real_trop)
+    assert len(counts) > 1, counts
 
 
 # generic integer points beyond P^2, and (N, number of curves) through them

@@ -298,8 +298,7 @@ def test_no_unused_imports():
 # Public src names that no src or bench code reads, each kept as an
 # independent reference for the tests named beside it.
 TEST_ONLY_NAMES = {
-    "rational_rank": "test_exact_lattice: test_saturate_idempotent, "
-    "test_quotient_after_saturate_kills_exactly_qspan",
+    "rational_rank": "test_exact_lattice: test_saturate_is_the_saturation",
     "segment_param": "test_enumeration: _fraction_rule; "
     "test_incidence: test_point_constraint_meets_an_edge_where_segment_param_finds_it",
 }

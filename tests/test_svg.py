@@ -1,6 +1,10 @@
 from fractions import Fraction
 
-from tropcount.svg import dual_subdivision_cells, render_curves
+import pytest
+
+from tropcount import svg
+from tropcount.cli import main
+from tropcount.svg import _clip_ray, dual_subdivision_cells, render_curves
 from tropcount.tropical import TropicalCurve, TropicalGraph, as_point
 
 
@@ -76,3 +80,22 @@ def test_render_is_pure():
 def test_render_labels_heavy_weights():
     text = render_curves([crossing_curve()])
     assert "w=2" in text
+
+
+def test_dual_panel_raises_rather_than_drop_a_cell(tmp_path, monkeypatch):
+    # a neighbour with no side matching the shared piece would be left out
+    # of the panel; on a balanced curve that is an internal fault
+    curves = tmp_path / "curves.json"
+    assert main(["enumerate", "-d", "2", "--mikhalkin-seed", "7", "-o", str(curves)]) == 0
+    monkeypatch.setattr(svg, "_find_side", lambda sides, vec: None)
+    out = tmp_path / "dual.svg"
+    with pytest.raises(AssertionError, match="share no side"):
+        main(["render", str(curves), "--dual", "-o", str(out)])
+    assert not out.exists()
+
+
+def test_a_ray_missing_the_viewport_raises():
+    # rays start inside the viewport; one that meets none of its sides has
+    # no endpoint to draw
+    with pytest.raises(AssertionError, match="meets no side of the viewport"):
+        _clip_ray((5, 5), (1, 0), 0, 1, 0, 1)
